@@ -1,0 +1,111 @@
+"""Golden outputs: exact CLI stdout bytes and bit-exact Monte Carlo figures.
+
+The expected data under ``tests/golden/`` was recorded once from a known-good
+build. Deterministic reports must stay byte-identical, and Monte Carlo
+results must stay bit-identical for a given (seed, replications) at every
+thread count, so any refactor of the report, check or sampling code has to
+pass this module unchanged. The weights files are inputs, not outputs.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from orlicz_bounds import (
+    Gaussian,
+    SymExponential,
+    check_kth_min_tail,
+    check_min_survival_product,
+    estimate_order_stats,
+)
+from orlicz_bounds.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+ASCENDING = str(GOLDEN / "ascending.csv")
+DESCENDING = str(GOLDEN / "descending.csv")
+
+CLI_CASES = {
+    "bounds-kmin": ["bounds-kmin", "--dist", "gaussian", "--weights", ASCENDING, "--k", "5"],
+    "bounds-kmin-closed-form": ["bounds-kmin", "--dist", "gaussian", "--weights", ASCENDING,
+                                "--k", "5", "--closed-form"],
+    "bounds-kmax": ["bounds-kmax", "--dist", "gaussian", "--weights", DESCENDING, "--k", "2"],
+    "bounds-max1": ["bounds-max1", "--dist", "symexp:2.0", "--weights", ASCENDING],
+    **{
+        f"partition-{shape}": ["partition", "--weights", ASCENDING, "--k", "4",
+                               "--shape", shape]
+        for shape in ("linear", "quadratic", "gaussian-n")
+    },
+    **{
+        f"simulate-kmin-threads{t}": ["simulate", "--dist", "gaussian", "--weights", ASCENDING,
+                                      "--k", "5", "--reps", "20000", "--seed", "7",
+                                      "--threads", str(t)]
+        for t in (1, 2)
+    },
+    **{
+        f"simulate-kmax-threads{t}": ["simulate", "--dist", "symexp:1", "--weights", ASCENDING,
+                                      "--k", "2", "--stat", "kmax", "--power", "2.0",
+                                      "--reps", "20000", "--seed", "1", "--threads", str(t)]
+        for t in (1, 2)
+    },
+    "verify-gaussian": ["verify", "--suite", "all", "--dist", "gaussian"],
+    "verify-symexp": ["verify", "--suite", "all", "--dist", "symexp:1"],
+}
+
+
+def run_cli(case: str, fmt: str) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(CLI_CASES[case] + ["--format", fmt])
+    return code, buf.getvalue()
+
+
+def montecarlo_figures() -> dict:
+    """float.hex of every Monte Carlo figure, keyed by call and thread count."""
+    gauss, sym = Gaussian(), SymExponential(rate=1.0)
+    x = np.sort(np.random.default_rng(0).uniform(0.5, 5.0, 15))
+    out = {}
+    for threads in (1, 2):
+        runs = {
+            "kmin": estimate_order_stats(x, gauss, [1, 4, 9], replications=20_000, seed=8,
+                                         threads=threads),
+            "kmax-power2": estimate_order_stats(x, sym, [1, 3], statistic="kmax",
+                                                replications=20_000, seed=9, power=2.0,
+                                                threads=threads),
+        }
+        for name, estimates in runs.items():
+            for est in estimates:
+                out[f"estimate/{name}/k={est.k}/threads={threads}"] = {
+                    "mean": est.mean.hex(),
+                    "ci_halfwidth": est.ci_halfwidth.hex(),
+                }
+        checks = {
+            "kth_min_tail": check_kth_min_tail(x, gauss, 3, 0.1, replications=20_000, seed=5,
+                                               threads=threads),
+            "min_survival_product": check_min_survival_product(
+                x, sym, 0.4, replications=20_000, seed=6, threads=threads),
+        }
+        for name, res in checks.items():
+            out[f"check/{name}/threads={threads}"] = {
+                "lhs": res.lhs.hex(),
+                "rhs": res.rhs.hex(),
+                "ci": res.detail["ci"].hex(),
+                "ok": res.ok,
+            }
+    return out
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_stdout_bytes(case, fmt):
+    code, out = run_cli(case, fmt)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+def test_montecarlo_bits():
+    expected = json.loads((GOLDEN / "montecarlo.json").read_text(encoding="utf-8"))
+    assert montecarlo_figures() == expected
