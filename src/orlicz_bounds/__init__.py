@@ -62,7 +62,6 @@ from .orlicz import (
     orlicz_norm,
     power_function,
     reciprocal_survival_function,
-    scale_function,
     young_conjugate,
 )
 from .partition import PartitionResult, build_partition, verify_partition

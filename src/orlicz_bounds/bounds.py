@@ -141,6 +141,13 @@ def _as_weights(x, order: str) -> Weights:
     return Weights(np.asarray(x, dtype=float), order)
 
 
+def _check_kmin_range(k: int, n: int) -> None:
+    if not (1 <= k and 2 * k <= n):
+        raise RangeError(
+            f"k-min bounds require 1 <= k <= n/2: got k={k}, n={n} (need n >= {2 * k})"
+        )
+
+
 def _suffix_norm_terms(inv: np.ndarray, nfun, k: int) -> list[float]:
     """1 / ||(1/x_i)_{i=j..n}||_{(2e/(k-j+1)) N} for j = 1..k."""
     terms = []
@@ -160,11 +167,7 @@ def kth_min_bounds(
     """
     cons = constants or BoundConstants()
     w = _as_weights(x, "ascending")
-    n = len(w)
-    if not (1 <= k and 2 * k <= n):
-        raise RangeError(
-            f"k-min bounds require 1 <= k <= n/2: got k={k}, n={n} (need n >= {2 * k})"
-        )
+    _check_kmin_range(k, len(w))
     inv = 1.0 / w.values
     convex = model.n_is_convex()
     nfun = neg_log_survival_function(model, require_convex=False)
@@ -172,7 +175,7 @@ def kth_min_bounds(
     arg = int(np.argmax(terms))  # ties: smallest index
     m = terms[arg]
     n1 = model.neg_log_survival(1.0)
-    c_n = max(n1, 1.0 / n1)
+    c_n = BoundConstants.c_n(model)
     lower = cons.c1 * m
     upper = cons.upper_kmin * c_n * math.log(k + 1) * m if convex else None
     notes = () if convex else ("upper bound omitted: negative log-survival is not convex",)
@@ -192,11 +195,7 @@ def kth_min_bounds_gaussian(x, k: int, constants: BoundConstants | None = None) 
     """Closed-form Gaussian k-min sandwich via harmonic suffix sums."""
     cons = constants or BoundConstants()
     w = _as_weights(x, "ascending")
-    n = len(w)
-    if not (1 <= k and 2 * k <= n):
-        raise RangeError(
-            f"k-min bounds require 1 <= k <= n/2: got k={k}, n={n} (need n >= {2 * k})"
-        )
+    _check_kmin_range(k, len(w))
     inv = 1.0 / w.values
     suffix = np.cumsum(inv[::-1])[::-1]  # suffix[j-1] = sum_{i=j..n} 1/x_i
     terms = [(k + 1 - j) / suffix[j - 1] for j in range(1, k + 1)]
@@ -249,7 +248,7 @@ def kth_max_bounds(
     mfun = expected_overshoot_function(model)
     tail_norm = orlicz_norm(w.values[k + k0 - 1 :], mfun)
     n1 = model.neg_log_survival(1.0)
-    c_n = max(n1, 1.0 / n1)
+    c_n = BoundConstants.c_n(model)
     a = 1.0 + math.log(8.0 * (k - 1)) / n1
     lower = 0.25 * (m + tail_norm / a)
     upper = cons.kmax_upper_c * (c_n * math.log(k + 1) * m + tail_norm)
@@ -287,8 +286,7 @@ def max_bounds(
     if v.size == 0 or not np.any(v != 0):
         raise DomainError("max bounds require a nonzero vector")
     mean = model.mean_abs()
-    unit = model.scaled_by(1.0 / mean)
-    mfun = expected_overshoot_function(unit)
+    mfun = expected_overshoot_function(model.normalized())
     nm = orlicz_norm(np.abs(v), mfun)
     return BoundReport(
         kind="max1",

@@ -47,7 +47,7 @@ from .orlicz import (
     young_conjugate,
 )
 from .partition import build_partition
-from .reporting import dumps_report, to_jsonable
+from .reporting import CheckResult, dumps_report, to_jsonable
 
 ENV_THREADS = "ORLICZ_BOUNDS_THREADS"
 
@@ -160,37 +160,27 @@ def _emit_table(rows, fmt: str, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verify sub-suites. Registered order fixes the output order.
+# verify sub-suites: each returns a list of (label, CheckResult). Registered
+# order fixes the output order.
 # ---------------------------------------------------------------------------
-
-
-def _row(suite, check, lhs, rhs, ok):
-    return {
-        "suite": suite,
-        "check": check,
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "ok": bool(ok),
-    }
 
 
 def _suite_sym_tail(model, cfg):
     rng = np.random.default_rng([cfg.seed, 1])
-    rows = []
+    checks = []
     for case in range(20):
         n = int(rng.integers(2, 23))
         k = int(rng.integers(1, n + 1))
         raw = rng.uniform(0.05, 1.0, n)
         target = rng.uniform(0.05, 0.95)
         a = raw * (target * k / math.e / raw.sum())
-        res = check_symmetric_tail_bound(a, k)
-        rows.append(_row("sym-tail", f"n={n},k={k}", res.lhs, res.rhs, res.ok))
-    return rows
+        checks.append((f"n={n},k={k}", check_symmetric_tail_bound(a, k)))
+    return checks
 
 
 def _suite_kmin_tail(model, cfg):
     rng = np.random.default_rng([cfg.seed, 2])
-    rows = []
+    checks = []
     for case in range(6):
         n = int(rng.integers(5, 31))
         k = int(rng.integers(1, n + 1))
@@ -203,13 +193,13 @@ def _suite_kmin_tail(model, cfg):
             x, model, k, t, replications=cfg.replications, seed=cfg.seed + case,
             threads=cfg.threads,
         )
-        rows.append(_row("kmin-tail", f"n={n},k={k},t={t:.3g}", res.lhs, res.rhs, res.ok))
-    return rows
+        checks.append((f"n={n},k={k},t={t:.3g}", res))
+    return checks
 
 
 def _suite_min_product(model, cfg):
     rng = np.random.default_rng([cfg.seed, 3])
-    rows = []
+    checks = []
     for case in range(6):
         n = int(rng.integers(2, 21))
         x = rng.uniform(0.5, 5.0, n)
@@ -218,50 +208,37 @@ def _suite_min_product(model, cfg):
             x, model, t, replications=cfg.replications, seed=cfg.seed + 100 + case,
             threads=cfg.threads,
         )
-        rows.append(_row("min-product", f"n={n},t={t:.3g}", res.lhs, res.rhs, res.ok))
-        rows.append(
-            _row(
-                "min-product",
-                f"n={n},t={t:.3g},union",
-                res.detail["union_lhs"],
-                res.detail["union_rhs"],
-                res.detail["union_lhs"] <= res.detail["union_rhs"] + 4 * res.detail["ci"] + 1e-12,
-            )
-        )
-    return rows
+        checks.append((f"n={n},t={t:.3g}", res))
+        checks.append((f"n={n},t={t:.3g},union", res.detail["union"]))
+    return checks
 
 
 def _suite_kmax_split(model, cfg):
     rng = np.random.default_rng([cfg.seed, 4])
-    rows = []
+    checks = []
     for case in range(5):
         n = int(rng.integers(4, 25))
         k = int(rng.integers(1, n))
         j = int(rng.integers(1, n - k + 1))
         batch = rng.standard_normal((10_000, n)) * rng.uniform(0.5, 5.0, n)
-        res = check_kmax_split(batch, k, j)
-        rows.append(_row("kmax-split", f"n={n},k={k},j={j}", res.lhs, res.rhs, res.ok))
-    return rows
+        checks.append((f"n={n},k={k},j={j}", check_kmax_split(batch, k, j)))
+    return checks
 
 
 def _suite_subset_chain(model, cfg):
     rng = np.random.default_rng([cfg.seed, 5])
-    rows = []
+    checks = []
     for case in range(20):
         m = int(rng.integers(1, 23))
         j = int(rng.integers(0, m + 1))
         a = rng.uniform(0.0, 2.0, m)
-        res = check_subset_product_chain(a, j)
-        rows.append(_row("subset-chain", f"m={m},j={j}", res.lhs, res.rhs, res.ok))
-    return rows
+        checks.append((f"m={m},j={j}", check_subset_product_chain(a, j)))
+    return checks
 
 
 def _suite_tail_bound(model, cfg):
-    rows = []
-    for t in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0):
-        res = check_tail_integral_bound(model, t)
-        rows.append(_row("tail-bound", f"t={t:g}", res.lhs, res.rhs, res.ok))
-    return rows
+    return [(f"t={t:g}", check_tail_integral_bound(model, t))
+            for t in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)]
 
 
 def _suite_gaussian_equiv(model, cfg):
@@ -271,23 +248,20 @@ def _suite_gaussian_equiv(model, cfg):
     h = gaussian_comparison_function().values(grid)
     n = gauss.neg_log_survival(grid)
     lo_c = 1.0 / math.sqrt(2.0 * math.pi * math.e)
-    rows = [
-        _row("gaussian-equiv", "lower", float(np.min(n / h)), lo_c, bool(np.all(n >= lo_c * h))),
-        _row("gaussian-equiv", "upper", float(np.max(n / h)), 4.5, bool(np.all(n <= 4.5 * h))),
-    ]
     f = gauss.survival(grid)
     upper = math.sqrt(2 / math.pi) / grid * np.exp(-grid * grid / 2)
     lower = math.sqrt(2 / math.pi) / (math.e * grid) * np.exp(-(grid * grid + 1 / grid**2) / 2)
-    rows.append(
-        _row("gaussian-equiv", "survival-upper", float(np.max(f / upper)), 1.0,
-             bool(np.all(f <= upper)))
-    )
     pos = lower > 0  # the bound underflows to 0 at small t, where it is trivial
-    rows.append(
-        _row("gaussian-equiv", "survival-lower", float(np.min(f[pos] / lower[pos])), 1.0,
-             bool(np.all(f >= lower)))
-    )
-    return rows
+
+    def check(ok, lhs, rhs):
+        return CheckResult(name="gaussian_equiv", ok=bool(ok), lhs=float(lhs), rhs=rhs)
+
+    return [
+        ("lower", check(np.all(n >= lo_c * h), np.min(n / h), lo_c)),
+        ("upper", check(np.all(n <= 4.5 * h), np.max(n / h), 4.5)),
+        ("survival-upper", check(np.all(f <= upper), np.max(f / upper), 1.0)),
+        ("survival-lower", check(np.all(f >= lower), np.min(f[pos] / lower[pos]), 1.0)),
+    ]
 
 
 def _suite_partition(model, cfg):
@@ -297,38 +271,28 @@ def _suite_partition(model, cfg):
         ("quadratic", power_function(2.0)),
         ("gaussian-n", neg_log_survival_function(Gaussian())),
     ]
-    rows = []
+    checks = []
     for case in range(24):
         n = int(rng.integers(2, 61))
         k = int(rng.integers(1, n + 1))
         x = np.sort(rng.uniform(0.2, 8.0, n))
         name, fun = shapes[case % len(shapes)]
         result = build_partition(x, fun, k)
-        rows.append(
-            _row(
-                "partition",
-                f"{name},n={n},k={k},{result.case_taken}",
-                result.certificate_lhs,
-                result.certificate_rhs,
-                result.certificate_lhs <= result.certificate_rhs * (1 + 1e-8) + 1e-12,
-            )
-        )
-    return rows
+        checks.append((f"{name},n={n},k={k},{result.case_taken}", result.certificate))
+    return checks
 
 
 def _suite_duality(model, cfg):
     mfun = expected_overshoot_function(model)
-    rows = []
+    checks = []
     for t in np.arange(0.0, 4.01, 0.25):
         s = model.tail_integral(float(t))
         via_search = young_conjugate(mfun, s, method="search")
-        f = model.survival(float(t))
-        err = abs(via_search - f)
-        rows.append(_row("duality", f"t={t:g}", err, 1e-6, err <= 1e-6))
-    boundary = model.mean_abs() * (1 + 1e-6)
-    beyond = young_conjugate(mfun, boundary)
-    rows.append(_row("duality", "beyond-mean", beyond, math.inf, math.isinf(beyond)))
-    return rows
+        err = float(abs(via_search - model.survival(float(t))))
+        checks.append((f"t={t:g}", CheckResult("duality", err <= 1e-6, err, 1e-6)))
+    beyond = young_conjugate(mfun, model.mean_abs() * (1 + 1e-6))
+    checks.append(("beyond-mean", CheckResult("duality", math.isinf(beyond), beyond, math.inf)))
+    return checks
 
 
 _SUITE_RUNNERS = {
@@ -419,8 +383,8 @@ def run(cfg: RunConfig, out=None) -> int:
             "k": cfg.k,
             "blocks": [list(b) for b in result.blocks],
             "case_taken": result.case_taken,
-            "certificate_lhs": result.certificate_lhs,
-            "certificate_rhs": result.certificate_rhs,
+            "certificate_lhs": result.certificate.lhs,
+            "certificate_rhs": result.certificate.rhs,
         }
         _emit(_report_envelope(cfg, payload, overridden), cfg.fmt, out)
         return 0
@@ -455,13 +419,31 @@ def run(cfg: RunConfig, out=None) -> int:
         unknown = [s for s in cfg.suites if s not in SUITES and s != "all"]
         if unknown:
             raise PreconditionError(f"unknown verify suites: {', '.join(unknown)}")
-        rows = []
-        for name in wanted:
-            rows.extend(_SUITE_RUNNERS[name](model, cfg))
+        rows = [
+            {"suite": name, "check": label, "lhs": float(res.lhs), "rhs": float(res.rhs),
+             "ok": bool(res.ok)}
+            for name in wanted
+            for label, res in _SUITE_RUNNERS[name](model, cfg)
+        ]
         _emit_table(rows, cfg.fmt, out)
         return 0 if all(r["ok"] for r in rows) else 1
 
     raise PreconditionError(f"unknown command {cfg.command!r}")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (anything else exits 2 with a message)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--weights", required=True, dest="weights_path",
                            help="CSV file, one positive decimal per line")
         p.add_argument("--format", default="json", choices=("json", "csv"), dest="fmt")
-        p.add_argument("--threads", type=int, default=default_threads)
+        p.add_argument("--threads", type=_int_at_least(1), default=default_threads)
 
     p = sub.add_parser("bounds-kmin", help="two-sided k-min expectation bounds")
     common(p)
@@ -513,14 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", default="kmin", choices=("kmin", "kmax"), dest="statistic")
     p.add_argument("--power", type=float, default=1.0)
     p.add_argument("--reps", type=int, default=100_000, dest="replications")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("verify", help="run named verification suites")
     common(p, weights=False)
     p.add_argument("--suite", default="all",
                    help=f"comma-separated from: all, {', '.join(SUITES)}")
     p.add_argument("--reps", type=int, default=20_000, dest="replications")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     return parser
 

@@ -18,10 +18,12 @@ never a silent pass.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -83,33 +85,43 @@ def _weights_vector(x) -> np.ndarray:
     return arr
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(index)])
+def _integer_at_least(value, low: int) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
 
 
-def _chunks(replications: int):
-    out = []
-    done = 0
-    index = 0
-    while done < replications:
-        rows = min(_CHUNK_ROWS, replications - done)
-        out.append((index, rows))
-        done += rows
-        index += 1
-    return out
+def _worker_count(threads: int, chunks: int) -> int:
+    """Pool size: never more threads than chunks or than CPUs."""
+    return min(threads, chunks, os.cpu_count() or 1)
 
 
-def _run_chunks(worker, plan, threads: int):
-    results = [None] * len(plan)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(worker, ci, rows): ci for ci, rows in plan}
-            for fut, ci in futures.items():
-                results[ci] = fut.result()
-    else:
-        for ci, rows in plan:
-            results[ci] = worker(ci, rows)
-    return results
+def _selected_chunks(xv: np.ndarray, model: DistributionModel, kth, replications: int,
+                     seed: int, threads: int, reduce) -> list:
+    """``reduce(rows)`` for each chunk of replications, in chunk order.
+
+    Chunk c holds up to ``_CHUNK_ROWS`` replications drawn from
+    ``default_rng([seed, c])``; its rows are |xi| * x, partitioned along each
+    row at ``kth``. Which thread runs a chunk never changes its result.
+    """
+    if not _integer_at_least(replications, 100):
+        raise RangeError(f"need at least 100 replications, got {replications!r}")
+    if not _integer_at_least(seed, 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _integer_at_least(threads, 1):
+        raise RangeError(f"threads must be a positive integer, got {threads!r}")
+    n = xv.size
+    chunks = -(-replications // _CHUNK_ROWS)
+
+    def worker(c: int):
+        rows = min(_CHUNK_ROWS, replications - c * _CHUNK_ROWS)
+        rng = np.random.default_rng([int(seed), c])
+        draws = model.sample(rng, rows * n).reshape(rows, n)
+        return reduce(np.partition(np.abs(draws) * xv, kth, axis=1))
+
+    workers = _worker_count(threads, chunks)
+    if workers == 1:
+        return [worker(c) for c in range(chunks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, range(chunks)))
 
 
 def estimate_order_stats(
@@ -135,21 +147,12 @@ def estimate_order_stats(
     for k in ks:
         if not (1 <= k <= n):
             raise RangeError(f"order statistic requires 1 <= k <= n: got k={k}, n={n}")
-    if replications < 100:
-        raise RangeError(f"need at least 100 replications, got {replications}")
     if not (power > 0):
         raise RangeError(f"power must be positive, got {power}")
-    if seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
 
     sel = [(k - 1) if statistic == "kmin" else (n - k) for k in ks]
-    kth = np.unique(sel)
 
-    def worker(ci: int, rows: int):
-        rng = _chunk_rng(seed, ci)
-        draws = model.sample(rng, rows * n).reshape(rows, n)
-        vals = np.abs(draws) * xv
-        part = np.partition(vals, kth, axis=1)
+    def sums(part):
         out = np.empty((len(sel), 2))
         for pos, idx in enumerate(sel):
             col = part[:, idx]
@@ -159,8 +162,7 @@ def estimate_order_stats(
             out[pos, 1] = np.sum(col * col)
         return out
 
-    plan = _chunks(replications)
-    stats = _run_chunks(worker, plan, threads)
+    stats = _selected_chunks(xv, model, np.unique(sel), replications, seed, threads, sums)
     totals = np.zeros((len(sel), 2))
     for block in stats:  # fixed chunk order keeps the sum deterministic
         totals += block
@@ -211,17 +213,11 @@ def _frequency_kth_min_below(
     threads: int = 1,
 ):
     """Empirical P(k-min <= t) with its binomial standard error."""
-    n = xv.size
 
-    def worker(ci: int, rows: int):
-        rng = _chunk_rng(seed, ci)
-        draws = model.sample(rng, rows * n).reshape(rows, n)
-        vals = np.abs(draws) * xv
-        sel = np.partition(vals, k - 1, axis=1)[:, k - 1]
-        return int(np.count_nonzero(sel <= t))
+    def below(part):
+        return int(np.count_nonzero(part[:, k - 1] <= t))
 
-    plan = _chunks(replications)
-    hits = sum(_run_chunks(worker, plan, threads))
+    hits = sum(_selected_chunks(xv, model, k - 1, replications, seed, threads, below))
     freq = hits / replications
     se = math.sqrt(max(freq * (1.0 - freq), 0.0) / replications)
     return freq, se
@@ -248,8 +244,6 @@ def check_kth_min_tail(
         raise RangeError(f"tail check requires 1 <= k <= n: got k={k}, n={n}")
     if t < 0:
         raise DomainError(f"threshold must be >= 0, got {t}")
-    if replications < 100:
-        raise RangeError(f"need at least 100 replications, got {replications}")
     g = 1.0 - model.survival(t / xv) if t > 0 else np.zeros(n)
     aval = float(math.e / k * np.sum(g))
     if aval >= 1.0:
@@ -308,23 +302,25 @@ def check_min_survival_product(
     xv = _weights_vector(x)
     if not (t > 0):
         raise DomainError(f"threshold must be positive, got {t}")
-    if replications < 100:
-        raise RangeError(f"need at least 100 replications, got {replications}")
     surv = model.survival(t / xv)
     product = float(np.prod(surv))
     sum_g = float(np.sum(1.0 - surv))
     freq_le, se = _frequency_kth_min_below(xv, model, 1, t, replications, seed, threads)
     freq_gt = 1.0 - freq_le
     ok_product = abs(freq_gt - product) <= 4.0 * se + 1e-12
-    ok_union = freq_le <= sum_g + 4.0 * se + 1e-12
+    union = CheckResult(
+        name="min_survival_union",
+        ok=bool(freq_le <= sum_g + 4.0 * se + 1e-12),
+        lhs=freq_le,
+        rhs=sum_g,
+    )
     return CheckResult(
         name="min_survival_product",
-        ok=bool(ok_product and ok_union),
+        ok=bool(ok_product and union.ok),
         lhs=freq_gt,
         rhs=product,
         detail={
-            "union_lhs": freq_le,
-            "union_rhs": sum_g,
+            "union": union,
             "ci": se,
             "t": t,
             "replications": replications,

@@ -54,7 +54,6 @@ __all__ = [
     "expected_overshoot_function",
     "neg_log_survival_function",
     "reciprocal_survival_function",
-    "scale_function",
     "orlicz_norm",
     "young_conjugate",
 ]
@@ -111,11 +110,6 @@ class OrliczFunction:
             is_orlicz=base.is_orlicz,
             domain_bound=base.domain_bound,
         )
-
-
-def scale_function(fun: OrliczFunction, factor: float) -> OrliczFunction:
-    """Free-function form of ``OrliczFunction.scaled``."""
-    return fun.scaled(factor)
 
 
 def linear_function() -> OrliczFunction:

@@ -30,7 +30,7 @@ returned partition is always re-verified; a certificate failure raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,13 +47,13 @@ _CERT_SLACK = 1e-8
 @dataclass(frozen=True)
 class PartitionResult:
     """Exactly k nonempty consecutive blocks covering {1..n} (1-based,
-    inclusive), the case of the construction taken, and both sides of the
-    certifying inequality."""
+    inclusive), the case of the construction taken, and the
+    ``verify_partition`` result certifying them (None on a result built by
+    hand and not yet verified)."""
 
     blocks: tuple
     case_taken: str
-    certificate_lhs: float
-    certificate_rhs: float
+    certificate: CheckResult | None = None
 
     @property
     def k(self) -> int:
@@ -160,24 +160,14 @@ def build_partition(x, fun: OrliczFunction, k: int) -> PartitionResult:
             blocks += _greedy_blocks(inv, m - 1, sub_k, hn, 0.5 * sub_full)
             case = "case3"
 
-    result = PartitionResult(
-        blocks=tuple((a + 1, b + 1) for a, b in blocks),
-        case_taken=case,
-        certificate_lhs=math.nan,
-        certificate_rhs=math.nan,
-    )
+    result = PartitionResult(blocks=tuple((a + 1, b + 1) for a, b in blocks), case_taken=case)
     check = verify_partition(w, fun, k, result)
     if not check.ok:
         raise PartitionError(
             f"constructed partition failed its certificate: "
             f"lhs={check.lhs:.12g} > rhs={check.rhs:.12g} ({case})"
         )
-    return PartitionResult(
-        blocks=result.blocks,
-        case_taken=case,
-        certificate_lhs=check.lhs,
-        certificate_rhs=check.rhs,
-    )
+    return replace(result, certificate=check)
 
 
 def verify_partition(x, fun: OrliczFunction, k: int, result: PartitionResult) -> CheckResult:

@@ -248,6 +248,18 @@ class TestParsing:
         )
         assert config_from_args(args).threads == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "kmin-tail", "--seed", "-1"],
+        ["simulate", "--weights", "unused.csv", "--k", "1", "--seed", "-1"],
+        ["verify", "--suite", "kmin-tail", "--threads", "0"],
+        ["simulate", "--weights", "unused.csv", "--k", "1", "--threads", "-3"],
+    ])
+    def test_bad_seed_or_threads_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+
     def test_invalid_enum_exits_2(self, ascending_weights):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(

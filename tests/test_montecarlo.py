@@ -1,6 +1,7 @@
 """Monte Carlo estimators, reproducibility, and the exact inequality checks."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from orlicz_bounds import (
     kth_min_tail_threshold,
     kth_smallest,
 )
+from orlicz_bounds.montecarlo import _worker_count
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -45,6 +47,16 @@ class TestEstimator:
                                     seed=5, threads=3)
         assert one.mean == three.mean
         assert one.ci_halfwidth == three.ci_halfwidth
+        x = np.linspace(0.5, 5.0, 12)
+        for check, args in ((check_kth_min_tail, (2, 0.1)), (check_min_survival_product, (0.4,))):
+            a, b = (check(x, gaussian, *args, replications=30_000, seed=5, threads=t)
+                    for t in (1, 2))
+            assert (a.lhs, a.detail["ci"]) == (b.lhs, b.detail["ci"])
+
+    def test_worker_count_bounded(self):
+        assert _worker_count(1, 3) == 1
+        workers = _worker_count(10**6, 3)
+        assert 1 <= workers <= min(3, os.cpu_count())
 
     def test_kmax_equals_complementary_kmin(self, gaussian):
         # k-max = (n-k+1)-min on every realization, so the estimates match
@@ -82,6 +94,13 @@ class TestEstimator:
             estimate_order_stat(np.ones(5), gaussian, 1, replications=50)
         with pytest.raises(DomainError):
             estimate_order_stat(np.ones(5), gaussian, 1, statistic="median")
+        with pytest.raises(RangeError):
+            estimate_order_stat(np.ones(5), gaussian, 1, threads=0)
+        for check, args in ((check_kth_min_tail, (1, 0.05)), (check_min_survival_product, (0.05,))):
+            with pytest.raises(DomainError):
+                check(np.ones(5), gaussian, *args, replications=1000, seed=-1)
+            with pytest.raises(RangeError):
+                check(np.ones(5), gaussian, *args, replications=50)
 
 
 class TestSelection:
@@ -223,8 +242,13 @@ class TestMinSurvivalProduct:
         assert res.ok
         expected = gaussian.survival(1.0) * gaussian.survival(0.5)
         assert res.rhs == pytest.approx(expected, rel=1e-12)
-        # union side reported
-        assert res.detail["union_lhs"] <= res.detail["union_rhs"] + 4 * res.detail["ci"]
+        # union side reported as its own check
+        union = res.detail["union"]
+        assert union.ok
+        assert union.lhs == pytest.approx(1.0 - res.lhs, abs=1e-15)
+        assert union.rhs == pytest.approx(
+            2.0 - gaussian.survival(1.0) - gaussian.survival(0.5), rel=1e-12)
+        assert union.lhs <= union.rhs + 4 * res.detail["ci"]
 
     def test_symexp(self, symexp):
         res = check_min_survival_product(np.array([0.5, 1.5, 3.0]), symexp, 0.4,

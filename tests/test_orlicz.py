@@ -24,7 +24,6 @@ from orlicz_bounds import (
     orlicz_norm,
     power_function,
     reciprocal_survival_function,
-    scale_function,
     young_conjugate,
 )
 
@@ -254,7 +253,7 @@ class TestNormProperties:
 
     def test_scale_identity(self, gaussian):
         n = neg_log_survival_function(gaussian)
-        assert scale_function(n, 1.0) is n
+        assert n.scaled(1.0) is n
         t = np.linspace(0, 5, 40)
         assert np.allclose(n.scaled(1.0).values(t), n.values(t))
 

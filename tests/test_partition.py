@@ -1,7 +1,6 @@
 """Interval-partition construction and its certificate."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -57,7 +56,8 @@ class TestForcedShapes:
         x = np.sort(np.random.default_rng(1).uniform(0.5, 5.0, 9))
         res = build_partition(x, power_function(2.0), 1)
         assert res.blocks == ((1, 9),)
-        assert res.certificate_lhs <= res.certificate_rhs * (1 + 1e-8)
+        assert res.certificate.ok
+        assert res.certificate.lhs <= res.certificate.rhs * (1 + 1e-8)
 
     def test_equal_weights_linear_example(self):
         # brute force over every 3-interval split confirms the certificate
@@ -66,8 +66,8 @@ class TestForcedShapes:
         res = build_partition(x, fun, 3)
         lhs, rhs = certificate_sides_brute(x, fun, 3, res.blocks)
         assert lhs <= rhs * (1 + 1e-8)
-        assert res.certificate_lhs == pytest.approx(lhs, rel=1e-9)
-        assert res.certificate_rhs == pytest.approx(rhs, rel=1e-9)
+        assert res.certificate.lhs == pytest.approx(lhs, rel=1e-9)
+        assert res.certificate.rhs == pytest.approx(rhs, rel=1e-9)
         # the returned split is among the valid ones found by enumeration
         valid = [
             blocks
@@ -138,29 +138,23 @@ class TestVerifier:
     def test_adversarial_partition_fails(self):
         # all mass in one block starves the other: checker must report False
         x = np.array([1.0, 1.0, 1.0, 1.0, 1000.0])
-        bad = PartitionResult(
-            blocks=((1, 4), (5, 5)), case_taken="case1",
-            certificate_lhs=math.nan, certificate_rhs=math.nan,
-        )
+        bad = PartitionResult(blocks=((1, 4), (5, 5)), case_taken="case1")
         res = verify_partition(x, linear_function(), 2, bad)
         assert not res.ok
         assert res.lhs > res.rhs
 
     def test_malformed_partition_rejected(self):
         x = np.ones(5)
-        gap = PartitionResult(blocks=((1, 2), (4, 5)), case_taken="case1",
-                              certificate_lhs=0.0, certificate_rhs=0.0)
+        gap = PartitionResult(blocks=((1, 2), (4, 5)), case_taken="case1")
         with pytest.raises(DomainError, match="malformed"):
             verify_partition(x, linear_function(), 2, gap)
-        wrong_k = PartitionResult(blocks=((1, 5),), case_taken="case1",
-                                  certificate_lhs=0.0, certificate_rhs=0.0)
+        wrong_k = PartitionResult(blocks=((1, 5),), case_taken="case1")
         with pytest.raises(DomainError, match="malformed"):
             verify_partition(x, linear_function(), 2, wrong_k)
 
     def test_k1_always_true(self):
         x = np.sort(np.random.default_rng(9).uniform(0.5, 5.0, 12))
-        res = PartitionResult(blocks=((1, 12),), case_taken="case1",
-                              certificate_lhs=0.0, certificate_rhs=0.0)
+        res = PartitionResult(blocks=((1, 12),), case_taken="case1")
         assert verify_partition(x, GAUSS_N, 1, res).ok
 
 
