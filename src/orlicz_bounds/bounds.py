@@ -96,10 +96,15 @@ class BoundConstants:
     @staticmethod
     def c_n(model: DistributionModel) -> float:
         """C_N = max{N(1), 1/N(1)}."""
-        n1 = model.neg_log_survival(1.0)
-        if not (n1 > 0):
-            raise DomainError(f"C_N undefined: N(1) = {n1}")
-        return max(n1, 1.0 / n1)
+        return _n1_and_c_n(model)[1]
+
+
+def _n1_and_c_n(model: DistributionModel) -> tuple[float, float]:
+    """(N(1), C_N) from a single evaluation of N(1)."""
+    n1 = model.neg_log_survival(1.0)
+    if not (n1 > 0):
+        raise DomainError(f"C_N undefined: N(1) = {n1}")
+    return n1, max(n1, 1.0 / n1)
 
 
 @dataclass(frozen=True)
@@ -174,8 +179,7 @@ def kth_min_bounds(
     terms = _suffix_norm_terms(inv, nfun, k)
     arg = int(np.argmax(terms))  # ties: smallest index
     m = terms[arg]
-    n1 = model.neg_log_survival(1.0)
-    c_n = BoundConstants.c_n(model)
+    n1, c_n = _n1_and_c_n(model)
     lower = cons.c1 * m
     upper = cons.upper_kmin * c_n * math.log(k + 1) * m if convex else None
     notes = () if convex else ("upper bound omitted: negative log-survival is not convex",)
@@ -247,8 +251,7 @@ def kth_max_bounds(
     m = terms[arg]
     mfun = expected_overshoot_function(model)
     tail_norm = orlicz_norm(w.values[k + k0 - 1 :], mfun)
-    n1 = model.neg_log_survival(1.0)
-    c_n = BoundConstants.c_n(model)
+    n1, c_n = _n1_and_c_n(model)
     a = 1.0 + math.log(8.0 * (k - 1)) / n1
     lower = 0.25 * (m + tail_norm / a)
     upper = cons.kmax_upper_c * (c_n * math.log(k + 1) * m + tail_norm)

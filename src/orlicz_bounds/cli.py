@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,39 +50,13 @@ from .reporting import CheckResult, dumps_report, to_jsonable
 
 ENV_THREADS = "ORLICZ_BOUNDS_THREADS"
 
-SUITES = (
-    "sym-tail",
-    "kmin-tail",
-    "min-product",
-    "kmax-split",
-    "subset-chain",
-    "tail-bound",
-    "gaussian-equiv",
-    "partition",
-    "duality",
-)
-
-_PARTITION_SHAPES = ("linear", "quadratic", "gaussian-n")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    dist: str | None = None
-    weights_path: str | None = None
-    k: int = 1
-    power: float = 1.0
-    replications: int = 100_000
-    seed: int = 0
-    fmt: str = "json"
-    statistic: str = "kmin"
-    shape: str = "linear"
-    suites: tuple = ("all",)
-    closed_form: bool = False
-    kmax_upper_c: float | None = None
-    max1_c_low: float | None = None
-    max1_c_high: float | None = None
-    threads: int = 1
+# Partition shapes by name; this order fixes the parser choices and the
+# order the partition suite cycles through.
+_PARTITION_SHAPES = {
+    "linear": linear_function,
+    "quadratic": lambda: power_function(2.0),
+    "gaussian-n": lambda: neg_log_survival_function(Gaussian()),
+}
 
 
 def load_weights(path: str) -> np.ndarray:
@@ -114,26 +87,16 @@ def load_weights(path: str) -> np.ndarray:
     return np.array(values)
 
 
-def _constants(cfg: RunConfig) -> tuple[BoundConstants, list[str]]:
-    kwargs = {}
-    overridden = []
-    if cfg.kmax_upper_c is not None:
-        kwargs["kmax_upper_c"] = cfg.kmax_upper_c
-        overridden.append("kmax_upper_c")
-    if cfg.max1_c_low is not None:
-        kwargs["max1_c_low"] = cfg.max1_c_low
-        overridden.append("max1_c_low")
-    if cfg.max1_c_high is not None:
-        kwargs["max1_c_high"] = cfg.max1_c_high
-        overridden.append("max1_c_high")
-    return BoundConstants(**kwargs), overridden
+def _constants(args) -> dict:
+    """The BoundConstants fields overridden on the command line."""
+    return {name: getattr(args, name) for name in ("kmax_upper_c", "max1_c_low", "max1_c_high")
+            if getattr(args, name, None) is not None}
 
 
 def _emit(payload, fmt: str, out) -> None:
     if fmt == "json":
         out.write(dumps_report(payload))
         return
-    flat = to_jsonable(payload)
 
     def rows(prefix, obj):
         if isinstance(obj, dict):
@@ -146,7 +109,7 @@ def _emit(payload, fmt: str, out) -> None:
                 text = str(obj)
             yield f"{prefix[:-1]},{text}"
 
-    for line in rows("", flat):
+    for line in rows("", payload):
         out.write(line + "\n")
 
 
@@ -165,8 +128,8 @@ def _emit_table(rows, fmt: str, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _suite_sym_tail(model, cfg):
-    rng = np.random.default_rng([cfg.seed, 1])
+def _suite_sym_tail(model, args):
+    rng = np.random.default_rng([args.seed, 1])
     checks = []
     for case in range(20):
         n = int(rng.integers(2, 23))
@@ -178,8 +141,8 @@ def _suite_sym_tail(model, cfg):
     return checks
 
 
-def _suite_kmin_tail(model, cfg):
-    rng = np.random.default_rng([cfg.seed, 2])
+def _suite_kmin_tail(model, args):
+    rng = np.random.default_rng([args.seed, 2])
     checks = []
     for case in range(6):
         n = int(rng.integers(5, 31))
@@ -190,31 +153,31 @@ def _suite_kmin_tail(model, cfg):
             t_max = float(model.quantile(0.5) * x.min())
         t = float(rng.uniform(0.1, 0.95) * t_max)
         res = check_kth_min_tail(
-            x, model, k, t, replications=cfg.replications, seed=cfg.seed + case,
-            threads=cfg.threads,
+            x, model, k, t, replications=args.replications, seed=args.seed + case,
+            threads=args.threads,
         )
         checks.append((f"n={n},k={k},t={t:.3g}", res))
     return checks
 
 
-def _suite_min_product(model, cfg):
-    rng = np.random.default_rng([cfg.seed, 3])
+def _suite_min_product(model, args):
+    rng = np.random.default_rng([args.seed, 3])
     checks = []
     for case in range(6):
         n = int(rng.integers(2, 21))
         x = rng.uniform(0.5, 5.0, n)
         t = float(rng.uniform(0.05, 0.6) * model.mean_abs() * np.median(x))
         res = check_min_survival_product(
-            x, model, t, replications=cfg.replications, seed=cfg.seed + 100 + case,
-            threads=cfg.threads,
+            x, model, t, replications=args.replications, seed=args.seed + 100 + case,
+            threads=args.threads,
         )
         checks.append((f"n={n},t={t:.3g}", res))
         checks.append((f"n={n},t={t:.3g},union", res.detail["union"]))
     return checks
 
 
-def _suite_kmax_split(model, cfg):
-    rng = np.random.default_rng([cfg.seed, 4])
+def _suite_kmax_split(model, args):
+    rng = np.random.default_rng([args.seed, 4])
     checks = []
     for case in range(5):
         n = int(rng.integers(4, 25))
@@ -225,8 +188,8 @@ def _suite_kmax_split(model, cfg):
     return checks
 
 
-def _suite_subset_chain(model, cfg):
-    rng = np.random.default_rng([cfg.seed, 5])
+def _suite_subset_chain(model, args):
+    rng = np.random.default_rng([args.seed, 5])
     checks = []
     for case in range(20):
         m = int(rng.integers(1, 23))
@@ -236,12 +199,12 @@ def _suite_subset_chain(model, cfg):
     return checks
 
 
-def _suite_tail_bound(model, cfg):
+def _suite_tail_bound(model, args):
     return [(f"t={t:g}", check_tail_integral_bound(model, t))
             for t in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)]
 
 
-def _suite_gaussian_equiv(model, cfg):
+def _suite_gaussian_equiv(model, args):
     # Standard-normal claims; independent of --dist.
     gauss = Gaussian()
     grid = np.linspace(0.01, 10.0, 1000)
@@ -264,13 +227,9 @@ def _suite_gaussian_equiv(model, cfg):
     ]
 
 
-def _suite_partition(model, cfg):
-    rng = np.random.default_rng([cfg.seed, 6])
-    shapes = [
-        ("linear", linear_function()),
-        ("quadratic", power_function(2.0)),
-        ("gaussian-n", neg_log_survival_function(Gaussian())),
-    ]
+def _suite_partition(model, args):
+    rng = np.random.default_rng([args.seed, 6])
+    shapes = [(name, make()) for name, make in _PARTITION_SHAPES.items()]
     checks = []
     for case in range(24):
         n = int(rng.integers(2, 61))
@@ -282,7 +241,7 @@ def _suite_partition(model, cfg):
     return checks
 
 
-def _suite_duality(model, cfg):
+def _suite_duality(model, args):
     mfun = expected_overshoot_function(model)
     checks = []
     for t in np.arange(0.0, 4.01, 0.25):
@@ -306,144 +265,132 @@ _SUITE_RUNNERS = {
     "partition": _suite_partition,
     "duality": _suite_duality,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns the library result (or, for partition, the
+# payload) that ``run`` wraps in the report envelope.
 # ---------------------------------------------------------------------------
 
 
-def _report_envelope(cfg: RunConfig, payload: dict, overridden) -> dict:
-    report = {"command": cfg.command, "seed": cfg.seed if cfg.command == "simulate" else None}
-    if cfg.dist:
-        report["distribution"] = cfg.dist
-    report.update(payload)
-    if overridden:
-        report.setdefault("empirical_constants", [])
-        report["constant_overrides"] = sorted(overridden)
-    return report
+def _bounds_kmin(args, constants):
+    model = parse_distribution(args.dist)
+    w = Weights.ascending(load_weights(args.weights_path))
+    if not args.closed_form:
+        return kth_min_bounds(w, model, args.k, constants)
+    if not isinstance(model, Gaussian):
+        raise PreconditionError("--closed-form requires --dist gaussian")
+    return kth_min_bounds_gaussian(w, args.k, constants)
 
 
-def _bound_report_payload(rep) -> dict:
+def _bounds_kmax(args, constants):
+    model = parse_distribution(args.dist)
+    w = Weights.descending(load_weights(args.weights_path))
+    return kth_max_bounds(w, model, args.k, constants)
+
+
+def _bounds_max1(args, constants):
+    model = parse_distribution(args.dist)
+    return max_bounds(load_weights(args.weights_path), model, constants)
+
+
+def _partition(args, constants):
+    w = Weights.ascending(load_weights(args.weights_path))
+    result = build_partition(w, _PARTITION_SHAPES[args.shape](), args.k)
     return {
-        "kind": rep.kind,
-        "k": rep.k,
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "constants": rep.constants,
-        "terms": list(rep.terms),
-        "argmax_j": rep.argmax_j,
-        "k0": rep.k0,
-        "tail_norm": rep.tail_norm,
-        "empirical_constants": list(rep.empirical_constants),
-        "notes": list(rep.notes),
+        "shape": args.shape,
+        "k": args.k,
+        "blocks": result.blocks,
+        "case_taken": result.case_taken,
+        "certificate_lhs": result.certificate.lhs,
+        "certificate_rhs": result.certificate.rhs,
     }
 
 
-def run(cfg: RunConfig, out=None) -> int:
+def _simulate(args, constants):
+    model = parse_distribution(args.dist)
+    return estimate_order_stat(
+        load_weights(args.weights_path), model, args.k, statistic=args.statistic,
+        replications=args.replications, seed=args.seed, power=args.power, threads=args.threads,
+    )
+
+
+_COMMANDS = {
+    "bounds-kmin": _bounds_kmin,
+    "bounds-kmax": _bounds_kmax,
+    "bounds-max1": _bounds_max1,
+    "partition": _partition,
+    "simulate": _simulate,
+}
+
+
+def _verify(args, out) -> int:
+    model = parse_distribution(args.dist)
+    asked = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not asked:
+        raise PreconditionError(f"--suite names no suite; choose all or from {', '.join(SUITES)}")
+    unknown = [s for s in asked if s not in SUITES and s != "all"]
+    if unknown:
+        raise PreconditionError(f"unknown verify suites: {', '.join(unknown)}")
+    wanted = SUITES if "all" in asked else [s for s in SUITES if s in asked]
+    rows = [
+        {"suite": name, "check": label, "lhs": float(res.lhs), "rhs": float(res.rhs),
+         "ok": bool(res.ok)}
+        for name in wanted
+        for label, res in _SUITE_RUNNERS[name](model, args)
+    ]
+    _emit_table(rows, args.fmt, out)
+    return 0 if all(r["ok"] for r in rows) else 1
+
+
+def run(args: argparse.Namespace, out=None) -> int:
+    """Run the parsed command line ``args``, writing the report to ``out``
+    (stdout by default); returns the exit code."""
     out = out if out is not None else sys.stdout
-    constants, overridden = _constants(cfg)
-
-    if cfg.command == "bounds-kmin":
-        model = parse_distribution(cfg.dist)
-        w = Weights.ascending(load_weights(cfg.weights_path))
-        if cfg.closed_form:
-            if not isinstance(model, Gaussian):
-                raise PreconditionError("--closed-form requires --dist gaussian")
-            rep = kth_min_bounds_gaussian(w, cfg.k, constants)
-        else:
-            rep = kth_min_bounds(w, model, cfg.k, constants)
-        _emit(_report_envelope(cfg, _bound_report_payload(rep), overridden), cfg.fmt, out)
-        return 0
-
-    if cfg.command == "bounds-kmax":
-        model = parse_distribution(cfg.dist)
-        w = Weights.descending(load_weights(cfg.weights_path))
-        rep = kth_max_bounds(w, model, cfg.k, constants)
-        _emit(_report_envelope(cfg, _bound_report_payload(rep), overridden), cfg.fmt, out)
-        return 0
-
-    if cfg.command == "bounds-max1":
-        model = parse_distribution(cfg.dist)
-        values = load_weights(cfg.weights_path)
-        rep = max_bounds(values, model, constants)
-        _emit(_report_envelope(cfg, _bound_report_payload(rep), overridden), cfg.fmt, out)
-        return 0
-
-    if cfg.command == "partition":
-        w = Weights.ascending(load_weights(cfg.weights_path))
-        fun = {
-            "linear": linear_function,
-            "quadratic": lambda: power_function(2.0),
-            "gaussian-n": lambda: neg_log_survival_function(Gaussian()),
-        }[cfg.shape]()
-        result = build_partition(w, fun, cfg.k)
-        payload = {
-            "shape": cfg.shape,
-            "k": cfg.k,
-            "blocks": [list(b) for b in result.blocks],
-            "case_taken": result.case_taken,
-            "certificate_lhs": result.certificate.lhs,
-            "certificate_rhs": result.certificate.rhs,
-        }
-        _emit(_report_envelope(cfg, payload, overridden), cfg.fmt, out)
-        return 0
-
-    if cfg.command == "simulate":
-        model = parse_distribution(cfg.dist)
-        values = load_weights(cfg.weights_path)
-        est = estimate_order_stat(
-            values,
-            model,
-            cfg.k,
-            statistic=cfg.statistic,
-            replications=cfg.replications,
-            seed=cfg.seed,
-            power=cfg.power,
-            threads=cfg.threads,
-        )
-        payload = {
-            "statistic": est.statistic,
-            "k": est.k,
-            "power": est.power,
-            "mean": est.mean,
-            "ci_halfwidth": est.ci_halfwidth,
-            "replications": est.replications,
-        }
-        _emit(_report_envelope(cfg, payload, overridden), cfg.fmt, out)
-        return 0
-
-    if cfg.command == "verify":
-        model = parse_distribution(cfg.dist) if cfg.dist else Gaussian()
-        wanted = SUITES if "all" in cfg.suites else tuple(s for s in SUITES if s in cfg.suites)
-        unknown = [s for s in cfg.suites if s not in SUITES and s != "all"]
-        if unknown:
-            raise PreconditionError(f"unknown verify suites: {', '.join(unknown)}")
-        rows = [
-            {"suite": name, "check": label, "lhs": float(res.lhs), "rhs": float(res.rhs),
-             "ok": bool(res.ok)}
-            for name in wanted
-            for label, res in _SUITE_RUNNERS[name](model, cfg)
-        ]
-        _emit_table(rows, cfg.fmt, out)
-        return 0 if all(r["ok"] for r in rows) else 1
-
-    raise PreconditionError(f"unknown command {cfg.command!r}")
+    if args.command == "verify":
+        return _verify(args, out)
+    overrides = _constants(args)
+    result = _COMMANDS[args.command](args, BoundConstants(**overrides))
+    report = {"command": args.command, "seed": getattr(args, "seed", None)}
+    if getattr(args, "dist", None):
+        report["distribution"] = args.dist
+    report.update(to_jsonable(result))
+    if overrides:
+        report["constant_overrides"] = sorted(overrides)
+    _emit(report, args.fmt, out)
+    return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low (anything else exits 2 with a message)."""
+def _int_at_least(low: int, env: str | None = None):
+    """argparse type: an integer >= low (anything else exits 2 with a message).
+
+    ``env`` names the environment variable that supplies the default; the
+    message then names it too, since a bad default reports as this argument.
+    """
+    source = f" (the default is read from {env})" if env else ""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}{source}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}{source}")
         return value
 
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (anything else exits 2 with a message)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,80 +400,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    try:
-        default_threads = max(1, int(os.environ.get(ENV_THREADS, "1")))
-    except ValueError:
-        default_threads = 1
-
-    def common(p, dist=True, weights=True):
+    def command(name, help, dist=True, weights=True, k=True):
+        p = sub.add_parser(name, help=help)
         if dist:
             p.add_argument("--dist", default="gaussian",
                            help="gaussian | symexp:<rate> | table:<path>")
         if weights:
             p.add_argument("--weights", required=True, dest="weights_path",
                            help="CSV file, one positive decimal per line")
+        if k:
+            p.add_argument("--k", type=int, required=True)
         p.add_argument("--format", default="json", choices=("json", "csv"), dest="fmt")
-        p.add_argument("--threads", type=_int_at_least(1), default=default_threads)
+        return p
 
-    p = sub.add_parser("bounds-kmin", help="two-sided k-min expectation bounds")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
+    def sampling(p, reps):
+        # A string default goes through ``type`` too, so a bad environment
+        # value exits 2 like a bad --threads.
+        p.add_argument("--threads", type=_int_at_least(1, ENV_THREADS),
+                       default=os.environ.get(ENV_THREADS, "1"),
+                       help=f"worker threads (default: ${ENV_THREADS}, else 1)")
+        p.add_argument("--reps", type=int, default=reps, dest="replications")
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
+
+    p = command("bounds-kmin", "two-sided k-min expectation bounds")
     p.add_argument("--closed-form", action="store_true",
                    help="Gaussian harmonic-sum form instead of Orlicz norms")
 
-    p = sub.add_parser("bounds-kmax", help="two-sided k-max expectation bounds")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kmax-upper-c", type=float, default=None)
+    p = command("bounds-kmax", "two-sided k-max expectation bounds")
+    p.add_argument("--kmax-upper-c", type=_positive_float, default=None)
 
-    p = sub.add_parser("bounds-max1", help="max expectation bounds (k = 1)")
-    common(p)
-    p.add_argument("--max1-c-low", type=float, default=None)
-    p.add_argument("--max1-c-high", type=float, default=None)
+    p = command("bounds-max1", "max expectation bounds (k = 1)", k=False)
+    p.add_argument("--max1-c-low", type=_positive_float, default=None)
+    p.add_argument("--max1-c-high", type=_positive_float, default=None)
 
-    p = sub.add_parser("partition", help="k-block certified interval partition")
-    common(p, dist=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--shape", default="linear", choices=_PARTITION_SHAPES)
+    p = command("partition", "k-block certified interval partition", dist=False)
+    p.add_argument("--shape", default="linear", choices=tuple(_PARTITION_SHAPES))
 
-    p = sub.add_parser("simulate", help="Monte Carlo order-statistic estimate")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
+    p = command("simulate", "Monte Carlo order-statistic estimate")
     p.add_argument("--stat", default="kmin", choices=("kmin", "kmax"), dest="statistic")
     p.add_argument("--power", type=float, default=1.0)
-    p.add_argument("--reps", type=int, default=100_000, dest="replications")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    sampling(p, reps=100_000)
 
-    p = sub.add_parser("verify", help="run named verification suites")
-    common(p, weights=False)
+    p = command("verify", "run named verification suites", weights=False, k=False)
     p.add_argument("--suite", default="all",
                    help=f"comma-separated from: all, {', '.join(SUITES)}")
-    p.add_argument("--reps", type=int, default=20_000, dest="replications")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    sampling(p, reps=20_000)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "dist", "weights_path", "k", "power", "replications", "seed", "fmt",
-        "statistic", "shape", "closed_form", "kmax_upper_c", "max1_c_low",
-        "max1_c_high", "threads",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "suite"):
-        cfg.suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return run(cfg)
+        return run(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

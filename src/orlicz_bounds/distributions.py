@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import special
 
 from .errors import DomainError, QuadratureError, TabulationError
 from .reporting import CheckResult
@@ -270,6 +270,10 @@ class _TabulatedCore:
     """
 
     def __init__(self, ts: np.ndarray, fs: np.ndarray, rows=None):
+        # Imported here: scipy.integrate and scipy.interpolate are most of the
+        # package's import time, and only tabulated models need them.
+        from scipy import integrate, interpolate
+
         ts = np.asarray(ts, dtype=float)
         fs = np.asarray(fs, dtype=float)
         if rows is None:

@@ -147,8 +147,8 @@ def estimate_order_stats(
     for k in ks:
         if not (1 <= k <= n):
             raise RangeError(f"order statistic requires 1 <= k <= n: got k={k}, n={n}")
-    if not (power > 0):
-        raise RangeError(f"power must be positive, got {power}")
+    if not (0 < power < math.inf):
+        raise RangeError(f"power must be positive and finite, got {power}")
 
     sel = [(k - 1) if statistic == "kmin" else (n - k) for k in ks]
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from orlicz_bounds.cli import RunConfig, build_parser, config_from_args, load_weights, main, run
+from orlicz_bounds.cli import build_parser, load_weights, main, run
 
 
 @pytest.fixture
@@ -25,9 +25,7 @@ def descending_weights(tmp_path):
 
 def run_capture(argv):
     buf = io.StringIO()
-    parser = build_parser()
-    cfg = config_from_args(parser.parse_args(argv))
-    code = run(cfg, out=buf)
+    code = run(build_parser().parse_args(argv), out=buf)
     return code, buf.getvalue()
 
 
@@ -246,7 +244,7 @@ class TestParsing:
         args = parser.parse_args(
             ["simulate", "--dist", "gaussian", "--weights", ascending_weights, "--k", "1"]
         )
-        assert config_from_args(args).threads == 3
+        assert args.threads == 3
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "kmin-tail", "--seed", "-1"],
@@ -259,6 +257,45 @@ class TestParsing:
             main(argv)
         assert exc.value.code == 2
         assert "must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_threads_env_exit_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("ORLICZ_BOUNDS_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--weights", "unused.csv", "--k", "1"])
+        assert exc.value.code == 2
+        assert "ORLICZ_BOUNDS_THREADS" in capsys.readouterr().err
+        # Commands without --threads never read the variable.
+        args = build_parser().parse_args(["bounds-kmin", "--weights", "unused.csv", "--k", "1"])
+        assert not hasattr(args, "threads")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds-max1", "--weights", "w.csv", "--max1-c-low", "-1"], "argument --max1-c-low"),
+        (["bounds-max1", "--weights", "w.csv", "--max1-c-high", "nan"], "argument --max1-c-high"),
+        (["bounds-max1", "--weights", "w.csv", "--max1-c-high", "big"], "argument --max1-c-high"),
+        (["bounds-kmax", "--weights", "w.csv", "--k", "2", "--kmax-upper-c", "inf"],
+         "argument --kmax-upper-c"),
+        (["bounds-kmax", "--weights", "w.csv", "--k", "2", "--kmax-upper-c", "0"],
+         "argument --kmax-upper-c"),
+        (["bounds-kmin", "--weights", "w.csv", "--k", "1", "--threads", "2"],
+         "unrecognized arguments: --threads 2"),
+    ])
+    def test_rejected_while_parsing_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--suite", ""], "--suite names no suite"),
+        (["verify", "--suite", ","], "--suite names no suite"),
+        (["verify", "--suite", "tail-bound", "--dist", ""], "unknown distribution spec"),
+        (["simulate", "--weights", None, "--k", "1", "--power", "inf"], "power must be"),
+    ])
+    def test_rejected_before_running_exit_2(self, argv, message, ascending_weights, capsys):
+        argv = [ascending_weights if a is None else a for a in argv]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_invalid_enum_exits_2(self, ascending_weights):
         with pytest.raises(SystemExit) as exc:

@@ -96,6 +96,8 @@ class TestEstimator:
             estimate_order_stat(np.ones(5), gaussian, 1, statistic="median")
         with pytest.raises(RangeError):
             estimate_order_stat(np.ones(5), gaussian, 1, threads=0)
+        with pytest.raises(RangeError):
+            estimate_order_stat(np.ones(5), gaussian, 1, power=math.inf)
         for check, args in ((check_kth_min_tail, (1, 0.05)), (check_min_survival_product, (0.05,))):
             with pytest.raises(DomainError):
                 check(np.ones(5), gaussian, *args, replications=1000, seed=-1)
