@@ -1,10 +1,13 @@
-"""Golden outputs: exact CLI stdout bytes and bit-exact Monte Carlo figures.
+"""Golden outputs: exact CLI stdout bytes, bit-exact Monte Carlo figures and
+bit-exact partition constructions.
 
 The expected data under ``tests/golden/`` was recorded once from a known-good
 build. Deterministic reports must stay byte-identical, and Monte Carlo
 results must stay bit-identical for a given (seed, replications) at every
 thread count, so any refactor of the report, check or sampling code has to
-pass this module unchanged. The weights files are inputs, not outputs.
+pass this module unchanged. The weights files are inputs, not outputs; so are
+the shape, n, k, weight range and seed of each record in ``partition.json``,
+whose blocks, case and certificate sides (as float.hex) are the outputs.
 """
 
 import contextlib
@@ -18,15 +21,17 @@ import pytest
 from orlicz_bounds import (
     Gaussian,
     SymExponential,
+    build_partition,
     check_kth_min_tail,
     check_min_survival_product,
     estimate_order_stats,
 )
-from orlicz_bounds.cli import main
+from orlicz_bounds.cli import _PARTITION_SHAPES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 ASCENDING = str(GOLDEN / "ascending.csv")
 DESCENDING = str(GOLDEN / "descending.csv")
+PARTITION_CASES = json.loads((GOLDEN / "partition.json").read_text(encoding="utf-8"))
 
 CLI_CASES = {
     "bounds-kmin": ["bounds-kmin", "--dist", "gaussian", "--weights", ASCENDING, "--k", "5"],
@@ -109,3 +114,25 @@ def test_cli_stdout_bytes(case, fmt):
 def test_montecarlo_bits():
     expected = json.loads((GOLDEN / "montecarlo.json").read_text(encoding="utf-8"))
     assert montecarlo_figures() == expected
+
+
+def partition_figures(case: dict) -> dict:
+    """build_partition on the record's seeded weights, in the record's format."""
+    rng = np.random.default_rng(case["seed"])
+    x = np.sort(rng.uniform(case["low"], case["high"], case["n"]))
+    res = build_partition(x, _PARTITION_SHAPES[case["shape"]](), case["k"])
+    return {
+        "blocks": [list(b) for b in res.blocks],
+        "case_taken": res.case_taken,
+        "lhs": res.certificate.lhs.hex(),
+        "rhs": res.certificate.rhs.hex(),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", PARTITION_CASES,
+    ids=[f"{c['shape']}/n={c['n']}/k={c['k']}/seed={c['seed']}" for c in PARTITION_CASES],
+)
+def test_partition_bits(case):
+    got = partition_figures(case)
+    assert got == {key: case[key] for key in got}
