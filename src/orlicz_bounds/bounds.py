@@ -42,7 +42,7 @@ import numpy as np
 from .distributions import DistributionModel
 from .errors import DomainError, InfeasibleError, NonConvexError, RangeError
 from .orlicz import (
-    Weights,
+    _as_weights,
     expected_overshoot_function,
     neg_log_survival_function,
     orlicz_norm,
@@ -78,17 +78,14 @@ _TWO_E = 2.0 * math.e
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Configuration snapshot for the bound routines.
+    """The empirical constants of the bound routines.
 
-    c1, c0 and upper_kmin are fixed by the estimates themselves;
-    kmax_upper_c and the max-bound pair are empirical defaults exposed as
-    knobs (no sharp values exist) and are flagged in every report that uses
-    them.
+    kmax_upper_c and the max-bound pair have no sharp values, so they are
+    knobs with empirical defaults and are flagged in every report that uses
+    them. The constants the estimates fix (C1_LOWER, C0_GAUSSIAN,
+    KMIN_UPPER_FACTOR) are module constants.
     """
 
-    c1: float = C1_LOWER
-    c0: float = C0_GAUSSIAN
-    upper_kmin: float = KMIN_UPPER_FACTOR
     kmax_upper_c: float = KMAX_UPPER_C_DEFAULT
     max1_c_low: float = MAX1_C_LOW_DEFAULT
     max1_c_high: float = MAX1_C_HIGH_DEFAULT
@@ -138,14 +135,6 @@ class BoundReport:
             )
 
 
-def _as_weights(x, order: str) -> Weights:
-    if isinstance(x, Weights):
-        if x.order != order:
-            raise DomainError(f"weights declared {x.order}, operation requires {order}")
-        return x
-    return Weights(np.asarray(x, dtype=float), order)
-
-
 def _check_kmin_range(k: int, n: int) -> None:
     if not (1 <= k and 2 * k <= n):
         raise RangeError(
@@ -162,15 +151,12 @@ def _suffix_norm_terms(inv: np.ndarray, nfun, k: int) -> list[float]:
     return terms
 
 
-def kth_min_bounds(
-    x, model: DistributionModel, k: int, constants: BoundConstants | None = None
-) -> BoundReport:
+def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
     """Sandwich for E k-min of |x_i xi_i|, ascending weights, 1 <= k <= n/2.
 
     When N = -ln F fails the convexity check only the lower bound is valid;
     the report then has upper=None and a note.
     """
-    cons = constants or BoundConstants()
     w = _as_weights(x, "ascending")
     _check_kmin_range(k, len(w))
     inv = 1.0 / w.values
@@ -180,24 +166,23 @@ def kth_min_bounds(
     arg = int(np.argmax(terms))  # ties: smallest index
     m = terms[arg]
     n1, c_n = _n1_and_c_n(model)
-    lower = cons.c1 * m
-    upper = cons.upper_kmin * c_n * math.log(k + 1) * m if convex else None
+    lower = C1_LOWER * m
+    upper = KMIN_UPPER_FACTOR * c_n * math.log(k + 1) * m if convex else None
     notes = () if convex else ("upper bound omitted: negative log-survival is not convex",)
     return BoundReport(
         kind="kmin",
         k=k,
         lower=lower,
         upper=upper,
-        constants={"c1": cons.c1, "upper_kmin": cons.upper_kmin, "C_N": c_n, "N1": n1},
+        constants={"c1": C1_LOWER, "upper_kmin": KMIN_UPPER_FACTOR, "C_N": c_n, "N1": n1},
         terms=tuple(terms),
         argmax_j=arg + 1,
         notes=notes,
     )
 
 
-def kth_min_bounds_gaussian(x, k: int, constants: BoundConstants | None = None) -> BoundReport:
+def kth_min_bounds_gaussian(x, k: int) -> BoundReport:
     """Closed-form Gaussian k-min sandwich via harmonic suffix sums."""
-    cons = constants or BoundConstants()
     w = _as_weights(x, "ascending")
     _check_kmin_range(k, len(w))
     inv = 1.0 / w.values
@@ -208,9 +193,9 @@ def kth_min_bounds_gaussian(x, k: int, constants: BoundConstants | None = None) 
     return BoundReport(
         kind="kmin_gaussian",
         k=k,
-        lower=cons.c0 * m,
+        lower=C0_GAUSSIAN * m,
         upper=GAUSSIAN_UPPER_FACTOR * math.log(k + 1) * m,
-        constants={"c0": cons.c0, "upper_factor": GAUSSIAN_UPPER_FACTOR},
+        constants={"c0": C0_GAUSSIAN, "upper_factor": GAUSSIAN_UPPER_FACTOR},
         terms=tuple(float(t) for t in terms),
         argmax_j=arg + 1,
     )

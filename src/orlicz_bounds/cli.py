@@ -61,27 +61,29 @@ _PARTITION_SHAPES = {
 
 def load_weights(path: str) -> np.ndarray:
     """Weights CSV: one positive decimal per line (blank lines ignored)."""
-    values = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read weights file {path}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise PreconditionError(
-                    f"{path}: line {lineno}: not a decimal number: {line!r}"
-                ) from None
-            if not (value > 0) or not math.isfinite(value):
-                raise PreconditionError(
-                    f"{path}: line {lineno}: weights must be positive, got {value}"
-                )
-            values.append(value)
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"{path}: not UTF-8 text: {exc}") from None
+    values = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise PreconditionError(
+                f"{path}: line {lineno}: not a decimal number: {line!r}"
+            ) from None
+        if not (value > 0) or not math.isfinite(value):
+            raise PreconditionError(
+                f"{path}: line {lineno}: weights must be positive, got {value}"
+            )
+        values.append(value)
     if not values:
         raise PreconditionError(f"{path}: no weights found")
     return np.array(values)
@@ -278,10 +280,10 @@ def _bounds_kmin(args, constants):
     model = parse_distribution(args.dist)
     w = Weights.ascending(load_weights(args.weights_path))
     if not args.closed_form:
-        return kth_min_bounds(w, model, args.k, constants)
+        return kth_min_bounds(w, model, args.k)
     if not isinstance(model, Gaussian):
         raise PreconditionError("--closed-form requires --dist gaussian")
-    return kth_min_bounds_gaussian(w, args.k, constants)
+    return kth_min_bounds_gaussian(w, args.k)
 
 
 def _bounds_kmax(args, constants):

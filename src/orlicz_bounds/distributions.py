@@ -307,7 +307,13 @@ class _TabulatedCore:
         self.ts = ts
         self.fs = fs
         self.log_fs = np.log(fs)
-        self.interp = interpolate.PchipInterpolator(ts, self.log_fs, extrapolate=False)
+        try:
+            # scipy rejects NaN or infinite data, and spacings near the float
+            # limit that overflow its slope formula, with ValueError.
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.interp = interpolate.PchipInterpolator(ts, self.log_fs, extrapolate=False)
+        except ValueError as exc:
+            raise TabulationError(f"cannot interpolate ln F through the table: {exc}") from None
         self.dinterp = self.interp.derivative()
 
         # Refuse tables whose tail beyond t_max could matter: for log-concave F,
@@ -414,31 +420,33 @@ class TabulatedSurvival(DistributionModel):
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedSurvival":
-        ts, fs, rows = [], [], []
         try:
-            fh = open(path, "r", encoding="utf-8")
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise TabulationError(f"cannot read table {path}: {exc}") from None
-        with fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                if lineno == 1 and parts and not _is_number(parts[0]):
-                    continue  # optional header row
-                if len(parts) != 2:
-                    raise TabulationError(
-                        f"{path}: line {lineno}: expected two comma-separated values, "
-                        f"got {len(parts)}"
-                    )
-                try:
-                    t, f = float(parts[0]), float(parts[1])
-                except ValueError as exc:
-                    raise TabulationError(f"{path}: line {lineno}: {exc}") from None
-                ts.append(t)
-                fs.append(f)
-                rows.append(lineno)
+        except UnicodeDecodeError as exc:
+            raise TabulationError(f"{path}: not UTF-8 text: {exc}") from None
+        ts, fs, rows = [], [], []
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if lineno == 1 and parts and not _is_number(parts[0]):
+                continue  # optional header row
+            if len(parts) != 2:
+                raise TabulationError(
+                    f"{path}: line {lineno}: expected two comma-separated values, "
+                    f"got {len(parts)}"
+                )
+            try:
+                t, f = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise TabulationError(f"{path}: line {lineno}: {exc}") from None
+            ts.append(t)
+            fs.append(f)
+            rows.append(lineno)
         if not ts:
             raise TabulationError(f"{path}: empty table")
         return cls(np.array(ts), np.array(fs), rows=rows)

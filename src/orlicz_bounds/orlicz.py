@@ -276,6 +276,16 @@ class Weights:
         return int(self.values.size)
 
 
+def _as_weights(x, order: str) -> Weights:
+    """``x`` as ``Weights`` in ``order``: a ``Weights`` is checked to be declared
+    in that order, anything else is validated as a vector in that order."""
+    if isinstance(x, Weights):
+        if x.order != order:
+            raise DomainError(f"weights declared {x.order}, operation requires {order}")
+        return x
+    return Weights(np.asarray(x, dtype=float), order)
+
+
 def _double_until(pred, start: float, factor: float, limit: int = _MAX_DOUBLINGS):
     """First start*factor^i (i <= limit) satisfying pred, else None."""
     t = start
@@ -290,9 +300,9 @@ def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> flo
     """The norm functional inf { rho > 0 : sum_i fun(|x_i| / rho) <= 1 }.
 
     Bisection on rho. The returned rho is on the feasible side of a bracket
-    of relative width ``rel_tol``, so the infimum is never overshot from
-    below; where the modular sum is continuous the residual |sum - 1| is
-    well below 1e-9.
+    of relative width ``rel_tol`` (for subnormal norms, of two adjacent
+    floats), so the infimum is never overshot from below; where the modular
+    sum is continuous the residual |sum - 1| is well below 1e-9.
 
     Raises DomainError for the zero vector, UnboundedNormError when no
     scaling brings the modular sum down to 1 (e.g. infinite entries). For
@@ -351,6 +361,10 @@ def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> flo
 
         while hi - lo > rel_tol * hi:
             mid = 0.5 * (lo + hi)
+            # Below about 5e-312, rel_tol * hi is under the subnormal spacing:
+            # stop once lo and hi are adjacent floats.
+            if not lo < mid < hi:
+                break
             if modular(mid) <= 1.0:
                 hi = mid
             else:

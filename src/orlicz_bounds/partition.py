@@ -10,23 +10,21 @@ factor:
 
 The construction works with H normalized so H(1) = 1 (the factor accounts
 for the normalization both ways, so running with H or H/H(1) produces the
-same blocks) and follows a three-way case split on the relation between the
-largest entry 1/x_1 and a quarter of the full scaled norm:
+same blocks). It scans j = 1..k, computing the scaled suffix norm
+S_j = ||(1/x_i)_{i=j..n}||_{H/(k+1-j)}, and stops at the first j whose head
+is small, 1/x_j <= S_j / 4. Blocks 1..j-1 are then singletons, and
+(1/x_i)_{i>=j} is split greedily into k+1-j blocks: each of the first k-j is
+the longest interval whose block norm stays below S_j / 2, and the last takes
+the rest. The case labels name where the scan stops:
 
-  case 1  (1/x_1 small): greedy intervals, each the largest right endpoint
-          whose block norm stays below half the full scaled norm, then all
-          trailing blocks merged into A_k;
-  case 2  (every suffix head large): singletons A_j = {j} for j < k and one
-          tail block;
-  case 3  (mixed): singleton prefix up to the first index m whose suffix
-          test flips, then case 1 on the remaining suffix with k+1-m blocks.
+  case 1  at j = 1: greedy blocks only;
+  case 3  at some j >= 2: singleton prefix, then greedy blocks;
+  case 2  never: singletons A_j = {j} for j < k and one tail block.
 
 All threshold comparisons carry a 1e-12 relative guard so the discrete
-"largest integer such that" choices are stable under solver noise; when the
-two dispatch tests are numerically indistinguishable, case 1 is taken. The
+"largest integer such that" choices are stable under solver noise. The
 returned partition is always re-verified; a certificate failure raises.
 """
-
 from __future__ import annotations
 
 import math
@@ -35,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PartitionError, RangeError
-from .orlicz import OrliczFunction, Weights, orlicz_norm
+from .orlicz import OrliczFunction, _as_weights, orlicz_norm
 from .reporting import CheckResult
 
 __all__ = ["PartitionResult", "build_partition", "verify_partition"]
@@ -92,40 +90,34 @@ def _largest_end(inv: np.ndarray, start: int, fun: OrliczFunction, limit: float)
 
 def _greedy_blocks(inv: np.ndarray, start: int, blocks_needed: int, fun: OrliczFunction,
                    limit: float) -> list:
-    """Case-1 construction on inv[start:]: greedy maximal intervals below
-    ``limit``, trailing intervals merged so exactly ``blocks_needed`` remain."""
+    """``blocks_needed`` blocks covering inv[start:]: greedy maximal intervals
+    below ``limit`` for all but the last, which takes the rest."""
     n = inv.size
-    ends = []
+    blocks = []
     pos = start
-    while pos < n:
+    while len(blocks) < blocks_needed - 1:
         e = _largest_end(inv, pos, fun, limit)
+        # inv is nonincreasing, so only the first interval can stall.
         if e < pos:
             raise PartitionError(
                 f"greedy construction stalled at index {pos + 1}: single entry "
                 f"exceeds the block limit"
             )
-        ends.append(e)
+        blocks.append((pos, e))
+        if e == n - 1:
+            raise PartitionError(
+                f"greedy construction produced {len(blocks)} blocks, "
+                f"needs at least {blocks_needed}"
+            )
         pos = e + 1
-    if len(ends) < blocks_needed:
-        raise PartitionError(
-            f"greedy construction produced {len(ends)} blocks, "
-            f"needs at least {blocks_needed}"
-        )
-    blocks = []
-    prev = start
-    for e in ends[: blocks_needed - 1]:
-        blocks.append((prev, e))
-        prev = e + 1
-    blocks.append((prev, n - 1))  # merge everything remaining into the last block
+    blocks.append((pos, n - 1))
     return blocks
 
 
 def build_partition(x, fun: OrliczFunction, k: int) -> PartitionResult:
     """Split {1..n} into k consecutive blocks certifying the suffix-norm
     minimum; see the module docstring for the construction and guards."""
-    w = x if isinstance(x, Weights) else Weights(np.asarray(x, dtype=float), "ascending")
-    if w.order != "ascending":
-        raise DomainError("partition requires ascending weights")
+    w = _as_weights(x, "ascending")
     n = len(w)
     if not (1 <= k <= n):
         raise RangeError(f"partition requires 1 <= k <= n: got k={k}, n={n}")
@@ -136,29 +128,15 @@ def build_partition(x, fun: OrliczFunction, k: int) -> PartitionResult:
     hn = fun.scaled(1.0 / h1)  # normalized so hn(1) = 1
     inv = 1.0 / w.values
 
-    full = orlicz_norm(inv, hn.scaled(1.0 / k))
-    quarter = 0.25 * full
-    half = 0.5 * full
-
-    if inv[0] <= quarter * _TIE_GUARD:
-        blocks = _greedy_blocks(inv, 0, k, hn, half)
-        case = "case1"
-    else:
-        m = None
-        for j in range(2, k + 1):
-            suffix_norm = orlicz_norm(inv[j - 1 :], hn.scaled(1.0 / (k + 1 - j)))
-            if inv[j - 1] <= 0.25 * suffix_norm * _TIE_GUARD:
-                m = j
-                break
-        if m is None:
-            blocks = [(j, j) for j in range(k - 1)] + [(k - 1, n - 1)]
-            case = "case2"
-        else:
-            blocks = [(j, j) for j in range(m - 1)]
-            sub_k = k + 1 - m
-            sub_full = orlicz_norm(inv[m - 1 :], hn.scaled(1.0 / sub_k))
-            blocks += _greedy_blocks(inv, m - 1, sub_k, hn, 0.5 * sub_full)
-            case = "case3"
+    for j in range(1, k + 1):
+        suffix_norm = orlicz_norm(inv[j - 1 :], hn.scaled(1.0 / (k + 1 - j)))
+        if inv[j - 1] <= 0.25 * suffix_norm * _TIE_GUARD:
+            tail = _greedy_blocks(inv, j - 1, k + 1 - j, hn, 0.5 * suffix_norm)
+            case = "case1" if j == 1 else "case3"
+            break
+    else:  # no stop: j == k, so entries 1..k-1 are singletons
+        tail, case = [(k - 1, n - 1)], "case2"
+    blocks = [(i, i) for i in range(j - 1)] + tail
 
     result = PartitionResult(blocks=tuple((a + 1, b + 1) for a, b in blocks), case_taken=case)
     check = verify_partition(w, fun, k, result)
@@ -177,7 +155,7 @@ def verify_partition(x, fun: OrliczFunction, k: int, result: PartitionResult) ->
     covering {1..n}); the norms are then recomputed from scratch with the
     original, unnormalized H.
     """
-    w = x if isinstance(x, Weights) else Weights(np.asarray(x, dtype=float), "ascending")
+    w = _as_weights(x, "ascending")
     n = len(w)
     blocks = list(result.blocks)
     if len(blocks) != k:

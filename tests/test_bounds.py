@@ -9,6 +9,7 @@ from scipy import optimize, special
 from orlicz_bounds import (
     C0_GAUSSIAN,
     C1_LOWER,
+    KMIN_UPPER_FACTOR,
     BoundConstants,
     Gaussian,
     InfeasibleError,
@@ -34,10 +35,9 @@ def sandwiched(report, estimate):
 
 class TestConstants:
     def test_ranges(self):
-        cons = BoundConstants()
-        assert 0.60 < cons.c1 < 0.61
-        assert 0.13 < cons.c0 < 0.15
-        assert cons.upper_kmin == pytest.approx(16 * math.e**2, rel=1e-15)
+        assert 0.60 < C1_LOWER < 0.61
+        assert 0.13 < C0_GAUSSIAN < 0.15
+        assert KMIN_UPPER_FACTOR == pytest.approx(16 * math.e**2, rel=1e-15)
 
     def test_c_n_gaussian(self, gaussian):
         n1 = -math.log(special.erfc(1 / math.sqrt(2)))

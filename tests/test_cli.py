@@ -2,10 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import orlicz_bounds
+from orlicz_bounds import PreconditionError
 from orlicz_bounds.cli import build_parser, load_weights, main, run
 
 
@@ -93,6 +102,20 @@ class TestBoundsCommands:
         assert parsed["lower"] < parsed["upper"]
         assert set(parsed["empirical_constants"]) == {"max1_c_low", "max1_c_high"}
 
+    def test_max1_subnormal_weights_terminate(self, tmp_path):
+        # A separate process, so a solver that never stops fails on the timeout.
+        path = tmp_path / "w.csv"
+        path.write_text("1e-315\n2e-315\n")
+        src = str(Path(orlicz_bounds.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "orlicz_bounds.cli", "bounds-max1", "--weights", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        parsed = json.loads(done.stdout)
+        assert 0 < parsed["lower"] < parsed["upper"]
+
     def test_csv_format(self, ascending_weights):
         code, out = run_capture(
             ["bounds-kmin", "--dist", "gaussian", "--weights", ascending_weights,
@@ -137,6 +160,34 @@ class TestWeightsValidation:
         path = tmp_path / "w.csv"
         path.write_text("1.5\n\n2.5\n")
         assert list(load_weights(str(path))) == [1.5, 2.5]
+
+    @pytest.mark.parametrize("bad_table", (False, True))
+    def test_non_utf8_input_exit_2(self, bad_table, tmp_path, capsys):
+        weights = tmp_path / "w.csv"
+        weights.write_bytes(b"1.5\n2.5\n" if bad_table else "1.5\n".encode("utf-16"))
+        table = tmp_path / "t.csv"
+        table.write_bytes(b"0,1\n1,0.5\xff\n")
+        dist = f"table:{table}" if bad_table else "gaussian"
+        code = main(["bounds-max1", "--dist", dist, "--weights", str(weights)])
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.one_of(st.floats(), st.text(max_size=6)), max_size=8).map(
+            lambda lines: "\n".join(map(str, lines)).encode("utf-8", "surrogatepass")),
+    ))
+    def test_loader_any_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "w.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                values = load_weights(path)
+            except PreconditionError:
+                return
+        assert values.size and np.all(np.isfinite(values) & (values > 0))
 
 
 class TestSimulate:

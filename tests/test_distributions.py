@@ -5,16 +5,19 @@ itself goes through erfc), exponential values against closed forms.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
 from orlicz_bounds import (
     DomainError,
     Gaussian,
+    OrliczBoundsError,
     QuadratureError,
     SymExponential,
     TabulatedSurvival,
@@ -255,6 +258,16 @@ class TestTabulated:
         with pytest.raises(TabulationError, match="F\\(0\\)"):
             TabulatedSurvival(np.array([0.0, 1.0, 2.0]), np.array([0.9, 0.5, 0.1]))
 
+    @pytest.mark.parametrize("ts, fs", [
+        ([0.0, np.nan, 2.0], [1.0, 0.5, 0.1]),
+        ([0.0, 1.0, np.inf], [1.0, 0.5, 0.1]),
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 0.1]),
+        ([0.0, 1.0, 1e308], [1.0, 0.5, 1e-300]),
+    ])
+    def test_rejects_non_finite_and_extreme_rows(self, ts, fs):
+        with pytest.raises(TabulationError, match="cannot interpolate"):
+            TabulatedSurvival(np.array(ts), np.array(fs))
+
     def test_rejects_short_tail(self):
         # F(tmax) far too large: unresolved mass must be refused
         ts = np.linspace(0.0, 2.0, 50)
@@ -285,6 +298,23 @@ class TestTabulated:
         path.write_text("0,1\n0.5\n")
         with pytest.raises(TabulationError, match="line 2"):
             TabulatedSurvival.from_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.tuples(st.floats(), st.floats()), max_size=8).map(
+            lambda rows: "".join(f"{t},{f}\n" for t, f in rows).encode()),
+    ))
+    def test_csv_any_bytes(self, data):
+        # Whatever the file holds: a model or a package error, never another exception.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                TabulatedSurvival.from_csv(path)
+            except OrliczBoundsError:
+                pass
 
 
 class TestParseDistribution:

@@ -209,6 +209,23 @@ class TestNormSolver:
         w = Weights.ascending([1.0, 2.0, 3.0])
         assert orlicz_norm(w, linear_function()) == pytest.approx(6.0, rel=1e-10)
 
+    def test_subnormal_norm_terminates(self):
+        # Below about 5e-312 the relative bracket width is under the float
+        # spacing; a bisection that relies on it alone never stops.
+        calls = 0
+
+        def counted_linear(t):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise RuntimeError("norm solver did not terminate")
+            return t
+
+        fun = from_callable(counted_linear, label="counted-t")
+        rho = orlicz_norm([1e-320, 2e-320], fun)
+        assert rho == pytest.approx(3e-320, rel=1e-3)
+        assert 1e-320 / rho + 2e-320 / rho <= 1.0
+
 
 class TestNormProperties:
     @pytest.mark.parametrize("lam", [0.1, 3.0, 100.0])

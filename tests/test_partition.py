@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orlicz_bounds import partition
 from orlicz_bounds import (
     DomainError,
     Gaussian,
     PartitionResult,
     RangeError,
+    Weights,
     build_partition,
     gaussian_comparison_function,
     linear_function,
@@ -97,6 +99,12 @@ class TestValidation:
     def test_requires_ascending(self):
         with pytest.raises(DomainError):
             build_partition(np.array([3.0, 1.0]), linear_function(), 1)
+        descending = Weights.descending([4.0, 3.0, 2.0, 1.0])
+        with pytest.raises(DomainError):
+            build_partition(descending, linear_function(), 2)
+        blocks = PartitionResult(blocks=((1, 2), (3, 4)), case_taken="case1")
+        with pytest.raises(DomainError):
+            verify_partition(descending, linear_function(), 2, blocks)
 
 
 class TestNormalizationInvariance:
@@ -125,6 +133,17 @@ class TestGreedyMaximality:
             assert orlicz_norm(inv[a - 1 : b], fun) <= half * (1 + 1e-12)
             # extending by one more index must break the greedy threshold
             assert orlicz_norm(inv[a - 1 : b + 1], fun) > half * (1 + 1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_greedy_fixes_only_k_minus_1_blocks(self, k, monkeypatch):
+        # the last block takes the rest, so it needs no greedy search
+        calls = []
+        largest_end = partition._largest_end
+        monkeypatch.setattr(partition, "_largest_end",
+                            lambda *args: calls.append(args) or largest_end(*args))
+        res = build_partition(np.ones(100), linear_function(), k)
+        assert res.case_taken == "case1"
+        assert len(calls) == k - 1
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
