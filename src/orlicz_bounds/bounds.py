@@ -43,6 +43,7 @@ from .distributions import DistributionModel
 from .errors import DomainError, InfeasibleError, NonConvexError, RangeError
 from .orlicz import (
     _as_weights,
+    _reciprocals,
     expected_overshoot_function,
     neg_log_survival_function,
     orlicz_norm,
@@ -159,7 +160,7 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
     """
     w = _as_weights(x, "ascending")
     _check_kmin_range(k, len(w))
-    inv = 1.0 / w.values
+    inv = _reciprocals(w.values)
     convex = model.n_is_convex()
     nfun = neg_log_survival_function(model, require_convex=False)
     terms = _suffix_norm_terms(inv, nfun, k)
@@ -185,7 +186,7 @@ def kth_min_bounds_gaussian(x, k: int) -> BoundReport:
     """Closed-form Gaussian k-min sandwich via harmonic suffix sums."""
     w = _as_weights(x, "ascending")
     _check_kmin_range(k, len(w))
-    inv = 1.0 / w.values
+    inv = _reciprocals(w.values)
     suffix = np.cumsum(inv[::-1])[::-1]  # suffix[j-1] = sum_{i=j..n} 1/x_i
     terms = [(k + 1 - j) / suffix[j - 1] for j in range(1, k + 1)]
     arg = int(np.argmax(terms))
@@ -227,7 +228,7 @@ def kth_max_bounds(
             required_n=k + k0,
         )
     nfun = neg_log_survival_function(model)  # convexity required here
-    inv = 1.0 / w.values
+    inv = _reciprocals(w.values)
     terms = []
     for ell in range(k0):
         scaled = nfun.scaled(_TWO_E / (ell + 1))
@@ -305,7 +306,7 @@ def kth_min_moment_lower(x, model: DistributionModel, k: int, p: float) -> float
     if not (1 <= k <= n):
         raise RangeError(f"k-min moment bound requires 1 <= k <= n: got k={k}, n={n}")
     nfun = neg_log_survival_function(model, require_convex=False)
-    terms = _suffix_norm_terms(1.0 / w.values, nfun, k)
+    terms = _suffix_norm_terms(_reciprocals(w.values), nfun, k)
     return C1_LOWER * max(terms) ** p
 
 
@@ -318,5 +319,5 @@ def min_moment_upper(x, model: DistributionModel, p: float) -> float:
         raise RangeError(f"moment order must be positive, got p={p}")
     w = _as_weights(x, "ascending")
     nfun = neg_log_survival_function(model)  # NonConvexError if not convex
-    nm = orlicz_norm(1.0 / w.values, nfun)
+    nm = orlicz_norm(_reciprocals(w.values), nfun)
     return (1.0 + math.gamma(1.0 + p)) * nm ** (-p)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import DistributionModel
 from .errors import DomainError, RangeError
-from .orlicz import Weights, from_callable, orlicz_norm
+from .orlicz import Weights, _reciprocals, from_callable, orlicz_norm
 from .reporting import CheckResult
 
 __all__ = [
@@ -285,7 +285,7 @@ def kth_min_tail_threshold(x, model: DistributionModel, k: int) -> float:
         return (math.e / k) * out
 
     gfun = from_callable(_g, label=f"(e/{k})G", is_orlicz=False)
-    nm = orlicz_norm(1.0 / xv, gfun)
+    nm = orlicz_norm(_reciprocals(xv), gfun)
     return math.inf if nm == 0.0 else 1.0 / nm
 
 

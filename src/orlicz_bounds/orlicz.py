@@ -6,9 +6,14 @@ on R^n is the implicit scaling
 
     ||x||_M = inf { rho > 0 : sum_i M(|x_i| / rho) <= 1 },
 
-computed here by bisection on rho (the modular sum is nonincreasing in rho).
-+inf is an explicit value: a single infinite term makes the modular sum
-infinite, which keeps bisection brackets well-defined near domain bounds.
+computed here by bisection on rho. The modular sum is nonincreasing in rho,
+so each "is rho feasible?" is answered from a known bracket a < rho* <= b
+where it can be, and a safeguarded Illinois iteration on log rho first
+narrows that bracket to the bisection's tolerance. The bisection then
+evaluates only the one or two midpoints that fall inside it and returns the
+same float, bit for bit, as a plain bisection: the feasible end of its last
+bracket. +inf is an explicit value: a single infinite term makes the modular
+sum infinite, which keeps brackets well-defined near domain bounds.
 
 The same functional is defined for merely positive increasing functions; such
 handles carry ``is_orlicz=False`` and the functional need not be a norm (it
@@ -286,6 +291,20 @@ def _as_weights(x, order: str) -> Weights:
     return Weights(np.asarray(x, dtype=float), order)
 
 
+def _reciprocals(values: np.ndarray) -> np.ndarray:
+    """``1.0 / values`` for positive finite weights, refusing weights whose
+    reciprocal overflows (below about 5.6e-309) with a DomainError."""
+    with np.errstate(over="ignore"):
+        inv = 1.0 / values
+    bad = np.flatnonzero(np.isinf(inv))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(
+            f"weights too small: the reciprocal of entry {i + 1} ({values[i]}) overflows"
+        )
+    return inv
+
+
 def _double_until(pred, start: float, factor: float, limit: int = _MAX_DOUBLINGS):
     """First start*factor^i (i <= limit) satisfying pred, else None."""
     t = start
@@ -299,15 +318,21 @@ def _double_until(pred, start: float, factor: float, limit: int = _MAX_DOUBLINGS
 def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> float:
     """The norm functional inf { rho > 0 : sum_i fun(|x_i| / rho) <= 1 }.
 
-    Bisection on rho. The returned rho is on the feasible side of a bracket
-    of relative width ``rel_tol`` (for subnormal norms, of two adjacent
-    floats), so the infimum is never overshot from below; where the modular
-    sum is continuous the residual |sum - 1| is well below 1e-9.
+    A bisection on rho whose feasibility questions are answered from a
+    bracket a < rho* <= b narrowed beforehand by a safeguarded Illinois
+    iteration on log rho; see ``_solve``. The returned rho is bit for bit
+    the plain bisection's: on the feasible side of a bracket of relative
+    width ``rel_tol`` (for subnormal norms, of two adjacent floats), so the
+    infimum is never overshot from below; where the modular sum is
+    continuous the residual |sum - 1| is well below 1e-9.
 
-    Raises DomainError for the zero vector, UnboundedNormError when no
-    scaling brings the modular sum down to 1 (e.g. infinite entries). For
-    bounded functions whose modular sum never reaches 1 the infimum is 0 and
-    0.0 is returned.
+    Raises DomainError for the zero vector or NaN entries, and
+    UnboundedNormError when no scaling brings the modular sum down to 1:
+    infinite entries, or a sum above 1 after 200 doublings of rho. When the
+    bracket overflows (entries near 1e308), the norm is solved on x/max|x|
+    and multiplied back; NumericError if that product overflows too. For
+    bounded functions whose modular sum stays <= 1 through 200 halvings of
+    the lower bracket end, the infimum is 0 and 0.0 is returned.
     """
     if isinstance(x, Weights):
         x = x.values
@@ -322,6 +347,32 @@ def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> flo
     n = v.size
     vmax = float(v.max())
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Per-element probes: fun(t_hi) >= 1 gives an infeasible rho,
+        # fun(t_lo) <= 1/n a feasible one.
+        t_hi = _double_until(lambda t: fun(t) >= 1.0, 1.0, 2.0)
+        t_lo = _double_until(lambda t: fun(t) <= 1.0 / n, 1.0, 0.5)
+        rho = _solve(v, vmax, fun, t_hi, t_lo, rel_tol)
+        if rho == math.inf:  # the bracket overflowed: use homogeneity
+            rho = vmax * _solve(v / vmax, 1.0, fun, t_hi, t_lo, rel_tol)
+    if rho == math.inf:
+        raise NumericError(f"norm overflows: it exceeds the float range ({fun.label})")
+    return rho
+
+
+def _solve(v, vmax, fun, t_hi, t_lo, rel_tol) -> float:
+    """Bisection on rho with every feasibility test routed through a known
+    bracket; +inf when the bracket leaves the float range.
+
+    a is the largest rho evaluated infeasible (sum sa > 1), b the smallest
+    evaluated feasible (sum sb <= 1). A rho >= b is feasible and a rho <= a
+    infeasible without evaluating, because the modular sum does not increase
+    with rho; only a rho strictly inside (a, b) is evaluated. Between the
+    bracket loops and the bisection, an Illinois iteration narrows (a, b) to
+    relative width ``rel_tol``, so the bisection takes its usual steps but
+    evaluates only the one or two midpoints that land inside.
+    """
+    n = v.size
     evaluate = fun.evaluate
     bound = fun.domain_bound
     finite_bound = math.isfinite(bound)
@@ -333,43 +384,88 @@ def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> flo
             vals = np.where(t > bound, math.inf, vals)
         return float(np.sum(vals))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Initial bracket from per-element probes: fun(t_hi) >= 1 gives an
-        # infeasible rho, fun(t_lo) <= 1/n gives a feasible one.
-        t_hi = _double_until(lambda t: fun(t) >= 1.0, 1.0, 2.0)
-        t_lo = _double_until(lambda t: fun(t) <= 1.0 / n, 1.0, 0.5)
-        hi = n * vmax / t_lo if t_lo else vmax
-        lo = vmax / t_hi if t_hi else vmax
+    # b starts at +inf, where every term is fun(0) = 0.
+    a, sa, b, sb = -math.inf, math.inf, math.inf, 0.0
 
-        for _ in range(_MAX_DOUBLINGS):
-            if modular(hi) <= 1.0:
-                break
-            hi *= 2.0
-        else:
-            raise UnboundedNormError(
-                f"no scaling with modular sum <= 1 after {_MAX_DOUBLINGS} doublings "
-                f"({fun.label})"
-            )
-        lo = min(lo, hi)
-        for _ in range(_MAX_DOUBLINGS):
-            if modular(lo) > 1.0:
-                break
-            lo *= 0.5
-        else:
-            # Bounded function, modular sum <= 1 for every rho: the infimum is 0.
-            return 0.0
+    def feasible(rho: float) -> bool:
+        nonlocal a, sa, b, sb
+        if rho >= b:
+            return True
+        if rho <= a:
+            return False
+        s = modular(rho)
+        if s <= 1.0:
+            b, sb = rho, s
+            return True
+        a, sa = rho, s
+        return False
 
-        while hi - lo > rel_tol * hi:
-            mid = 0.5 * (lo + hi)
-            # Below about 5e-312, rel_tol * hi is under the subnormal spacing:
-            # stop once lo and hi are adjacent floats.
-            if not lo < mid < hi:
-                break
-            if modular(mid) <= 1.0:
-                hi = mid
-            else:
-                lo = mid
+    hi = n * vmax / t_lo if t_lo else vmax
+    if not math.isfinite(hi):
+        return math.inf
+    lo = vmax / t_hi if t_hi else vmax
+
+    for _ in range(_MAX_DOUBLINGS):
+        if feasible(hi):
+            break
+        hi *= 2.0
+    else:
+        raise UnboundedNormError(
+            f"no scaling with modular sum <= 1 after {_MAX_DOUBLINGS} doublings "
+            f"({fun.label})"
+        )
+    lo = min(lo, hi)
+    for _ in range(_MAX_DOUBLINGS):
+        if not feasible(lo):
+            break
+        lo *= 0.5
+    else:
+        # Bounded function, modular sum <= 1 for every rho: the infimum is 0.
+        return 0.0
+
+    # Illinois on g(u) = log S(e^u) with secant weights ga, gb: the weight of
+    # an endpoint kept twice in a row is halved, and each point is clamped
+    # delta inside (a, b) so that both ends close in. A side whose sum is 0
+    # or inf (or a = 0) gives the geometric (arithmetic) mean instead.
+    ga, gb = _log_or_nan(sa), _log_or_nan(sb)
+    last = None
+    for _ in range(_MAX_DOUBLINGS):
+        if b - a <= rel_tol * b:
+            break
+        if a > 0.0 and math.isfinite(ga) and math.isfinite(gb):
+            delta = 0.25 * rel_tol * b
+            rho = b * math.exp(gb * math.log(b / a) / (ga - gb))
+            rho = min(max(rho, a + delta), b - delta)
+        elif a > 0.0:
+            rho = math.sqrt(a) * math.sqrt(b)
+        else:
+            rho = 0.5 * (a + b)
+        if not a < rho < b:
+            break
+        if feasible(rho):
+            if last == "b":  # a kept twice in a row
+                ga *= 0.5
+            gb, last = _log_or_nan(sb), "b"
+        else:
+            if last == "a":
+                gb *= 0.5
+            ga, last = _log_or_nan(sa), "a"
+
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        # Below about 5e-312, rel_tol * hi is under the subnormal spacing:
+        # stop once lo and hi are adjacent floats.
+        if not lo < mid < hi:
+            break
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
     return hi
+
+
+def _log_or_nan(s: float) -> float:
+    return math.log(s) if 0.0 < s < math.inf else math.nan
 
 
 def young_conjugate(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PartitionError, RangeError
-from .orlicz import OrliczFunction, _as_weights, orlicz_norm
+from .orlicz import OrliczFunction, _as_weights, _reciprocals, orlicz_norm
 from .reporting import CheckResult
 
 __all__ = ["PartitionResult", "build_partition", "verify_partition"]
@@ -126,7 +126,7 @@ def build_partition(x, fun: OrliczFunction, k: int) -> PartitionResult:
         raise DomainError(f"partition requires 0 < H(1) < inf, got H(1) = {h1}")
 
     hn = fun.scaled(1.0 / h1)  # normalized so hn(1) = 1
-    inv = 1.0 / w.values
+    inv = _reciprocals(w.values)
 
     for j in range(1, k + 1):
         suffix_norm = orlicz_norm(inv[j - 1 :], hn.scaled(1.0 / (k + 1 - j)))
@@ -173,7 +173,7 @@ def verify_partition(x, fun: OrliczFunction, k: int, result: PartitionResult) ->
     h1 = fun(1.0)
     if not (0 < h1 < math.inf):
         raise DomainError(f"partition certificate requires 0 < H(1) < inf, got {h1}")
-    inv = 1.0 / w.values
+    inv = _reciprocals(w.values)
 
     lhs = min(
         orlicz_norm(inv[j - 1 :], fun.scaled(1.0 / (k - j + 1))) for j in range(1, k + 1)

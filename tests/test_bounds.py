@@ -1,6 +1,7 @@
 """Bound formulas against arithmetic oracles and Monte Carlo sandwiches."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,19 +12,25 @@ from orlicz_bounds import (
     C1_LOWER,
     KMIN_UPPER_FACTOR,
     BoundConstants,
+    DomainError,
     Gaussian,
     InfeasibleError,
     NonConvexError,
+    PartitionResult,
     RangeError,
     SymExponential,
     Weights,
+    build_partition,
     estimate_order_stat,
     kth_max_bounds,
     kth_min_bounds,
     kth_min_bounds_gaussian,
     kth_min_moment_lower,
+    kth_min_tail_threshold,
+    linear_function,
     max_bounds,
     min_moment_upper,
+    verify_partition,
 )
 
 
@@ -338,3 +345,31 @@ class TestMcMonotonicity:
             for k in (1, 3, 7, 12, 20)
         ]
         assert all(b >= a for a, b in zip(means, means[1:]))
+
+
+_TINY = np.linspace(1e-315, 4e-315, 20)  # reciprocals overflow to inf
+_GAUSS = Gaussian()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kth_min_bounds(_TINY, _GAUSS, 1),
+        lambda: kth_min_bounds_gaussian(_TINY, 1),
+        lambda: kth_max_bounds(Weights.descending(_TINY[::-1]), _GAUSS, 2),
+        lambda: kth_min_moment_lower(_TINY, _GAUSS, 1, 1.0),
+        lambda: min_moment_upper(_TINY, _GAUSS, 1.0),
+        lambda: build_partition(_TINY, linear_function(), 2),
+        lambda: verify_partition(
+            _TINY, linear_function(), 2, PartitionResult(((1, 1), (2, 20)), "case2")
+        ),
+        lambda: kth_min_tail_threshold(_TINY, _GAUSS, 1),
+    ],
+    ids=["kmin", "kmin-gaussian", "kmax", "kmin-moment", "min-moment", "partition",
+         "verify-partition", "tail-threshold"],
+)
+def test_weights_with_overflowing_reciprocal_refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="reciprocal of entry 1"):
+            call()

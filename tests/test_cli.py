@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,16 @@ class TestBoundsCommands:
         parsed = json.loads(done.stdout)
         assert 0 < parsed["lower"] < parsed["upper"]
 
+    @pytest.mark.parametrize("argv", [["bounds-kmin", "--k", "1"], ["partition", "--k", "2"]])
+    def test_weights_with_overflowing_reciprocal_exit_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text("1e-315\n2e-315\n3e-315\n4e-315\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            code = main(argv + ["--weights", str(path)])
+        assert code == 2
+        assert "reciprocal of entry 1 (1e-315) overflows" in capsys.readouterr().err
+
     def test_csv_format(self, ascending_weights):
         code, out = run_capture(
             ["bounds-kmin", "--dist", "gaussian", "--weights", ascending_weights,
@@ -125,6 +136,23 @@ class TestBoundsCommands:
         lines = out.strip().splitlines()
         assert any(line.startswith("lower,") for line in lines)
         assert any(line.startswith("upper,") for line in lines)
+
+
+def test_python_dash_m_runs_the_cli(ascending_weights):
+    src = str(Path(orlicz_bounds.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "orlicz_bounds", "bounds-kmin", "--weights", ascending_weights,
+         "--k", "2"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "bounds-kmin"
+    bad = subprocess.run(
+        [sys.executable, "-m", "orlicz_bounds", "bounds-kmin", "--weights", ascending_weights,
+         "--k", "99"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert bad.returncode == 2 and bad.stderr.startswith("error:")
 
 
 class TestWeightsValidation:

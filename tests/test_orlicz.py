@@ -12,6 +12,7 @@ from orlicz_bounds import (
     DomainError,
     Gaussian,
     NonConvexError,
+    NumericError,
     RangeError,
     SymExponential,
     UnboundedNormError,
@@ -225,6 +226,16 @@ class TestNormSolver:
         rho = orlicz_norm([1e-320, 2e-320], fun)
         assert rho == pytest.approx(3e-320, rel=1e-3)
         assert 1e-320 / rho + 2e-320 / rho <= 1.0
+
+    def test_overflowing_bracket_solved_by_homogeneity(self):
+        # The bracket n * max|x| / t_lo overflows; the norm itself is finite.
+        rho = orlicz_norm([1e308, 1e307], linear_function())
+        assert rho == pytest.approx(1.1e308, rel=1e-10)
+        assert 1e308 / rho + 1e307 / rho <= 1.0
+
+    def test_overflowing_norm_raises(self):
+        with pytest.raises(NumericError):
+            orlicz_norm([1e308, 1e308], linear_function())
 
 
 class TestNormProperties:
