@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: a base revision against the working tree.
+
+    python3 scripts/bench_pairs.py --base HEAD --workload certify --seeds 11-20
+
+Checks the base revision out into a temporary ``git worktree`` and runs
+``perfbench/run.py --trace 0`` there and in this working tree, once per
+seed, swapping which side runs first from one pair to the next. Each run's
+last output line (perfbench's JSON object) is the only thing read; nothing
+under ``perfbench/`` is changed. For every end-to-end metric named in
+``BENCHMARK.json`` it prints each side's median and quartiles, the ratio of
+the medians (change / base), how many pairs the change won (ties count for
+neither side) and whether the change is worse than the base by more than
+the metric's bound. ``gain`` is "yes" when the change won at least 9/10 of
+the pairs and the medians differ by more than the base's interquartile
+range. Exit status 1 when any run reported a failed request.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-3,7' -> [1, 2, 3, 7]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be integers >= 0, got {text!r}")
+    return seeds
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """perfbench's final JSON object from one run in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise RuntimeError(f"perfbench in {tree} exited {proc.returncode}: {proc.stderr[-800:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(runs: dict, metrics: list[dict]) -> None:
+    """One line per (workload.)metric present in the runs."""
+    base_runs, change_runs = runs["base"], runs["change"]
+    pairs = len(base_runs)
+    names = sorted(base_runs[0]["metrics"])
+    print(f"{'metric':38s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s} "
+          f"{'ratio':>7s} {'wins':>6s} {'bound':>6s} gain")
+    for name in names:
+        spec = next((m for m in metrics if name.split(".")[-1] == m["name"]), None)
+        if spec is None:
+            continue
+        base = [r["metrics"][name]["value"] for r in base_runs]
+        change = [r["metrics"][name]["value"] for r in change_runs]
+        higher = spec["better"] == "higher"
+        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        ratio = cm / bm if bm else float("nan")
+        worse = (1 - ratio) if higher else (ratio - 1)
+        bound = "ok" if worse <= spec["bound"] else "WORSE"
+        gain = "yes" if wins >= 0.9 * pairs and abs(cm - bm) > b3 - b1 else "no"
+        base_text = f"{bm:.5g} [{b1:.5g}, {b3:.5g}]"
+        change_text = f"{cm:.5g} [{c1:.5g}, {c3:.5g}]"
+        print(f"{name:38s} {base_text:>30s} {change_text:>30s} "
+              f"{ratio:7.3f} {f'{wins}/{pairs}':>6s} {bound:>6s} {gain}")
+    for side in ("base", "change"):
+        failed = sum(r["failed"] for r in runs[side])
+        attempted = sum(r["attempted"] for r in runs[side])
+        print(f"{side}: {failed} failed / {attempted} attempted")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--workload", default="all",
+                        choices=("bound-batch", "monte-carlo", "certify", "all"))
+    parser.add_argument("--seeds", type=parse_seeds, required=True,
+                        help="one pair per seed, e.g. 11-20 or 3,5,8")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="seconds per run (default: BENCHMARK.json run_seconds)")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+
+    runs = {"base": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        base_tree = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), args.base],
+                       cwd=ROOT, check=True, capture_output=True)
+        try:
+            trees = {"base": base_tree, "change": ROOT}
+            for i, seed in enumerate(args.seeds):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    runs[side].append(run_bench(trees[side], args.workload, seed, seconds))
+                print(f"pair {i + 1}/{len(args.seeds)} seed {seed} done ({order[0]} first)",
+                      file=sys.stderr)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)],
+                           cwd=ROOT, check=False, capture_output=True)
+    report(runs, spec["end_to_end"])
+    return 1 if any(r["failed"] for side in runs.values() for r in side) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,11 +85,19 @@ class DistributionModel:
     scale: float
 
     # -- public, scale-aware operations ------------------------------------
+    #
+    # Each primitive the Orlicz handles evaluate (survival, neg_log_survival,
+    # tail_integral) is ``_prepare`` plus a raw part (``_survival``, ...) on
+    # an already validated float array: no NaN, nothing negative. The
+    # handles call the raw parts, so a solve validates once, at its entry.
 
     def survival(self, t):
         """F(t) = P(|xi| > t); strictly decreasing, F(0) = 1."""
         arr, scalar = _prepare(t)
-        return _ret(self._std_survival(arr / self.scale), scalar)
+        return _ret(self._survival(arr), scalar)
+
+    def _survival(self, t: np.ndarray) -> np.ndarray:
+        return self._std_survival(t / self.scale)
 
     def neg_log_survival(self, t, beyond: str = "raise"):
         """N(t) = -ln F(t).
@@ -99,22 +107,25 @@ class DistributionModel:
         safe for modular sums because loaded tables guarantee N(t_max) > 1.
         """
         arr, scalar = _prepare(t)
-        u = arr / self.scale
+        return _ret(self._neg_log_survival(arr, beyond), scalar)
+
+    def _neg_log_survival(self, t: np.ndarray, beyond: str) -> np.ndarray:
+        u = t / self.scale
         lim = self._std_upper_limit()
         if math.isfinite(lim):
             over = u > lim * (1 + 1e-12)
             if np.any(over):
                 if beyond != "inf":
                     raise TabulationError(
-                        f"t={arr.max()} beyond tabulated range "
+                        f"t={t.max()} beyond tabulated range "
                         f"[0, {lim * self.scale}]; extrapolation refused"
                     )
-                out = np.full(arr.shape, math.inf)
+                out = np.full(t.shape, math.inf)
                 inside = ~over
                 out[inside] = self._std_neg_log_survival(np.minimum(u[inside], lim))
-                return _ret(out, scalar)
+                return out
             u = np.minimum(u, lim)
-        return _ret(self._std_neg_log_survival(u), scalar)
+        return self._std_neg_log_survival(u)
 
     def quantile(self, p):
         """Inverse of F: the t with F(t) = p, for p in (0, 1]."""
@@ -128,7 +139,10 @@ class DistributionModel:
     def tail_integral(self, t):
         """First-moment tail mass: integral of |xi| over {|xi| >= t}."""
         arr, scalar = _prepare(t)
-        return _ret(self.scale * self._std_tail_integral(arr / self.scale), scalar)
+        return _ret(self._tail_integral(arr), scalar)
+
+    def _tail_integral(self, t: np.ndarray) -> np.ndarray:
+        return self.scale * self._std_tail_integral(t / self.scale)
 
     def mean_abs(self) -> float:
         """E|xi| = tail_integral(0)."""

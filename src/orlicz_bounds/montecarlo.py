@@ -281,7 +281,7 @@ def kth_min_tail_threshold(x, model: DistributionModel, k: int) -> float:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         out = np.ones(u.shape)
         inside = u <= limit
-        out[inside] = 1.0 - model.survival(u[inside])
+        out[inside] = 1.0 - model._survival(u[inside])
         return (math.e / k) * out
 
     gfun = from_callable(_g, label=f"(e/{k})G", is_orlicz=False)

@@ -6,14 +6,22 @@ on R^n is the implicit scaling
 
     ||x||_M = inf { rho > 0 : sum_i M(|x_i| / rho) <= 1 },
 
-computed here by bisection on rho. The modular sum is nonincreasing in rho,
-so each "is rho feasible?" is answered from a known bracket a < rho* <= b
-where it can be, and a safeguarded Illinois iteration on log rho first
-narrows that bracket to the bisection's tolerance. The bisection then
-evaluates only the one or two midpoints that fall inside it and returns the
-same float, bit for bit, as a plain bisection: the feasible end of its last
-bracket. +inf is an explicit value: a single infinite term makes the modular
-sum infinite, which keeps brackets well-defined near domain bounds.
+computed here by bisection on rho. The starting bracket comes from one
+vectorised probe of the function on the grid 2^-199 ... 2^199. The modular
+sum is nonincreasing in rho, so each "is rho feasible?" is answered from a
+known bracket a < rho* <= b where it can be, and a safeguarded Illinois
+iteration on log rho first narrows that bracket to the bisection's
+tolerance. The bisection then evaluates only the one or two midpoints that
+fall inside it and returns the same float, bit for bit, as a plain
+bisection: the feasible end of its last bracket. +inf is an explicit value:
+a single infinite term makes the modular sum infinite, which keeps brackets
+well-defined near domain bounds.
+
+Arguments are validated once, at the public entry points: ``orlicz_norm``
+checks the vector, ``OrliczFunction.values`` and ``__call__`` refuse NaN
+and negative arguments. ``evaluate`` and the distribution handles' kernels
+(the models' raw ``_survival``, ``_neg_log_survival``, ``_tail_integral``)
+check nothing, so a modular sum pays for the arithmetic alone.
 
 The same functional is defined for merely positive increasing functions; such
 handles carry ``is_orlicz=False`` and the functional need not be a norm (it
@@ -66,6 +74,9 @@ __all__ = [
 NORM_REL_TOL = 1e-12
 _CONJUGATE_TOL = 1e-10
 _MAX_DOUBLINGS = 200
+# The probe grid 2^-199 ... 2^199; _PROBES[_ONE] == 1.0.
+_PROBES = np.ldexp(1.0, np.arange(1 - _MAX_DOUBLINGS, _MAX_DOUBLINGS))
+_ONE = _MAX_DOUBLINGS - 1
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,11 @@ class OrliczFunction:
     model: Optional[DistributionModel] = field(default=None, repr=False)
 
     def values(self, t) -> np.ndarray:
+        """The function at each entry of t, validated here: NaN or a negative
+        entry raises DomainError. ``evaluate`` itself does no checking."""
         arr = np.asarray(t, dtype=float)
+        if np.any(np.isnan(arr)):
+            raise DomainError(f"{self.label} is defined on [0, inf); got nan")
         if arr.size and float(np.min(arr)) < 0:
             raise DomainError(f"{self.label} is defined on [0, inf); got {np.min(arr)}")
         out = np.asarray(self.evaluate(arr), dtype=float)
@@ -173,7 +188,7 @@ def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
         tp = t[pos]
         if tp.size:
             thr = 1.0 / tp
-            out[pos] = tp * model.tail_integral(thr) - model.survival(thr)
+            out[pos] = tp * model._tail_integral(thr) - model._survival(thr)
         return np.maximum(out, 0.0)
 
     return OrliczFunction(
@@ -203,7 +218,7 @@ def neg_log_survival_function(
         )
 
     def _eval(t):
-        return model.neg_log_survival(t, beyond="inf")
+        return model._neg_log_survival(t, beyond="inf")
 
     return OrliczFunction(
         kind="neg_log_survival",
@@ -230,7 +245,7 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
         pos = t > lo_t
         tp = t[pos]
         if tp.size:
-            out[pos] = model.survival(1.0 / tp) / (4.0 * (k - 1))
+            out[pos] = model._survival(1.0 / tp) / (4.0 * (k - 1))
         return out
 
     return OrliczFunction(
@@ -305,22 +320,34 @@ def _reciprocals(values: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _double_until(pred, start: float, factor: float, limit: int = _MAX_DOUBLINGS):
-    """First start*factor^i (i <= limit) satisfying pred, else None."""
-    t = start
-    for _ in range(limit):
-        if pred(t):
-            return t
-        t *= factor
-    return None
+def _probe(fun: OrliczFunction, n: int):
+    """(t_hi, t_lo): the first 2^i (i = 0, 1, ...) with fun >= 1 and the
+    first 2^-i with fun <= 1/n, each None when no i < 200 gives one.
+
+    One call of ``fun.evaluate`` on every point either scan can reach,
+    masked by ``domain_bound`` as ``fun.values`` masks it.
+    """
+    vals = np.asarray(fun.evaluate(_PROBES.copy()), dtype=float)
+    if math.isfinite(fun.domain_bound):
+        vals = np.where(_PROBES > fun.domain_bound, math.inf, vals)
+    up = np.flatnonzero(vals[_ONE:] >= 1.0)
+    down = np.flatnonzero(vals[_ONE::-1] <= 1.0 / n)
+    t_hi = float(_PROBES[_ONE + up[0]]) if up.size else None
+    t_lo = float(_PROBES[_ONE - down[0]]) if down.size else None
+    return t_hi, t_lo
 
 
 def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> float:
     """The norm functional inf { rho > 0 : sum_i fun(|x_i| / rho) <= 1 }.
 
-    A bisection on rho whose feasibility questions are answered from a
-    bracket a < rho* <= b narrowed beforehand by a safeguarded Illinois
-    iteration on log rho; see ``_solve``. The returned rho is bit for bit
+    One call of ``fun.evaluate`` on the grid 2^-199 ... 2^199 finds the
+    per-element probes: the first 2^i (i >= 0) where fun >= 1 and the first
+    2^-i where fun <= 1/n, as scalar doubling and halving from 1 would. They
+    set the starting bracket of a bisection on rho whose feasibility
+    questions are answered from a bracket a < rho* <= b narrowed beforehand
+    by a safeguarded Illinois iteration on log rho; see ``_solve``. Every
+    other call of ``fun.evaluate`` is on the nonzero |x_i|/rho, with no
+    argument checks: x is validated here. The returned rho is bit for bit
     the plain bisection's: on the feasible side of a bracket of relative
     width ``rel_tol`` (for subnormal norms, of two adjacent floats), so the
     infimum is never overshot from below; where the modular sum is
@@ -332,7 +359,9 @@ def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> flo
     bracket overflows (entries near 1e308), the norm is solved on x/max|x|
     and multiplied back; NumericError if that product overflows too. For
     bounded functions whose modular sum stays <= 1 through 200 halvings of
-    the lower bracket end, the infimum is 0 and 0.0 is returned.
+    the lower bracket end, the infimum is 0 and 0.0 is returned; when fun
+    never reaches 1 on the grid, the last of those halvings is tested
+    first, so one modular sum settles it instead of 200.
     """
     if isinstance(x, Weights):
         x = x.values
@@ -350,8 +379,7 @@ def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> flo
     with np.errstate(over="ignore", invalid="ignore"):
         # Per-element probes: fun(t_hi) >= 1 gives an infeasible rho,
         # fun(t_lo) <= 1/n a feasible one.
-        t_hi = _double_until(lambda t: fun(t) >= 1.0, 1.0, 2.0)
-        t_lo = _double_until(lambda t: fun(t) <= 1.0 / n, 1.0, 0.5)
+        t_hi, t_lo = _probe(fun, n)
         rho = _solve(v, vmax, fun, t_hi, t_lo, rel_tol)
         if rho == math.inf:  # the bracket overflowed: use homogeneity
             rho = vmax * _solve(v / vmax, 1.0, fun, t_hi, t_lo, rel_tol)
@@ -415,6 +443,15 @@ def _solve(v, vmax, fun, t_hi, t_lo, rel_tol) -> float:
             f"({fun.label})"
         )
     lo = min(lo, hi)
+    if t_hi is None:
+        # fun may stay below 1, and the sum <= 1 for every rho. Test first
+        # the last rho the halving loop below would reach: the sum does not
+        # increase with rho, so if that one is feasible, all of them are.
+        bottom = lo
+        for _ in range(_MAX_DOUBLINGS - 1):
+            bottom *= 0.5
+        if feasible(bottom):
+            return 0.0
     for _ in range(_MAX_DOUBLINGS):
         if not feasible(lo):
             break

@@ -340,3 +340,22 @@ def test_survival_strictly_decreasing_property(a, b):
 def test_multiplicative_tail_bound_property(s, t):
     model = SymExponential(rate=1.3)
     assert model.survival(s * t) <= model.survival(t) ** s + 1e-12
+
+
+@pytest.mark.parametrize("primitive", ["survival", "neg_log_survival", "tail_integral"])
+@pytest.mark.parametrize("family", ["gaussian", "symexp", "table"])
+def test_public_primitives_validate(gaussian_table_model, family, primitive):
+    """The public primitives validate their argument; the raw parts the
+    Orlicz handles call do not, so the messages live only here."""
+    model = {
+        "gaussian": Gaussian(),
+        "symexp": SymExponential(rate=2.0),
+        "table": gaussian_table_model,
+    }[family]
+    method = getattr(model, primitive)
+    with pytest.raises(DomainError, match="t must not be NaN"):
+        method(math.nan)
+    with pytest.raises(DomainError, match="t must not be NaN"):
+        method(np.array([1.0, math.nan]))
+    with pytest.raises(DomainError, match=r"t must be >= 0, got -1\.0"):
+        method(-1.0)

@@ -174,24 +174,34 @@ def test_infinite_entries_unbounded_in_both(gaussian_table_model, nonconvex_tabl
 
 
 def _counting(fun, n):
-    """fun as a from_callable handle plus a counter of full-vector calls."""
-    calls = [0]
+    """fun as a from_callable handle plus counters: calls[0] of full-vector
+    calls, calls[1] of every other call (the probes)."""
+    calls = [0, 0]
 
     def evaluate(t):
-        if np.size(t) == n:
-            calls[0] += 1
+        calls[0 if np.size(t) == n else 1] += 1
         return fun.evaluate(t)
 
     return from_callable(evaluate, label=fun.label, domain_bound=fun.domain_bound), calls
 
 
-@pytest.mark.parametrize("n", [10, 1000])
-@pytest.mark.parametrize("name", ["N-gaussian", "moment-symexp", "power-2"])
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ("N-gaussian", "moment-symexp", "power-2") for n in (10, 1000)]
+    # n * sup M = 3/8 < 1: the norm is 0.0, found without 200 halvings.
+    + [("reciprocal-survival-3", 3)]
+    # Scalar probes made 5-20 calls here, and 200 for (e/k)G, which never reaches 1.
+    + [("N-gaussian-scaled-twice", 30), ("tail-threshold-G-10", 20)],
+)
 def test_modular_sums_per_solve(name, n):
+    """At most 24 full-vector calls and one probe call per solve."""
     fun = {
         "N-gaussian": neg_log_survival_function(Gaussian()),
         "moment-symexp": expected_overshoot_function(SymExponential(rate=1.0)),
         "power-2": power_function(2),
+        "reciprocal-survival-3": reciprocal_survival_function(Gaussian(), 3),
+        "N-gaussian-scaled-twice": neg_log_survival_function(Gaussian()).scaled(0.5).scaled(3.0),
+        "tail-threshold-G-10": _tail_threshold_function(Gaussian(), 10),
     }[name]
     rng = np.random.default_rng(n)
     for _ in range(10):
@@ -199,3 +209,16 @@ def test_modular_sums_per_solve(name, n):
         counted, calls = _counting(fun, n)
         assert orlicz_norm(x, counted).hex() == bisection_norm(x, fun).hex()
         assert calls[0] <= 24, f"{calls[0]} modular sums for {name} at n={n}"
+        assert calls[1] <= 1, f"{calls[1]} probe calls for {name} at n={n}"
+
+
+@pytest.mark.parametrize("kind", _KIND_NAMES)
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_public_entry_rejects_nan_and_negative(
+    gaussian_table_model, nonconvex_table_model, kind, bad
+):
+    fun = _function_kinds(gaussian_table_model, nonconvex_table_model)[kind](3)
+    with pytest.raises(DomainError):
+        fun(bad)
+    with pytest.raises(DomainError):
+        fun.values([1.0, bad])
