@@ -11,9 +11,12 @@ under ``perfbench/`` is changed. For every end-to-end metric named in
 ``BENCHMARK.json`` it prints each side's median and quartiles, the ratio of
 the medians (change / base), how many pairs the change won (ties count for
 neither side) and whether the change is worse than the base by more than
-the metric's bound. ``gain`` is "yes" when the change won at least 9/10 of
-the pairs and the medians differ by more than the base's interquartile
-range. Exit status 1 when any run reported a failed request.
+the metric's bound: "ok" or "WORSE", or "unresolved" when the base runs
+spread (interquartile range over median) wider than the bound and not
+every change run beats every base run. ``gain`` is "yes" when the change
+won at least 9/10 of the pairs and the medians differ by more than the
+base's interquartile range. Exit status 1 when any run reported a failed
+request.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def report(runs: dict, metrics: list[dict]) -> None:
     pairs = len(base_runs)
     names = sorted(base_runs[0]["metrics"])
     print(f"{'metric':38s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s} "
-          f"{'ratio':>7s} {'wins':>6s} {'bound':>6s} gain")
+          f"{'ratio':>7s} {'wins':>6s} {'bound':>10s} gain")
     for name in names:
         spec = next((m for m in metrics if name.split(".")[-1] == m["name"]), None)
         if spec is None:
@@ -78,12 +81,17 @@ def report(runs: dict, metrics: list[dict]) -> None:
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
         ratio = cm / bm if bm else float("nan")
         worse = (1 - ratio) if higher else (ratio - 1)
-        bound = "ok" if worse <= spec["bound"] else "WORSE"
+        spread = (b3 - b1) / abs(bm) if bm else float("inf")
+        dominates = min(change) > max(base) if higher else max(change) < min(base)
+        if spread > spec["bound"] and not dominates:
+            bound = "unresolved"
+        else:
+            bound = "ok" if worse <= spec["bound"] else "WORSE"
         gain = "yes" if wins >= 0.9 * pairs and abs(cm - bm) > b3 - b1 else "no"
         base_text = f"{bm:.5g} [{b1:.5g}, {b3:.5g}]"
         change_text = f"{cm:.5g} [{c1:.5g}, {c3:.5g}]"
         print(f"{name:38s} {base_text:>30s} {change_text:>30s} "
-              f"{ratio:7.3f} {f'{wins}/{pairs}':>6s} {bound:>6s} {gain}")
+              f"{ratio:7.3f} {f'{wins}/{pairs}':>6s} {bound:>10s} {gain}")
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])

@@ -149,11 +149,14 @@ class DistributionModel:
         return self.scale * self._std_mean_abs()
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` i.i.d. draws of xi (signed). Deterministic given the
-        generator state; a stream must be owned by a single consumer."""
+        """``count`` i.i.d. draws of xi (signed), in a new array the caller
+        may overwrite. Deterministic given the generator state; a stream
+        must be owned by a single consumer."""
         if count < 1:
             raise DomainError(f"sample count must be >= 1, got {count}")
-        return self.scale * self._std_sample(rng, int(count))
+        out = self._std_sample(rng, int(count))
+        out *= self.scale
+        return out
 
     def scaled_by(self, factor: float) -> "DistributionModel":
         """Model of factor*xi (survival F(t / factor))."""

@@ -1,11 +1,13 @@
 """Seeded Monte Carlo estimators and exact combinatorial inequality checks.
 
 Order-statistic expectations are estimated by averaging the k-th smallest
-(or largest) of |x_i xi_i| over replications, using partial selection rather
-than full sorts. Replications are split into fixed-size chunks; chunk c
-draws from an independent substream seeded by (seed, c), and per-chunk sums
-are combined in chunk order, so results are bit-identical for a given
-(seed, replications) regardless of how many worker threads run the chunks.
+(or largest) of |x_i xi_i| over replications. Each row is partially
+selected at the wanted order statistics, or sorted when more than two are
+wanted (the selected values are the same either way). Replications are split
+into chunks whose size depends only on n; chunk c draws from an independent
+substream seeded by (seed, c), and per-chunk sums are combined in chunk
+order, so results are bit-identical for a given (seed, replications)
+regardless of how many worker threads run the chunks.
 
 The exact checks use elementary symmetric polynomials computed by the
 product recurrence e_l <- e_l + a_i e_{l-1} over rational arithmetic
@@ -28,7 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .distributions import DistributionModel
-from .errors import DomainError, RangeError
+from .errors import DomainError, NumericError, RangeError
 from .orlicz import Weights, _reciprocals, from_callable, orlicz_norm
 from .reporting import CheckResult
 
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 8192
+_CHUNK_ELEMENTS = 8192 * 1024  # draws held by one chunk (64 MiB), unless n is larger
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _ENUMERATION_LIMIT = 22
 
@@ -98,9 +101,16 @@ def _selected_chunks(xv: np.ndarray, model: DistributionModel, kth, replications
                      seed: int, threads: int, reduce) -> list:
     """``reduce(rows)`` for each chunk of replications, in chunk order.
 
-    Chunk c holds up to ``_CHUNK_ROWS`` replications drawn from
-    ``default_rng([seed, c])``; its rows are |xi| * x, partitioned along each
-    row at ``kth``. Which thread runs a chunk never changes its result.
+    A chunk holds ``min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n))`` rows
+    (fewer in the last one), so its draws stay within ``_CHUNK_ELEMENTS``
+    doubles unless a single row is longer. Chunk c is drawn from
+    ``default_rng([seed, c])`` and turned into rows |xi| * x in place, in the
+    array ``model.sample`` returned. Each row is then sorted when ``kth``
+    names more than two positions, and partitioned at ``kth`` otherwise:
+    numpy's multi-kth introselect is slower than its row sort, and both put
+    the same value at every position in ``kth``, which is all ``reduce`` may
+    read. Overflow in a chunk gives inf without a warning. Which thread runs
+    a chunk never changes its result.
     """
     if not _integer_at_least(replications, 100):
         raise RangeError(f"need at least 100 replications, got {replications!r}")
@@ -109,13 +119,22 @@ def _selected_chunks(xv: np.ndarray, model: DistributionModel, kth, replications
     if not _integer_at_least(threads, 1):
         raise RangeError(f"threads must be a positive integer, got {threads!r}")
     n = xv.size
-    chunks = -(-replications // _CHUNK_ROWS)
+    chunk_rows = min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n))
+    chunks = -(-replications // chunk_rows)
+    sort_rows = np.size(kth) > 2
 
     def worker(c: int):
-        rows = min(_CHUNK_ROWS, replications - c * _CHUNK_ROWS)
+        rows = min(chunk_rows, replications - c * chunk_rows)
         rng = np.random.default_rng([int(seed), c])
         draws = model.sample(rng, rows * n).reshape(rows, n)
-        return reduce(np.partition(np.abs(draws) * xv, kth, axis=1))
+        with np.errstate(over="ignore"):
+            np.abs(draws, out=draws)
+            draws *= xv
+            if sort_rows:
+                draws.sort(axis=1)
+            else:
+                draws.partition(kth, axis=1)
+            return reduce(draws)
 
     workers = _worker_count(threads, chunks)
     if workers == 1:
@@ -162,24 +181,46 @@ def estimate_order_stats(
             out[pos, 1] = np.sum(col * col)
         return out
 
-    stats = _selected_chunks(xv, model, np.unique(sel), replications, seed, threads, sums)
-    totals = np.zeros((len(sel), 2))
-    for block in stats:  # fixed chunk order keeps the sum deterministic
-        totals += block
+    kth = np.unique(sel)
 
+    def totals(weights):
+        out = np.zeros((len(sel), 2))
+        for block in _selected_chunks(weights, model, kth, replications, seed, threads, sums):
+            out += block  # fixed chunk order keeps the sum deterministic
+        return out
+
+    def moments(total, total_sq):
+        mean = float(total) / replications
+        return mean, (float(total_sq) - replications * mean * mean) / (replications - 1)
+
+    raw, rescaled = totals(xv), None
     estimates = []
     for pos, k in enumerate(ks):
-        total, total_sq = totals[pos]
-        mean = total / replications
-        var = max(0.0, (total_sq - replications * mean * mean) / (replications - 1))
-        ci = _Z99 * math.sqrt(var / replications)
+        mean, var = moments(*raw[pos])
+        factor = 1.0
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            # |xi| x or its square overflowed: the same draws on x / max(x),
+            # scaled back by max(x)^power (the statistic is homogeneous)
+            if rescaled is None:
+                xmax = float(np.max(xv))
+                rescaled = totals(xv / xmax)
+                with np.errstate(over="ignore"):
+                    scale_back = float(np.power(xmax, power))
+            mean, var = moments(*rescaled[pos])
+            factor = scale_back
+        ci = _Z99 * math.sqrt(max(0.0, var) / replications)
+        mean, ci = mean * factor, ci * factor
+        if not (math.isfinite(var) and math.isfinite(mean) and math.isfinite(ci)):
+            raise NumericError(
+                f"{statistic} k={k} estimate overflows even with weights scaled to max 1"
+            )
         estimates.append(
             MonteCarloEstimate(
                 statistic=statistic,
                 k=k,
                 power=power,
-                mean=float(mean),
-                ci_halfwidth=float(ci),
+                mean=mean,
+                ci_halfwidth=ci,
                 replications=replications,
                 seed=seed,
             )

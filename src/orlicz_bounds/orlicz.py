@@ -97,14 +97,15 @@ class OrliczFunction:
     model: Optional[DistributionModel] = field(default=None, repr=False)
 
     def values(self, t) -> np.ndarray:
-        """The function at each entry of t, validated here: NaN or a negative
-        entry raises DomainError. ``evaluate`` itself does no checking."""
+        """The function at each entry of t, in the shape of t, validated
+        here: NaN or a negative entry raises DomainError. ``evaluate`` itself
+        does no checking, and may return a scalar's value as shape (1,)."""
         arr = np.asarray(t, dtype=float)
         if np.any(np.isnan(arr)):
             raise DomainError(f"{self.label} is defined on [0, inf); got nan")
         if arr.size and float(np.min(arr)) < 0:
             raise DomainError(f"{self.label} is defined on [0, inf); got {np.min(arr)}")
-        out = np.asarray(self.evaluate(arr), dtype=float)
+        out = np.asarray(self.evaluate(arr), dtype=float).reshape(arr.shape)
         if math.isfinite(self.domain_bound):
             out = np.where(arr > self.domain_bound, math.inf, out)
         return out

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from orlicz_bounds import (
     DomainError,
     Gaussian,
+    NumericError,
     RangeError,
+    SymExponential,
     check_kmax_split,
     check_kth_min_tail,
     check_min_survival_product,
@@ -25,6 +28,7 @@ from orlicz_bounds import (
     kth_min_tail_threshold,
     kth_smallest,
 )
+from orlicz_bounds import montecarlo
 from orlicz_bounds.montecarlo import _worker_count
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -103,6 +107,91 @@ class TestEstimator:
                 check(np.ones(5), gaussian, *args, replications=1000, seed=-1)
             with pytest.raises(RangeError):
                 check(np.ones(5), gaussian, *args, replications=50)
+
+
+def _reference_chunks(xv, model, kth, replications, seed, threads, reduce):
+    """The chunk engine as it stood before in-place selection: a fresh
+    scaled sample, |xi| * x in new arrays, and one partition at ``kth``.
+    Chunks of 8192 rows, as the engine still uses for n <= 1024."""
+    n = xv.size
+    out = []
+    for c in range(-(-replications // 8192)):
+        rows = min(8192, replications - c * 8192)
+        rng = np.random.default_rng([seed, c])
+        draws = (model.scale * model._std_sample(rng, rows * n)).reshape(rows, n)
+        out.append(reduce(np.partition(np.abs(draws) * xv, kth, axis=1)))
+    return out
+
+
+class _CountingModel:
+    """Delegates ``sample`` to a model and records every requested count."""
+
+    def __init__(self, model):
+        self.model, self.counts = model, []
+
+    def sample(self, rng, count):
+        self.counts.append(count)
+        return self.model.sample(rng, count)
+
+
+def _assert_reference_bits(monkeypatch, x, model, ks, statistic, power):
+    reps = 8192 + 37  # a full chunk and a remainder
+    got = [estimate_order_stats(x, model, ks, statistic, reps, seed=9, power=power,
+                                threads=t) for t in (1, 2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_selected_chunks", _reference_chunks)
+        want = estimate_order_stats(x, model, ks, statistic, reps, seed=9, power=power)
+    assert got[0] == got[1] == want, list(ks)
+
+
+class TestChunkEngine:
+    @pytest.mark.parametrize("family", ["gaussian", "symexp", "table"])
+    @pytest.mark.parametrize("statistic", ["kmin", "kmax"])
+    @pytest.mark.parametrize("power", [1.0, 2.0])
+    def test_same_bits_as_reference(self, gaussian_table_model, monkeypatch,
+                                    family, statistic, power):
+        model = {"gaussian": Gaussian(), "symexp": SymExponential(rate=1.7).scaled_by(0.3),
+                 "table": gaussian_table_model}[family]
+        n = 12
+        x = np.sort(np.random.default_rng(21).uniform(0.5, 5.0, n))
+        for ks in ([4], [1, n], [2, 7, 11], [1, 3, 6, 9, 12], range(1, n + 1)):
+            _assert_reference_bits(monkeypatch, x, model, ks, statistic, power)
+
+    @pytest.mark.parametrize("statistic", ["kmin", "kmax"])
+    def test_long_rows_same_bits_as_reference(self, gaussian, monkeypatch, statistic):
+        # numpy partitions rows shorter than about 256 by sorting them in
+        # full, so only long rows tell a wrong selection from a right one
+        n = 300
+        x = np.sort(np.random.default_rng(22).uniform(0.5, 5.0, n))
+        for ks in ([150], [1, n], [2, 170, 231], [1, 90, 200, 260, 298]):
+            _assert_reference_bits(monkeypatch, x, gaussian, ks, statistic, 1.0)
+
+    def test_chunk_memory_bounded(self, gaussian):
+        n, reps = 3000, 5000
+        x = np.linspace(0.5, 2.0, n)
+        results = []
+        for threads in (1, 2):
+            model = _CountingModel(gaussian)
+            results.append(estimate_order_stats(x, model, [5, 1500], replications=reps,
+                                                seed=3, threads=threads))
+            assert sum(model.counts) == n * reps
+            assert max(model.counts) <= 2**23
+        assert results[0] == results[1]
+
+    def test_overflowing_squares_rescaled(self, gaussian):
+        x = np.full(30, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_order_stat(x, gaussian, 3, replications=1000)
+        unit = estimate_order_stat(np.ones(30), gaussian, 3, replications=1000)
+        assert math.isfinite(est.ci_halfwidth) and est.ci_halfwidth > 0
+        assert est.mean == pytest.approx(1e160 * unit.mean, rel=1e-14)
+        assert est.ci_halfwidth == pytest.approx(1e160 * unit.ci_halfwidth, rel=1e-14)
+
+    def test_overflow_after_rescaling_raises(self, gaussian):
+        with pytest.raises(NumericError):
+            estimate_order_stat(np.full(30, 1e300), gaussian, 3, replications=1000,
+                                power=2.0)
 
 
 class TestSelection:

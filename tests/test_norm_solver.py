@@ -222,3 +222,11 @@ def test_public_entry_rejects_nan_and_negative(
         fun(bad)
     with pytest.raises(DomainError):
         fun.values([1.0, bad])
+
+
+@pytest.mark.parametrize("kind", _KIND_NAMES)
+def test_values_keep_the_argument_shape(gaussian_table_model, nonconvex_table_model, kind):
+    fun = _function_kinds(gaussian_table_model, nonconvex_table_model)[kind](3)
+    assert fun.values(0.5).shape == ()
+    assert fun.values([0.5]).shape == (1,)
+    assert fun.values(0.5) == fun.values([0.5])[0] == fun(0.5)
