@@ -31,7 +31,7 @@ import numpy as np
 
 from .distributions import DistributionModel
 from .errors import DomainError, NumericError, RangeError
-from .orlicz import Weights, _reciprocals, from_callable, orlicz_norm
+from .orlicz import OrliczFunction, Weights, _reciprocals, from_callable, orlicz_norm
 from .reporting import CheckResult
 
 __all__ = [
@@ -316,6 +316,13 @@ def kth_min_tail_threshold(x, model: DistributionModel, k: int) -> float:
     xv = _weights_vector(x)
     if not (1 <= k <= xv.size):
         raise RangeError(f"threshold requires 1 <= k <= n: got k={k}, n={xv.size}")
+    nm = orlicz_norm(_reciprocals(xv), _tail_threshold_function(model, k))
+    return math.inf if nm == 0.0 else 1.0 / nm
+
+
+def _tail_threshold_function(model: DistributionModel, k: int) -> OrliczFunction:
+    """(e/k)G with G = 1 - F: the handle whose norm ``kth_min_tail_threshold``
+    inverts. Bounded by e/k, so the functional can be 0."""
     limit = model.upper_limit()
 
     def _g(u):
@@ -325,9 +332,7 @@ def kth_min_tail_threshold(x, model: DistributionModel, k: int) -> float:
         out[inside] = 1.0 - model._survival(u[inside])
         return (math.e / k) * out
 
-    gfun = from_callable(_g, label=f"(e/{k})G", is_orlicz=False)
-    nm = orlicz_norm(_reciprocals(xv), gfun)
-    return math.inf if nm == 0.0 else 1.0 / nm
+    return from_callable(_g, label=f"(e/{k})G", is_orlicz=False)
 
 
 def check_min_survival_product(

@@ -27,6 +27,7 @@ from orlicz_bounds import (
     power_function,
     reciprocal_survival_function,
 )
+from orlicz_bounds.montecarlo import _tail_threshold_function
 
 _MAX_DOUBLINGS = 200
 
@@ -88,20 +89,6 @@ def bisection_norm(x, fun, *, rel_tol=1e-12):
             else:
                 lo = mid
     return hi
-
-
-def _tail_threshold_function(model, k):
-    """(e/k)G with G = 1 - F, as kth_min_tail_threshold builds it."""
-    limit = model.upper_limit()
-
-    def _g(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.ones(u.shape)
-        inside = u <= limit
-        out[inside] = 1.0 - model.survival(u[inside])
-        return (math.e / k) * out
-
-    return from_callable(_g, label=f"(e/{k})G", is_orlicz=False)
 
 
 def _function_kinds(table, nonconvex):
