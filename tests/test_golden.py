@@ -8,6 +8,9 @@ thread count, so any refactor of the report, check or sampling code has to
 pass this module unchanged. The weights files are inputs, not outputs; so are
 the shape, n, k, weight range and seed of each record in ``partition.json``,
 whose blocks, case and certificate sides (as float.hex) are the outputs.
+``erfc-table.csv`` (the standard Gaussian survival on 401 knots of [0, 10])
+is an input too: the table records pin the CLI bytes and the norm bits of
+table-backed handles, whose thresholds 1/t or t run past the last knot.
 """
 
 import contextlib
@@ -21,16 +24,24 @@ import pytest
 from orlicz_bounds import (
     Gaussian,
     SymExponential,
+    TabulatedSurvival,
     build_partition,
     check_kth_min_tail,
     check_min_survival_product,
     estimate_order_stats,
+    expected_overshoot_function,
+    kth_min_tail_threshold,
+    neg_log_survival_function,
+    orlicz_norm,
+    reciprocal_survival_function,
 )
 from orlicz_bounds.cli import _PARTITION_SHAPES, main
+from orlicz_bounds.montecarlo import _tail_threshold_function
 
 GOLDEN = Path(__file__).parent / "golden"
 ASCENDING = str(GOLDEN / "ascending.csv")
 DESCENDING = str(GOLDEN / "descending.csv")
+TABLE = "erfc-table.csv"  # relative to GOLDEN, where the CLI cases run
 PARTITION_CASES = json.loads((GOLDEN / "partition.json").read_text(encoding="utf-8"))
 
 CLI_CASES = {
@@ -39,6 +50,11 @@ CLI_CASES = {
                                 "--k", "5", "--closed-form"],
     "bounds-kmax": ["bounds-kmax", "--dist", "gaussian", "--weights", DESCENDING, "--k", "2"],
     "bounds-max1": ["bounds-max1", "--dist", "symexp:2.0", "--weights", ASCENDING],
+    "bounds-kmin-table": ["bounds-kmin", "--dist", f"table:{TABLE}", "--weights", ASCENDING,
+                          "--k", "5"],
+    "bounds-kmax-table": ["bounds-kmax", "--dist", f"table:{TABLE}", "--weights", DESCENDING,
+                          "--k", "2"],
+    "bounds-max1-table": ["bounds-max1", "--dist", f"table:{TABLE}", "--weights", ASCENDING],
     **{
         f"partition-{shape}": ["partition", "--weights", ASCENDING, "--k", "4",
                                "--shape", shape]
@@ -63,7 +79,8 @@ CLI_CASES = {
 
 def run_cli(case: str, fmt: str) -> tuple[int, str]:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    # Reports echo the --dist spec, so table paths stay relative to GOLDEN.
+    with contextlib.chdir(GOLDEN), contextlib.redirect_stdout(buf):
         code = main(CLI_CASES[case] + ["--format", fmt])
     return code, buf.getvalue()
 
@@ -136,3 +153,51 @@ def partition_figures(case: dict) -> dict:
 def test_partition_bits(case):
     got = partition_figures(case)
     assert got == {key: case[key] for key in got}
+
+
+def table_norm_figures() -> dict:
+    """float.hex of the norms of table-backed handles, and of the tail
+    threshold, on seeded vectors, for the table, the table cut at t = 8 and
+    the table scaled by 3; an exception is recorded by its type name."""
+    full = TabulatedSurvival.from_csv(GOLDEN / TABLE)
+    cut = full._core.ts <= 8.0
+    models = {
+        "table": full,
+        "table-tmax8": TabulatedSurvival(full._core.ts[cut], full._core.fs[cut]),
+        "table*3": full.scaled_by(3.0),
+    }
+    vectors = {
+        "uniform-30": np.random.default_rng(0).uniform(0.5, 5.0, 30),
+        "loguniform-200": np.exp(np.random.default_rng(1).uniform(-7.0, 7.0, 200)),
+        "uniform-1000": np.random.default_rng(2).uniform(1e-2, 1e2, 1000),
+    }
+
+    def outcome(solve):
+        try:
+            return solve().hex()
+        except Exception as exc:  # compared by type
+            return type(exc).__name__
+
+    out = {}
+    for mname, model in models.items():
+        mfun = expected_overshoot_function(model)
+        for vname, x in vectors.items():
+            x = np.sort(x)
+            inv = 1.0 / x
+            record = {"M": outcome(lambda: orlicz_norm(x, mfun))}
+            for k in (2, 7):
+                nfun = neg_log_survival_function(model).scaled(2.0 * np.e / k)
+                record[f"k={k}"] = {
+                    "N": outcome(lambda: orlicz_norm(inv, nfun)),
+                    "reciprocal-survival": outcome(
+                        lambda: orlicz_norm(x, reciprocal_survival_function(model, k))),
+                    "(e/k)G": outcome(
+                        lambda: orlicz_norm(inv, _tail_threshold_function(model, k))),
+                    "threshold": outcome(lambda: kth_min_tail_threshold(x, model, k)),
+                }
+            out[f"{mname}/{vname}"] = record
+    return out
+
+def test_table_norm_bits():
+    expected = json.loads((GOLDEN / "table-norms.json").read_text(encoding="utf-8"))
+    assert table_norm_figures() == expected
