@@ -221,6 +221,10 @@ def kth_max_bounds(
     if k > n:
         raise RangeError(f"k-max bounds require k <= n: got k={k}, n={n}")
     f1 = model.survival(1.0)
+    if not (f1 > 0):
+        raise DomainError(
+            f"k-max bounds need F(1) > 0, but F(1) underflows to 0 for {model.describe()}"
+        )
     k0 = int(math.floor(4.0 * (k - 1) / f1))
     if k + k0 > n:
         raise InfeasibleError(

@@ -16,6 +16,11 @@ have a convex negative log-survival N(t) = -ln F(t); the flag
 ``n_is_convex()`` reports whether that holds (checked on a grid for
 tabulated data, known analytically for the built-in families).
 
+A table resolves F up to its last knot t_max: t/scale past t_max * (1 +
+1e-12) is beyond it, and t up to that is clipped to t_max. There the public
+primitives refuse, and the raw kernels the Orlicz handles call read F = 0
+(N = +inf, tail integral 0).
+
 Built-in families: standard Gaussian, symmetric exponential (Laplace), and
 a tabulated survival function loaded from a two-column ``t,F`` CSV. Models
 are immutable; rescaling |xi| by a constant is done through ``scaled_by``,
@@ -61,16 +66,10 @@ _CONVEXITY_SLACK = -1e-9
 _VALIDATION_POINTS = 201
 
 
-def _prepare(t, name: str = "t"):
-    """Validate a nonnegative scalar/array argument; return (array, was_scalar)."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(np.isnan(arr)):
-        raise DomainError(f"{name} must not be NaN")
-    if np.any(arr < 0):
-        raise DomainError(f"{name} must be >= 0, got {arr.min()}")
-    return arr, scalar
+def _within(u: np.ndarray, t_max: float) -> np.ndarray:
+    """Where u is resolved by a table whose last knot is t_max (relative fuzz
+    1e-12); u up to that is read at min(u, t_max)."""
+    return u <= t_max * (1 + 1e-12)
 
 
 def _ret(values: np.ndarray, scalar: bool):
@@ -88,44 +87,43 @@ class DistributionModel:
     #
     # Each primitive the Orlicz handles evaluate (survival, neg_log_survival,
     # tail_integral) is ``_prepare`` plus a raw part (``_survival``, ...) on
-    # an already validated float array: no NaN, nothing negative. The
-    # handles call the raw parts, so a solve validates once, at its entry.
+    # an already validated float array: no NaN, nothing negative, nothing
+    # past a table. The handles call the raw parts, so a solve validates
+    # once, at its entry.
+
+    def _prepare(self, t):
+        """Validate a nonnegative scalar/array argument resolved by the model;
+        return (array, was_scalar)."""
+        arr = np.asarray(t, dtype=float)
+        scalar = arr.ndim == 0
+        arr = np.atleast_1d(arr)
+        if np.any(np.isnan(arr)):
+            raise DomainError("t must not be NaN")
+        if np.any(arr < 0):
+            raise DomainError(f"t must be >= 0, got {arr.min()}")
+        lim = self._std_upper_limit()
+        if math.isfinite(lim) and not np.all(_within(arr / self.scale, lim)):
+            raise TabulationError(
+                f"t={float(np.max(arr)):g} beyond tabulated range "
+                f"[0, {lim * self.scale:g}]; extrapolation refused"
+            )
+        return arr, scalar
 
     def survival(self, t):
         """F(t) = P(|xi| > t); strictly decreasing, F(0) = 1."""
-        arr, scalar = _prepare(t)
+        arr, scalar = self._prepare(t)
         return _ret(self._survival(arr), scalar)
 
     def _survival(self, t: np.ndarray) -> np.ndarray:
         return self._std_survival(t / self.scale)
 
-    def neg_log_survival(self, t, beyond: str = "raise"):
-        """N(t) = -ln F(t).
+    def neg_log_survival(self, t):
+        """N(t) = -ln F(t)."""
+        arr, scalar = self._prepare(t)
+        return _ret(self._neg_log_survival(arr), scalar)
 
-        ``beyond`` controls behavior past a tabulated model's last knot:
-        "raise" (default) refuses, "inf" returns +inf. The +inf convention is
-        safe for modular sums because loaded tables guarantee N(t_max) > 1.
-        """
-        arr, scalar = _prepare(t)
-        return _ret(self._neg_log_survival(arr, beyond), scalar)
-
-    def _neg_log_survival(self, t: np.ndarray, beyond: str) -> np.ndarray:
-        u = t / self.scale
-        lim = self._std_upper_limit()
-        if math.isfinite(lim):
-            over = u > lim * (1 + 1e-12)
-            if np.any(over):
-                if beyond != "inf":
-                    raise TabulationError(
-                        f"t={t.max()} beyond tabulated range "
-                        f"[0, {lim * self.scale}]; extrapolation refused"
-                    )
-                out = np.full(t.shape, math.inf)
-                inside = ~over
-                out[inside] = self._std_neg_log_survival(np.minimum(u[inside], lim))
-                return out
-            u = np.minimum(u, lim)
-        return self._std_neg_log_survival(u)
+    def _neg_log_survival(self, t: np.ndarray) -> np.ndarray:
+        return self._std_neg_log_survival(t / self.scale)
 
     def quantile(self, p):
         """Inverse of F: the t with F(t) = p, for p in (0, 1]."""
@@ -138,7 +136,7 @@ class DistributionModel:
 
     def tail_integral(self, t):
         """First-moment tail mass: integral of |xi| over {|xi| >= t}."""
-        arr, scalar = _prepare(t)
+        arr, scalar = self._prepare(t)
         return _ret(self._tail_integral(arr), scalar)
 
     def _tail_integral(self, t: np.ndarray) -> np.ndarray:
@@ -283,7 +281,7 @@ class _TabulatedCore:
 
     ln F is interpolated by a monotone piecewise cubic (PCHIP), which
     preserves the strict decrease of the data and keeps the convexity check
-    on N = -ln F meaningful. Beyond the table nothing is invented.
+    on N = -ln F meaningful. Beyond the table nothing is invented: F reads 0.
     """
 
     def __init__(self, ts: np.ndarray, fs: np.ndarray, rows=None):
@@ -424,8 +422,8 @@ class TabulatedSurvival(DistributionModel):
 
     Construction validates the table (strictly increasing t, F(0)=1, F
     strictly decreasing in (0,1]) and refuses tables with non-negligible
-    unresolved tail mass. Requests beyond the table raise; nothing is
-    extrapolated.
+    unresolved tail mass. Public requests beyond the table raise; the raw
+    kernels read F = 0 there. Nothing is extrapolated.
     """
 
     family = "tabulated"
@@ -473,21 +471,23 @@ class TabulatedSurvival(DistributionModel):
             raise DomainError(f"scale factor must be positive, got {factor}")
         return TabulatedSurvival(None, None, scale=self.scale * factor, _core=self._core)
 
-    def _check_range(self, u: np.ndarray):
+    def _on_table(self, u: np.ndarray, kernel, past: float) -> np.ndarray:
+        """``kernel(min(u, t_max))`` where the table resolves u, ``past``
+        elsewhere. Only the resolved entries are evaluated."""
         lim = self._core.ts[-1]
-        if np.any(u > lim * (1 + 1e-12)):
-            raise TabulationError(
-                f"t={float(np.max(u)) * self.scale:g} beyond tabulated range "
-                f"[0, {lim * self.scale:g}]; extrapolation refused"
-            )
-        return np.minimum(u, lim)
+        inside = _within(u, lim)
+        if np.all(inside):
+            return kernel(np.minimum(u, lim))
+        out = np.full(u.shape, past)
+        if np.any(inside):
+            out[inside] = kernel(np.minimum(u[inside], lim))
+        return out
 
     def _std_survival(self, u):
-        u = self._check_range(u)
-        return np.exp(self._core.interp(u))
+        return self._on_table(u, lambda r: np.exp(self._core.interp(r)), 0.0)
 
     def _std_neg_log_survival(self, u):
-        return -self._core.interp(np.minimum(u, self._core.ts[-1]))
+        return self._on_table(u, lambda r: -self._core.interp(r), math.inf)
 
     def _std_upper_limit(self) -> float:
         return float(self._core.ts[-1])
@@ -496,8 +496,10 @@ class TabulatedSurvival(DistributionModel):
         return self._core.quantile(p)
 
     def _std_tail_integral(self, u):
-        u = self._check_range(u)
-        return u * np.exp(self._core.interp(u)) + self._core.integral_f_to_end(u)
+        core = self._core
+        return self._on_table(
+            u, lambda r: r * np.exp(core.interp(r)) + core.integral_f_to_end(r), 0.0
+        )
 
     def _std_mean_abs(self):
         return self._core.mean_abs

@@ -31,7 +31,7 @@ import numpy as np
 
 from .distributions import DistributionModel
 from .errors import DomainError, NumericError, RangeError
-from .orlicz import OrliczFunction, Weights, _reciprocals, from_callable, orlicz_norm
+from .orlicz import Weights, _reciprocals, _validate_weights, from_callable, orlicz_norm
 from .reporting import CheckResult
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
 _CHUNK_ROWS = 8192
 _CHUNK_ELEMENTS = 8192 * 1024  # draws held by one chunk (64 MiB), unless n is larger
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 _ENUMERATION_LIMIT = 22
 
 
@@ -82,9 +83,10 @@ def kth_smallest(values, k: int):
 
 
 def _weights_vector(x) -> np.ndarray:
-    arr = x.values if isinstance(x, Weights) else np.asarray(x, dtype=float).ravel()
-    if arr.size == 0 or np.any(~(np.isfinite(arr) & (arr > 0))):
-        raise DomainError("weights must be a nonempty vector of positive finite entries")
+    if isinstance(x, Weights):
+        return x.values  # validated on construction
+    arr = np.asarray(x, dtype=float).ravel()
+    _validate_weights(arr)
     return arr
 
 
@@ -198,9 +200,12 @@ def estimate_order_stats(
     for pos, k in enumerate(ks):
         mean, var = moments(*raw[pos])
         factor = 1.0
-        if not (math.isfinite(mean) and math.isfinite(var)):
-            # |xi| x or its square overflowed: the same draws on x / max(x),
-            # scaled back by max(x)^power (the statistic is homogeneous)
+        underflowed = mean > 0 and (var <= 0 or raw[pos, 1] < _TINY)
+        if underflowed or not (math.isfinite(mean) and math.isfinite(var)):
+            # |xi| x or its square overflowed, or the squares fell below the
+            # smallest normal double and the variance lost its digits: the
+            # same draws on x / max(x), scaled back by max(x)^power (the
+            # statistic is homogeneous)
             if rescaled is None:
                 xmax = float(np.max(xv))
                 rescaled = totals(xv / xmax)
@@ -320,17 +325,13 @@ def kth_min_tail_threshold(x, model: DistributionModel, k: int) -> float:
     return math.inf if nm == 0.0 else 1.0 / nm
 
 
-def _tail_threshold_function(model: DistributionModel, k: int) -> OrliczFunction:
+def _tail_threshold_function(model: DistributionModel, k: int):
     """(e/k)G with G = 1 - F: the handle whose norm ``kth_min_tail_threshold``
-    inverts. Bounded by e/k, so the functional can be 0."""
-    limit = model.upper_limit()
+    inverts. Bounded by e/k, so the functional can be 0. Past a tabulated
+    model's range F reads 0, so G is its trivial upper bound 1 there."""
 
     def _g(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.ones(u.shape)
-        inside = u <= limit
-        out[inside] = 1.0 - model._survival(u[inside])
-        return (math.e / k) * out
+        return (math.e / k) * (1.0 - model._survival(u))
 
     return from_callable(_g, label=f"(e/{k})G", is_orlicz=False)
 

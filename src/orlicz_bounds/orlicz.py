@@ -13,15 +13,16 @@ known bracket a < rho* <= b where it can be, and a safeguarded Illinois
 iteration on log rho first narrows that bracket to the bisection's
 tolerance. The bisection then evaluates only the one or two midpoints that
 fall inside it and returns the same float, bit for bit, as a plain
-bisection: the feasible end of its last bracket. +inf is an explicit value:
-a single infinite term makes the modular sum infinite, which keeps brackets
-well-defined near domain bounds.
+bisection: the feasible end of its last bracket. +inf is an explicit value,
+returned by the function itself past its domain: a single infinite term
+makes the modular sum infinite, which keeps brackets well-defined there.
 
 Arguments are validated once, at the public entry points: ``orlicz_norm``
 checks the vector, ``OrliczFunction.values`` and ``__call__`` refuse NaN
 and negative arguments. ``evaluate`` and the distribution handles' kernels
 (the models' raw ``_survival``, ``_neg_log_survival``, ``_tail_integral``)
-check nothing, so a modular sum pays for the arithmetic alone.
+check nothing, so a modular sum pays for the arithmetic alone. Past a
+table's last knot the kernels read F = 0, so the handles need no mask.
 
 The same functional is defined for merely positive increasing functions; such
 handles carry ``is_orlicz=False`` and the functional need not be a norm (it
@@ -93,7 +94,6 @@ class OrliczFunction:
     label: str
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     is_orlicz: bool = True
-    domain_bound: float = math.inf
     model: Optional[DistributionModel] = field(default=None, repr=False)
 
     def values(self, t) -> np.ndarray:
@@ -105,10 +105,7 @@ class OrliczFunction:
             raise DomainError(f"{self.label} is defined on [0, inf); got nan")
         if arr.size and float(np.min(arr)) < 0:
             raise DomainError(f"{self.label} is defined on [0, inf); got {np.min(arr)}")
-        out = np.asarray(self.evaluate(arr), dtype=float).reshape(arr.shape)
-        if math.isfinite(self.domain_bound):
-            out = np.where(arr > self.domain_bound, math.inf, out)
-        return out
+        return np.asarray(self.evaluate(arr), dtype=float).reshape(arr.shape)
 
     def __call__(self, t: float) -> float:
         return float(self.values(np.atleast_1d(np.asarray(t, dtype=float)))[0])
@@ -129,7 +126,6 @@ class OrliczFunction:
             label=f"{factor:g}*{base.label}",
             evaluate=_eval,
             is_orlicz=base.is_orlicz,
-            domain_bound=base.domain_bound,
         )
 
 
@@ -158,16 +154,10 @@ def from_callable(
     *,
     label: str = "custom",
     is_orlicz: bool = True,
-    domain_bound: float = math.inf,
 ) -> OrliczFunction:
-    """Wrap a vectorized callable. The caller asserts convexity via ``is_orlicz``."""
-    return OrliczFunction(
-        kind="explicit",
-        label=label,
-        evaluate=fn,
-        is_orlicz=is_orlicz,
-        domain_bound=domain_bound,
-    )
+    """Wrap a vectorized callable. The caller asserts convexity via ``is_orlicz``.
+    A function that is +inf past some b returns inf there from ``fn``."""
+    return OrliczFunction(kind="explicit", label=label, evaluate=fn, is_orlicz=is_orlicz)
 
 
 def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
@@ -175,17 +165,13 @@ def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
 
     Evaluated via M(s) = s * tail_integral(1/s) - F(1/s); M(0) = 0. For
     tabulated models, thresholds 1/s beyond the table contribute at most the
-    table's certified truncation bound, so the value is 0 there.
+    table's certified truncation bound, so the kernels' F = 0 there gives 0.
     """
-    limit = model.upper_limit()
 
     def _eval(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(t.shape)
-        if math.isfinite(limit):
-            pos = t > 1.0 / limit
-        else:
-            pos = t > 0.0
+        pos = t > 0.0
         tp = t[pos]
         if tp.size:
             thr = 1.0 / tp
@@ -218,13 +204,10 @@ def neg_log_survival_function(
             f"negative log-survival of {model.describe()} fails the grid convexity check"
         )
 
-    def _eval(t):
-        return model._neg_log_survival(t, beyond="inf")
-
     return OrliczFunction(
         kind="neg_log_survival",
         label=f"N[{model.describe()}]",
-        evaluate=_eval,
+        evaluate=model._neg_log_survival,
         is_orlicz=convex,
     )
 
@@ -233,17 +216,16 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
     """F(1/t) / (4(k-1)) for k >= 2: positive and increasing, not convex.
 
     The associated functional is computed with the non-norm flag; it is
-    bounded by 1/(4(k-1)), so the functional can legitimately be 0.
+    bounded by 1/(4(k-1)), so the functional can legitimately be 0. Where 1/t
+    lies past a tabulated model's range the value is 0.
     """
     if k < 2:
         raise RangeError(f"reciprocal survival function requires k >= 2, got {k}")
-    limit = model.upper_limit()
-    lo_t = 1.0 / limit if math.isfinite(limit) else 0.0
 
     def _eval(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(t.shape)
-        pos = t > lo_t
+        pos = t > 0.0
         tp = t[pos]
         if tp.size:
             out[pos] = model._survival(1.0 / tp) / (4.0 * (k - 1))
@@ -269,12 +251,7 @@ class Weights:
         object.__setattr__(self, "values", arr)
         if self.order not in ("ascending", "descending"):
             raise DomainError(f"order must be ascending or descending, got {self.order!r}")
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("weights must be a nonempty 1-d vector")
-        bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
-        if bad.size:
-            i = int(bad[0])
-            raise DomainError(f"weights must be positive and finite: entry {i + 1} is {arr[i]}")
+        _validate_weights(arr)
         diffs = np.diff(arr)
         viol = diffs < 0 if self.order == "ascending" else diffs > 0
         where = np.flatnonzero(viol)
@@ -295,6 +272,17 @@ class Weights:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _validate_weights(arr: np.ndarray) -> None:
+    """DomainError unless ``arr`` is a nonempty 1-d vector of positive finite
+    entries; the message names the first bad entry."""
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError("weights must be a nonempty 1-d vector")
+    bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"weights must be positive and finite: entry {i + 1} is {arr[i]}")
 
 
 def _as_weights(x, order: str) -> Weights:
@@ -325,12 +313,9 @@ def _probe(fun: OrliczFunction, n: int):
     """(t_hi, t_lo): the first 2^i (i = 0, 1, ...) with fun >= 1 and the
     first 2^-i with fun <= 1/n, each None when no i < 200 gives one.
 
-    One call of ``fun.evaluate`` on every point either scan can reach,
-    masked by ``domain_bound`` as ``fun.values`` masks it.
+    One call of ``fun.evaluate`` on every point either scan can reach.
     """
     vals = np.asarray(fun.evaluate(_PROBES.copy()), dtype=float)
-    if math.isfinite(fun.domain_bound):
-        vals = np.where(_PROBES > fun.domain_bound, math.inf, vals)
     up = np.flatnonzero(vals[_ONE:] >= 1.0)
     down = np.flatnonzero(vals[_ONE::-1] <= 1.0 / n)
     t_hi = float(_PROBES[_ONE + up[0]]) if up.size else None
@@ -338,7 +323,7 @@ def _probe(fun: OrliczFunction, n: int):
     return t_hi, t_lo
 
 
-def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> float:
+def orlicz_norm(x, fun: OrliczFunction) -> float:
     """The norm functional inf { rho > 0 : sum_i fun(|x_i| / rho) <= 1 }.
 
     One call of ``fun.evaluate`` on the grid 2^-199 ... 2^199 finds the
@@ -350,7 +335,7 @@ def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> flo
     other call of ``fun.evaluate`` is on the nonzero |x_i|/rho, with no
     argument checks: x is validated here. The returned rho is bit for bit
     the plain bisection's: on the feasible side of a bracket of relative
-    width ``rel_tol`` (for subnormal norms, of two adjacent floats), so the
+    width ``NORM_REL_TOL`` (for subnormal norms, of two adjacent floats), so the
     infimum is never overshot from below; where the modular sum is
     continuous the residual |sum - 1| is well below 1e-9.
 
@@ -381,15 +366,15 @@ def orlicz_norm(x, fun: OrliczFunction, *, rel_tol: float = NORM_REL_TOL) -> flo
         # Per-element probes: fun(t_hi) >= 1 gives an infeasible rho,
         # fun(t_lo) <= 1/n a feasible one.
         t_hi, t_lo = _probe(fun, n)
-        rho = _solve(v, vmax, fun, t_hi, t_lo, rel_tol)
+        rho = _solve(v, vmax, fun, t_hi, t_lo)
         if rho == math.inf:  # the bracket overflowed: use homogeneity
-            rho = vmax * _solve(v / vmax, 1.0, fun, t_hi, t_lo, rel_tol)
+            rho = vmax * _solve(v / vmax, 1.0, fun, t_hi, t_lo)
     if rho == math.inf:
         raise NumericError(f"norm overflows: it exceeds the float range ({fun.label})")
     return rho
 
 
-def _solve(v, vmax, fun, t_hi, t_lo, rel_tol) -> float:
+def _solve(v, vmax, fun, t_hi, t_lo) -> float:
     """Bisection on rho with every feasibility test routed through a known
     bracket; +inf when the bracket leaves the float range.
 
@@ -398,20 +383,14 @@ def _solve(v, vmax, fun, t_hi, t_lo, rel_tol) -> float:
     infeasible without evaluating, because the modular sum does not increase
     with rho; only a rho strictly inside (a, b) is evaluated. Between the
     bracket loops and the bisection, an Illinois iteration narrows (a, b) to
-    relative width ``rel_tol``, so the bisection takes its usual steps but
-    evaluates only the one or two midpoints that land inside.
+    relative width ``NORM_REL_TOL``, so the bisection takes its usual steps
+    but evaluates only the one or two midpoints that land inside.
     """
     n = v.size
     evaluate = fun.evaluate
-    bound = fun.domain_bound
-    finite_bound = math.isfinite(bound)
 
     def modular(rho: float) -> float:
-        t = v / rho
-        vals = evaluate(t)
-        if finite_bound and vmax / rho > bound:
-            vals = np.where(t > bound, math.inf, vals)
-        return float(np.sum(vals))
+        return float(np.sum(evaluate(v / rho)))
 
     # b starts at +inf, where every term is fun(0) = 0.
     a, sa, b, sb = -math.inf, math.inf, math.inf, 0.0
@@ -468,10 +447,10 @@ def _solve(v, vmax, fun, t_hi, t_lo, rel_tol) -> float:
     ga, gb = _log_or_nan(sa), _log_or_nan(sb)
     last = None
     for _ in range(_MAX_DOUBLINGS):
-        if b - a <= rel_tol * b:
+        if b - a <= NORM_REL_TOL * b:
             break
         if a > 0.0 and math.isfinite(ga) and math.isfinite(gb):
-            delta = 0.25 * rel_tol * b
+            delta = 0.25 * NORM_REL_TOL * b
             rho = b * math.exp(gb * math.log(b / a) / (ga - gb))
             rho = min(max(rho, a + delta), b - delta)
         elif a > 0.0:
@@ -489,9 +468,9 @@ def _solve(v, vmax, fun, t_hi, t_lo, rel_tol) -> float:
                 gb *= 0.5
             ga, last = _log_or_nan(sa), "a"
 
-    while hi - lo > rel_tol * hi:
+    while hi - lo > NORM_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        # Below about 5e-312, rel_tol * hi is under the subnormal spacing:
+        # Below about 5e-312, NORM_REL_TOL * hi is under the subnormal spacing:
         # stop once lo and hi are adjacent floats.
         if not lo < mid < hi:
             break
@@ -506,9 +485,7 @@ def _log_or_nan(s: float) -> float:
     return math.log(s) if 0.0 < s < math.inf else math.nan
 
 
-def young_conjugate(
-    fun: OrliczFunction, s: float, *, method: str = "auto", tol: float = _CONJUGATE_TOL
-) -> float:
+def young_conjugate(fun: OrliczFunction, s: float, *, method: str = "auto") -> float:
     """The conjugate fun*(s) = sup_{t >= 0} (t*s - fun(t)), extended-valued.
 
     ``method``:
@@ -527,7 +504,7 @@ def young_conjugate(
         return _conjugate_by_tail(fun.model, s)
     if method == "tail":
         raise DomainError("tail method requires a distribution-derived moment function")
-    return _conjugate_by_search(fun, s, tol)
+    return _conjugate_by_search(fun, s)
 
 
 def _conjugate_by_tail(model: DistributionModel, s: float) -> float:
@@ -558,41 +535,39 @@ def _conjugate_by_tail(model: DistributionModel, s: float) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _conjugate_by_search(fun: OrliczFunction, s: float, tol: float) -> float:
+def _conjugate_by_search(fun: OrliczFunction, s: float) -> float:
     def phi(t: float) -> float:
         value = fun(t)
         return -math.inf if math.isinf(value) else t * s - value
 
     best = 0.0  # phi(0) = 0
 
-    if math.isfinite(fun.domain_bound):
-        right = fun.domain_bound
-    else:
-        # Expand until phi stops increasing; persistent positive slope at a
-        # huge abscissa means the supremum is infinite.
-        right = 1.0
-        f_r = phi(right)
-        best = max(best, f_r)
-        while True:
-            f_next = phi(2.0 * right)
-            if not (f_next > f_r + 1e-14 * max(1.0, abs(f_r))):
-                right *= 2.0
-                break
+    # Expand until phi stops increasing (phi = -inf where fun = +inf);
+    # persistent positive slope at a huge abscissa means the supremum is
+    # infinite.
+    right = 1.0
+    f_r = phi(right)
+    best = max(best, f_r)
+    while True:
+        f_next = phi(2.0 * right)
+        if not (f_next > f_r + 1e-14 * max(1.0, abs(f_r))):
             right *= 2.0
-            f_r = f_next
-            best = max(best, f_r)
-            if right > 1e15:
-                slope = (phi(2.0 * right) - f_r) / right
-                if slope > 1e-12:
-                    return math.inf
-                break
+            break
+        right *= 2.0
+        f_r = f_next
+        best = max(best, f_r)
+        if right > 1e15:
+            slope = (phi(2.0 * right) - f_r) / right
+            if slope > 1e-12:
+                return math.inf
+            break
 
     a, b = 0.0, right
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = phi(c), phi(d)
     best = max(best, fc, fd)
-    while b - a > tol * max(1.0, b):
+    while b - a > _CONJUGATE_TOL * max(1.0, b):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

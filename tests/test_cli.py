@@ -94,6 +94,14 @@ class TestBoundsCommands:
         err = capsys.readouterr().err
         assert "need n >= 14" in err
 
+    def test_kmax_survival_underflow_exit2(self, tmp_path, capsys):
+        # F(1) = exp(-1e300) is 0 in floating point, so k0 = 4(k-1)/F(1) is undefined.
+        path = tmp_path / "w.csv"
+        path.write_text("3\n2\n1\n")
+        code = main(["bounds-kmax", "--dist", "symexp:1e300", "--weights", str(path), "--k", "2"])
+        assert code == 2
+        assert "F(1) underflows to 0 for symexp(rate=1e+300)" in capsys.readouterr().err
+
     def test_max1(self, ascending_weights):
         code, out = run_capture(
             ["bounds-max1", "--dist", "symexp:2.0", "--weights", ascending_weights]

@@ -79,8 +79,7 @@ CLI_CASES = {
 
 def run_cli(case: str, fmt: str) -> tuple[int, str]:
     buf = io.StringIO()
-    # Reports echo the --dist spec, so table paths stay relative to GOLDEN.
-    with contextlib.chdir(GOLDEN), contextlib.redirect_stdout(buf):
+    with contextlib.redirect_stdout(buf):
         code = main(CLI_CASES[case] + ["--format", fmt])
     return code, buf.getvalue()
 
@@ -122,7 +121,8 @@ def montecarlo_figures() -> dict:
 
 @pytest.mark.parametrize("fmt", ("json", "csv"))
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
-def test_cli_stdout_bytes(case, fmt):
+def test_cli_stdout_bytes(case, fmt, monkeypatch):
+    monkeypatch.chdir(GOLDEN)  # reports echo the --dist spec: table paths stay relative
     code, out = run_cli(case, fmt)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()

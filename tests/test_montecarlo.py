@@ -108,6 +108,14 @@ class TestEstimator:
             with pytest.raises(RangeError):
                 check(np.ones(5), gaussian, *args, replications=50)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_weight_names_its_entry(self, gaussian, bad):
+        x = [1.0, 2.0, bad, 4.0]
+        with pytest.raises(DomainError, match=r"positive and finite: entry 3 is"):
+            estimate_order_stat(x, gaussian, 1, replications=100)
+        with pytest.raises(DomainError, match=r"positive and finite: entry 3 is"):
+            kth_min_tail_threshold(x, gaussian, 1)
+
 
 def _reference_chunks(xv, model, kth, replications, seed, threads, reduce):
     """The chunk engine as it stood before in-place selection: a fresh
@@ -187,6 +195,16 @@ class TestChunkEngine:
         assert math.isfinite(est.ci_halfwidth) and est.ci_halfwidth > 0
         assert est.mean == pytest.approx(1e160 * unit.mean, rel=1e-14)
         assert est.ci_halfwidth == pytest.approx(1e160 * unit.ci_halfwidth, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    def test_underflowing_squares_rescaled(self, gaussian, scale):
+        # Squares below the smallest normal double: the variance lost its
+        # digits and used to be clamped to a zero half-width.
+        est = estimate_order_stat(np.full(30, scale), gaussian, 3, replications=1000)
+        unit = estimate_order_stat(np.ones(30), gaussian, 3, replications=1000)
+        assert est.ci_halfwidth > 0
+        assert est.mean == pytest.approx(scale * unit.mean, rel=1e-14)
+        assert est.ci_halfwidth == pytest.approx(scale * unit.ci_halfwidth, rel=1e-14)
 
     def test_overflow_after_rescaling_raises(self, gaussian):
         with pytest.raises(NumericError):

@@ -53,14 +53,9 @@ def bisection_norm(x, fun, *, rel_tol=1e-12):
     v = v[v > 0]
     n = v.size
     vmax = float(v.max())
-    bound = fun.domain_bound
 
     def modular(rho):
-        t = v / rho
-        vals = fun.evaluate(t)
-        if math.isfinite(bound) and vmax / rho > bound:
-            vals = np.where(t > bound, math.inf, vals)
-        return float(np.sum(vals))
+        return float(np.sum(fun.evaluate(v / rho)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         t_hi = _double_until(lambda t: fun(t) >= 1.0, 1.0, 2.0)
@@ -111,7 +106,7 @@ def _function_kinds(table, nonconvex):
         "power": lambda k: power_function(1.0 + k / 7.0),
         "gaussian-comparison": lambda k: gaussian_comparison_function(),
         "domain-bound": lambda k: from_callable(
-            lambda t: t / (k + 2.0), label="capped", domain_bound=1.0 + k / 10.0
+            lambda t: np.where(t > 1.0 + k / 10.0, math.inf, t / (k + 2.0)), label="capped"
         ),
         "bounded-below-one": lambda k: from_callable(
             lambda t: np.minimum(t, 1.0 / k), label="min(t,1/k)", is_orlicz=False
@@ -169,7 +164,7 @@ def _counting(fun, n):
         calls[0 if np.size(t) == n else 1] += 1
         return fun.evaluate(t)
 
-    return from_callable(evaluate, label=fun.label, domain_bound=fun.domain_bound), calls
+    return from_callable(evaluate, label=fun.label), calls
 
 
 @pytest.mark.parametrize(

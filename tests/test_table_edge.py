@@ -1,0 +1,243 @@
+"""Past a table's last knot: one rule in the kernels, differential against masks.
+
+A table resolves F up to t_max. The public primitives refuse t/scale past
+t_max * (1 + 1e-12); the raw kernels the Orlicz handles call read F = 0
+there (N = +inf, tail integral 0) and clip t/scale up to that point to t_max.
+
+The handles used to mask instead: the moment and reciprocal-survival handles
+gave 0 for t <= 1/upper_limit(), the (e/k)G handle gave e/k for t above
+upper_limit(), and N was +inf past the fuzzed limit. Those masked evaluators
+are kept below as the reference. Norms, bounds and thresholds must keep
+their bits; a handle value may differ only where the point at which F is
+read (1/t for M and the reciprocal survival, t for N and (e/k)G) lies in the
+band from t_max to t_max * (1 + 1e-12), which the masks and the kernels
+split differently.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from orlicz_bounds import (
+    NonConvexError,
+    TabulatedSurvival,
+    TabulationError,
+    expected_overshoot_function,
+    from_callable,
+    kth_max_bounds,
+    kth_min_bounds,
+    kth_min_tail_threshold,
+    max_bounds,
+    neg_log_survival_function,
+    orlicz_norm,
+    reciprocal_survival_function,
+)
+from orlicz_bounds import bounds as bounds_module
+from orlicz_bounds import montecarlo as montecarlo_module
+from orlicz_bounds.montecarlo import _tail_threshold_function
+
+_FUZZ = 1e-12
+_EPS = np.finfo(float).eps
+
+
+def _models(table):
+    cut = table._core.ts <= 8.0
+    return {
+        "tmax10": table,
+        "tmax8": TabulatedSurvival(table._core.ts[cut], table._core.fs[cut]),
+        "tmax10*3": table.scaled_by(3.0),
+    }
+
+
+# -- the masked evaluators, as the handles computed them before ------------
+
+
+def _clipped(model, t):
+    """t / scale clipped to t_max; the masks never ask past the fuzzed limit."""
+    lim = model._core.ts[-1]
+    u = t / model.scale
+    assert not np.any(u > lim * (1 + _FUZZ)), "masked reference read past the table"
+    return np.minimum(u, lim)
+
+
+def _ref_survival(model, t):
+    return np.exp(model._core.interp(_clipped(model, t)))
+
+
+def _ref_tail_integral(model, t):
+    u = _clipped(model, t)
+    core = model._core
+    return model.scale * (u * np.exp(core.interp(u)) + core.integral_f_to_end(u))
+
+
+def ref_moment(model):
+    limit = model.upper_limit()
+
+    def _eval(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros(t.shape)
+        pos = t > 1.0 / limit
+        tp = t[pos]
+        if tp.size:
+            thr = 1.0 / tp
+            out[pos] = tp * _ref_tail_integral(model, thr) - _ref_survival(model, thr)
+        return np.maximum(out, 0.0)
+
+    return from_callable(_eval, label="ref-M")
+
+
+def ref_neg_log_survival(model, *, require_convex=True):
+    if require_convex and not model.n_is_convex():
+        raise NonConvexError("not convex")
+    lim = model._core.ts[-1]
+
+    def _eval(t):
+        u = t / model.scale
+        over = u > lim * (1 + _FUZZ)
+        out = np.full(u.shape, math.inf)
+        out[~over] = -model._core.interp(np.minimum(u[~over], lim))
+        return out
+
+    return from_callable(_eval, label="ref-N", is_orlicz=model.n_is_convex())
+
+
+def ref_reciprocal_survival(model, k):
+    lo_t = 1.0 / model.upper_limit()
+
+    def _eval(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros(t.shape)
+        pos = t > lo_t
+        tp = t[pos]
+        if tp.size:
+            out[pos] = _ref_survival(model, 1.0 / tp) / (4.0 * (k - 1))
+        return out
+
+    return from_callable(_eval, label="ref-NF", is_orlicz=False)
+
+
+def ref_tail_threshold(model, k):
+    limit = model.upper_limit()
+
+    def _eval(u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        out = np.ones(u.shape)
+        inside = u <= limit
+        out[inside] = 1.0 - _ref_survival(model, u[inside])
+        return (math.e / k) * out
+
+    return from_callable(_eval, label="ref-G", is_orlicz=False)
+
+
+# (library handle, masked reference, whether F is read at 1/t), k >= 2
+HANDLES = {
+    "M": (lambda m, k: expected_overshoot_function(m), lambda m, k: ref_moment(m), True),
+    "N": (lambda m, k: neg_log_survival_function(m),
+          lambda m, k: ref_neg_log_survival(m), False),
+    "reciprocal-survival": (reciprocal_survival_function, ref_reciprocal_survival, True),
+    "(e/k)G": (_tail_threshold_function, ref_tail_threshold, False),
+}
+
+
+def _arguments(model, reciprocal):
+    """The solver's probe grid, random points over e^-14..e^14, and points
+    whose threshold lands on a fine grid around t_max."""
+    at = model.scale * model._core.ts[-1] * (1.0 + np.linspace(-3e-12, 3e-12, 121))
+    return np.concatenate([
+        np.ldexp(1.0, np.arange(-199, 200)),
+        np.exp(np.random.default_rng(0).uniform(-14.0, 14.0, 2000)),
+        1.0 / at if reciprocal else at,
+    ])
+
+
+@pytest.mark.parametrize("handle", sorted(HANDLES))
+def test_handle_values_differ_only_in_the_fuzz_band(gaussian_table_model, handle):
+    build, reference, reciprocal = HANDLES[handle]
+    counts = {}
+    for name, model in _models(gaussian_table_model).items():
+        t = _arguments(model, reciprocal)
+        new = build(model, 3).values(t)
+        old = reference(model, 3).values(t)
+        u = (1.0 / t if reciprocal else t) / model.scale
+        differ = new != old
+        lim = model._core.ts[-1]
+        # 4 ulp below t_max: 1/(1/x) need not round back to x
+        in_band = (u >= lim * (1 - 4 * _EPS)) & (u <= lim * (1 + _FUZZ))
+        assert not np.any(differ & ~in_band), (name, t[differ & ~in_band])
+        counts[name] = int(np.count_nonzero(differ))
+    print(f"{handle}: values differing from the masked reference, per table: {counts}")
+
+
+def _vectors():
+    """name -> ascending vector."""
+    return {
+        "uniform-30": np.sort(np.random.default_rng(3).uniform(0.5, 5.0, 30)),
+        "loguniform-200": np.sort(np.exp(np.random.default_rng(4).uniform(-7.0, 7.0, 200))),
+        "uniform-2000": np.sort(np.random.default_rng(5).uniform(1e-2, 1e2, 2000)),
+    }
+
+
+def _outcome(solve):
+    try:
+        result = solve()
+    except Exception as exc:  # compared by type
+        return type(exc).__name__
+    return result.hex() if isinstance(result, float) else result
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("handle", sorted(HANDLES))
+def test_norm_bits_match_the_masked_reference(gaussian_table_model, handle, k):
+    build, reference, _ = HANDLES[handle]
+    for model in _models(gaussian_table_model).values():
+        new_fun, old_fun = build(model, k), reference(model, k)
+        for x in _vectors().values():
+            for v in (x, 1.0 / x):
+                assert _outcome(lambda: orlicz_norm(v, new_fun)) == _outcome(
+                    lambda: orlicz_norm(v, old_fun)
+                )
+
+
+def _bound_bits(model, x, k):
+    return {
+        "kmin": _outcome(lambda: kth_min_bounds(x, model, k)),
+        "kmax": _outcome(lambda: kth_max_bounds(x[::-1], model, k)),
+        "max1": _outcome(lambda: max_bounds(x, model)),
+        "threshold": _outcome(lambda: kth_min_tail_threshold(x, model, k)),
+    }
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_bound_and_threshold_bits_match_the_masked_reference(
+    gaussian_table_model, monkeypatch, k
+):
+    models = _models(gaussian_table_model)
+    vectors = _vectors()
+    new = {(m, v): _bound_bits(models[m], x, k) for m in models for v, x in vectors.items()}
+    monkeypatch.setattr(bounds_module, "expected_overshoot_function", ref_moment)
+    monkeypatch.setattr(bounds_module, "neg_log_survival_function", ref_neg_log_survival)
+    monkeypatch.setattr(montecarlo_module, "_tail_threshold_function", ref_tail_threshold)
+    old = {(m, v): _bound_bits(models[m], x, k) for m in models for v, x in vectors.items()}
+    assert new == old
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_one_rule_for_public_refusal_and_kernel_extension(gaussian_table_model, scale):
+    model = gaussian_table_model.scaled_by(scale)
+    edge = scale * model._core.ts[-1]
+    inside, past = edge * (1 + 0.5 * _FUZZ), edge * (1 + 10 * _FUZZ)
+    for public, raw, beyond in (
+        (model.survival, model._survival, 0.0),
+        (model.neg_log_survival, model._neg_log_survival, math.inf),
+        (model.tail_integral, model._tail_integral, 0.0),
+    ):
+        assert public(inside) == public(edge)
+        with pytest.raises(TabulationError, match="beyond tabulated range"):
+            public(past)
+        with pytest.raises(TabulationError, match="beyond tabulated range"):
+            public(np.array([1.0, past]))
+        out = raw(np.array([1.0, inside, past, math.inf]))
+        assert out[1] == public(edge)
+        assert out[2] == out[3] == beyond
+        assert out[0] == public(1.0)
