@@ -2,6 +2,7 @@
 """Alternating benchmark pairs: a base revision against the working tree.
 
     python3 scripts/bench_pairs.py --base HEAD --workload certify --seeds 11-20
+    python3 scripts/bench_pairs.py --base HEAD --workload all --counters
 
 Checks the base revision out into a temporary ``git worktree`` and runs
 ``perfbench/run.py --trace 0`` there and in this working tree, once per
@@ -17,6 +18,11 @@ every change run beats every base run. ``gain`` is "yes" when the change
 won at least 9/10 of the pairs and the medians differ by more than the
 base's interquartile range. Exit status 1 when any run reported a failed
 request.
+
+``--counters`` runs ``perfbench/run.py --trace 1`` once on each side instead
+(seed: the first of ``--seeds``, default 1) and prints every ``exact.*``
+counter of perfbench's text lines with the base value, the change's value
+and their difference.
 """
 
 from __future__ import annotations
@@ -43,17 +49,45 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """perfbench's final JSON object from one run in ``tree``."""
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
+    """perfbench's standard output from one run in ``tree``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode not in (0, 1) or not lines:
+    if proc.returncode not in (0, 1) or not proc.stdout.strip():
         raise RuntimeError(f"perfbench in {tree} exited {proc.returncode}: {proc.stderr[-800:]}")
-    return json.loads(lines[-1])
+    return proc.stdout
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """perfbench's final JSON object from one untraced run in ``tree``."""
+    return json.loads(run_perfbench(tree, workload, seed, seconds, 0).strip().splitlines()[-1])
+
+
+def parse_counters(text: str) -> dict[str, float]:
+    """{"<workload> exact.<name>": value} for every ``exact.*`` line of
+    perfbench's text output; the workload is read off the last "== " header."""
+    counters, workload = {}, ""
+    for line in text.splitlines():
+        parts = line.split()
+        if line.startswith("== ") and len(parts) > 1:
+            workload = parts[1]
+        elif len(parts) > 1 and parts[0].startswith("exact."):
+            counters[f"{workload} {parts[0]}"] = float(parts[1])
+    return counters
+
+
+def report_counters(base: dict[str, float], change: dict[str, float]) -> None:
+    """One line per counter: base, change and change - base ("-" where a
+    side lacks it)."""
+    print(f"{'counter':48s} {'base':>12s} {'change':>12s} {'difference':>12s}")
+    for name in {**base, **change}:
+        b, c = base.get(name), change.get(name)
+        cells = ["-" if v is None else f"{v:g}" for v in (b, c)]
+        cells.append("-" if None in (b, c) else f"{c - b:+g}")
+        print(f"{name:48s} " + " ".join(f"{cell:>12s}" for cell in cells))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -103,11 +137,15 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--workload", default="all",
                         choices=("bound-batch", "monte-carlo", "certify", "all"))
-    parser.add_argument("--seeds", type=parse_seeds, required=True,
+    parser.add_argument("--seeds", type=parse_seeds, default=None,
                         help="one pair per seed, e.g. 11-20 or 3,5,8")
     parser.add_argument("--seconds", type=float, default=None,
                         help="seconds per run (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--counters", action="store_true",
+                        help="compare the exact.* counters of one traced run per side")
     args = parser.parse_args(argv)
+    if args.seeds is None and not args.counters:
+        parser.error("--seeds is required unless --counters is given")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
 
@@ -118,6 +156,13 @@ def main(argv=None) -> int:
                        cwd=ROOT, check=True, capture_output=True)
         try:
             trees = {"base": base_tree, "change": ROOT}
+            if args.counters:
+                seed = args.seeds[0] if args.seeds else 1
+                texts = {side: run_perfbench(tree, args.workload, seed, seconds, 1)
+                         for side, tree in trees.items()}
+                report_counters(*(parse_counters(texts[side]) for side in ("base", "change")))
+                failed = [json.loads(t.strip().splitlines()[-1])["failed"] for t in texts.values()]
+                return 1 if any(failed) else 0
             for i, seed in enumerate(args.seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:

@@ -143,13 +143,19 @@ def _check_kmin_range(k: int, n: int) -> None:
         )
 
 
+def _norm_to_invert(x: np.ndarray, fun) -> float:
+    """||x||_fun for a caller that divides by it: DomainError naming the
+    model in ``fun``'s label when the norm is 0 or its reciprocal overflows."""
+    nm = orlicz_norm(x, fun)
+    if not (nm > 0.0 and 1.0 / nm < math.inf):
+        raise DomainError(f"the norm under {fun.label} is {nm!r}; its reciprocal is not finite")
+    return nm
+
+
 def _suffix_norm_terms(inv: np.ndarray, nfun, k: int) -> list[float]:
     """1 / ||(1/x_i)_{i=j..n}||_{(2e/(k-j+1)) N} for j = 1..k."""
-    terms = []
-    for j in range(1, k + 1):
-        scaled = nfun.scaled(_TWO_E / (k - j + 1))
-        terms.append(1.0 / orlicz_norm(inv[j - 1 :], scaled))
-    return terms
+    return [1.0 / _norm_to_invert(inv[j - 1 :], nfun.scaled(_TWO_E / (k - j + 1)))
+            for j in range(1, k + 1)]
 
 
 def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
@@ -233,10 +239,8 @@ def kth_max_bounds(
         )
     nfun = neg_log_survival_function(model)  # convexity required here
     inv = _reciprocals(w.values)
-    terms = []
-    for ell in range(k0):
-        scaled = nfun.scaled(_TWO_E / (ell + 1))
-        terms.append(1.0 / orlicz_norm(inv[: k + ell], scaled))
+    terms = [1.0 / _norm_to_invert(inv[: k + ell], nfun.scaled(_TWO_E / (ell + 1)))
+             for ell in range(k0)]
     arg = int(np.argmax(terms))
     m = terms[arg]
     mfun = expected_overshoot_function(model)
@@ -323,5 +327,5 @@ def min_moment_upper(x, model: DistributionModel, p: float) -> float:
         raise RangeError(f"moment order must be positive, got p={p}")
     w = _as_weights(x, "ascending")
     nfun = neg_log_survival_function(model)  # NonConvexError if not convex
-    nm = orlicz_norm(_reciprocals(w.values), nfun)
+    nm = _norm_to_invert(_reciprocals(w.values), nfun)
     return (1.0 + math.gamma(1.0 + p)) * nm ** (-p)

@@ -142,6 +142,12 @@ class DistributionModel:
     def _tail_integral(self, t: np.ndarray) -> np.ndarray:
         return self.scale * self._std_tail_integral(t / self.scale)
 
+    def _tail_integral_and_survival(self, t: np.ndarray):
+        """(``_tail_integral(t)``, ``_survival(t)``): the two kernels the
+        moment function M combines, from one call. Tables override it to
+        resolve t once and reuse the F the tail integral computes."""
+        return self._tail_integral(t), self._survival(t)
+
     def mean_abs(self) -> float:
         """E|xi| = tail_integral(0)."""
         return self.scale * self._std_mean_abs()
@@ -473,14 +479,15 @@ class TabulatedSurvival(DistributionModel):
 
     def _on_table(self, u: np.ndarray, kernel, past: float) -> np.ndarray:
         """``kernel(min(u, t_max))`` where the table resolves u, ``past``
-        elsewhere. Only the resolved entries are evaluated."""
+        elsewhere. Only the resolved entries are evaluated; a kernel may
+        return several values per entry, stacked along a leading axis."""
         lim = self._core.ts[-1]
         inside = _within(u, lim)
         if np.all(inside):
             return kernel(np.minimum(u, lim))
-        out = np.full(u.shape, past)
-        if np.any(inside):
-            out[inside] = kernel(np.minimum(u[inside], lim))
+        vals = kernel(np.minimum(u[inside], lim))
+        out = np.full(vals.shape[:-1] + u.shape, past)
+        out[..., inside] = vals
         return out
 
     def _std_survival(self, u):
@@ -500,6 +507,16 @@ class TabulatedSurvival(DistributionModel):
         return self._on_table(
             u, lambda r: r * np.exp(core.interp(r)) + core.integral_f_to_end(r), 0.0
         )
+
+    def _tail_integral_and_survival(self, t):
+        core = self._core
+
+        def both(r):
+            f = np.exp(core.interp(r))
+            return np.stack((r * f + core.integral_f_to_end(r), f))
+
+        tail, surv = self._on_table(t / self.scale, both, 0.0)
+        return self.scale * tail, surv
 
     def _std_mean_abs(self):
         return self._core.mean_abs

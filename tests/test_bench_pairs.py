@@ -55,3 +55,41 @@ def test_failures_are_counted(capsys):
     out = capsys.readouterr().out
     assert "change: 2 failed / 10 attempted" in out
     assert "base: 0 failed / 10 attempted" in out
+
+
+def _perfbench_text(workloads):
+    """perfbench's text output of a traced run over ``workloads``:
+    {workload: {counter: value}}."""
+    lines = []
+    for workload, counters in workloads.items():
+        lines.append(f"== {workload}  seed=1  seconds=30  trace=1  (nproc=2 python=3.11.7)")
+        lines.append(f"  {'orlicz.evals_per_solve':44s} {9.8:16.6g} {'count':6s} ")
+        for name, value in counters.items():
+            lines.append(f"  {'exact.' + name:44s} {value:16.6g} {'count':6s} ")
+        lines.append(f"  {'error_rate':44s} {0:16.6g} {'share':6s} 0 failed / 518 attempted")
+    lines.append('{"correct": true, "attempted": 518, "failed": 0, "metrics": {}}')
+    return "\n".join(lines) + "\n"
+
+
+def test_counters_are_parsed_per_workload():
+    text = _perfbench_text({"bound-batch": {"orlicz.solves": 420, "orlicz.evals": 4048},
+                            "certify": {"orlicz.solves": 2738}})
+    assert bench_pairs.parse_counters(text) == {
+        "bound-batch exact.orlicz.solves": 420.0,
+        "bound-batch exact.orlicz.evals": 4048.0,
+        "certify exact.orlicz.solves": 2738.0,
+    }
+
+
+def test_counters_report_base_change_and_difference(capsys):
+    base = bench_pairs.parse_counters(_perfbench_text(
+        {"bound-batch": {"orlicz.solves": 420, "orlicz.evals": 4048, "partition.cases": 0}}))
+    change = bench_pairs.parse_counters(_perfbench_text(
+        {"bound-batch": {"orlicz.solves": 420, "orlicz.evals": 4120, "bounds.reports": 37}}))
+    bench_pairs.report_counters(base, change)
+    rows = {" ".join(line.split()[:2]): line.split()[2:]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows["bound-batch exact.orlicz.solves"] == ["420", "420", "+0"]
+    assert rows["bound-batch exact.orlicz.evals"] == ["4048", "4120", "+72"]
+    assert rows["bound-batch exact.partition.cases"] == ["0", "-", "-"]
+    assert rows["bound-batch exact.bounds.reports"] == ["-", "37", "-"]

@@ -102,6 +102,26 @@ class TestBoundsCommands:
         assert code == 2
         assert "F(1) underflows to 0 for symexp(rate=1e+300)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dist", ["symexp:1e300", "symexp:1e-300"])
+    def test_kmin_extreme_rates_exit0(self, dist, ascending_weights):
+        # The suffix norms are about 1e301 and 1e-299: finite, so no
+        # "unbounded" failure and no division by a norm reported as 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_capture(
+                ["bounds-kmin", "--dist", dist, "--weights", ascending_weights, "--k", "1"]
+            )
+        assert code == 0
+        assert 0.0 < json.loads(out)["lower"] < float("inf")
+
+    def test_kmin_norm_below_float_range_exit2(self, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text("1e300\n1e300\n1e300\n1e300\n")
+        code = main(["bounds-kmin", "--dist", "symexp:1e-300", "--weights", str(path),
+                     "--k", "1"])
+        assert code == 2
+        assert "N[symexp(rate=1e-300)] is 5e-324" in capsys.readouterr().err
+
     def test_max1(self, ascending_weights):
         code, out = run_capture(
             ["bounds-max1", "--dist", "symexp:2.0", "--weights", ascending_weights]

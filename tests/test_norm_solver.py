@@ -3,7 +3,9 @@
 ``bisection_norm`` is the solver as it stood before the bracket narrowing:
 probes, doubling/halving bracket loops and a bisection that evaluates every
 midpoint. ``orlicz_norm`` must return the same float (``float.hex``) or raise
-the same exception type on every input.
+the same exception type on every input whose bracket loops end within their
+200 steps, steered (n >= 4096) or not. Past those 200 steps the oracle is
+the closed form of the linear and power functions.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orlicz_bounds import orlicz as orlicz_module
 from orlicz_bounds import (
     DomainError,
     Gaussian,
@@ -21,6 +24,7 @@ from orlicz_bounds import (
     expected_overshoot_function,
     from_callable,
     gaussian_comparison_function,
+    kth_min_bounds,
     linear_function,
     neg_log_survival_function,
     orlicz_norm,
@@ -28,6 +32,7 @@ from orlicz_bounds import (
     reciprocal_survival_function,
 )
 from orlicz_bounds.montecarlo import _tail_threshold_function
+from orlicz_bounds.orlicz import _STEER_M, _STEER_MIN_N
 
 _MAX_DOUBLINGS = 200
 
@@ -117,6 +122,12 @@ def _function_kinds(table, nonconvex):
 _KIND_NAMES = sorted(_function_kinds(None, None))
 
 
+def _weights(rng, n, log_uniform):
+    if log_uniform:
+        return np.exp(rng.uniform(math.log(1e-7), math.log(1e7), n))
+    return rng.uniform(1e-7, 1e7, n)
+
+
 def _outcome(solve, x, fun):
     try:
         return solve(x, fun).hex()
@@ -139,11 +150,27 @@ def test_same_bits_as_bisection(
     fun = _function_kinds(gaussian_table_model, nonconvex_table_model)[kind](k)
     if scale != 1.0:
         fun = fun.scaled(scale)
-    rng = np.random.default_rng(seed)
-    if log_uniform:
-        x = np.exp(rng.uniform(math.log(1e-7), math.log(1e7), n))
-    else:
-        x = rng.uniform(1e-7, 1e7, n)
+    x = _weights(np.random.default_rng(seed), n, log_uniform)
+    assert _outcome(orlicz_norm, x, fun) == _outcome(bisection_norm, x, fun)
+
+
+@pytest.mark.parametrize("kind", _KIND_NAMES)
+@settings(max_examples=4)
+@given(
+    k=st.integers(2, 40),
+    log_n=st.floats(math.log(_STEER_MIN_N), math.log(100_000)),
+    log_uniform=st.booleans(),
+    ordered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steered_same_bits_as_bisection(
+    gaussian_table_model, nonconvex_table_model, kind, k, log_n, log_uniform, ordered, seed
+):
+    fun = _function_kinds(gaussian_table_model, nonconvex_table_model)[kind](k)
+    n = max(_STEER_MIN_N, int(math.exp(log_n)))
+    x = _weights(np.random.default_rng(seed), n, log_uniform)
+    if ordered:
+        x.sort()
     assert _outcome(orlicz_norm, x, fun) == _outcome(bisection_norm, x, fun)
 
 
@@ -157,11 +184,19 @@ def test_infinite_entries_unbounded_in_both(gaussian_table_model, nonconvex_tabl
 
 def _counting(fun, n):
     """fun as a from_callable handle plus counters: calls[0] of full-vector
-    calls, calls[1] of every other call (the probes)."""
-    calls = [0, 0]
+    calls, calls[1] of the first other call (the probe), calls[2] of the
+    later ones (the steer's surrogate) and calls[3] the most entries one of
+    those touched."""
+    calls = [0, 0, 0, 0]
 
     def evaluate(t):
-        calls[0 if np.size(t) == n else 1] += 1
+        if np.size(t) == n:
+            calls[0] += 1
+        elif calls[1] == 0:
+            calls[1] += 1
+        else:
+            calls[2] += 1
+            calls[3] = max(calls[3], np.size(t))
         return fun.evaluate(t)
 
     return from_callable(evaluate, label=fun.label), calls
@@ -191,7 +226,7 @@ def test_modular_sums_per_solve(name, n):
         counted, calls = _counting(fun, n)
         assert orlicz_norm(x, counted).hex() == bisection_norm(x, fun).hex()
         assert calls[0] <= 24, f"{calls[0]} modular sums for {name} at n={n}"
-        assert calls[1] <= 1, f"{calls[1]} probe calls for {name} at n={n}"
+        assert calls[1] <= 1 and calls[2] == 0, f"{calls[1:3]} other calls for {name} at n={n}"
 
 
 @pytest.mark.parametrize("kind", _KIND_NAMES)
@@ -212,3 +247,98 @@ def test_values_keep_the_argument_shape(gaussian_table_model, nonconvex_table_mo
     assert fun.values(0.5).shape == ()
     assert fun.values([0.5]).shape == (1,)
     assert fun.values(0.5) == fun.values([0.5])[0] == fun(0.5)
+
+
+def _counted_solve(x, fun):
+    counted, calls = _counting(fun, len(x))
+    return orlicz_norm(x, counted).hex(), calls
+
+
+def _steered_and_unsteered(monkeypatch, x, fun):
+    """(hex, calls) of the solve as it runs and with steering switched off."""
+    steered = _counted_solve(x, fun)
+    with monkeypatch.context() as patch:
+        patch.setattr(orlicz_module, "_STEER_MIN_N", math.inf)
+        unsteered = _counted_solve(x, fun)
+    return steered, unsteered
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("name", ["moment-gaussian", "moment-symexp", "moment-table"])
+def test_steered_moment_solves_take_at_most_ten_sums(monkeypatch, gaussian_table_model, name, n):
+    """The max_bounds solves: bound-batch's weights, model normalized to E|xi| = 1."""
+    model = {
+        "moment-gaussian": Gaussian(),
+        "moment-symexp": SymExponential(rate=1.0),
+        "moment-table": gaussian_table_model,
+    }[name]
+    fun = expected_overshoot_function(model.normalized())
+    x = np.random.default_rng(n).uniform(0.5, 5.0, n)
+    (bits, calls), (plain_bits, plain_calls) = _steered_and_unsteered(monkeypatch, x, fun)
+    assert bits == plain_bits
+    assert calls[0] <= 10, f"{calls[0]} full sums (unsteered {plain_calls[0]})"
+    assert calls[1] == 1 and calls[2] > 0 and calls[3] <= _STEER_M
+    assert plain_calls[2] == 0
+
+
+@pytest.mark.parametrize("kind", _KIND_NAMES)
+def test_steer_costs_at_most_one_more_full_sum(
+    monkeypatch, gaussian_table_model, nonconvex_table_model, kind
+):
+    kinds = _function_kinds(gaussian_table_model, nonconvex_table_model)
+    rng = np.random.default_rng(11)
+    for n, log_uniform, k in ((4096, False, 2), (4096, True, 9), (20_000, False, 30),
+                              (20_000, True, 4)):
+        x = _weights(rng, n, log_uniform)
+        (bits, calls), (plain_bits, plain) = _steered_and_unsteered(monkeypatch, x, kinds[kind](k))
+        assert bits == plain_bits
+        assert calls[0] <= plain[0] + 1, f"n={n}: {calls[0]} full sums, unsteered {plain[0]}"
+        assert calls[1] == plain[1] == 1
+        assert calls[3] <= _STEER_M
+
+
+@pytest.mark.parametrize("scale", [10.0**e for e in (-300, -200, -61, 61, 200, 300)])
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
+# [1e7, 1e8] at 1e300 * t: the norm 1.1e308 sits where lo + hi overflows.
+@pytest.mark.parametrize(
+    "x", [[1.0, 2.0], [0.25, 0.5, 1.5, 3.0], [1e-40, 1e-10, 1e5], [1e7, 1e8]]
+)
+def test_extreme_scales_match_closed_form(scale, q, x):
+    """||x|| under c * t^q is (c * sum x_i^q)^(1/q); the bracket loops run
+    past their 200 steps here, where the old solver returned 0.0 or raised
+    UnboundedNormError."""
+    fun = (linear_function() if q == 1.0 else power_function(q)).scaled(scale)
+    exact = math.exp((math.log(scale) + math.log(math.fsum(t**q for t in x))) / q)
+    rho = orlicz_norm(x, fun)
+    assert rho == pytest.approx(exact, rel=1e-10)
+    assert math.fsum(fun.values(np.asarray(x) / rho)) <= 1.0 + 1e-12
+
+
+def test_bounded_functional_is_zero_only_by_the_limit_test():
+    # sup = F(0) / (4(k-1)) = 1/8, so n * sup = 3/8: every rho is feasible.
+    assert orlicz_norm([1.0, 2.0, 3.0], reciprocal_survival_function(Gaussian(), 3)) == 0.0
+    # n * sup = 3/2 > 1: the infimum is positive, though the sum at
+    # 2^-199 * max|x| is still below 1.
+    fun = from_callable(lambda t: np.minimum(1e-70 * t, 0.5), label="min(1e-70 t, 1/2)")
+    rho = orlicz_norm([1.0, 2.0, 4.0], fun)
+    assert rho == pytest.approx(7e-70, rel=1e-10)
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-70, 1e70, 1e300])
+def test_kmin_terms_at_extreme_rates_match_closed_form(rate):
+    """N = rate * t, so the j-th suffix norm is (2e/(k-j+1)) rate sum_{i>=j} 1/x_i."""
+    x = np.sort(np.random.default_rng(3).uniform(0.5, 5.0, 40))
+    k = 3
+    rep = kth_min_bounds(x, SymExponential(rate=rate), k)
+    inv = 1.0 / x
+    expected = [1.0 / (2.0 * math.e / (k - j + 1) * rate * math.fsum(inv[j - 1 :]))
+                for j in range(1, k + 1)]
+    assert rep.terms == pytest.approx(expected, rel=1e-10)
+    # The upper bound carries C_N = max(rate, 1/rate) and may exceed the float range.
+    assert 0.0 < rep.lower < math.inf and rep.lower <= rep.upper
+
+
+def test_norm_without_finite_reciprocal_names_the_model():
+    # ||(1e-300, ...)|| under 2e * 1e-300 * t is about 2e-599, below the float range.
+    with pytest.raises(DomainError, match=r"symexp\(rate=1e-300\)"):
+        kth_min_bounds(np.full(4, 1e300), SymExponential(rate=1e-300), 1)
