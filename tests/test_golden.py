@@ -9,8 +9,9 @@ pass this module unchanged. The weights files are inputs, not outputs; so are
 the shape, n, k, weight range and seed of each record in ``partition.json``,
 whose blocks, case and certificate sides (as float.hex) are the outputs.
 ``erfc-table.csv`` (the standard Gaussian survival on 401 knots of [0, 10])
-is an input too: the table records pin the CLI bytes and the norm bits of
-table-backed handles, whose thresholds 1/t or t run past the last knot.
+is an input too: the table records pin the CLI bytes, the norm bits of
+table-backed handles, whose thresholds 1/t or t run past the last knot, and
+the bits of the table's quantile and of Monte Carlo draws from it.
 """
 
 import contextlib
@@ -198,6 +199,42 @@ def table_norm_figures() -> dict:
             out[f"{mname}/{vname}"] = record
     return out
 
+
 def test_table_norm_bits():
     expected = json.loads((GOLDEN / "table-norms.json").read_text(encoding="utf-8"))
     assert table_norm_figures() == expected
+
+
+def montecarlo_table_figures() -> dict:
+    """float.hex of Monte Carlo figures drawn from the erfc table (k-min
+    through the row sort, k-max through the partition; one full 8192-row
+    chunk plus a remainder), and of the table's quantile on a fixed vector:
+    1, F(t_max), the dense-grid probabilities exp(dense_l), seeded uniforms
+    and repeats of some of them."""
+    table = TabulatedSurvival.from_csv(GOLDEN / TABLE)
+    core = table._core
+    x = np.sort(np.random.default_rng(0).uniform(0.5, 5.0, 15))
+    out = {}
+    for threads in (1, 2):
+        runs = {
+            "kmin": estimate_order_stats(x, table, [1, 4, 9], replications=8192 + 37, seed=12,
+                                         threads=threads),
+            "kmax": estimate_order_stats(x, table, [2], statistic="kmax",
+                                         replications=8192 + 37, seed=13, threads=threads),
+        }
+        for name, estimates in runs.items():
+            for est in estimates:
+                out[f"estimate/{name}/k={est.k}/threads={threads}"] = {
+                    "mean": est.mean.hex(),
+                    "ci_halfwidth": est.ci_halfwidth.hex(),
+                }
+    uniforms = np.random.default_rng(14).uniform(core.fs[-1], 1.0, 300)
+    p = np.concatenate([[1.0, core.fs[-1]], np.exp(core.dense_l), uniforms,
+                        np.repeat(uniforms[:40], 3), [1.0, core.fs[-1]]])
+    out["quantile"] = [float(t).hex() for t in table.quantile(p)]
+    return out
+
+
+def test_montecarlo_table_bits():
+    expected = json.loads((GOLDEN / "montecarlo-table.json").read_text(encoding="utf-8"))
+    assert montecarlo_table_figures() == expected
