@@ -4,7 +4,8 @@
     python3 scripts/bench_pairs.py --base HEAD --workload certify --seeds 11-20
     python3 scripts/bench_pairs.py --base HEAD --workload all --counters
 
-Checks the base revision out into a temporary ``git worktree`` and runs
+Extracts the base revision with ``git archive`` into a temporary directory
+(a plain copy: nothing is registered in the repository) and runs
 ``perfbench/run.py --trace 0`` there and in this working tree, once per
 seed, swapping which side runs first from one pair to the next. Each run's
 last output line (perfbench's JSON object) is the only thing read; nothing
@@ -28,10 +29,12 @@ and their difference.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -152,26 +155,24 @@ def main(argv=None) -> int:
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_tree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), args.base],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            trees = {"base": base_tree, "change": ROOT}
-            if args.counters:
-                seed = args.seeds[0] if args.seeds else 1
-                texts = {side: run_perfbench(tree, args.workload, seed, seconds, 1)
-                         for side, tree in trees.items()}
-                report_counters(*(parse_counters(texts[side]) for side in ("base", "change")))
-                failed = [json.loads(t.strip().splitlines()[-1])["failed"] for t in texts.values()]
-                return 1 if any(failed) else 0
-            for i, seed in enumerate(args.seeds):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                for side in order:
-                    runs[side].append(run_bench(trees[side], args.workload, seed, seconds))
-                print(f"pair {i + 1}/{len(args.seeds)} seed {seed} done ({order[0]} first)",
-                      file=sys.stderr)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)],
-                           cwd=ROOT, check=False, capture_output=True)
+        archive = subprocess.run(["git", "archive", "--format=tar", args.base],
+                                 cwd=ROOT, check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_tree, filter="data")
+        trees = {"base": base_tree, "change": ROOT}
+        if args.counters:
+            seed = args.seeds[0] if args.seeds else 1
+            texts = {side: run_perfbench(tree, args.workload, seed, seconds, 1)
+                     for side, tree in trees.items()}
+            report_counters(*(parse_counters(texts[side]) for side in ("base", "change")))
+            failed = [json.loads(t.strip().splitlines()[-1])["failed"] for t in texts.values()]
+            return 1 if any(failed) else 0
+        for i, seed in enumerate(args.seeds):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(run_bench(trees[side], args.workload, seed, seconds))
+            print(f"pair {i + 1}/{len(args.seeds)} seed {seed} done ({order[0]} first)",
+                  file=sys.stderr)
     report(runs, spec["end_to_end"])
     return 1 if any(r["failed"] for side in runs.values() for r in side) else 0
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionModel
-from .errors import DomainError, InfeasibleError, NonConvexError, RangeError
+from .errors import DomainError, InfeasibleError, NonConvexError, NumericError, RangeError
 from .orlicz import (
     _as_weights,
     _reciprocals,
@@ -115,6 +115,8 @@ class BoundReport:
     ``argmax_j`` is the 1-based j for k-min and the 0-based l for k-max,
     matching each formula's index convention. ``empirical_constants`` lists
     constants with configurable empirical defaults used by this report.
+    ``upper`` is None, with a note, when the upper bound is not valid (N not
+    convex) or exceeds the float range.
     """
 
     kind: str
@@ -134,6 +136,14 @@ class BoundReport:
             raise DomainError(
                 f"inconsistent report: lower {self.lower} > upper {self.upper}"
             )
+
+
+def _finite_upper(upper: float | None, notes: tuple) -> tuple[float | None, tuple]:
+    """(upper, notes), with an upper bound beyond the float range replaced
+    by None and a note."""
+    if upper is None or upper < math.inf:
+        return upper, notes
+    return None, notes + ("upper bound omitted: it exceeds the float range",)
 
 
 def _check_kmin_range(k: int, n: int) -> None:
@@ -162,7 +172,8 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
     """Sandwich for E k-min of |x_i xi_i|, ascending weights, 1 <= k <= n/2.
 
     When N = -ln F fails the convexity check only the lower bound is valid;
-    the report then has upper=None and a note.
+    the report then has upper=None and a note, as it does when the upper
+    bound exceeds the float range.
     """
     w = _as_weights(x, "ascending")
     _check_kmin_range(k, len(w))
@@ -176,6 +187,7 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
     lower = C1_LOWER * m
     upper = KMIN_UPPER_FACTOR * c_n * math.log(k + 1) * m if convex else None
     notes = () if convex else ("upper bound omitted: negative log-survival is not convex",)
+    upper, notes = _finite_upper(upper, notes)
     return BoundReport(
         kind="kmin",
         k=k,
@@ -248,7 +260,8 @@ def kth_max_bounds(
     n1, c_n = _n1_and_c_n(model)
     a = 1.0 + math.log(8.0 * (k - 1)) / n1
     lower = 0.25 * (m + tail_norm / a)
-    upper = cons.kmax_upper_c * (c_n * math.log(k + 1) * m + tail_norm)
+    upper, notes = _finite_upper(
+        cons.kmax_upper_c * (c_n * math.log(k + 1) * m + tail_norm), ())
     return BoundReport(
         kind="kmax",
         k=k,
@@ -266,6 +279,7 @@ def kth_max_bounds(
         k0=k0,
         tail_norm=tail_norm,
         empirical_constants=("kmax_upper_c",),
+        notes=notes,
     )
 
 
@@ -285,11 +299,17 @@ def max_bounds(
     mean = model.mean_abs()
     mfun = expected_overshoot_function(model.normalized())
     nm = orlicz_norm(np.abs(v), mfun)
+    lower = cons.max1_c_low * mean * nm
+    if not (lower < math.inf):
+        raise NumericError(
+            f"max lower bound exceeds the float range: E|xi| = {mean!r}, ||x||_M = {nm!r}"
+        )
+    upper, notes = _finite_upper(cons.max1_c_high * mean * nm, ())
     return BoundReport(
         kind="max1",
         k=1,
-        lower=cons.max1_c_low * mean * nm,
-        upper=cons.max1_c_high * mean * nm,
+        lower=lower,
+        upper=upper,
         constants={
             "max1_c_low": cons.max1_c_low,
             "max1_c_high": cons.max1_c_high,
@@ -299,6 +319,7 @@ def max_bounds(
         terms=(nm,),
         argmax_j=None,
         empirical_constants=("max1_c_low", "max1_c_high"),
+        notes=notes,
     )
 
 

@@ -255,6 +255,11 @@ class SymExponential(DistributionModel):
     def __post_init__(self):
         if not (self.rate > 0) or not math.isfinite(self.rate):
             raise DomainError(f"rate must be positive, got {self.rate}")
+        if not (1.0 / self.rate < math.inf):
+            raise DomainError(
+                f"rate {self.rate!r} is too small: its reciprocal, the mean E|xi|, "
+                "overflows the float range"
+            )
 
     def _std_survival(self, u):
         return np.exp(-self.rate * u)
@@ -410,6 +415,12 @@ class _TabulatedCore:
                 f"[{self.fs[-1]:.3e}, 1]; extend the table"
             )
         lp = np.log(np.minimum(p, 1.0))
+        # Walk the probabilities in ascending order, so that np.interp and the
+        # PCHIP evaluation find each interval next to the last one instead of
+        # by binary search. Every step is elementwise and the stop test is a
+        # max over the same values, so the bits do not depend on the order.
+        order = np.argsort(lp)
+        lp = lp[order]
         # Initial guess from the dense grid, then Newton on ln F (C^1, strictly
         # decreasing), clipped to the table.
         t = np.interp(lp, self.dense_l[::-1], self.dense_t[::-1])
@@ -420,7 +431,8 @@ class _TabulatedCore:
             t = np.clip(t - step, self.ts[0], self.ts[-1])
             if np.max(np.abs(step)) <= 1e-13 * max(1.0, float(np.max(t))):
                 break
-        return t
+        lp[order] = t  # back to the caller's order, in an array no longer read
+        return lp
 
 
 class TabulatedSurvival(DistributionModel):

@@ -16,6 +16,7 @@ from orlicz_bounds import (
     Gaussian,
     InfeasibleError,
     NonConvexError,
+    NumericError,
     PartitionResult,
     RangeError,
     SymExponential,
@@ -228,6 +229,13 @@ class TestKmaxBounds:
         assert rep.upper == pytest.approx(2 * base.upper, rel=1e-12)
         assert rep.lower == base.lower
 
+    def test_overflowing_upper_reported_as_none(self, gaussian):
+        rep = kth_max_bounds(np.ones(50), gaussian, 2, BoundConstants(kmax_upper_c=1e308))
+        base = kth_max_bounds(np.ones(50), gaussian, 2)
+        assert rep.upper is None
+        assert rep.notes == ("upper bound omitted: it exceeds the float range",)
+        assert rep.lower == base.lower
+
     def test_boundary_n_equals_k_plus_k0(self, gaussian):
         # tail slice shrinks to a single weight
         x = np.sort(np.random.default_rng(1).uniform(0.5, 5.0, 14))[::-1].copy()
@@ -243,6 +251,18 @@ class TestMaxBounds:
         rep = max_bounds(np.array([1.0, 0.0, 0.0]), gaussian)
         true_mean = math.sqrt(2 / math.pi)
         assert rep.lower <= true_mean <= rep.upper
+
+    def test_overflowing_upper_reported_as_none(self, gaussian):
+        x = np.array([1e298, 2e298])
+        rep = max_bounds(x, gaussian, BoundConstants(max1_c_high=1e11))
+        assert rep.upper is None
+        assert rep.notes == ("upper bound omitted: it exceeds the float range",)
+        assert rep.lower == max_bounds(x, gaussian).lower
+
+    def test_overflowing_lower_is_a_numeric_failure(self):
+        # E|xi| = 1e10 times ||x||_M of about 1e300.
+        with pytest.raises(NumericError, match="exceeds the float range"):
+            max_bounds(np.array([1e300, 2e300]), SymExponential(rate=1e-10))
 
     def test_growth_rate_equal_weights(self, gaussian):
         n = 1000

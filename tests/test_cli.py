@@ -166,6 +166,38 @@ class TestBoundsCommands:
         assert any(line.startswith("upper,") for line in lines)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+@pytest.mark.parametrize("rate", ["1e-309", "1e-308", "1e-300", "1e-70", "1e70", "1e300"])
+@pytest.mark.parametrize("argv", [
+    ["bounds-kmin", "--k", "1"],
+    ["bounds-kmin", "--k", "3"],
+    ["bounds-kmax", "--k", "2"],
+    ["bounds-max1"],
+], ids=["kmin-k1", "kmin-k3", "kmax-k2", "max1"])
+def test_bounds_at_extreme_rates_print_strict_json(rate, argv, ascending_weights,
+                                                   descending_weights, capsys):
+    """Exit 0, 1 or 2 with no traceback and no warning; on exit 0 the JSON
+    has no Infinity or NaN token: an upper bound beyond the float range is
+    reported as null with a note."""
+    weights = descending_weights if argv[0] == "bounds-kmax" else ascending_weights
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--dist", f"symexp:{rate}", "--weights", weights])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert 0.0 < report["lower"]
+        assert report["upper"] is None or report["lower"] <= report["upper"]
+        if report["upper"] is None:
+            assert "upper bound omitted: it exceeds the float range" in report["notes"]
+
+
 def test_python_dash_m_runs_the_cli(ascending_weights):
     src = str(Path(orlicz_bounds.__file__).resolve().parents[1])
     done = subprocess.run(

@@ -317,6 +317,15 @@ class TestTabulated:
                 pass
 
 
+def test_symexp_refuses_rate_whose_reciprocal_overflows():
+    assert SymExponential(rate=1e-308).mean_abs() == 1e308
+    for rate in (1e-309, 5e-324):
+        with pytest.raises(DomainError, match="reciprocal"):
+            SymExponential(rate=rate)
+    with pytest.raises(DomainError, match="reciprocal"):
+        parse_distribution("symexp:1e-309")
+
+
 class TestParseDistribution:
     def test_known_specs(self):
         assert isinstance(parse_distribution("gaussian"), Gaussian)
@@ -359,3 +368,90 @@ def test_public_primitives_validate(gaussian_table_model, family, primitive):
         method(np.array([1.0, math.nan]))
     with pytest.raises(DomainError, match=r"t must be >= 0, got -1\.0"):
         method(-1.0)
+
+
+def _reference_quantile(core, p):
+    """The table quantile as first written: the guess and Newton loop run on
+    the probabilities in the caller's order. Kept as the oracle for the
+    sorted walk."""
+    lp = np.log(np.minimum(p, 1.0))
+    t = np.interp(lp, core.dense_l[::-1], core.dense_t[::-1])
+    for _ in range(60):
+        resid = core.interp(t) - lp
+        deriv = core.dinterp(t)
+        step = resid / deriv
+        t = np.clip(t - step, core.ts[0], core.ts[-1])
+        if np.max(np.abs(step)) <= 1e-13 * max(1.0, float(np.max(t))):
+            break
+    return t
+
+
+def _reference_sample(model, rng, count):
+    """``TabulatedSurvival.sample`` with ``_reference_quantile``."""
+    u = 1.0 - rng.random(count)
+    magnitude = _reference_quantile(model._core, u)
+    out = np.where(rng.random(count) < 0.5, -1.0, 1.0) * magnitude
+    out *= model.scale
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture(scope="session")
+def quantile_tables(gaussian_table_model, nonconvex_table_model):
+    return {
+        "erfc": gaussian_table_model,
+        "erfc*3": gaussian_table_model.scaled_by(3.0),
+        "nonconvex": nonconvex_table_model,
+    }
+
+
+@settings(max_examples=40)
+@given(
+    name=st.sampled_from(["erfc", "erfc*3", "nonconvex"]),
+    size=st.integers(min_value=1, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    extremes=st.integers(min_value=0, max_value=20),
+    repeats=st.integers(min_value=0, max_value=500),
+)
+def test_sorted_quantile_matches_reference_bits(quantile_tables, name, size, seed, extremes,
+                                                repeats):
+    """The sorted walk gives the bits of the unsorted Newton, for quantile and
+    sample, on draws with p = 1, p = F(t_max) and repeated entries."""
+    model = quantile_tables[name]
+    core = model._core
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(core.fs[-1], 1.0, size)
+    p[rng.integers(0, size, extremes)] = 1.0
+    p[rng.integers(0, size, extremes)] = core.fs[-1]
+    p[rng.integers(0, size, repeats)] = p[rng.integers(0, size, repeats)]
+    before = p.copy()
+    got = model.quantile(p)
+    assert _same_bits(p, before)  # the caller's probabilities are left alone
+    assert _same_bits(got, model.scale * _reference_quantile(core, p))
+    count = int(rng.integers(1, 5001))
+    assert _same_bits(model.sample(np.random.default_rng(seed), count),
+                      _reference_sample(model, np.random.default_rng(seed), count))
+
+
+def test_quantile_newton_walks_sorted_probabilities(gaussian_table_model, monkeypatch):
+    """Every array the Newton loop hands to the interpolant is monotone: the
+    speed of the table sampler rests on that, and timing would not catch a
+    refactor that drops the sort."""
+    core = gaussian_table_model._core
+    seen = []
+    interp = core.interp
+
+    def recording(t):
+        seen.append(np.array(t))
+        return interp(t)
+
+    monkeypatch.setattr(core, "interp", recording)
+    p = 1.0 - np.random.default_rng(5).random(20_000)
+    gaussian_table_model.quantile(p)
+    assert seen
+    for t in seen:
+        steps = np.diff(t)
+        assert np.all(steps <= 0) or np.all(steps >= 0)
