@@ -139,11 +139,13 @@ class BoundReport:
 
 
 def _finite_upper(upper: float | None, notes: tuple) -> tuple[float | None, tuple]:
-    """(upper, notes), with an upper bound beyond the float range replaced
-    by None and a note."""
-    if upper is None or upper < math.inf:
+    """(upper, notes), with an upper bound outside the float range replaced
+    by None and a note: inf has overflowed, and 0.0 has underflowed, since
+    every expectation bounded here is positive."""
+    if upper is None or 0.0 < upper < math.inf:
         return upper, notes
-    return None, notes + ("upper bound omitted: it exceeds the float range",)
+    where = "it exceeds the float range" if upper > 0.0 else "below the float range"
+    return None, notes + (f"upper bound omitted: {where}",)
 
 
 def _check_kmin_range(k: int, n: int) -> None:

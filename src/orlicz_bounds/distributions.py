@@ -30,11 +30,11 @@ which is what the bound routines use to normalize E|xi| = 1.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, QuadratureError, TabulationError
 from .reporting import CheckResult
@@ -64,6 +64,16 @@ _MAX_TRUNCATION = 1e-9
 
 _CONVEXITY_SLACK = -1e-9
 _VALIDATION_POINTS = 201
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use: importing the package (and
+    starting the CLI) does not load it. Cached, because an import statement
+    in a kernel would look the module up again on every modular sum."""
+    from scipy import special
+
+    return special
 
 
 def _within(u: np.ndarray, t_max: float) -> np.ndarray:
@@ -137,7 +147,8 @@ class DistributionModel:
     def tail_integral(self, t):
         """First-moment tail mass: integral of |xi| over {|xi| >= t}."""
         arr, scalar = self._prepare(t)
-        return _ret(self._tail_integral(arr), scalar)
+        with np.errstate(invalid="ignore"):  # inf * 0 at t = inf, read as 0
+            return _ret(self._tail_integral(arr), scalar)
 
     def _tail_integral(self, t: np.ndarray) -> np.ndarray:
         return self.scale * self._std_tail_integral(t / self.scale)
@@ -219,14 +230,14 @@ class Gaussian(DistributionModel):
     family = "gaussian"
 
     def _std_survival(self, u):
-        return special.erfc(u / _SQRT2)
+        return _special().erfc(u / _SQRT2)
 
     def _std_neg_log_survival(self, u):
         # F = 2*Phi(-t)  =>  ln F = ln 2 + log_ndtr(-t); precise for large t.
-        return -(_LN2 + special.log_ndtr(-u))
+        return -(_LN2 + _special().log_ndtr(-u))
 
     def _std_quantile(self, p):
-        return _SQRT2 * special.erfcinv(p)
+        return _SQRT2 * _special().erfcinv(p)
 
     def _std_tail_integral(self, u):
         return _SQRT_2_OVER_PI * np.exp(-0.5 * u * u)
@@ -271,7 +282,19 @@ class SymExponential(DistributionModel):
         return -np.log(p) / self.rate
 
     def _std_tail_integral(self, u):
-        return (u + 1.0 / self.rate) * np.exp(-self.rate * u)
+        return self._tail_from_survival(u, np.exp(-self.rate * u))
+
+    def _tail_from_survival(self, u, f):
+        # (u + 1/rate) F(u). At u = inf (and u near the largest float) the
+        # product is inf * 0 = nan; fmax reads it as the limit 0 and leaves
+        # every other value, all >= 0, as it is.
+        return np.fmax((u + 1.0 / self.rate) * f, 0.0)
+
+    def _tail_integral_and_survival(self, t):
+        # One exp serves both kernels: F(u) is the tail integral's factor.
+        u = t / self.scale
+        f = np.exp(-self.rate * u)
+        return self.scale * self._tail_from_survival(u, f), f
 
     def _std_mean_abs(self):
         return 1.0 / self.rate

@@ -417,6 +417,13 @@ def orlicz_norm(x, fun: OrliczFunction) -> float:
     return rho
 
 
+def _modular_sum(v: np.ndarray, fun: OrliczFunction, rho: float) -> float:
+    """The modular sum of fun at v / rho: every feasibility test of the norm
+    solver is this float compared with 1, and it does not increase with rho.
+    v holds the positive entries; nothing is checked."""
+    return float(np.sum(fun.evaluate(v / rho)))
+
+
 def _solve(v, vmax, fun, t_hi, t_lo) -> float:
     """Bisection on rho with every feasibility test routed through a known
     bracket; +inf when the bracket leaves the float range. The caller has
@@ -432,10 +439,6 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
     only the one or two midpoints that land inside.
     """
     n = v.size
-    evaluate = fun.evaluate
-
-    def modular(rho: float) -> float:
-        return float(np.sum(evaluate(v / rho)))
 
     # b starts at +inf, where every term is fun(0) = 0.
     a, sa, b, sb = -math.inf, math.inf, math.inf, 0.0
@@ -446,7 +449,7 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
             return True
         if rho <= a:
             return False
-        s = modular(rho)
+        s = _modular_sum(v, fun, rho)
         if s <= 1.0:
             b, sb = rho, s
             return True

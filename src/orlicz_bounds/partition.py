@@ -24,22 +24,62 @@ the rest. The case labels name where the scan stops:
 All threshold comparisons carry a 1e-12 relative guard so the discrete
 "largest integer such that" choices are stable under solver noise. The
 returned partition is always re-verified; a certificate failure raises.
+
+A norm is solved only where its value is used: the S_j where the scan may
+stop (it sets the greedy limit) and the minima in the certificate. Every
+other norm only feeds a comparison, and one modular sum
+S(rho) = sum_i H(v_i / rho), the solver's own primitive, settles it. The
+solver returns a feasible rho (S(rho) <= 1) within a relative 1e-12 of an
+infeasible one, and S does not increase with rho, so:
+
+  S(c (1 - 2e-12)) < 1 - 1e-9   gives  ||v|| < c   (a greedy block fits,
+                                                   a scan step cannot stop);
+  S(c) > 1 + 1e-9                gives  ||v|| > c   (a block does not fit,
+                                                   a certificate candidate
+                                                   cannot lower the minimum).
+
+Each holds for any nondecreasing H, jumps to +inf included; the 1e-9
+margins absorb rounding noise in the sums. Only a sum inside the margins
+falls back to a solve. So every block, case and certificate value is the
+float the all-solving construction gives, bit for bit. The rules are used
+only where the solver keeps to its direct path (n * max v and c at most
+``_SUM_RANGE``); elsewhere every norm is solved. A norm ruled out by a sum
+is never solved, so one beyond the float range no longer raises
+NumericError there.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, PartitionError, RangeError
-from .orlicz import OrliczFunction, _as_weights, _reciprocals, orlicz_norm
+from .orlicz import (
+    NORM_REL_TOL,
+    OrliczFunction,
+    _as_weights,
+    _modular_sum,
+    _reciprocals,
+    orlicz_norm,
+)
 from .reporting import CheckResult
 
 __all__ = ["PartitionResult", "build_partition", "verify_partition"]
 
 _TIE_GUARD = 1.0 + 1e-12
 _CERT_SLACK = 1e-8
+# A modular sum decides a comparison with a norm when it clears 1 by this.
+_SUM_SLACK = 1e-9
+# Below c * _SHIFT the solver has seen an infeasible rho whenever its answer
+# is c or more, so a feasible sum there puts the answer below c.
+_SHIFT = 1.0 - 2.0 * NORM_REL_TOL
+# The sum rules are used only where n * max v and the compared rho are at
+# most this. The solver's bracket, from n * max v / 2^-199 at worst up to
+# twice the compared rho, then stays finite, so it solves on v itself (not
+# on v / max v) and returns a feasible rho.
+_SUM_RANGE = sys.float_info.max * 2.0**-200
 
 
 @dataclass(frozen=True)
@@ -58,18 +98,60 @@ class PartitionResult:
         return len(self.blocks)
 
 
+def _sums_decide(v: np.ndarray, rho: float) -> bool:
+    """Whether one modular sum at rho may stand in for a solve on v (v
+    nonincreasing, so v[0] is its largest entry)."""
+    return v.size * v[0] <= _SUM_RANGE and rho <= _SUM_RANGE
+
+
+def _below_stop(head: float) -> float:
+    """The largest float c with 0.25 * c * _TIE_GUARD < head: a suffix norm
+    of at most c cannot stop the scan at an entry ``head``."""
+    c = head / (0.25 * _TIE_GUARD)
+    while c > 0.0 and 0.25 * c * _TIE_GUARD >= head:
+        c = math.nextafter(c, 0.0)
+    while 0.25 * math.nextafter(c, math.inf) * _TIE_GUARD < head:
+        c = math.nextafter(c, math.inf)
+    return c
+
+
+def _smallest_norm(candidates: list, rho0: float) -> float:
+    """min over (v, fun) in ``candidates`` of orlicz_norm(v, fun), solving
+    only candidates that may lie at or below the running minimum.
+
+    The candidates are taken in the order of their modular sums at one
+    common rho0, so the smallest norm is usually solved first; a later one
+    whose sum at the running minimum m exceeds 1 + _SUM_SLACK has norm > m
+    and is skipped.
+    """
+    order = sorted(candidates, key=lambda c: _modular_sum(c[0], c[1], rho0))
+    best = orlicz_norm(*order[0])
+    for v, fun in order[1:]:
+        if _sums_decide(v, best) and _modular_sum(v, fun, best) > 1.0 + _SUM_SLACK:
+            continue
+        best = min(best, orlicz_norm(v, fun))
+    return best
+
+
 def _largest_end(inv: np.ndarray, start: int, fun: OrliczFunction, limit: float) -> int:
     """Largest 0-based end index e with ||inv[start:e+1]||_fun <= limit.
 
     Galloping then binary search; valid because the block norm is
     nondecreasing in its right endpoint. Returns start-1 when even the
-    single entry overflows.
+    single entry overflows. Each "fits?" is one or two modular sums, and a
+    solve only when both land within ``_SUM_SLACK`` of 1.
     """
     n = inv.size
     cap = limit * _TIE_GUARD
 
     def fits(e: int) -> bool:
-        return orlicz_norm(inv[start : e + 1], fun) <= cap
+        v = inv[start : e + 1]
+        if _sums_decide(v, cap):
+            if _modular_sum(v, fun, cap * _SHIFT) < 1.0 - _SUM_SLACK:
+                return True
+            if _modular_sum(v, fun, cap) > 1.0 + _SUM_SLACK:
+                return False
+        return orlicz_norm(v, fun) <= cap
 
     if not fits(start):
         return start - 1
@@ -128,14 +210,19 @@ def build_partition(x, fun: OrliczFunction, k: int) -> PartitionResult:
     hn = fun.scaled(1.0 / h1)  # normalized so hn(1) = 1
     inv = _reciprocals(w.values)
 
-    for j in range(1, k + 1):
-        suffix_norm = orlicz_norm(inv[j - 1 :], hn.scaled(1.0 / (k + 1 - j)))
-        if inv[j - 1] <= 0.25 * suffix_norm * _TIE_GUARD:
-            tail = _greedy_blocks(inv, j - 1, k + 1 - j, hn, 0.5 * suffix_norm)
-            case = "case1" if j == 1 else "case3"
-            break
-    else:  # no stop: j == k, so entries 1..k-1 are singletons
-        tail, case = [(k - 1, n - 1)], "case2"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(1, k + 1):
+            v, fun_j = inv[j - 1 :], hn.scaled(1.0 / (k + 1 - j))
+            below = _below_stop(inv[j - 1]) * _SHIFT
+            if _sums_decide(v, below) and _modular_sum(v, fun_j, below) < 1.0 - _SUM_SLACK:
+                continue  # S_j < c: the stop test fails without solving S_j
+            suffix_norm = orlicz_norm(v, fun_j)
+            if inv[j - 1] <= 0.25 * suffix_norm * _TIE_GUARD:
+                tail = _greedy_blocks(inv, j - 1, k + 1 - j, hn, 0.5 * suffix_norm)
+                case = "case1" if j == 1 else "case3"
+                break
+        else:  # no stop: j == k, so entries 1..k-1 are singletons
+            tail, case = [(k - 1, n - 1)], "case2"
     blocks = [(i, i) for i in range(j - 1)] + tail
 
     result = PartitionResult(blocks=tuple((a + 1, b + 1) for a, b in blocks), case_taken=case)
@@ -153,7 +240,8 @@ def verify_partition(x, fun: OrliczFunction, k: int, result: PartitionResult) ->
 
     Structure is validated first (exactly k nonempty consecutive intervals
     covering {1..n}); the norms are then recomputed from scratch with the
-    original, unnormalized H.
+    original, unnormalized H. Each side is a minimum of k norms, of which
+    only those a modular sum cannot rule out are solved.
     """
     w = _as_weights(x, "ascending")
     n = len(w)
@@ -175,10 +263,10 @@ def verify_partition(x, fun: OrliczFunction, k: int, result: PartitionResult) ->
         raise DomainError(f"partition certificate requires 0 < H(1) < inf, got {h1}")
     inv = _reciprocals(w.values)
 
-    lhs = min(
-        orlicz_norm(inv[j - 1 :], fun.scaled(1.0 / (k - j + 1))) for j in range(1, k + 1)
-    )
-    min_block = min(orlicz_norm(inv[a - 1 : b], fun) for a, b in blocks)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lhs = _smallest_norm(
+            [(inv[j - 1 :], fun.scaled(1.0 / (k - j + 1))) for j in range(1, k + 1)], inv[0])
+        min_block = _smallest_norm([(inv[a - 1 : b], fun) for a, b in blocks], inv[0])
     factor = 4.0 * max(h1, 1.0 / h1)
     rhs = factor * min_block
     ok = lhs <= rhs * (1.0 + _CERT_SLACK) + 1e-12

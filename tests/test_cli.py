@@ -145,6 +145,18 @@ class TestBoundsCommands:
         parsed = json.loads(done.stdout)
         assert 0 < parsed["lower"] < parsed["upper"]
 
+    def test_max1_upper_below_float_range_is_null(self, tmp_path):
+        # E max is about 1.8e-330: the upper bound underflows to 0.0, which
+        # would be false, so it is omitted; the lower bound 0.0 stays.
+        path = tmp_path / "w.csv"
+        path.write_text("1e-300\n1e-300\n1e-300\n")
+        code, out = run_capture(["bounds-max1", "--dist", "symexp:1e30", "--weights", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["upper"] is None
+        assert report["lower"] == 0.0
+        assert report["notes"] == ["upper bound omitted: below the float range"]
+
     @pytest.mark.parametrize("argv", [["bounds-kmin", "--k", "1"], ["partition", "--k", "2"]])
     def test_weights_with_overflowing_reciprocal_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "w.csv"
@@ -443,3 +455,14 @@ class TestParsing:
                  "--k", "1", "--stat", "median"]
             )
         assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    src = str(Path(orlicz_bounds.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, orlicz_bounds.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

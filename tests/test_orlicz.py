@@ -387,3 +387,62 @@ def test_homogeneity_property(xs, lam):
 def test_h_midpoint_convexity(a, b):
     h = gaussian_comparison_function()
     assert h((a + b) / 2) <= (h(a) + h(b)) / 2 + 1e-9
+
+
+_SUBNORMALS = np.array([5e-324, 1e-320, 1e-315, 1e-310, 2.2250738585072014e-308 * (1 - 2**-52)])
+
+
+def _handles(models):
+    out = [("linear", linear_function()), ("power", power_function(2.5)),
+           ("comparison", gaussian_comparison_function()),
+           ("scaled", power_function(2.0).scaled(1e-200))]
+    for name, model in models.items():
+        out += [
+            (f"moment-{name}", expected_overshoot_function(model)),
+            (f"N-{name}", neg_log_survival_function(model, require_convex=False)),
+            (f"reciprocal-{name}", reciprocal_survival_function(model, 3)),
+            (f"scaled-moment-{name}", expected_overshoot_function(model).scaled(7.0)),
+        ]
+    return out
+
+
+def test_values_have_no_nan_on_subnormals_and_the_probe_grid(gaussian_table_model):
+    from orlicz_bounds.orlicz import _PROBES
+
+    models = {
+        "gaussian": Gaussian(),
+        "symexp": SymExponential(1.0),
+        "symexp-1e-299": SymExponential(rate=1e-299),
+        "symexp-1e300": SymExponential(rate=1e300),
+        "table": gaussian_table_model,
+        "table*1e-300": gaussian_table_model.scaled_by(1e-300),
+    }
+    points = np.concatenate(([0.0], _SUBNORMALS, _PROBES))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for name, fun in _handles(models):
+            vals = fun.values(points)
+            assert not np.any(np.isnan(vals)), (name, points[np.isnan(vals)])
+
+
+def test_symexp_tail_integral_is_zero_at_infinity():
+    model = SymExponential(1.0)
+    with np.errstate(invalid="ignore"):  # as inside the solver
+        assert model._tail_integral(np.array([np.inf]))[0] == 0.0
+    assert model.tail_integral(math.inf) == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/t = inf inside the handle
+        assert expected_overshoot_function(SymExponential(1.0)).values(1e-310) == 0.0
+
+
+def test_symexp_shared_exp_keeps_the_kernel_bits():
+    u = np.exp(np.linspace(-30.0, 30.0, 301))
+    for model in (SymExponential(1.0), SymExponential(0.37).scaled_by(2.5)):
+        tail, surv = model._tail_integral_and_survival(u)
+        assert np.array_equal(tail, model._tail_integral(u))
+        assert np.array_equal(surv, model._survival(u))
+
+
+def test_norm_at_tiny_symexp_rate_is_finite():
+    # The M norm sits at 1.8e299, so v / rho is subnormal: M there is 0, not
+    # nan, and the solver finds the norm instead of reporting an overflow.
+    nm = orlicz_norm(np.ones(11), expected_overshoot_function(SymExponential(rate=1e-299)))
+    assert nm == pytest.approx(1.8065e299, rel=1e-4)

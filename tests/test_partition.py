@@ -1,6 +1,14 @@
-"""Interval-partition construction and its certificate."""
+"""Interval-partition construction and its certificate.
+
+The construction and the certificate solve a norm only where its value is
+used; every other norm only feeds a comparison, which one modular sum
+settles. The all-solving construction and verifier are kept below as the
+reference: every block, case and certificate float must match it bit for
+bit.
+"""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +19,15 @@ from orlicz_bounds import partition
 from orlicz_bounds import (
     DomainError,
     Gaussian,
+    NumericError,
+    PartitionError,
     PartitionResult,
     RangeError,
+    SymExponential,
     Weights,
     build_partition,
+    expected_overshoot_function,
+    from_callable,
     gaussian_comparison_function,
     linear_function,
     neg_log_survival_function,
@@ -27,6 +40,126 @@ from orlicz_bounds import (
 GAUSS_N = neg_log_survival_function(Gaussian())
 
 SHAPES = [linear_function(), power_function(2.0), GAUSS_N]
+
+# 0.1 t up to 1, then +inf: the modular sum jumps, so a rule that reads a
+# norm off one sum at the cap itself would be wrong here.
+JUMP = from_callable(lambda t: np.where(t <= 1.0, 0.1 * t, np.inf), label="jump-to-inf")
+
+DIFF_FUNS = [
+    linear_function(),
+    power_function(2.0),
+    GAUSS_N,
+    gaussian_comparison_function(),
+    JUMP,
+    expected_overshoot_function(Gaussian()),
+    expected_overshoot_function(SymExponential(2.0)),
+    power_function(3.5).scaled(7.0),
+    from_callable(lambda t: np.where(t < 1.0, 0.0, t), label="zero-then-t"),
+]
+
+
+# -- the all-solving construction and verifier, as the reference ------------
+
+
+def reference_fits(inv, start, e, fun, cap):
+    return orlicz_norm(inv[start : e + 1], fun) <= cap
+
+
+def reference_largest_end(inv, start, fun, limit):
+    n = inv.size
+    cap = limit * partition._TIE_GUARD
+    fits = lambda e: reference_fits(inv, start, e, fun, cap)
+    if not fits(start):
+        return start - 1
+    step, e = 1, start
+    while e + step < n and fits(e + step):
+        e += step
+        step *= 2
+    lo, hi = e, min(n - 1, e + step - 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def reference_build(x, fun, k):
+    """(blocks, case) of the construction with every norm solved."""
+    inv = 1.0 / np.asarray(x, dtype=float)
+    n = inv.size
+    hn = fun.scaled(1.0 / fun(1.0))
+    for j in range(1, k + 1):
+        suffix_norm = orlicz_norm(inv[j - 1 :], hn.scaled(1.0 / (k + 1 - j)))
+        if inv[j - 1] <= 0.25 * suffix_norm * partition._TIE_GUARD:
+            limit, pos, tail = 0.5 * suffix_norm, j - 1, []
+            while len(tail) < k - j:
+                e = reference_largest_end(inv, pos, hn, limit)
+                if e < pos or e == n - 1:
+                    raise PartitionError("greedy construction failed")
+                tail.append((pos, e))
+                pos = e + 1
+            tail.append((pos, n - 1))
+            case = "case1" if j == 1 else "case3"
+            break
+    else:
+        tail, case = [(k - 1, n - 1)], "case2"
+    blocks = [(i, i) for i in range(j - 1)] + tail
+    return tuple((a + 1, b + 1) for a, b in blocks), case
+
+
+def reference_verify(x, fun, k, blocks):
+    """(lhs, rhs, min_block_norm) with every candidate norm solved."""
+    inv = 1.0 / np.asarray(x, dtype=float)
+    lhs = min(
+        orlicz_norm(inv[j - 1 :], fun.scaled(1.0 / (k - j + 1))) for j in range(1, k + 1)
+    )
+    min_block = min(orlicz_norm(inv[a - 1 : b], fun) for a, b in blocks)
+    h1 = fun(1.0)
+    return lhs, 4.0 * max(h1, 1.0 / h1) * min_block, min_block
+
+
+def _hex(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _outcome(call):
+    """The value of ``call()``, or the type of the error it raises."""
+    try:
+        return call()
+    except (PartitionError, DomainError) as exc:
+        return type(exc).__name__
+
+
+def _built(x, fun, k):
+    res = build_partition(x, fun, k)
+    cert = res.certificate
+    return res.blocks, res.case_taken, _hex(cert.lhs, cert.rhs, cert.detail["min_block_norm"])
+
+
+def _reference_built(x, fun, k):
+    blocks, case = reference_build(x, fun, k)
+    return blocks, case, _hex(*reference_verify(x, fun, k, blocks))
+
+
+@st.composite
+def weights_and_k(draw):
+    """Ascending weights with near-ties: equal weights, repeated blocks, a
+    spread over many decades, or plain uniform draws; k = 1, k = n or any."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    kind = draw(st.sampled_from(["equal", "repeated", "decades", "uniform"]))
+    if kind == "equal":
+        x = np.full(n, rng.uniform(0.1, 10.0))
+    elif kind == "repeated":
+        x = np.sort(np.repeat(rng.uniform(0.2, 8.0, -(-n // 3)), 3)[:n])
+    elif kind == "decades":
+        x = np.sort(np.exp(rng.uniform(-20.0, 20.0, n)))
+    else:
+        x = np.sort(rng.uniform(0.2, 8.0, n))
+    k = draw(st.sampled_from([1, n, draw(st.integers(min_value=1, max_value=n))]))
+    return x, k
 
 
 def all_interval_partitions(n, k):
@@ -195,3 +328,85 @@ def test_random_instances_certificate(n, k_frac, shape_idx, seed):
     assert all(res.blocks[i + 1][0] == res.blocks[i][1] + 1 for i in range(k - 1))
     check = verify_partition(x, fun, k, res)
     assert check.ok, (res.case_taken, check.lhs, check.rhs)
+
+
+@settings(max_examples=150)
+@given(case=weights_and_k(), fun_idx=st.integers(min_value=0, max_value=len(DIFF_FUNS) - 1))
+def test_build_matches_all_solving_reference(case, fun_idx):
+    x, k = case
+    fun = DIFF_FUNS[fun_idx]
+    assert _outcome(lambda: _built(x, fun, k)) == _outcome(lambda: _reference_built(x, fun, k))
+
+
+@settings(max_examples=150)
+@given(case=weights_and_k(), fun_idx=st.integers(min_value=0, max_value=len(DIFF_FUNS) - 1),
+       cut_seed=st.integers(min_value=0, max_value=2**31))
+def test_verify_matches_all_solving_reference_on_any_split(case, fun_idx, cut_seed):
+    x, k = case
+    n = x.size
+    fun = DIFF_FUNS[fun_idx]
+    rng = np.random.default_rng(cut_seed)
+    edges = [0, *np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)), n]
+    blocks = tuple((int(edges[i]) + 1, int(edges[i + 1])) for i in range(k))
+    check = verify_partition(x, fun, k, PartitionResult(blocks=blocks, case_taken="case1"))
+    got = _hex(check.lhs, check.rhs, check.detail["min_block_norm"])
+    assert got == _hex(*reference_verify(x, fun, k, blocks))
+
+
+@settings(max_examples=200)
+@given(n=st.integers(min_value=1, max_value=30), seed=st.integers(min_value=0, max_value=2**31),
+       cap_scale=st.sampled_from([1.0, 0.5, 2.0, 1.0 - 1e-12, 1.0 + 1e-12]))
+def test_sum_decided_fits_match_solves_for_jump_function(n, seed, cap_scale):
+    # cap = max(v) puts the jump of JUMP exactly at the cap; there a single
+    # sum at the cap reads "fits" where the solver says otherwise.
+    inv = np.sort(np.random.default_rng(seed).uniform(0.2, 8.0, n))[::-1].copy()
+    limit = float(inv[0]) * cap_scale / partition._TIE_GUARD
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = partition._largest_end(inv, 0, JUMP, limit)
+    assert got == reference_largest_end(inv, 0, JUMP, limit)
+
+
+def test_one_stop_solve_and_two_verify_solves(monkeypatch):
+    # A case without near-ties: the scan passes j = 1..j-1 on one sum each
+    # and solves S_j only where it stops, every greedy "fits?" is settled by
+    # sums, and each certificate minimum is solved once, its other
+    # candidates ruled out by one sum each.
+    x = np.sort(np.random.default_rng(5).uniform(0.2, 8.0, 60))
+    solves = []
+    solve = partition.orlicz_norm
+    monkeypatch.setattr(partition, "orlicz_norm", lambda *a: solves.append(a) or solve(*a))
+    res = build_partition(x, linear_function(), 4)
+    assert res.case_taken == "case3"
+    assert len(solves) == 3
+    assert _built(x, linear_function(), 4) == _reference_built(x, linear_function(), 4)
+
+
+def test_sums_do_not_stand_in_beyond_the_solver_direct_path():
+    # n * max v past _SUM_RANGE: the solver may take its rescaled path, so
+    # every comparison there is answered by a solve.
+    big = np.full(3, 2.0**900)
+    small = np.ones(3)
+    assert not partition._sums_decide(big, 1.0)
+    assert not partition._sums_decide(small, math.inf)
+    assert partition._sums_decide(small, 1.0)
+
+
+def test_below_stop_is_the_largest_float_failing_the_stop_test():
+    for head in (1.0, 0.3, 7.123456789, 1e-300, 5e-309, 1e300):
+        c = partition._below_stop(head)
+        assert 0.25 * c * partition._TIE_GUARD < head
+        up = math.nextafter(c, math.inf)
+        assert not 0.25 * up * partition._TIE_GUARD < head
+
+
+def test_certificate_rules_out_a_candidate_beyond_the_float_range():
+    # S_1 = 1e247 * (1e62 + 1) / 2 overflows; S_2 = 1e247 does not. The
+    # all-solving verifier raises on S_1; one sum at S_2 shows S_1 > S_2, so
+    # the minimum is S_2 without solving S_1 (and likewise for the blocks).
+    x = np.array([1e-62, 1.0])
+    fun = linear_function().scaled(1e247)
+    blocks = ((1, 1), (2, 2))
+    with pytest.raises(NumericError):
+        reference_verify(x, fun, 2, blocks)
+    check = verify_partition(x, fun, 2, PartitionResult(blocks=blocks, case_taken="case2"))
+    assert check.lhs == orlicz_norm(np.array([1.0]), fun)
