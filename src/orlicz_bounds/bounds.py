@@ -98,7 +98,10 @@ class BoundConstants:
 
 
 def _n1_and_c_n(model: DistributionModel) -> tuple[float, float]:
-    """(N(1), C_N) from a single evaluation of N(1)."""
+    """(N(1), C_N) from a single evaluation of N(1). C_N is inf when 1/N(1)
+    overflows; reports then list it (and the k-max tail discount
+    1 + ln(8(k-1))/N(1)) as None, and the upper bound it multiplies is
+    omitted with a note."""
     n1 = model.neg_log_survival(1.0)
     if not (n1 > 0):
         raise DomainError(f"C_N undefined: N(1) = {n1}")
@@ -148,6 +151,11 @@ def _finite_upper(upper: float | None, notes: tuple) -> tuple[float | None, tupl
     return None, notes + (f"upper bound omitted: {where}",)
 
 
+def _finite_or_none(value: float) -> float | None:
+    """A report constant: None when it exceeds the float range."""
+    return value if value < math.inf else None
+
+
 def _check_kmin_range(k: int, n: int) -> None:
     if not (1 <= k and 2 * k <= n):
         raise RangeError(
@@ -195,7 +203,12 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
         k=k,
         lower=lower,
         upper=upper,
-        constants={"c1": C1_LOWER, "upper_kmin": KMIN_UPPER_FACTOR, "C_N": c_n, "N1": n1},
+        constants={
+            "c1": C1_LOWER,
+            "upper_kmin": KMIN_UPPER_FACTOR,
+            "C_N": _finite_or_none(c_n),
+            "N1": n1,
+        },
         terms=tuple(terms),
         argmax_j=arg + 1,
         notes=notes,
@@ -271,10 +284,10 @@ def kth_max_bounds(
         upper=upper,
         constants={
             "kmax_upper_c": cons.kmax_upper_c,
-            "C_N": c_n,
+            "C_N": _finite_or_none(c_n),
             "N1": n1,
             "F1": float(f1),
-            "tail_discount": a,
+            "tail_discount": _finite_or_none(a),
         },
         terms=tuple(terms),
         argmax_j=arg,  # 0-based l, matching the k-max formula's index

@@ -300,13 +300,16 @@ def _bounds_max1(args, constants):
 def _partition(args, constants):
     w = Weights.ascending(load_weights(args.weights_path))
     result = build_partition(w, _PARTITION_SHAPES[args.shape](), args.k)
+    rhs = result.certificate.rhs
     return {
         "shape": args.shape,
         "k": args.k,
         "blocks": result.blocks,
         "case_taken": result.case_taken,
         "certificate_lhs": result.certificate.lhs,
-        "certificate_rhs": result.certificate.rhs,
+        # 4 max(H(1), 1/H(1)) * min_block can exceed the float range; null, as
+        # for an upper bound, keeps the JSON strict.
+        "certificate_rhs": rhs if rhs < math.inf else None,
     }
 
 

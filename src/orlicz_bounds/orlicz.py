@@ -29,7 +29,9 @@ while moment functions take 4-6 full sums instead of 15-18.
 The result is 0.0 only when a limit test, n * fun(inf) <= 1, shows that the
 modular sum never exceeds 1. A bracket loop that runs out of its 200 steps
 keeps moving rho by factors of 2^64 to the ends of the float range rather
-than concluding "unbounded" or "infimum 0".
+than concluding "unbounded" or "infimum 0". The upper end starts no higher
+than the largest float, so every solve runs on x itself, and the result is
++inf only when the largest float is infeasible.
 
 Arguments are validated once, at the public entry points: ``orlicz_norm``
 checks the vector, ``OrliczFunction.values`` and ``__call__`` refuse NaN
@@ -128,13 +130,16 @@ class OrliczFunction:
     def values(self, t) -> np.ndarray:
         """The function at each entry of t, in the shape of t, validated
         here: NaN or a negative entry raises DomainError. ``evaluate`` itself
-        does no checking, and may return a scalar's value as shape (1,)."""
+        does no checking, and may return a scalar's value as shape (1,). It
+        runs under the norm solver's errstate, so an overflow inside a
+        handle (1/t for a subnormal t) reads as its limit, without a warning."""
         arr = np.asarray(t, dtype=float)
         if np.any(np.isnan(arr)):
             raise DomainError(f"{self.label} is defined on [0, inf); got nan")
         if arr.size and float(np.min(arr)) < 0:
             raise DomainError(f"{self.label} is defined on [0, inf); got {np.min(arr)}")
-        return np.asarray(self.evaluate(arr), dtype=float).reshape(arr.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.asarray(self.evaluate(arr), dtype=float).reshape(arr.shape)
 
     def __call__(self, t: float) -> float:
         return float(self.values(np.atleast_1d(np.asarray(t, dtype=float)))[0])
@@ -386,9 +391,8 @@ def orlicz_norm(x, fun: OrliczFunction) -> float:
     200-step bracket loop runs out, rho keeps moving by factors of 2^64 to
     the ends of the float range. Raises DomainError for the zero vector or
     NaN entries, UnboundedNormError for infinite entries, and NumericError
-    when the norm lies outside the float range even after solving on
-    x/max|x| and scaling back (entries near 1e308, or functions scaled far
-    enough that no float rho has the modular sum cross 1).
+    when even the largest float is infeasible, i.e. the norm exceeds the
+    float range.
     """
     if isinstance(x, Weights):
         x = x.values
@@ -410,8 +414,6 @@ def orlicz_norm(x, fun: OrliczFunction) -> float:
         if n * top <= 1.0:  # the sum is <= n sup fun <= 1 for every rho
             return 0.0
         rho = _solve(v, vmax, fun, t_hi, t_lo)
-        if rho == math.inf:  # the bracket overflowed: use homogeneity
-            rho = vmax * _solve(v / vmax, 1.0, fun, t_hi, t_lo)
     if rho == math.inf:
         raise NumericError(f"norm overflows: it exceeds the float range ({fun.label})")
     return rho
@@ -426,7 +428,7 @@ def _modular_sum(v: np.ndarray, fun: OrliczFunction, rho: float) -> float:
 
 def _solve(v, vmax, fun, t_hi, t_lo) -> float:
     """Bisection on rho with every feasibility test routed through a known
-    bracket; +inf when the bracket leaves the float range. The caller has
+    bracket; +inf only when the largest float is infeasible. The caller has
     ruled out a zero infimum by the limit test.
 
     a is the largest rho evaluated infeasible (sum sa > 1), b the smallest
@@ -456,9 +458,7 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
         a, sa = rho, s
         return False
 
-    hi = n * vmax / t_lo if t_lo else vmax
-    if not math.isfinite(hi):
-        return math.inf
+    hi = min(n * vmax / t_lo, _HUGE) if t_lo else vmax
     lo = vmax / t_hi if t_hi else vmax
 
     if t_hi is not None and n >= _STEER_MIN_N:
@@ -473,17 +473,12 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
                 overshoot = max(_STEER_OVERSHOOT * abs(step), NORM_REL_TOL)
                 feasible(g * math.exp(step + math.copysign(overshoot, step)))
 
-    for _ in range(_MAX_DOUBLINGS):
-        if feasible(hi):
-            break
-        hi *= 2.0
-    else:
-        while not feasible(hi):  # on to the top of the float range
-            if hi == _HUGE:
-                return math.inf
-            hi = min(hi * _EXPONENT_STEP, _HUGE)
-    if hi == math.inf:
-        return math.inf
+    doublings = 0
+    while not feasible(hi):  # by 2, then on to the top of the float range
+        if hi == _HUGE:
+            return math.inf
+        hi = min(hi * (2.0 if doublings < _MAX_DOUBLINGS else _EXPONENT_STEP), _HUGE)
+        doublings += 1
     lo = min(lo, hi)
     halvings = _MAX_DOUBLINGS
     if t_hi is None:

@@ -30,9 +30,10 @@ stop (it sets the greedy limit) and the minima in the certificate. Every
 other norm only feeds a comparison, and one modular sum
 S(rho) = sum_i H(v_i / rho), the solver's own primitive, settles it. The
 solver returns a feasible rho (S(rho) <= 1) within a relative 1e-12 of an
-infeasible one, and S does not increase with rho, so:
+infeasible one (the next float down, for a subnormal rho), and S does not
+increase with rho, so:
 
-  S(c (1 - 2e-12)) < 1 - 1e-9   gives  ||v|| < c   (a greedy block fits,
+  S(c (1 - 2e-12)) < 1 - 1e-9   gives  ||v|| <= c  (a greedy block fits,
                                                    a scan step cannot stop);
   S(c) > 1 + 1e-9                gives  ||v|| > c   (a block does not fit,
                                                    a certificate candidate
@@ -41,16 +42,13 @@ infeasible one, and S does not increase with rho, so:
 Each holds for any nondecreasing H, jumps to +inf included; the 1e-9
 margins absorb rounding noise in the sums. Only a sum inside the margins
 falls back to a solve. So every block, case and certificate value is the
-float the all-solving construction gives, bit for bit. The rules are used
-only where the solver keeps to its direct path (n * max v and c at most
-``_SUM_RANGE``); elsewhere every norm is solved. A norm ruled out by a sum
-is never solved, so one beyond the float range no longer raises
+float the all-solving construction gives, bit for bit. A norm ruled out
+by a sum is never solved, so one beyond the float range does not raise
 NumericError there.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,14 +70,9 @@ _TIE_GUARD = 1.0 + 1e-12
 _CERT_SLACK = 1e-8
 # A modular sum decides a comparison with a norm when it clears 1 by this.
 _SUM_SLACK = 1e-9
-# Below c * _SHIFT the solver has seen an infeasible rho whenever its answer
-# is c or more, so a feasible sum there puts the answer below c.
+# A solver answer above c comes with an infeasible rho at or above c * _SHIFT,
+# so a feasible sum at c * _SHIFT puts the answer at c or below.
 _SHIFT = 1.0 - 2.0 * NORM_REL_TOL
-# The sum rules are used only where n * max v and the compared rho are at
-# most this. The solver's bracket, from n * max v / 2^-199 at worst up to
-# twice the compared rho, then stays finite, so it solves on v itself (not
-# on v / max v) and returns a feasible rho.
-_SUM_RANGE = sys.float_info.max * 2.0**-200
 
 
 @dataclass(frozen=True)
@@ -96,12 +89,6 @@ class PartitionResult:
     @property
     def k(self) -> int:
         return len(self.blocks)
-
-
-def _sums_decide(v: np.ndarray, rho: float) -> bool:
-    """Whether one modular sum at rho may stand in for a solve on v (v
-    nonincreasing, so v[0] is its largest entry)."""
-    return v.size * v[0] <= _SUM_RANGE and rho <= _SUM_RANGE
 
 
 def _below_stop(head: float) -> float:
@@ -127,7 +114,7 @@ def _smallest_norm(candidates: list, rho0: float) -> float:
     order = sorted(candidates, key=lambda c: _modular_sum(c[0], c[1], rho0))
     best = orlicz_norm(*order[0])
     for v, fun in order[1:]:
-        if _sums_decide(v, best) and _modular_sum(v, fun, best) > 1.0 + _SUM_SLACK:
+        if _modular_sum(v, fun, best) > 1.0 + _SUM_SLACK:
             continue
         best = min(best, orlicz_norm(v, fun))
     return best
@@ -146,11 +133,10 @@ def _largest_end(inv: np.ndarray, start: int, fun: OrliczFunction, limit: float)
 
     def fits(e: int) -> bool:
         v = inv[start : e + 1]
-        if _sums_decide(v, cap):
-            if _modular_sum(v, fun, cap * _SHIFT) < 1.0 - _SUM_SLACK:
-                return True
-            if _modular_sum(v, fun, cap) > 1.0 + _SUM_SLACK:
-                return False
+        if _modular_sum(v, fun, cap * _SHIFT) < 1.0 - _SUM_SLACK:
+            return True
+        if _modular_sum(v, fun, cap) > 1.0 + _SUM_SLACK:
+            return False
         return orlicz_norm(v, fun) <= cap
 
     if not fits(start):
@@ -214,7 +200,7 @@ def build_partition(x, fun: OrliczFunction, k: int) -> PartitionResult:
         for j in range(1, k + 1):
             v, fun_j = inv[j - 1 :], hn.scaled(1.0 / (k + 1 - j))
             below = _below_stop(inv[j - 1]) * _SHIFT
-            if _sums_decide(v, below) and _modular_sum(v, fun_j, below) < 1.0 - _SUM_SLACK:
+            if _modular_sum(v, fun_j, below) < 1.0 - _SUM_SLACK:
                 continue  # S_j < c: the stop test fails without solving S_j
             suffix_norm = orlicz_norm(v, fun_j)
             if inv[j - 1] <= 0.25 * suffix_norm * _TIE_GUARD:

@@ -1,5 +1,6 @@
 """Bound formulas against arithmetic oracles and Monte Carlo sandwiches."""
 
+import json
 import math
 import warnings
 
@@ -33,6 +34,7 @@ from orlicz_bounds import (
     min_moment_upper,
     verify_partition,
 )
+from orlicz_bounds.reporting import dumps_report
 
 
 def sandwiched(report, estimate):
@@ -302,6 +304,24 @@ class TestMaxBounds:
         a = max_bounds(np.ones(20), gaussian)
         b = max_bounds(np.ones(20), unit)
         assert b.lower == pytest.approx(a.lower / gaussian.mean_abs(), rel=1e-9)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_overflowing_c_n_is_reported_as_none():
+    # N(1) = 1e-310, so C_N = 1/N(1) overflows; the upper bound it multiplies
+    # is omitted with a note, and the report stays strict JSON.
+    model = SymExponential(rate=1e-300).scaled_by(1e10)
+    reports = [kth_min_bounds(np.linspace(1.0, 6.0, 6), model, 1),
+               kth_max_bounds(np.linspace(6.0, 1.0, 6) * 1e-300, model, 2)]
+    for rep in reports:
+        assert rep.constants["C_N"] is None
+        assert rep.upper is None
+        assert rep.notes == ("upper bound omitted: it exceeds the float range",)
+        json.loads(dumps_report(rep), parse_constant=_refuse_constant)
+    assert reports[1].constants["tail_discount"] is None
 
 
 class TestMomentBounds:

@@ -1,7 +1,9 @@
 """CLI behavior: formats, determinism, exit codes, input validation."""
 
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import orlicz_bounds
 from orlicz_bounds import PreconditionError
-from orlicz_bounds.cli import build_parser, load_weights, main, run
+from orlicz_bounds.cli import SUITES, build_parser, load_weights, main, run
 
 
 @pytest.fixture
@@ -346,6 +348,18 @@ class TestPartitionCommand:
         path.write_text("1.0\n2.0\n")
         assert main(["partition", "--weights", str(path), "--k", "5"]) == 2
 
+    def test_certificate_rhs_beyond_the_float_range_is_null(self, tmp_path):
+        # The one block's norm is 6.4e307, so 4 * max(H(1), 1/H(1)) times it
+        # overflows.
+        w = np.sort(10.0 ** np.random.default_rng(1).uniform(-308.0, -290.0, 60))
+        path = tmp_path / "w.csv"
+        path.write_text("".join(f"{float(v)!r}\n" for v in w))
+        code, out = run_capture(["partition", "--weights", str(path), "--k", "1"])
+        assert code == 0
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["certificate_rhs"] is None
+        assert 0.0 < report["certificate_lhs"] < math.inf
+
 
 class TestVerify:
     def test_fast_suites_table(self):
@@ -466,3 +480,77 @@ def test_cli_import_leaves_scipy_special_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+_GOLDEN_TABLE = str(Path(__file__).parent / "golden" / "erfc-table.csv")
+_WEIGHTED = ("bounds-kmin", "bounds-kmax", "bounds-max1", "partition", "simulate")
+
+
+@st.composite
+def cli_argv(draw, weights_path):
+    """Any command line the contract covers: every command; k from 0 to
+    n + 1; n <= 12 weights log-uniform in one decade within 1e-300..1e300,
+    in the command's order, unsorted, or repeated; gaussian, the erfc table
+    or symexp at 10^e for e in -309..300; simulate with 100 replications
+    and a power; verify on one suite with 100 replications. Returns the
+    argument list and the weights to write to ``weights_path`` (None for
+    verify)."""
+    command = draw(st.sampled_from(_WEIGHTED + ("verify",)))
+    if command == "verify":
+        return ["verify", "--suite", draw(st.sampled_from(SUITES)),
+                "--dist", draw(st.sampled_from(["gaussian", "symexp:1"])), "--reps", "100"], None
+    n = draw(st.integers(1, 12))
+    e = draw(st.integers(-300, 299))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = 10.0 ** rng.uniform(e, e + 1, n)
+    layout = draw(st.sampled_from(["sorted", "unsorted", "repeated"]))
+    if layout == "repeated":
+        w = np.repeat(w[: -(-n // 3)], 3)[:n]
+    if layout != "unsorted":
+        w = np.sort(w)[::-1] if command == "bounds-kmax" else np.sort(w)
+    argv = [command, "--weights", weights_path]
+    if command != "bounds-max1":
+        argv += ["--k", str(draw(st.integers(0, n + 1)))]
+    if command == "partition":
+        return argv + ["--shape", draw(st.sampled_from(["linear", "quadratic", "gaussian-n"]))], w
+    dist = draw(st.one_of(st.sampled_from(["gaussian", f"table:{_GOLDEN_TABLE}"]),
+                          st.integers(-309, 300).map(lambda p: f"symexp:1e{p}")))
+    argv += ["--dist", dist]
+    if command == "simulate":
+        argv += ["--reps", "100", "--stat", draw(st.sampled_from(["kmin", "kmax"])),
+                 "--power", draw(st.sampled_from(["0.5", "1", "2"]))]
+    return argv, w
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_cli_contract(data):
+    """In process, over every command: exit 0, 1 or 2 with no exception and
+    no warning; every exit-0 report is strict JSON (only verify's
+    duality/beyond-mean row, whose rhs is +inf by design, may hold
+    Infinity); a lower bound is at most its upper bound, and an upper bound
+    is null or positive."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "w.csv")
+        argv, w = data.draw(cli_argv(path), label="argv, weights")
+        if w is not None:
+            Path(path).write_text("".join(f"{float(v)!r}\n" for v in w))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    if code != 0:
+        return
+    if argv[0] == "verify":
+        rows = json.loads(out.getvalue())["checks"]
+        assert all(math.isfinite(r["lhs"]) and math.isfinite(r["rhs"]) for r in rows
+                   if (r["suite"], r["check"]) != ("duality", "beyond-mean")), rows
+        return
+    report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    if "upper" in report:
+        upper = report["upper"]
+        assert upper is None or 0.0 < upper, report
+        assert upper is None or report["lower"] <= upper, report

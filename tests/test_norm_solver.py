@@ -9,6 +9,7 @@ the closed form of the linear and power functions.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from orlicz_bounds import orlicz as orlicz_module
 from orlicz_bounds import (
     DomainError,
     Gaussian,
+    NumericError,
     SymExponential,
     UnboundedNormError,
     expected_overshoot_function,
@@ -312,6 +314,69 @@ def test_extreme_scales_match_closed_form(scale, q, x):
     rho = orlicz_norm(x, fun)
     assert rho == pytest.approx(exact, rel=1e-10)
     assert math.fsum(fun.values(np.asarray(x) / rho)) <= 1.0 + 1e-12
+
+
+# name -> (function, noise): the margin by which a sum may miss 1. The moment
+# handles compute s * E[|xi|; |xi| > 1/s] - F(1/s), which cancels; at
+# 1e300 * M on 5000 entries the sum moves by 1.3e-10 between adjacent floats
+# rho. They get partition's sum margin, which absorbs that noise; the other
+# handles get none.
+_EXTREME_FUNS = {
+    "linear": (linear_function(), 0.0),
+    "power-2": (power_function(2.0), 0.0),
+    "comparison": (gaussian_comparison_function(), 0.0),
+    "N-gaussian": (neg_log_survival_function(Gaussian()), 0.0),
+    "jump-to-inf": (from_callable(lambda t: np.where(t <= 1.0, 0.1 * t, np.inf), label="jump"),
+                    0.0),
+    "reciprocal-survival": (reciprocal_survival_function(Gaussian(), 3), 0.0),
+    "moment-gaussian": (expected_overshoot_function(Gaussian()), 1e-9),
+    "moment-symexp": (expected_overshoot_function(SymExponential(rate=1.0)), 1e-9),
+}
+
+
+def _extreme_vectors(n):
+    """Log-uniform entries in windows reaching 1e308 and 1e-308, and the two
+    entries whose bracket n * max|x| / t_lo overflows though the norm does not."""
+    rng = np.random.default_rng(n)
+    windows = [(300.0, 308.0), (-308.0, -300.0), (-308.0, 308.0), (-1.0, 1.0)]
+    out = [10.0 ** rng.uniform(lo, hi, n) for lo, hi in windows]
+    if n == 2:
+        out.append(np.array([1e308, 1e307]))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 5000])
+def test_every_norm_is_feasible_next_to_an_infeasible_rho(n):
+    """On x itself, at every scale: S(rho) <= 1 at the returned rho, and
+    S > 1 at the point 2 * NORM_REL_TOL below it (for a subnormal rho, the
+    next float down). NumericError only when the largest float is
+    infeasible, and 0.0 only by the limit test n * sup fun <= 1."""
+    below_factor = 1.0 - 2.0 * orlicz_module.NORM_REL_TOL
+    failures = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for x in _extreme_vectors(n):
+            for name, (base, noise) in _EXTREME_FUNS.items():
+                for scale in (1e-300, 1.0, 1e300):
+                    fun = base.scaled(scale)
+
+                    def s(rho):
+                        return float(np.sum(fun.evaluate(x / rho)))
+
+                    case = (name, scale, float(x.min()), float(x.max()))
+                    try:
+                        rho = orlicz_norm(x, fun)
+                    except NumericError:
+                        if not s(sys.float_info.max) > 1.0 + noise:
+                            failures.append(case + ("raised", s(sys.float_info.max)))
+                        continue
+                    if rho == 0.0:
+                        if not n * fun(math.inf) <= 1.0:
+                            failures.append(case + ("zero",))
+                        continue
+                    below = min(rho * below_factor, math.nextafter(rho, 0.0))
+                    if not (s(rho) <= 1.0 + noise and s(below) > 1.0 - noise):
+                        failures.append(case + (rho, s(rho), s(below)))
+    assert not failures, failures
 
 
 def test_bounded_functional_is_zero_only_by_the_limit_test():

@@ -1,6 +1,7 @@
 """Orlicz function handles, the norm solver, and Young conjugates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,8 +228,9 @@ class TestNormSolver:
         assert rho == pytest.approx(3e-320, rel=1e-3)
         assert 1e-320 / rho + 2e-320 / rho <= 1.0
 
-    def test_overflowing_bracket_solved_by_homogeneity(self):
-        # The bracket n * max|x| / t_lo overflows; the norm itself is finite.
+    def test_overflowing_bracket_starts_at_the_largest_float(self):
+        # n * max|x| / t_lo overflows; the bracket starts at the largest
+        # float instead, and the norm itself is finite.
         rho = orlicz_norm([1e308, 1e307], linear_function())
         assert rho == pytest.approx(1.1e308, rel=1e-10)
         assert 1e308 / rho + 1e307 / rho <= 1.0
@@ -418,7 +420,8 @@ def test_values_have_no_nan_on_subnormals_and_the_probe_grid(gaussian_table_mode
         "table*1e-300": gaussian_table_model.scaled_by(1e-300),
     }
     points = np.concatenate(([0.0], _SUBNORMALS, _PROBES))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for name, fun in _handles(models):
             vals = fun.values(points)
             assert not np.any(np.isnan(vals)), (name, points[np.isnan(vals)])
@@ -429,7 +432,8 @@ def test_symexp_tail_integral_is_zero_at_infinity():
     with np.errstate(invalid="ignore"):  # as inside the solver
         assert model._tail_integral(np.array([np.inf]))[0] == 0.0
     assert model.tail_integral(math.inf) == 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # 1/t = inf inside the handle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert expected_overshoot_function(SymExponential(1.0)).values(1e-310) == 0.0
 
 

@@ -61,8 +61,17 @@ DIFF_FUNS = [
 # -- the all-solving construction and verifier, as the reference ------------
 
 
+def norm_or_inf(v, fun):
+    """The norm, or +inf where it exceeds the float range: a comparison with
+    it, or a minimum over it, still has an answer."""
+    try:
+        return orlicz_norm(v, fun)
+    except NumericError:
+        return math.inf
+
+
 def reference_fits(inv, start, e, fun, cap):
-    return orlicz_norm(inv[start : e + 1], fun) <= cap
+    return norm_or_inf(inv[start : e + 1], fun) <= cap
 
 
 def reference_largest_end(inv, start, fun, limit):
@@ -110,12 +119,15 @@ def reference_build(x, fun, k):
 
 
 def reference_verify(x, fun, k, blocks):
-    """(lhs, rhs, min_block_norm) with every candidate norm solved."""
+    """(lhs, rhs, min_block_norm) with every candidate norm solved;
+    NumericError when a minimum exceeds the float range."""
     inv = 1.0 / np.asarray(x, dtype=float)
     lhs = min(
-        orlicz_norm(inv[j - 1 :], fun.scaled(1.0 / (k - j + 1))) for j in range(1, k + 1)
+        norm_or_inf(inv[j - 1 :], fun.scaled(1.0 / (k - j + 1))) for j in range(1, k + 1)
     )
-    min_block = min(orlicz_norm(inv[a - 1 : b], fun) for a, b in blocks)
+    min_block = min(norm_or_inf(inv[a - 1 : b], fun) for a, b in blocks)
+    if max(lhs, min_block) == math.inf:
+        raise NumericError("a certificate minimum exceeds the float range")
     h1 = fun(1.0)
     return lhs, 4.0 * max(h1, 1.0 / h1) * min_block, min_block
 
@@ -128,7 +140,7 @@ def _outcome(call):
     """The value of ``call()``, or the type of the error it raises."""
     try:
         return call()
-    except (PartitionError, DomainError) as exc:
+    except (PartitionError, DomainError, NumericError) as exc:
         return type(exc).__name__
 
 
@@ -146,20 +158,29 @@ def _reference_built(x, fun, k):
 @st.composite
 def weights_and_k(draw):
     """Ascending weights with near-ties: equal weights, repeated blocks, a
-    spread over many decades, or plain uniform draws; k = 1, k = n or any."""
+    spread over many decades, plain uniform draws, or decades at the ends of
+    the float range (1e250..1e308 and 1e-308..1e-250); k = 1, k = n or any."""
     n = draw(st.integers(min_value=1, max_value=40))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
-    kind = draw(st.sampled_from(["equal", "repeated", "decades", "uniform"]))
+    kind = draw(st.sampled_from(["equal", "repeated", "decades", "uniform", "huge", "tiny"]))
     if kind == "equal":
         x = np.full(n, rng.uniform(0.1, 10.0))
     elif kind == "repeated":
         x = np.sort(np.repeat(rng.uniform(0.2, 8.0, -(-n // 3)), 3)[:n])
     elif kind == "decades":
         x = np.sort(np.exp(rng.uniform(-20.0, 20.0, n)))
+    elif kind in ("huge", "tiny"):
+        lo, hi = np.sort(rng.uniform(250.0, 308.0, 2))
+        sign = 1.0 if kind == "huge" else -1.0
+        x = np.sort(10.0 ** (sign * rng.uniform(lo, hi, n)))
     else:
         x = np.sort(rng.uniform(0.2, 8.0, n))
     k = draw(st.sampled_from([1, n, draw(st.integers(min_value=1, max_value=n))]))
     return x, k
+
+
+# Each differential function also runs scaled by these.
+FUN_SCALES = [1.0, 1e250, 1e-250]
 
 
 def all_interval_partitions(n, k):
@@ -331,26 +352,30 @@ def test_random_instances_certificate(n, k_frac, shape_idx, seed):
 
 
 @settings(max_examples=150)
-@given(case=weights_and_k(), fun_idx=st.integers(min_value=0, max_value=len(DIFF_FUNS) - 1))
-def test_build_matches_all_solving_reference(case, fun_idx):
+@given(case=weights_and_k(), fun_idx=st.integers(min_value=0, max_value=len(DIFF_FUNS) - 1),
+       scale=st.sampled_from(FUN_SCALES))
+def test_build_matches_all_solving_reference(case, fun_idx, scale):
     x, k = case
-    fun = DIFF_FUNS[fun_idx]
+    fun = DIFF_FUNS[fun_idx].scaled(scale)
     assert _outcome(lambda: _built(x, fun, k)) == _outcome(lambda: _reference_built(x, fun, k))
 
 
 @settings(max_examples=150)
 @given(case=weights_and_k(), fun_idx=st.integers(min_value=0, max_value=len(DIFF_FUNS) - 1),
-       cut_seed=st.integers(min_value=0, max_value=2**31))
-def test_verify_matches_all_solving_reference_on_any_split(case, fun_idx, cut_seed):
+       scale=st.sampled_from(FUN_SCALES), cut_seed=st.integers(min_value=0, max_value=2**31))
+def test_verify_matches_all_solving_reference_on_any_split(case, fun_idx, scale, cut_seed):
     x, k = case
     n = x.size
-    fun = DIFF_FUNS[fun_idx]
+    fun = DIFF_FUNS[fun_idx].scaled(scale)
     rng = np.random.default_rng(cut_seed)
     edges = [0, *np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)), n]
     blocks = tuple((int(edges[i]) + 1, int(edges[i + 1])) for i in range(k))
-    check = verify_partition(x, fun, k, PartitionResult(blocks=blocks, case_taken="case1"))
-    got = _hex(check.lhs, check.rhs, check.detail["min_block_norm"])
-    assert got == _hex(*reference_verify(x, fun, k, blocks))
+
+    def got():
+        check = verify_partition(x, fun, k, PartitionResult(blocks=blocks, case_taken="case1"))
+        return _hex(check.lhs, check.rhs, check.detail["min_block_norm"])
+
+    assert _outcome(got) == _outcome(lambda: _hex(*reference_verify(x, fun, k, blocks)))
 
 
 @settings(max_examples=200)
@@ -381,16 +406,6 @@ def test_one_stop_solve_and_two_verify_solves(monkeypatch):
     assert _built(x, linear_function(), 4) == _reference_built(x, linear_function(), 4)
 
 
-def test_sums_do_not_stand_in_beyond_the_solver_direct_path():
-    # n * max v past _SUM_RANGE: the solver may take its rescaled path, so
-    # every comparison there is answered by a solve.
-    big = np.full(3, 2.0**900)
-    small = np.ones(3)
-    assert not partition._sums_decide(big, 1.0)
-    assert not partition._sums_decide(small, math.inf)
-    assert partition._sums_decide(small, 1.0)
-
-
 def test_below_stop_is_the_largest_float_failing_the_stop_test():
     for head in (1.0, 0.3, 7.123456789, 1e-300, 5e-309, 1e300):
         c = partition._below_stop(head)
@@ -400,13 +415,15 @@ def test_below_stop_is_the_largest_float_failing_the_stop_test():
 
 
 def test_certificate_rules_out_a_candidate_beyond_the_float_range():
-    # S_1 = 1e247 * (1e62 + 1) / 2 overflows; S_2 = 1e247 does not. The
-    # all-solving verifier raises on S_1; one sum at S_2 shows S_1 > S_2, so
-    # the minimum is S_2 without solving S_1 (and likewise for the blocks).
+    # S_1 = 1e247 * (1e62 + 1) / 2 overflows; S_2 = 1e247 does not. One sum
+    # at S_2 shows S_1 > S_2, so the minimum is S_2 without solving S_1 (and
+    # likewise for the blocks).
     x = np.array([1e-62, 1.0])
     fun = linear_function().scaled(1e247)
     blocks = ((1, 1), (2, 2))
     with pytest.raises(NumericError):
-        reference_verify(x, fun, 2, blocks)
+        orlicz_norm(1.0 / x, fun.scaled(0.5))
     check = verify_partition(x, fun, 2, PartitionResult(blocks=blocks, case_taken="case2"))
     assert check.lhs == orlicz_norm(np.array([1.0]), fun)
+    assert _hex(check.lhs, check.rhs, check.detail["min_block_norm"]) == _hex(
+        *reference_verify(x, fun, 2, blocks))
