@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,10 +286,16 @@ class SymExponential(DistributionModel):
         return self._tail_from_survival(u, np.exp(-self.rate * u))
 
     def _tail_from_survival(self, u, f):
-        # (u + 1/rate) F(u). At u = inf (and u near the largest float) the
-        # product is inf * 0 = nan; fmax reads it as the limit 0 and leaves
-        # every other value, all >= 0, as it is.
-        return np.fmax((u + 1.0 / self.rate) * f, 0.0)
+        # (u + 1/rate) F(u). At u = inf the product is inf * 0 = nan; fmax
+        # reads it as the limit 0 and leaves every other value, all >= 0, as
+        # it is. Below a rate of about 1e-292, u + 1/rate can overflow for a
+        # finite u although the product is about 0.5: there it is formed as
+        # u F + F / rate.
+        out = (u + 1.0 / self.rate) * f
+        if math.isinf(sys.float_info.max + 1.0 / self.rate):
+            band = np.isinf(u + 1.0 / self.rate) & np.isfinite(u)
+            out[band] = u[band] * f[band] + f[band] / self.rate
+        return np.fmax(out, 0.0)
 
     def _tail_integral_and_survival(self, t):
         # One exp serves both kernels: F(u) is the tail integral's factor.

@@ -477,14 +477,14 @@ def check_subset_product_chain(a, j: int) -> CheckResult:
     m = vals.size
     if m > _ENUMERATION_LIMIT:
         raise RangeError(f"check limited to m <= {_ENUMERATION_LIMIT}, got {m}")
+    if m == 0:
+        raise RangeError("check requires a nonempty vector")
     if not (0 <= j <= m):
         raise RangeError(f"check requires 0 <= j <= m: got j={j}, m={m}")
     if np.any(vals < 0):
         raise DomainError("check requires nonnegative values")
-    esp_j = elementary_symmetric(vals)[j]
-    total = Fraction(0)
-    for v in vals:
-        total += Fraction(float(v))
+    esp = elementary_symmetric(vals)
+    esp_j, total = esp[j], esp[1]
     middle = Fraction(math.comb(m, j)) * (total / m) ** j
     right = total**j / Fraction(math.factorial(j))
     ok = esp_j <= middle <= right

@@ -12,8 +12,12 @@ sum is nonincreasing in rho, so each "is rho feasible?" is answered from a
 known bracket a < rho* <= b where it can be, and a safeguarded Illinois
 iteration on log rho first narrows that bracket to the bisection's
 tolerance. The bisection then evaluates only the one or two midpoints that
-fall inside it and returns the same float, bit for bit, as a plain
-bisection: the feasible end of its last bracket. +inf is an explicit value,
+fall inside it and returns the feasible end of its last bracket. That is
+the float a plain bisection returns, bit for bit, wherever the computed
+modular sum does not increase with rho. The moment function's sums carry
+rounding noise from the cancellation in s E[|xi|; |xi| > 1/s] - F(1/s)
+(about 1e-10), and there the result can differ from a plain bisection's by
+about 1e-12 relative. +inf is an explicit value,
 returned by the function itself past its domain: a single infinite term
 makes the modular sum infinite, which keeps brackets well-defined there.
 
@@ -370,11 +374,14 @@ def orlicz_norm(x, fun: OrliczFunction) -> float:
     a < rho* <= b narrowed beforehand by a safeguarded Illinois iteration on
     log rho; see ``_solve``. Every other call of ``fun.evaluate`` is on the
     nonzero |x_i|/rho, with no argument checks: x is validated here. The
-    returned rho is bit for bit the plain bisection's: on the feasible side
-    of a bracket of relative width ``NORM_REL_TOL`` (for subnormal norms, of
-    two adjacent floats, so a norm below 5e-324 gives 5e-324), so the
-    infimum is never overshot from below; where
-    the modular sum is continuous the residual |sum - 1| is well below 1e-9.
+    returned rho is on the feasible side of a bracket of relative width
+    ``NORM_REL_TOL`` (for subnormal norms, of two adjacent floats, so a norm
+    below 5e-324 gives 5e-324), so the infimum is never overshot from below;
+    where the modular sum is continuous the residual |sum - 1| is well below
+    1e-9. It is the plain bisection's rho, bit for bit, wherever the
+    computed sum does not increase with rho; the moment functions' sums
+    cancel to about 1e-10, and there the two can differ by about 1e-12
+    relative.
 
     Vectors of at least ``_STEER_MIN_N`` entries whose function reaches 1 on
     the grid are steered first: the same solve on a surrogate of
@@ -383,8 +390,9 @@ def orlicz_norm(x, fun: OrliczFunction) -> float:
     against log rho, are routed through the feasibility predicate on the
     full vector. This only chooses which rho get a full modular sum; every
     answer still comes from a full sum or from the bracket, so the bracket
-    loops and the bisection replay unchanged and the bits are those of the
-    unsteered solve. Moment functions need 4-6 full sums instead of 15-18.
+    loops and the bisection replay unchanged and, under the same condition
+    on the computed sum, the bits are those of the unsteered solve. Moment
+    functions need 4-6 full sums instead of 15-18.
 
     The result is 0.0 exactly when the limit test n * sup fun <= 1 shows the
     sum <= 1 for every rho (a bounded functional). Otherwise, when a
@@ -442,8 +450,9 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
     """
     n = v.size
 
-    # b starts at +inf, where every term is fun(0) = 0.
-    a, sa, b, sb = -math.inf, math.inf, math.inf, 0.0
+    # a starts at 0, infeasible by the limit test; b at +inf, where every
+    # term is fun(0) = 0.
+    a, sa, b, sb = 0.0, math.inf, math.inf, 0.0
 
     def feasible(rho: float) -> bool:
         nonlocal a, sa, b, sb
@@ -480,7 +489,7 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
         hi = min(hi * (2.0 if doublings < _MAX_DOUBLINGS else _EXPONENT_STEP), _HUGE)
         doublings += 1
     lo = min(lo, hi)
-    halvings = _MAX_DOUBLINGS
+    steps = 0
     if t_hi is None:
         # fun stays below 1 on the grid. Test first the last rho the halving
         # loop below would reach: the sum does not increase with rho, so if
@@ -489,17 +498,13 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
         for _ in range(_MAX_DOUBLINGS - 1):
             bottom *= 0.5
         if feasible(bottom):
-            lo, halvings = bottom, 0
-    for _ in range(halvings):
-        if not feasible(lo):
-            break
-        lo *= 0.5
-    else:
-        # On to the bottom of the float range: by the limit test some rho > 0
-        # is infeasible. If every positive float is feasible instead, the
-        # bisection below ends on the smallest one.
-        while lo > 0.0 and feasible(lo):
-            lo /= _EXPONENT_STEP
+            lo, steps = bottom, _MAX_DOUBLINGS
+    # By 1/2, then on to the bottom of the float range: by the limit test some
+    # rho > 0 is infeasible, and rho = 0 is (a = 0). If every positive float
+    # is feasible instead, the bisection below ends on the smallest one.
+    while feasible(lo):
+        lo = lo * 0.5 if steps < _MAX_DOUBLINGS else lo / _EXPONENT_STEP
+        steps += 1
 
     # Illinois on g(u) = log S(e^u) with secant weights ga, gb: the weight of
     # an endpoint kept twice in a row is halved, and each point is clamped
@@ -566,7 +571,7 @@ def _steer_guess(v, fun, t_hi, t_lo):
     g = _solve(sub, float(ordered[-1]), surrogate, t_hi, t_lo)
     if not 0.0 < g < math.inf:
         return None
-    s0, s1 = (float(np.sum(surrogate.evaluate(sub / rho))) for rho in (g, g * _STEER_H))
+    s0, s1 = (_modular_sum(sub, surrogate, rho) for rho in (g, g * _STEER_H))
     slope = (_log_or_nan(s1) - _log_or_nan(s0)) / math.log(_STEER_H)
     return (g, slope) if slope < 0.0 else None
 
@@ -581,7 +586,10 @@ def young_conjugate(fun: OrliczFunction, s: float, *, method: str = "auto") -> f
     ``method``:
       * "auto": analytic tail-threshold shortcut for distribution-derived
         moment functions, golden-section search otherwise;
-      * "tail": force the shortcut (moment functions only);
+      * "tail": force the shortcut (moment functions only): F(t) at the t
+        with tail_integral(t) = s, found by one norm solve to relative
+        precision ``NORM_REL_TOL`` at every scale; a t past a table's last
+        knot raises TabulationError, one past the float range NumericError;
       * "search": force the derivative-free search (always available).
     """
     if not (s >= 0):
@@ -598,28 +606,21 @@ def young_conjugate(fun: OrliczFunction, s: float, *, method: str = "auto") -> f
 
 
 def _conjugate_by_tail(model: DistributionModel, s: float) -> float:
-    """fun*(s) = F(t) at the threshold t where tail_integral(t) = s."""
+    """fun*(s) = F(t) at t = inf { t : tail_integral(t) <= s }: the norm of
+    (1) under the increasing h(u) = tail_integral(1/u) / s, whose sup is
+    mean/s > 1. Past a table's last knot the raw tail integral reads 0, so
+    a t beyond the table lands just past it and ``survival`` refuses it."""
     mean = model.mean_abs()
     if s > mean:
         return math.inf
     if s >= mean:
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if model.tail_integral(hi) <= s:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NumericError("tail threshold search failed to bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if model.tail_integral(mid) > s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return float(model.survival(0.5 * (lo + hi)))
+    # At rho = t near the largest float, u = 1/t is subnormal and 1/u can
+    # overflow: read it as the largest float, not as inf (where the tail
+    # integral is 0), so a threshold past the float range overflows the norm.
+    h = from_callable(lambda u: model._tail_integral(np.minimum(1.0 / u, _HUGE)) / s,
+                      label=f"tail threshold of {model.describe()}", is_orlicz=False)
+    return float(model.survival(orlicz_norm([1.0], h)))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -411,6 +411,10 @@ class TestSubsetProductChain:
         assert res.ok
         assert res.lhs == res.rhs == 1.0
 
+    def test_empty_vector_refused(self):
+        with pytest.raises(RangeError, match="nonempty"):
+            check_subset_product_chain([], 0)
+
     def test_j1_all_equal(self):
         a = [0.4, 1.2, 0.7]
         res = check_subset_product_chain(a, 1)

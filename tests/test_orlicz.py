@@ -16,6 +16,7 @@ from orlicz_bounds import (
     NumericError,
     RangeError,
     SymExponential,
+    TabulationError,
     UnboundedNormError,
     Weights,
     expected_overshoot_function,
@@ -354,6 +355,41 @@ class TestConjugate:
             err = abs(young_conjugate(m, s, method="search") - gaussian.survival(float(t)))
             assert err <= 1e-6
 
+    @pytest.mark.parametrize("c", [1e-100, 1e-20, 1.0, 1e20, 1e100])
+    def test_shortcut_holds_at_every_gaussian_scale(self, c):
+        model = Gaussian().scaled_by(c)
+        got = young_conjugate(expected_overshoot_function(model), model.tail_integral(1.5 * c))
+        assert got == pytest.approx(Gaussian().survival(1.5), rel=1e-10)
+
+    @pytest.mark.parametrize("rate", [1e-5, 1e5])
+    def test_shortcut_holds_at_extreme_symexp_rates(self, rate):
+        model = SymExponential(rate)
+        s = model.tail_integral(1.5 / rate)
+        assert young_conjugate(expected_overshoot_function(model), s) == pytest.approx(
+            math.exp(-1.5), rel=1e-10
+        )
+
+    def test_shortcut_near_the_top_of_the_float_range(self):
+        # Rate 1e-308: tail_integral(t) = (t + 1e308) e^(-1e-308 t). At
+        # s = mean/2 the threshold is 1.68e308 (mpmath: F = e^-z with
+        # (z + 1) e^-z = 1/2); at s = mean/10 it is 3.9e308, past the range.
+        model = SymExponential(1e-308)
+        m = expected_overshoot_function(model)
+        assert young_conjugate(m, 5e307) == pytest.approx(0.186682308850837, rel=1e-10)
+        with pytest.raises(NumericError):
+            young_conjugate(m, 1e307)
+
+    @pytest.mark.parametrize("t", [8.5, 9.0, 9.99])
+    def test_shortcut_reaches_the_end_of_a_table(self, gaussian_table_model, t):
+        m = expected_overshoot_function(gaussian_table_model)
+        got = young_conjugate(m, gaussian_table_model.tail_integral(t))
+        assert got == pytest.approx(gaussian_table_model.survival(t), rel=1e-9)
+
+    def test_shortcut_refuses_a_threshold_past_the_table(self, gaussian_table_model):
+        m = expected_overshoot_function(gaussian_table_model)
+        with pytest.raises(TabulationError):
+            young_conjugate(m, 0.5 * gaussian_table_model.tail_integral(10.0))
+
     def test_tail_method_requires_moment_function(self):
         with pytest.raises(DomainError):
             young_conjugate(linear_function(), 0.5, method="tail")
@@ -450,3 +486,16 @@ def test_norm_at_tiny_symexp_rate_is_finite():
     # nan, and the solver finds the norm instead of reporting an overflow.
     nm = orlicz_norm(np.ones(11), expected_overshoot_function(SymExponential(rate=1e-299)))
     assert nm == pytest.approx(1.8065e299, rel=1e-4)
+
+
+def test_symexp_moment_is_finite_where_the_tail_shift_overflows():
+    # u + 1/rate overflows for u = 1/s near 1e308 at rate 1e-308, though
+    # M(s) = (s/rate) e^(-rate/s) is below 1 there.
+    rate = 1e-308
+    m = expected_overshoot_function(SymExponential(rate))
+    s = np.array([6e-309, 1e-308, 1.2e-308])
+    assert np.allclose(m.values(s), (s / rate) * np.exp(-rate / s), rtol=1e-12, atol=0.0)
+    # mpmath: rho = 1 / (z rate) with z e^(-1/z) = 1, and 1e-10 / (z rate)
+    # with z e^(-1/z) = 1/2.
+    assert orlicz_norm([1.0], m) == pytest.approx(5.67143290409784e307, rel=1e-10)
+    assert orlicz_norm([1e-10, 1e-10], m) == pytest.approx(8.52605502013725e297, rel=1e-10)
