@@ -3,16 +3,20 @@
 Order-statistic expectations are estimated by averaging the k-th smallest
 (or largest) of |x_i xi_i| over replications. Each row is partially
 selected at the wanted order statistics, or sorted when more than two are
-wanted (the selected values are the same either way). Replications are split
+wanted (the selected values are the same either way). The frequency checks
+select nothing: a row's k-th smallest is <= t exactly when at least k of its
+entries are, so they count per row. Replications are split
 into chunks whose size depends only on n; chunk c draws from an independent
 substream seeded by (seed, c), and per-chunk sums are combined in chunk
 order, so results are bit-identical for a given (seed, replications)
 regardless of how many worker threads run the chunks.
 
 The exact checks use elementary symmetric polynomials computed by the
-product recurrence e_l <- e_l + a_i e_{l-1} over rational arithmetic
-(double-precision inputs are dyadic rationals, so this is exact); a subset
-enumeration route is kept as an n <= 12 cross-check of the recurrence.
+product recurrence e_l <- e_l + a_i e_{l-1}. Doubles are dyadic rationals,
+so each input is written as an integer over one common denominator 2^p and
+the recurrence runs on Python integers: exact, and with no gcd until e_l is
+formed once as E_l / 2^(p l). A subset enumeration route is kept as an
+n <= 12 cross-check of the recurrence.
 Every checker reports both sides; a False result is a diagnosable failure,
 never a silent pass.
 """
@@ -111,8 +115,10 @@ def _selected_chunks(xv: np.ndarray, model: DistributionModel, kth, replications
     names more than two positions, and partitioned at ``kth`` otherwise:
     numpy's multi-kth introselect is slower than its row sort, and both put
     the same value at every position in ``kth``, which is all ``reduce`` may
-    read. Overflow in a chunk gives inf without a warning. Which thread runs
-    a chunk never changes its result.
+    read. ``kth=None`` makes no selection, for a ``reduce`` that reads the
+    rows in their drawn order (a count per row). Overflow in a chunk gives
+    inf without a warning. Which thread runs a chunk never changes its
+    result.
     """
     if not _integer_at_least(replications, 100):
         raise RangeError(f"need at least 100 replications, got {replications!r}")
@@ -123,7 +129,7 @@ def _selected_chunks(xv: np.ndarray, model: DistributionModel, kth, replications
     n = xv.size
     chunk_rows = min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n))
     chunks = -(-replications // chunk_rows)
-    sort_rows = np.size(kth) > 2
+    sort_rows = kth is not None and np.size(kth) > 2
 
     def worker(c: int):
         rows = min(chunk_rows, replications - c * chunk_rows)
@@ -134,7 +140,7 @@ def _selected_chunks(xv: np.ndarray, model: DistributionModel, kth, replications
             draws *= xv
             if sort_rows:
                 draws.sort(axis=1)
-            else:
+            elif kth is not None:
                 draws.partition(kth, axis=1)
             return reduce(draws)
 
@@ -258,12 +264,16 @@ def _frequency_kth_min_below(
     seed: int,
     threads: int = 1,
 ):
-    """Empirical P(k-min <= t) with its binomial standard error."""
+    """Empirical P(k-min <= t) with its binomial standard error.
 
-    def below(part):
-        return int(np.count_nonzero(part[:, k - 1] <= t))
+    A row is a hit when at least k of its entries are <= t, which holds
+    exactly when its k-th smallest is (ties included; rows hold no NaN), so
+    the rows are counted, not selected."""
 
-    hits = sum(_selected_chunks(xv, model, k - 1, replications, seed, threads, below))
+    def below(rows):
+        return int(np.count_nonzero(np.count_nonzero(rows <= t, axis=1) >= k))
+
+    hits = sum(_selected_chunks(xv, model, None, replications, seed, threads, below))
     freq = hits / replications
     se = math.sqrt(max(freq * (1.0 - freq), 0.0) / replications)
     return freq, se
@@ -380,13 +390,16 @@ def check_kmax_split(values, k: int, j: int) -> CheckResult:
     smallest of the first k+j-1 plus the maximum of the rest.
 
     ``values`` may be one realization (vector) or a batch (rows); absolute
-    values are taken. Requires j <= n - k so the remainder is nonempty.
+    values are taken. Requires j <= n - k so the remainder is nonempty, and
+    finite values: a NaN or inf entry raises DomainError, never a pass.
     """
     vals = np.abs(np.asarray(values, dtype=float))
     if vals.ndim == 1:
         vals = vals[None, :]
     if vals.ndim != 2:
         raise DomainError("values must be a vector or a batch of row vectors")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("split check needs finite values")
     n = vals.shape[1]
     if not (1 <= k <= n):
         raise RangeError(f"split check requires 1 <= k <= n: got k={k}, n={n}")
@@ -412,19 +425,23 @@ def check_kmax_split(values, k: int, j: int) -> CheckResult:
 def elementary_symmetric(values) -> list[Fraction]:
     """e_0 .. e_n of nonnegative values, exact.
 
-    Product recurrence over rationals; doubles are dyadic rationals, so no
-    rounding occurs anywhere.
+    Each double is m_i / 2^(q_i); with p the largest q_i it is A_i / 2^p for
+    the integer A_i = m_i 2^(p - q_i). The product recurrence runs on the
+    integers E_l = 2^(p l) e_l, so no rounding and no gcd occurs until each
+    e_l is formed once as E_l / 2^(p l).
     """
     vals = np.asarray(values, dtype=float).ravel()
     if np.any(vals < 0) or np.any(~np.isfinite(vals)):
         raise DomainError("elementary symmetric polynomials need finite nonnegative values")
-    fracs = [Fraction(float(v)) for v in vals]
-    e = [Fraction(0)] * (len(fracs) + 1)
-    e[0] = Fraction(1)
-    for i, a in enumerate(fracs, start=1):
-        for level in range(min(i, len(fracs)), 0, -1):
+    ratios = [float(v).as_integer_ratio() for v in vals]
+    shifts = [den.bit_length() - 1 for _, den in ratios]  # den = 2^q
+    p = max(shifts, default=0)
+    ints = [num << (p - q) for (num, _), q in zip(ratios, shifts)]
+    e = [1] + [0] * len(ints)
+    for i, a in enumerate(ints, start=1):
+        for level in range(i, 0, -1):
             e[level] += a * e[level - 1]
-    return e
+    return [Fraction(big, 1 << (p * level)) for level, big in enumerate(e)]
 
 def elementary_symmetric_by_enumeration(values, order: int) -> Fraction:
     """Subset enumeration route (cross-check of the recurrence, n <= 12)."""

@@ -590,7 +590,10 @@ def young_conjugate(fun: OrliczFunction, s: float, *, method: str = "auto") -> f
         with tail_integral(t) = s, found by one norm solve to relative
         precision ``NORM_REL_TOL`` at every scale; a t past a table's last
         knot raises TabulationError, one past the float range NumericError;
-      * "search": force the derivative-free search (always available).
+      * "search": force the derivative-free search (always available):
+        doubling up to the top of the float range, then golden section to
+        the absolute tolerance 1e-10 * max(1, bracket end), so a maximizer
+        far below 1e-10 is not resolved.
     """
     if not (s >= 0):
         raise DomainError(f"conjugate argument must be >= 0, got {s}")
@@ -626,28 +629,31 @@ def _conjugate_by_tail(model: DistributionModel, s: float) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the solver's errstate
 def _conjugate_by_search(fun: OrliczFunction, s: float) -> float:
+    # Every abscissa is finite and >= 0, so fun.evaluate is called directly,
+    # without the argument checks of fun.values.
     def phi(t: float) -> float:
-        value = fun(t)
+        value = float(np.ravel(fun.evaluate(np.array([t])))[0])
         return -math.inf if math.isinf(value) else t * s - value
 
     best = 0.0  # phi(0) = 0
 
-    # Expand until phi stops increasing (phi = -inf where fun = +inf);
-    # persistent positive slope at a huge abscissa means the supremum is
-    # infinite.
+    # Expand until phi stops increasing by a margin relative to phi itself
+    # (phi = -inf where fun = +inf); a positive slope still at the top of the
+    # float range means the supremum is infinite.
     right = 1.0
     f_r = phi(right)
     best = max(best, f_r)
     while True:
         f_next = phi(2.0 * right)
-        if not (f_next > f_r + 1e-14 * max(1.0, abs(f_r))):
+        if not (f_next > f_r + 1e-14 * abs(f_r)):
             right *= 2.0
             break
         right *= 2.0
         f_r = f_next
         best = max(best, f_r)
-        if right > 1e15:
+        if right > _HUGE / 4:
             slope = (phi(2.0 * right) - f_r) / right
             if slope > 1e-12:
                 return math.inf

@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py's verdict per metric, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,68 @@ def test_counters_report_base_change_and_difference(capsys):
     assert rows["bound-batch exact.orlicz.evals"] == ["4048", "4120", "+72"]
     assert rows["bound-batch exact.partition.cases"] == ["0", "-", "-"]
     assert rows["bound-batch exact.bounds.reports"] == ["-", "37", "-"]
+
+
+_PROVENANCE = {"base": {"revision": "HEAD~1", "commit": "a" * 40},
+               "change": {"commit": "b" * 40, "dirty": True},
+               "machine": {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}}
+
+
+def _run_main(monkeypatch, tmp_path, argv, **fakes):
+    """bench_pairs.main on ``fakes`` in place of perfbench and git; returns
+    (exit status, printed text, the --out file read back)."""
+    monkeypatch.setattr(bench_pairs, "extract", lambda revision, tree: tree)
+    monkeypatch.setattr(bench_pairs, "provenance", lambda base: _PROVENANCE)
+    for name, fake in fakes.items():
+        monkeypatch.setattr(bench_pairs, name, fake)
+    out = tmp_path / "BENCH_test.json"
+    status = bench_pairs.main([*argv, "--base", "HEAD~1", "--out", str(out)])
+    return status, out.read_text()
+
+
+def test_out_file_round_trip(monkeypatch, tmp_path, capsys):
+    values = {"base": iter([100, 101, 99, 100]), "change": iter([80, 81, 79, 82])}
+
+    def fake_run_bench(tree, workload, seed, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "base"
+        run = _runs("certify.pass_cal", [next(values[side])])[0]
+        return {**run, "seed": seed, "workload": workload, "seconds": seconds}
+
+    status, text = _run_main(monkeypatch, tmp_path,
+                             ["--workload", "certify", "--seeds", "11-14", "--seconds", "5"],
+                             run_bench=fake_run_bench)
+    record = json.loads(text)
+    assert status == 0
+    assert record["printed"] == capsys.readouterr().out
+    assert {k: record[k] for k in _PROVENANCE} == _PROVENANCE
+    assert (record["workload"], record["seeds"], record["seconds"]) == ("certify",
+                                                                        [11, 12, 13, 14], 5.0)
+    assert [r["metrics"]["certify.pass_cal"]["value"] for r in record["runs"]["base"]] == [
+        100, 101, 99, 100]
+    assert [r["seed"] for r in record["runs"]["change"]] == [11, 12, 13, 14]
+    row = record["metrics"]["certify.pass_cal"]
+    assert row["base"] == {"median": 100.0, "q1": 99.75, "q3": 100.25}
+    assert row["change"]["median"] == 80.5
+    assert row["ratio"] == pytest.approx(0.805)
+    assert (row["wins"], row["pairs"], row["bound"], row["gain"]) == (4, 4, "ok", "yes")
+
+
+def test_out_file_holds_the_counter_table(monkeypatch, tmp_path, capsys):
+    texts = {"base": _perfbench_text({"certify": {"orlicz.solves": 76, "montecarlo.chunks": 9}}),
+             "change": _perfbench_text({"certify": {"orlicz.solves": 76}})}
+
+    def fake_run_perfbench(tree, workload, seed, seconds, trace):
+        assert (seed, trace) == (3, 1)
+        return texts["change" if tree == bench_pairs.ROOT else "base"]
+
+    status, text = _run_main(monkeypatch, tmp_path, ["--counters", "--seeds", "3"],
+                             run_perfbench=fake_run_perfbench)
+    record = json.loads(text)
+    assert status == 0
+    assert record["printed"] == capsys.readouterr().out
+    assert record["seeds"] == [3]
+    assert record["counters"] == {
+        "certify exact.orlicz.solves": {"base": 76.0, "change": 76.0, "difference": 0.0},
+        "certify exact.montecarlo.chunks": {"base": 9.0, "change": None, "difference": None},
+    }
+    assert record["runs"]["base"][0]["attempted"] == 518

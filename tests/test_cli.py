@@ -374,6 +374,12 @@ class TestVerify:
         suites = {line.split(",")[0] for line in lines[1:]}
         assert suites == {"sym-tail", "subset-chain", "tail-bound", "gaussian-equiv", "duality"}
 
+    @pytest.mark.parametrize("dist", ["symexp:1e10", "symexp:1e30", "symexp:1e200"])
+    def test_duality_at_small_scales(self, dist):
+        code, out = run_capture(["verify", "--suite", "duality", "--dist", dist])
+        assert code == 0
+        assert json.loads(out)["all_ok"]
+
     def test_json_format_all_ok_flag(self):
         code, out = run_capture(
             ["verify", "--suite", "kmax-split", "--seed", "3"]

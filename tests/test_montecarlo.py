@@ -4,16 +4,19 @@ import math
 import os
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orlicz_bounds import (
     DomainError,
     Gaussian,
     NumericError,
+    OrliczBoundsError,
+    PreconditionError,
     RangeError,
     SymExponential,
     check_kmax_split,
@@ -230,7 +233,67 @@ class TestSelection:
             assert np.array_equal(kmax, kmin_equiv)
 
 
+def _reference_elementary_symmetric(values):
+    """The recurrence as it stood before the integer form: one Fraction per
+    entry, every level reduced by a gcd at every step."""
+    vals = np.asarray(values, dtype=float).ravel()
+    if np.any(vals < 0) or np.any(~np.isfinite(vals)):
+        raise DomainError("elementary symmetric polynomials need finite nonnegative values")
+    fracs = [Fraction(float(v)) for v in vals]
+    e = [Fraction(0)] * (len(fracs) + 1)
+    e[0] = Fraction(1)
+    for i, a in enumerate(fracs, start=1):
+        for level in range(i, 0, -1):
+            e[level] += a * e[level - 1]
+    return e
+
+
+def _outcome(check, *args):
+    """A checker's (lhs, rhs, ok, detail), or the type of what it raised,
+    with the categories of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = check(*args)
+            result = res.lhs, res.rhs, res.ok, res.detail
+        except (ArithmeticError, OrliczBoundsError) as exc:
+            result = type(exc)
+    return result, [w.category for w in caught]
+
+
+# Zero, the smallest subnormal, other subnormals, the whole normal range and
+# repeated entries: every case of the common 2^p denominator.
+_ESP_SPECIAL = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-150, 0.1,
+                1.0, 3.0, 1e150, 1e300, 1e308]
+_ESP_ENTRY = st.one_of(st.sampled_from(_ESP_SPECIAL),
+                       st.floats(min_value=0.0, max_value=1e308))
+_ESP_VECTOR = st.lists(_ESP_ENTRY, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=22))
+
+
 class TestElementarySymmetric:
+    @settings(max_examples=150)
+    @given(_ESP_VECTOR, st.integers(min_value=0, max_value=2**31))
+    @example(_ESP_SPECIAL * 2 + [0.5, 0.5], 0)
+    @example([5e-324] * 22, 1)
+    @example([1e308] * 21 + [5e-324], 2)
+    def test_integer_recurrence_matches_fraction_reference(self, values, seed):
+        assert elementary_symmetric(values) == _reference_elementary_symmetric(values)
+        n = len(values)
+        rng = np.random.default_rng(seed)
+        k, j = int(rng.integers(1, max(n, 1) + 1)), int(rng.integers(0, n + 1))
+        vals = np.asarray(values, dtype=float)
+        cases = [(check_symmetric_tail_bound, vals, k), (check_subset_product_chain, vals, j)]
+        with np.errstate(over="ignore", divide="ignore"):
+            factor = 0.5 * k / math.e / np.sum(vals)
+        if math.isfinite(factor):  # also an instance with (e/k) sum a_i about 1/2
+            cases.append((check_symmetric_tail_bound, vals * factor, k))
+        got = [_outcome(*case) for case in cases]
+        with mock.patch.object(montecarlo, "elementary_symmetric",
+                               _reference_elementary_symmetric):
+            want = [_outcome(*case) for case in cases]
+        assert got == want
+
     def test_worked_example(self):
         # a_i = 0.1, n = 3: e_2 + e_3 = 3*0.01 + 0.001 = 0.031
         esp = elementary_symmetric([0.1, 0.1, 0.1])
@@ -338,6 +401,81 @@ class TestKthMinTail:
         assert res.ok
 
 
+def _reference_frequency(xv, model, k, t, replications, seed, threads=1):
+    """The k-min frequency as it stood before counting: every row
+    partitioned at k - 1 and its k-th smallest compared with t."""
+
+    def below(part):
+        return int(np.count_nonzero(part[:, k - 1] <= t))
+
+    hits = sum(montecarlo._selected_chunks(xv, model, k - 1, replications, seed, threads,
+                                           below))
+    freq = hits / replications
+    return freq, math.sqrt(max(freq * (1.0 - freq), 0.0) / replications)
+
+
+def _frequency_outcomes(x, model, k, t, reps, seed, threads):
+    """float.hex of freq and se from the frequency itself and from both
+    checkers that use it ("precondition" where a checker refuses t)."""
+    out = [tuple(map(float.hex, montecarlo._frequency_kth_min_below(
+        x, model, k, t, reps, seed, threads)))]
+    try:
+        res = check_kth_min_tail(x, model, k, t, reps, seed, threads)
+        out.append((res.lhs.hex(), res.detail["ci"].hex()))
+    except PreconditionError:
+        out.append("precondition")
+    if k == 1:
+        try:
+            res = check_min_survival_product(x, model, t, reps, seed, threads)
+            out.append((res.lhs.hex(), res.detail["ci"].hex(), res.detail["union"].lhs.hex()))
+        except PreconditionError:  # t / x_i past a table's last knot
+            out.append("precondition")
+    return out
+
+
+class _ReplayingModel:
+    """Delegates to a model, and replays each chunk's draws from a cache
+    keyed by the chunk's seed: the same draws, sampled once."""
+
+    def __init__(self, model):
+        self.model, self.draws = model, {}
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def sample(self, rng, count):
+        key = (tuple(rng.bit_generator.seed_seq.entropy), count)
+        if key not in self.draws:
+            self.draws[key] = self.model.sample(rng, count)
+        return self.draws[key].copy()  # the chunk engine works in place
+
+
+class TestFrequencyByCounting:
+    # numpy partitions rows shorter than about 256 by sorting them in full,
+    # so n = 300 is where a wrong selection in the reference would show
+    @pytest.mark.parametrize("family", ["gaussian", "symexp", "table"])
+    @pytest.mark.parametrize("n, ks", [(12, range(1, 13)),
+                                       (300, (1, 2, 37, 150, 151, 263, 299, 300))])
+    def test_same_bits_as_selection(self, gaussian_table_model, monkeypatch, family, n, ks):
+        model = _ReplayingModel({"gaussian": Gaussian(),
+                                 "symexp": SymExponential(rate=1.7).scaled_by(0.3),
+                                 "table": gaussian_table_model}[family])
+        x = np.sort(np.random.default_rng(23).uniform(0.5, 5.0, n))
+        reps, seed = 8192 + 37, 11  # a full chunk and a remainder
+        first = montecarlo._selected_chunks(x, model, None, reps, seed, 1, np.sort)[0]
+        for k in ks:
+            # each t is some row's k-th smallest, so that row ties with t;
+            # the lowest one also meets the k-min tail check's precondition
+            for t in (float(first[:, k - 1].min()), float(first[0, k - 1])):
+                with monkeypatch.context() as patch:
+                    patch.setattr(montecarlo, "_frequency_kth_min_below",
+                                  _reference_frequency)
+                    want = _frequency_outcomes(x, model, k, t, reps, seed, 1)
+                for threads in (1, 2):
+                    got = _frequency_outcomes(x, model, k, t, reps, seed, threads)
+                    assert got == want, (k, t, threads)
+
+
 class TestMinSurvivalProduct:
     def test_single_variable(self, gaussian):
         res = check_min_survival_product(np.ones(1), gaussian, 1.0,
@@ -392,6 +530,15 @@ class TestKmaxSplit:
     def test_j_range(self):
         with pytest.raises(RangeError):
             check_kmax_split(np.ones(5), 3, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        batch = np.random.default_rng(6).normal(size=(50, 8))
+        batch[17, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                check_kmax_split(batch, 2, 3)
 
     @given(
         st.integers(min_value=2, max_value=18),

@@ -339,6 +339,25 @@ class TestConjugate:
                 s * s / 4, rel=1e-8
             )
 
+    @pytest.mark.parametrize("s", [1e20, 1e100, 1e150])
+    def test_search_at_large_scales(self, s):
+        # the maximizer s/2 lies far past 1e15: the expansion runs on to
+        # the top of the float range
+        assert young_conjugate(power_function(2), s, method="search") == pytest.approx(
+            s * s / 4, rel=1e-8
+        )
+
+    @pytest.mark.parametrize("rate", [1e10, 1e30, 1e200])
+    def test_search_at_small_scales(self, rate):
+        # phi = t s - M(t) stays far below 1 here: the expansion compares
+        # each increase with phi itself, not with 1
+        model = SymExponential(rate)
+        m = expected_overshoot_function(model)
+        for z in (0.0, 1.5):
+            s = model.tail_integral(z / rate)
+            got = young_conjugate(m, s, method="search")
+            assert got == pytest.approx(math.exp(-z), abs=1e-6)
+
     def test_linear_conjugate(self):
         lin = linear_function()
         assert young_conjugate(lin, 0.5, method="search") == 0.0
