@@ -66,6 +66,9 @@ _MAX_TRUNCATION = 1e-9
 _CONVEXITY_SLACK = -1e-9
 _VALIDATION_POINTS = 201
 
+# Entries per block of the table's moment kernel (``tail_and_survival``).
+_GL_BLOCK = 1024
+
 
 @functools.cache
 def _special():
@@ -423,20 +426,68 @@ class _TabulatedCore:
         self._gl_nodes = nodes
         self._gl_weights = weights
 
-    def integral_f_to_end(self, u: np.ndarray) -> np.ndarray:
-        """integral_u^{tmax} F(s) ds, vectorized over u in [0, tmax]."""
-        ts = self.ts
-        j = np.clip(np.searchsorted(ts, u, side="right") - 1, 0, len(ts) - 2)
-        a = u
-        b = ts[j + 1]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        pts = mid[:, None] + half[:, None] * self._gl_nodes[None, :]
-        vals = np.exp(self.interp(pts))
-        partial = half * (vals @ self._gl_weights)
+    def tail_and_survival(self, u: np.ndarray) -> np.ndarray:
+        """np.stack((u F(u) + integral_u^{tmax} F(s) ds, F(u))) for u in
+        [0, tmax], the two kernels the moment function needs.
+
+        The partial integral from u to the next knot x_{j+1} is a 21-point
+        Gauss-Legendre rule whose points all lie in u's knot interval
+        [x_j, x_{j+1}), so ln F at them, and at u itself, is that interval's
+        cubic: one interval lookup per entry, not one per point. The cubic
+        is evaluated in scipy's own order, s = p - x_j, then c3 + c2 s,
+        + c1 (s s), + c0 ((s s) s), so every value keeps scipy's bits. A
+        point that rounds out of [x_j, x_{j+1}) (onto the next knot, say)
+        takes its value from ``self.interp`` instead, which keeps scipy's
+        half-open interval rule. The points ascend with the nodes, so a
+        row's first and last point show whether any of its points left.
+
+        The points and the cubic run in blocks of ``_GL_BLOCK`` entries
+        through two (block x 22) arrays allocated once per call; F lands in
+        one (n x 22) array, u's value in its last column, and the weights
+        are applied in one product over all n entries, the call the rule
+        has always made (a product per block would move BLAS's thread
+        split, and with it the rounding of a few rows).
+        """
+        x, c, nodes = self.interp.x, self.interp.c, self._gl_nodes
+        k = nodes.size  # column k holds u itself
+        j = np.searchsorted(x[1:-1], u, side="right")  # x_j <= u < x_{j+1}, last one closed
+        xk = x[j + 1]
+        half = 0.5 * (xk - u)
+        mid = 0.5 * (xk + u)
+        vals = np.empty((u.size, k + 1))
+        rows = min(u.size, _GL_BLOCK)
+        s, sq = np.empty((rows, k + 1)), np.empty((rows, k + 1))
+        for lo in range(0, u.size, _GL_BLOCK):
+            block = slice(lo, lo + _GL_BLOCK)
+            jb = j[block]
+            p, w, v = s[: jb.size], sq[: jb.size], vals[block]
+            xj, xjk = x[jb], xk[block]
+            c0, c1, c2, c3 = c[:, jb, None]
+            np.multiply(half[block, None], nodes, out=p[:, :k])
+            p[:, :k] += mid[block, None]
+            p[:, k] = u[block]
+            left = np.flatnonzero((p[:, 0] < xj) | (p[:, k - 1] >= xjk))
+            p_left = p[left, :k]
+            p -= xj[:, None]  # s from here on
+            np.multiply(c2, p, out=v)
+            v += c3
+            np.multiply(p, p, out=w)
+            p *= w
+            p *= c0
+            w *= c1
+            v += w
+            v += p
+            if left.size:
+                outside = (p_left < xj[left, None]) | (p_left >= xjk[left, None])
+                fixed = v[left, :k]
+                fixed[outside] = self.interp(p_left[outside])
+                v[left, :k] = fixed
+            np.exp(v, out=v)
+        f = vals[:, k]
+        partial = half * (vals[:, :k] @ self._gl_weights)
         # u exactly at (or numerically past) a knot: partial over empty interval
-        partial = np.where(b > a, partial, 0.0)
-        return partial + self.cum_tail[j + 1]
+        partial = np.where(xk > u, partial, 0.0)
+        return np.stack((u * f + (partial + self.cum_tail[j + 1]), f))
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         if np.any(p < self.fs[-1] * (1 - 1e-12)):
@@ -525,7 +576,7 @@ class TabulatedSurvival(DistributionModel):
         return several values per entry, stacked along a leading axis."""
         lim = self._core.ts[-1]
         inside = _within(u, lim)
-        if np.all(inside):
+        if inside.all():
             return kernel(np.minimum(u, lim))
         vals = kernel(np.minimum(u[inside], lim))
         out = np.full(vals.shape[:-1] + u.shape, past)
@@ -545,19 +596,10 @@ class TabulatedSurvival(DistributionModel):
         return self._core.quantile(p)
 
     def _std_tail_integral(self, u):
-        core = self._core
-        return self._on_table(
-            u, lambda r: r * np.exp(core.interp(r)) + core.integral_f_to_end(r), 0.0
-        )
+        return self._on_table(u, self._core.tail_and_survival, 0.0)[0]
 
     def _tail_integral_and_survival(self, t):
-        core = self._core
-
-        def both(r):
-            f = np.exp(core.interp(r))
-            return np.stack((r * f + core.integral_f_to_end(r), f))
-
-        tail, surv = self._on_table(t / self.scale, both, 0.0)
+        tail, surv = self._on_table(t / self.scale, self._core.tail_and_survival, 0.0)
         return self.scale * tail, surv
 
     def _std_mean_abs(self):

@@ -470,10 +470,12 @@ def check_symmetric_tail_bound(a, k: int) -> CheckResult:
     if not (1 <= k <= n):
         raise RangeError(f"check requires 1 <= k <= n: got k={k}, n={n}")
     esp = elementary_symmetric(vals)
-    lhs = float(sum(esp[k:], Fraction(0)))
-    aval = float(math.e / k * np.sum(vals))
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the test refuses
+        aval = float(math.e / k * np.sum(vals))
     if not (0.0 < aval < 1.0):
         raise DomainError(f"(e/k) sum a_i must lie in (0, 1), got {aval}")
+    # Formed after the test: with a in (0, 1) the exact sum is far below the float limit.
+    lhs = float(sum(esp[k:], Fraction(0)))
     rhs = aval**k / ((1.0 - aval) * math.sqrt(2.0 * math.pi * k))
     return CheckResult(
         name="symmetric_tail_bound",
@@ -505,10 +507,18 @@ def check_subset_product_chain(a, j: int) -> CheckResult:
     middle = Fraction(math.comb(m, j)) * (total / m) ** j
     right = total**j / Fraction(math.factorial(j))
     ok = esp_j <= middle <= right
+    sides = {}
+    for side, value in (("e_j", esp_j), ("middle", middle), ("right", right)):
+        try:
+            sides[side] = float(value)
+        except OverflowError:
+            raise NumericError(
+                f"subset product chain: the {side} side exceeds the float range (j={j})"
+            ) from None
     return CheckResult(
         name="subset_product_chain",
         ok=bool(ok),
-        lhs=float(esp_j),
-        rhs=float(right),
-        detail={"middle": float(middle), "m": m, "j": j},
+        lhs=sides["e_j"],
+        rhs=sides["right"],
+        detail={"middle": sides["middle"], "m": m, "j": j},
     )

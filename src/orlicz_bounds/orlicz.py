@@ -12,12 +12,15 @@ sum is nonincreasing in rho, so each "is rho feasible?" is answered from a
 known bracket a < rho* <= b where it can be, and a safeguarded Illinois
 iteration on log rho first narrows that bracket to the bisection's
 tolerance. The bisection then evaluates only the one or two midpoints that
-fall inside it and returns the feasible end of its last bracket. That is
-the float a plain bisection returns, bit for bit, wherever the computed
-modular sum does not increase with rho. The moment function's sums carry
-rounding noise from the cancellation in s E[|xi|; |xi| > 1/s] - F(1/s)
-(about 1e-10), and there the result can differ from a plain bisection's by
-about 1e-12 relative. +inf is an explicit value,
+fall inside it (each midpoint is compared with (a, b) inline, so one the
+bracket answers costs no call) and returns the feasible end of its last
+bracket. That is the float a plain bisection returns, bit for bit, wherever
+the computed modular sum does not increase with rho. The moment function's
+sums carry rounding noise from the cancellation in
+s E[|xi|; |xi| > 1/s] - F(1/s) (about 1e-10), and there the result can
+differ from a plain bisection's by about 1e-12 relative. Every evaluation
+is one modular sum, ``_modular_sum``: the pairwise ``np.add.reduce`` that
+``np.sum`` runs, without its Python wrapper. +inf is an explicit value,
 returned by the function itself past its domain: a single infinite term
 makes the modular sum infinite, which keeps brackets well-defined there.
 
@@ -38,11 +41,13 @@ than the largest float, so every solve runs on x itself, and the result is
 +inf only when the largest float is infeasible.
 
 Arguments are validated once, at the public entry points: ``orlicz_norm``
-checks the vector, ``OrliczFunction.values`` and ``__call__`` refuse NaN
-and negative arguments. ``evaluate`` and the distribution handles' kernels
-(the models' raw ``_survival``, ``_neg_log_survival``, ``_tail_integral``)
-check nothing, so a modular sum pays for the arithmetic alone. Past a
-table's last knot the kernels read F = 0, so the handles need no mask.
+checks the vector (one finiteness test; NaN and inf are told apart only when
+it fails), ``OrliczFunction.values`` and ``__call__`` refuse NaN and
+negative arguments. ``evaluate`` and the distribution handles' kernels (the
+models' raw ``_survival``, ``_neg_log_survival``, ``_tail_integral``) check
+nothing, so a modular sum pays for the arithmetic alone. Past a table's last
+knot the kernels read F = 0, so the handles need no mask, and the moment
+handle masks zeros only when its argument has one (never inside a solve).
 
 The same functional is defined for merely positive increasing functions; such
 handles carry ``is_orlicz=False`` and the functional need not be a norm (it
@@ -208,8 +213,13 @@ def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
 
     def _eval(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t.shape)
         pos = t > 0.0
+        if pos.all():  # always, inside a solve: no mask, gather or scatter
+            tail, surv = model._tail_integral_and_survival(1.0 / t)
+            out = t * tail
+            out -= surv
+            return np.maximum(out, 0.0, out=out)
+        out = np.zeros(t.shape)
         tp = t[pos]
         if tp.size:
             tail, surv = model._tail_integral_and_survival(1.0 / tp)
@@ -405,13 +415,15 @@ def orlicz_norm(x, fun: OrliczFunction) -> float:
     if isinstance(x, Weights):
         x = x.values
     v = np.abs(np.asarray(x, dtype=float).ravel())
-    if v.size == 0 or not np.any(v > 0):
+    pos = v > 0
+    if v.size == 0 or not pos.any():
         raise DomainError("norm of the zero vector is undefined")
-    if np.any(np.isnan(v)):
-        raise DomainError("weights must not contain NaN")
-    if np.any(np.isinf(v)):
+    if not np.isfinite(v).all():
+        if np.isnan(v).any():
+            raise DomainError("weights must not contain NaN")
         raise UnboundedNormError("norm is infinite: input contains infinite entries")
-    v = v[v > 0]
+    if not pos.all():
+        v = v[pos]
     n = v.size
     vmax = float(v.max())
 
@@ -431,7 +443,7 @@ def _modular_sum(v: np.ndarray, fun: OrliczFunction, rho: float) -> float:
     """The modular sum of fun at v / rho: every feasibility test of the norm
     solver is this float compared with 1, and it does not increase with rho.
     v holds the positive entries; nothing is checked."""
-    return float(np.sum(fun.evaluate(v / rho)))
+    return float(np.add.reduce(fun.evaluate(v / rho), axis=None))  # np.sum, unwrapped
 
 
 def _solve(v, vmax, fun, t_hi, t_lo) -> float:
@@ -542,7 +554,8 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
             if mid < math.inf:
                 break
             mid = 0.5 * lo + 0.5 * hi  # lo + hi overflowed near the largest float
-        if feasible(mid):
+        # The bracket answers most midpoints; only one inside (a, b) is summed.
+        if mid >= b or (mid > a and feasible(mid)):
             hi = mid
         else:
             lo = mid

@@ -1,7 +1,8 @@
-"""scripts/bench_pairs.py's verdict per metric, on synthetic runs."""
+"""scripts/bench_pairs.py's verdicts on synthetic runs, and scripts/ab_calls.py run on the working tree."""
 
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -159,3 +160,37 @@ def test_out_file_holds_the_counter_table(monkeypatch, tmp_path, capsys):
         "certify exact.montecarlo.chunks": {"base": 9.0, "change": None, "difference": None},
     }
     assert record["runs"]["base"][0]["attempted"] == 518
+
+
+_AB_SPEC = importlib.util.spec_from_file_location(
+    "ab_calls", Path(__file__).resolve().parent.parent / "scripts" / "ab_calls.py"
+)
+ab_calls = importlib.util.module_from_spec(_AB_SPEC)
+_AB_SPEC.loader.exec_module(ab_calls)
+
+
+def _working_tree_package(revision, tree):
+    return ab_calls.ROOT / "src" / ab_calls.PACKAGE
+
+
+def test_ab_calls_on_the_working_tree_against_itself(monkeypatch, tmp_path, capsys):
+    """Both sides are the working tree: every call runs, every pair of
+    results agrees, and the rows reach the --out file."""
+    monkeypatch.setattr(ab_calls, "extract_package", _working_tree_package)
+    out = tmp_path / "calls.json"
+    assert ab_calls.main(["--base", "HEAD", "--reps", "2", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    rows = record["rows"]
+    assert len(rows) == 3 * 3 * 3 + 3 * 2 + 4  # N, M, survival x 3 sizes; 2 norms; 4 reports
+    assert all(row["reps"] == 2 and 0 <= row["wins"] <= 2 and row["base_ms"] > 0 for row in rows)
+    printed = capsys.readouterr().out
+    assert all(row["call"] in printed for row in rows)
+    assert record["base"]["revision"] == "HEAD"
+
+
+def test_ab_calls_stops_when_results_differ():
+    lib = ab_calls.load_package(_working_tree_package(None, None), ab_calls.PACKAGE)
+    shifted = types.SimpleNamespace(**vars(lib))
+    shifted.orlicz_norm = lambda x, fun: lib.orlicz_norm(x, fun) * (1.0 + 2.0**-52)
+    with pytest.raises(AssertionError, match="norm/M/gaussian/n=100: results differ"):
+        ab_calls.compare(lib, shifted, reps=1)

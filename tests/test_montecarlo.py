@@ -333,6 +333,15 @@ class TestSymmetricTailBound:
         with pytest.raises(DomainError):
             check_symmetric_tail_bound([0.5, 0.5, 0.5], 1)
 
+    @pytest.mark.parametrize("values", [[1e308], [1e308, 1e308], [1e308] * 5])
+    def test_overflowing_sum_refused_without_a_warning(self, values):
+        # (e/k) sum a_i overflows to inf, which the (0, 1) test refuses; the
+        # exact left side (about 1e616 for two entries) is never formed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="got inf"):
+                check_symmetric_tail_bound(values, 1)
+
     @given(
         st.integers(min_value=1, max_value=22),
         st.floats(min_value=0.02, max_value=0.97),
@@ -561,6 +570,18 @@ class TestSubsetProductChain:
     def test_empty_vector_refused(self):
         with pytest.raises(RangeError, match="nonempty"):
             check_subset_product_chain([], 0)
+
+    @pytest.mark.parametrize("values, j, side", [
+        ([1e308, 1e308], 2, "e_j"),       # e_2 = 1e616
+        ([1e308, 1e308], 1, "e_j"),       # e_1 = 2e308
+        ([1e300, 1e-10], 2, "middle"),    # e_2 = 1e290, middle 2.5e599
+        ([1e154, 1e154], 2, "right"),     # e_2 = 1e308, middle 1e308, right 2e308
+    ])
+    def test_side_beyond_the_float_range_names_it(self, values, j, side):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"the {side} side exceeds the float range"):
+                check_subset_product_chain(values, j)
 
     def test_j1_all_equal(self):
         a = [0.4, 1.2, 0.7]

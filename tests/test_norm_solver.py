@@ -251,6 +251,22 @@ def test_values_keep_the_argument_shape(gaussian_table_model, nonconvex_table_mo
     assert fun.values(0.5) == fun.values([0.5])[0] == fun(0.5)
 
 
+@pytest.mark.parametrize("kind", _KIND_NAMES)
+def test_modular_sum_is_np_sum(gaussian_table_model, nonconvex_table_model, kind):
+    """The solver's unwrapped sum is the float ``np.sum`` gives, for every
+    handle kind, at scales that put the entries in every part of the
+    function (zero, finite, +inf past a domain or a table)."""
+    fun = _function_kinds(gaussian_table_model, nonconvex_table_model)[kind](3)
+    rng = np.random.default_rng(13)
+    for v in (rng.uniform(0.5, 5.0, 100), np.exp(rng.uniform(-20.0, 20.0, 5000)),
+              np.array([5e-324, 1.0, 1e308])):
+        for rho in (1e-300, 1e-3, 0.7, 1.0, 3.0, 1e4, 1e300):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                want = float(np.sum(fun.evaluate(v / rho)))
+                got = orlicz_module._modular_sum(v, fun, rho)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (rho, got, want)
+
+
 def _counted_solve(x, fun):
     counted, calls = _counting(fun, len(x))
     return orlicz_norm(x, counted).hex(), calls

@@ -65,10 +65,27 @@ def _ref_survival(model, t):
     return np.exp(model._core.interp(_clipped(model, t)))
 
 
+def _reference_integral_f_to_end(core, u):
+    """integral_u^{tmax} F as the table computed it before its one-lookup
+    kernel (``_TabulatedCore.tail_and_survival``): scipy evaluates ln F at
+    every Gauss-Legendre point."""
+    ts = core.ts
+    j = np.clip(np.searchsorted(ts, u, side="right") - 1, 0, len(ts) - 2)
+    a = u
+    b = ts[j + 1]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    pts = mid[:, None] + half[:, None] * core._gl_nodes[None, :]
+    vals = np.exp(core.interp(pts))
+    partial = half * (vals @ core._gl_weights)
+    partial = np.where(b > a, partial, 0.0)
+    return partial + core.cum_tail[j + 1]
+
+
 def _ref_tail_integral(model, t):
     u = _clipped(model, t)
     core = model._core
-    return model.scale * (u * np.exp(core.interp(u)) + core.integral_f_to_end(u))
+    return model.scale * (u * np.exp(core.interp(u)) + _reference_integral_f_to_end(core, u))
 
 
 def ref_moment(model):
@@ -241,3 +258,116 @@ def test_one_rule_for_public_refusal_and_kernel_extension(gaussian_table_model, 
         assert out[1] == public(edge)
         assert out[2] == out[3] == beyond
         assert out[0] == public(1.0)
+
+
+# -- the one-lookup moment kernel against scipy at every point ---------------
+
+
+def _kernel_tables(table):
+    """The erfc table, a table with uneven knots, one whose last knots lie
+    60-3000 ulps apart (partial integrals there are a large share of the
+    tail) and the erfc table scaled."""
+    ts = np.concatenate(([0.0], np.cumsum(np.random.default_rng(7).uniform(0.002, 0.2, 120))))
+    uneven = TabulatedSurvival(ts, np.exp(-0.5 * ts * ts - 0.3 * ts))
+    ulps = np.spacing(10.0) * np.array([3000.0, 400.0, 120.0, 60.0, 0.0])
+    ts = np.concatenate((np.linspace(0.0, 9.75, 40), 10.0 - ulps))
+    clustered = TabulatedSurvival(ts, np.exp(-0.5 * ts * ts))
+    return {"erfc": table, "uneven": uneven, "clustered-end": clustered,
+            "erfc*3": table.scaled_by(3.0)}
+
+
+_KERNEL_TABLES = ["erfc", "uneven", "clustered-end", "erfc*3"]
+
+
+def _near_knots(ts):
+    """Every knot, 1..40 ulps either side of each, 0 and t_max, inside [0, t_max]."""
+    columns, below, above = [ts, np.array([0.0, ts[-1]])], ts, ts
+    for _ in range(40):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        columns += [below, above]
+    u = np.concatenate(columns)
+    return u[(u >= 0.0) & (u <= ts[-1])]
+
+
+def _assert_kernel_matches_scipy(model, u):
+    core = model._core
+    f = np.exp(core.interp(u))
+    want = np.stack((u * f + _reference_integral_f_to_end(core, u), f))
+    assert np.array_equal(core.tail_and_survival(u), want)
+    # and through the kernels the moment handle reads, at t = scale * u
+    t = model.scale * u
+    tail, surv = model._tail_integral_and_survival(t)
+    assert np.array_equal(tail, _ref_tail_integral(model, t))
+    assert np.array_equal(surv, _ref_survival(model, t))
+    assert np.array_equal(model._tail_integral(t), tail)
+
+
+@pytest.mark.parametrize("name", _KERNEL_TABLES)
+def test_one_lookup_kernel_matches_scipy_at_random_points(gaussian_table_model, name):
+    model = _kernel_tables(gaussian_table_model)[name]
+    rng = np.random.default_rng(11)
+    # every size up to 70, then sizes that are not multiples of the block
+    for n in list(range(1, 71)) + [1023, 1025, 2049, 4097, 10_001, 33_243, 99_999]:
+        _assert_kernel_matches_scipy(model, rng.uniform(0.0, model._core.ts[-1], n))
+
+
+@pytest.mark.parametrize("name", _KERNEL_TABLES)
+def test_one_lookup_kernel_matches_scipy_around_every_knot(gaussian_table_model, name):
+    model = _kernel_tables(gaussian_table_model)[name]
+    _assert_kernel_matches_scipy(model, _near_knots(model._core.ts))
+
+
+@pytest.mark.parametrize("name", _KERNEL_TABLES)
+def test_points_off_their_interval_are_read_from_scipy(gaussian_table_model, name):
+    """The knot rule: exactly the Gauss-Legendre points that round out of
+    their entry's [x_j, x_{j+1}) (thousands on the near-knot grid) are
+    evaluated by ``interp``. Next to the u F(u) term such a point changes no
+    output bit in practice, so the rule is checked here, not through the
+    kernel's values."""
+    table = _kernel_tables(gaussian_table_model)[name]
+    core = TabulatedSurvival(table._core.ts, table._core.fs)._core  # patched below
+    u = _near_knots(core.ts)
+    j = np.clip(np.searchsorted(core.ts, u, side="right") - 1, 0, len(core.ts) - 2)
+    a, b = core.ts[j], core.ts[j + 1]
+    pts = 0.5 * (b + u)[:, None] + 0.5 * (b - u)[:, None] * core._gl_nodes
+    off = pts[(pts < a[:, None]) | (pts >= b[:, None])]
+    assert off.size > 500
+
+    interp, asked = core.interp, []
+
+    class Recording:
+        x, c = interp.x, interp.c
+
+        def __call__(self, p):
+            asked.append(np.array(p))
+            return interp(p)
+
+    core.interp = Recording()
+    core.tail_and_survival(u)
+    assert np.array_equal(np.sort(np.concatenate(asked)), np.sort(off))
+
+
+def _moment_inputs():
+    rng = np.random.default_rng(12)
+    return {
+        "plain": np.exp(rng.uniform(-8.0, 8.0, 3000)),
+        "subnormal": np.array([5e-324, 1e-310, 2.2e-308, 1e-300, 0.5, 2.0]),
+        "inf": np.array([math.inf, 1.0, 3.0, math.inf, 1e300]),
+    }
+
+
+@pytest.mark.parametrize("name", _KERNEL_TABLES)
+def test_moment_direct_path_matches_masked_path(gaussian_table_model, gaussian, symexp, name):
+    models = {"table": _kernel_tables(gaussian_table_model)[name], "gaussian": gaussian,
+              "symexp": symexp}
+    for model in models.values():
+        fun = expected_overshoot_function(model)
+        for t in _moment_inputs().values():
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                direct = fun.evaluate(t)  # every entry > 0: the direct path
+                masked = fun.evaluate(np.append(t, 0.0))  # a zero: the masked path
+                zeros = np.insert(t, [0, 2, 2], 0.0)
+                mixed = fun.evaluate(zeros)
+            assert np.array_equal(direct, masked[:-1]) and masked[-1] == 0.0
+            assert np.array_equal(mixed[zeros > 0], direct)
+            assert not np.any(mixed[zeros == 0])
