@@ -29,15 +29,12 @@ import argparse
 import importlib.util
 import io
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -178,9 +175,12 @@ def extract_package(revision: str, tree: Path) -> Path:
     return tree / BASE_PACKAGE
 
 
-def git_output(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def provenance(base: str) -> dict:
+    """The revisions compared and the machine, as ``bench_pairs.py`` records them."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs.provenance(base)
 
 
 def main(argv=None) -> int:
@@ -201,15 +201,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.out is not None:
-        record = {
-            "base": {"revision": args.base, "commit": git_output("rev-parse", f"{args.base}^{{commit}}")},
-            "change": {"commit": git_output("rev-parse", "HEAD"),
-                       "dirty": bool(git_output("status", "--porcelain", "--untracked-files=no"))},
-            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                        "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")},
-            "reps": args.reps,
-            "rows": rows,
-        }
+        record = {**provenance(args.base), "reps": args.reps, "rows": rows}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
