@@ -10,8 +10,11 @@ into a temporary directory, under the package name ``orlicz_bounds_base``
 tree's ``orlicz_bounds`` in this one interpreter. Then it runs a fixed call
 list on both: N, M and survival per family (gaussian, symexp, the 401-knot
 erfc table) at n = 1e2, 1e4 and 1e5; the M norm per family at n = 1e2 and
-1e5; one ``kth_min_bounds``, ``kth_max_bounds``, ``max_bounds`` and
-``build_partition``. Each repetition runs every call on both sides, and
+1e5; ``kth_min_bounds`` (gaussian k = 7, table k = 20) and
+``kth_max_bounds`` (table and gaussian, k = 5) at n = 100; one
+``max_bounds``, one ``build_partition`` and one solve under
+``reciprocal_survival_function`` at n = 1e4, which never reaches 1 on the
+probe grid and so runs without a steer. Each repetition runs every call on both sides, and
 which side runs first alternates from one repetition to the next, so both
 see the same host speed (which can swing by 2x within minutes). Every pair
 of results must have the same ``repr`` (arrays and reports compared as
@@ -90,7 +93,14 @@ def call_list(lib, data: dict) -> list[tuple[str, callable]]:
     calls += [
         ("kth_min_bounds/gaussian/n=100/k=7",
          lambda: lib.kth_min_bounds(x100, models["gaussian"], 7)),
+        ("kth_min_bounds/table/n=100/k=20", lambda: lib.kth_min_bounds(x100, table, 20)),
         ("kth_max_bounds/table/n=100/k=5", lambda: lib.kth_max_bounds(x100[::-1], table, 5)),
+        ("kth_max_bounds/gaussian/n=100/k=5",
+         lambda: lib.kth_max_bounds(x100[::-1], models["gaussian"], 5)),
+        # Never reaches 1 on the probe grid: the solve without a steer.
+        ("norm/reciprocal_survival/gaussian/n=1e4",
+         lambda: lib.orlicz_norm(data["x1e4"],
+                                 lib.reciprocal_survival_function(models["gaussian"], 3))),
         ("max_bounds/table/n=1e4", lambda: lib.max_bounds(data["x1e4"], table)),
         ("build_partition/gaussian-N/n=60/k=4",
          lambda: lib.build_partition(data["x60"],

@@ -43,6 +43,7 @@ from .distributions import DistributionModel
 from .errors import DomainError, InfeasibleError, NonConvexError, NumericError, RangeError
 from .orlicz import (
     _as_weights,
+    _WarmStart,
     _reciprocals,
     expected_overshoot_function,
     neg_log_survival_function,
@@ -163,19 +164,43 @@ def _check_kmin_range(k: int, n: int) -> None:
         )
 
 
-def _norm_to_invert(x: np.ndarray, fun) -> float:
+def _norm_to_invert(x: np.ndarray, fun, warm=None) -> float:
     """||x||_fun for a caller that divides by it: DomainError naming the
     model in ``fun``'s label when the norm is 0 or its reciprocal overflows."""
-    nm = orlicz_norm(x, fun)
+    nm = orlicz_norm(x, fun, warm=warm)
     if not (nm > 0.0 and 1.0 / nm < math.inf):
         raise DomainError(f"the norm under {fun.label} is {nm!r}; its reciprocal is not finite")
     return nm
 
 
-def _suffix_norm_terms(inv: np.ndarray, nfun, k: int) -> list[float]:
-    """1 / ||(1/x_i)_{i=j..n}||_{(2e/(k-j+1)) N} for j = 1..k."""
-    return [1.0 / _norm_to_invert(inv[j - 1 :], nfun.scaled(_TWO_E / (k - j + 1)))
-            for j in range(1, k + 1)]
+def _family_terms(members) -> tuple[list[float], tuple]:
+    """(terms, notes): 1 / ||v||_fun for each (v, fun) of a bound family, in
+    order, each solve warm-started from its neighbour's root (the floats do
+    not depend on it). A norm past the float range is solved on v / max(v)
+    instead and its term formed as (1 / ||v / m||) / m, since the norm is
+    homogeneous; such a term is far below 1 and may be subnormal, with
+    reduced precision, which the notes say."""
+    warm = _WarmStart()
+    terms, notes = [], ()
+    for v, fun in members:
+        try:
+            terms.append(1.0 / _norm_to_invert(v, fun, warm))
+        except NumericError:  # the norm exceeds the float range
+            m = float(v.max())
+            terms.append((1.0 / _norm_to_invert(v / m, fun)) / m)
+            notes = (_RESCALED_NOTE,)
+    return terms, notes
+
+
+_RESCALED_NOTE = ("a norm exceeds the float range: its term is solved on the vector "
+                  "divided by its largest entry, with reduced precision when subnormal")
+
+
+def _suffix_norm_terms(inv: np.ndarray, nfun, k: int) -> tuple[list[float], tuple]:
+    """(terms, notes) of 1 / ||(1/x_i)_{i=j..n}||_{(2e/(k-j+1)) N} for
+    j = 1..k; see ``_family_terms``."""
+    return _family_terms((inv[j - 1 :], nfun.scaled(_TWO_E / (k - j + 1)))
+                         for j in range(1, k + 1))
 
 
 def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
@@ -190,13 +215,14 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
     inv = _reciprocals(w.values)
     convex = model.n_is_convex()
     nfun = neg_log_survival_function(model, require_convex=False)
-    terms = _suffix_norm_terms(inv, nfun, k)
+    terms, notes = _suffix_norm_terms(inv, nfun, k)
     arg = int(np.argmax(terms))  # ties: smallest index
     m = terms[arg]
     n1, c_n = _n1_and_c_n(model)
     lower = C1_LOWER * m
     upper = KMIN_UPPER_FACTOR * c_n * math.log(k + 1) * m if convex else None
-    notes = () if convex else ("upper bound omitted: negative log-survival is not convex",)
+    if not convex:
+        notes += ("upper bound omitted: negative log-survival is not convex",)
     upper, notes = _finite_upper(upper, notes)
     return BoundReport(
         kind="kmin",
@@ -266,8 +292,8 @@ def kth_max_bounds(
         )
     nfun = neg_log_survival_function(model)  # convexity required here
     inv = _reciprocals(w.values)
-    terms = [1.0 / _norm_to_invert(inv[: k + ell], nfun.scaled(_TWO_E / (ell + 1)))
-             for ell in range(k0)]
+    terms, notes = _family_terms((inv[: k + ell], nfun.scaled(_TWO_E / (ell + 1)))
+                                 for ell in range(k0))
     arg = int(np.argmax(terms))
     m = terms[arg]
     mfun = expected_overshoot_function(model)
@@ -276,7 +302,7 @@ def kth_max_bounds(
     a = 1.0 + math.log(8.0 * (k - 1)) / n1
     lower = 0.25 * (m + tail_norm / a)
     upper, notes = _finite_upper(
-        cons.kmax_upper_c * (c_n * math.log(k + 1) * m + tail_norm), ())
+        cons.kmax_upper_c * (c_n * math.log(k + 1) * m + tail_norm), notes)
     return BoundReport(
         kind="kmax",
         k=k,
@@ -350,7 +376,7 @@ def kth_min_moment_lower(x, model: DistributionModel, k: int, p: float) -> float
     if not (1 <= k <= n):
         raise RangeError(f"k-min moment bound requires 1 <= k <= n: got k={k}, n={n}")
     nfun = neg_log_survival_function(model, require_convex=False)
-    terms = _suffix_norm_terms(_reciprocals(w.values), nfun, k)
+    terms, _ = _suffix_norm_terms(_reciprocals(w.values), nfun, k)
     return C1_LOWER * max(terms) ** p
 
 

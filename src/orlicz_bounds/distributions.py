@@ -103,7 +103,8 @@ class DistributionModel:
     # tail_integral) is ``_prepare`` plus a raw part (``_survival``, ...) on
     # an already validated float array: no NaN, nothing negative, nothing
     # past a table. The handles call the raw parts, so a solve validates
-    # once, at its entry.
+    # once, at its entry. At scale 1.0 the raw parts skip t / scale and
+    # scale *, which are exact there.
 
     def _prepare(self, t):
         """Validate a nonnegative scalar/array argument resolved by the model;
@@ -129,7 +130,7 @@ class DistributionModel:
         return _ret(self._survival(arr), scalar)
 
     def _survival(self, t: np.ndarray) -> np.ndarray:
-        return self._std_survival(t / self.scale)
+        return self._std_survival(t if self.scale == 1.0 else t / self.scale)
 
     def neg_log_survival(self, t):
         """N(t) = -ln F(t)."""
@@ -137,7 +138,7 @@ class DistributionModel:
         return _ret(self._neg_log_survival(arr), scalar)
 
     def _neg_log_survival(self, t: np.ndarray) -> np.ndarray:
-        return self._std_neg_log_survival(t / self.scale)
+        return self._std_neg_log_survival(t if self.scale == 1.0 else t / self.scale)
 
     def quantile(self, p):
         """Inverse of F: the t with F(t) = p, for p in (0, 1]."""
@@ -155,6 +156,8 @@ class DistributionModel:
             return _ret(self._tail_integral(arr), scalar)
 
     def _tail_integral(self, t: np.ndarray) -> np.ndarray:
+        if self.scale == 1.0:
+            return self._std_tail_integral(t)
         return self.scale * self._std_tail_integral(t / self.scale)
 
     def _tail_integral_and_survival(self, t: np.ndarray):

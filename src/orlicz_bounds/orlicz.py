@@ -7,31 +7,41 @@ on R^n is the implicit scaling
     ||x||_M = inf { rho > 0 : sum_i M(|x_i| / rho) <= 1 },
 
 computed here by bisection on rho. The starting bracket comes from one
-vectorised probe of the function on the grid 2^-199 ... 2^199. The modular
-sum is nonincreasing in rho, so each "is rho feasible?" is answered from a
-known bracket a < rho* <= b where it can be, and a safeguarded Illinois
-iteration on log rho first narrows that bracket to the bisection's
-tolerance. The bisection then evaluates only the one or two midpoints that
-fall inside it (each midpoint is compared with (a, b) inline, so one the
-bracket answers costs no call) and returns the feasible end of its last
-bracket. That is the float a plain bisection returns, bit for bit, wherever
-the computed modular sum does not increase with rho. The moment function's
-sums carry rounding noise from the cancellation in
-s E[|xi|; |xi| > 1/s] - F(1/s) (about 1e-10), and there the result can
-differ from a plain bisection's by about 1e-12 relative. Every evaluation
-is one modular sum, ``_modular_sum``: the pairwise ``np.add.reduce`` that
-``np.sum`` runs, without its Python wrapper. +inf is an explicit value,
-returned by the function itself past its domain: a single infinite term
-makes the modular sum infinite, which keeps brackets well-defined there.
+vectorised probe of the function on the grid 2^-199 ... 2^199, made once
+per handle: a handle keeps its probe, and a scaled handle keeps its base
+and factor and reads factor * (the base's probe), the product its
+``evaluate`` forms, so every member of a family of scalings of one N shares
+one probe. The modular sum is nonincreasing in rho, so each "is rho
+feasible?" is answered from a known bracket a < rho* <= b where it can be,
+and a secant endgame on (log rho, log S) first narrows that bracket to the
+bisection's tolerance: each new point is the secant through the two most
+recently summed points, clamped inside (a, b), with regula falsi or a mean
+of a and b when the secant leaves the bracket. The bisection then evaluates
+only the one or two midpoints that fall inside it (each midpoint is
+compared with (a, b) inline, so one the bracket answers costs no call) and
+returns the feasible end of its last bracket. That is the float a plain
+bisection returns, bit for bit, wherever the computed modular sum does not
+increase with rho. The moment function's sums carry rounding noise from
+the cancellation in s E[|xi|; |xi| > 1/s] - F(1/s) (about 1e-10), and there
+the result can differ from a plain bisection's by about 1e-12 relative.
+Every evaluation is one modular sum, ``_modular_sum``: the pairwise
+``np.add.reduce`` that ``np.sum`` runs, without its Python wrapper. +inf is
+an explicit value, returned by the function itself past its domain: a
+single infinite term makes the modular sum infinite, which keeps brackets
+well-defined there.
 
-Long vectors (n >= 4096, ``_STEER_MIN_N``) are steered: a solve on a
-512-entry surrogate (the 128 largest entries and a strided sample of the
-rest, each standing for its stratum) guesses rho*, and the guess and one
-Newton step from it get the first full modular sums, so the bracket is
-narrow before the loops start. The loops, the Illinois iteration and the
-bisection ask the same predicate as before, and a steered bracket only
-answers what a full sum would answer, so the returned float keeps its bits
-while moment functions take 4-6 full sums instead of 15-18.
+Two seeds put the first full sums next to rho*, so the bracket is narrow
+before the loops start. Long vectors (n >= 4096, ``_STEER_MIN_N``) are
+steered: a solve on a 512-entry surrogate (the 128 largest entries and a
+strided sample of the rest, each standing for its stratum) guesses rho*.
+Shorter solves of a bound family are warm-started (``orlicz_norm``'s
+``warm``): the guess is the previous member's root. Either way the guess
+and one Newton step from it, overshot so that it lands past rho*, get the
+first full sums. The loops, the endgame and the bisection ask the same
+predicate as before, and a seeded bracket only answers what a full sum
+would answer, so the returned float keeps its bits. Steered moment
+functions take 4-6 full sums instead of 15-18, and warm-started members of
+the k-min and k-max families about 6 instead of 8-10.
 
 The result is 0.0 only when a limit test, n * fun(inf) <= 1, shows that the
 modular sum never exceeds 1. A bracket loop that runs out of its 200 steps
@@ -41,11 +51,12 @@ than the largest float, so every solve runs on x itself, and the result is
 +inf only when the largest float is infeasible.
 
 Arguments are validated once, at the public entry points: ``orlicz_norm``
-checks the vector (one finiteness test; NaN and inf are told apart only when
-it fails), ``OrliczFunction.values`` and ``__call__`` refuse NaN and
-negative arguments. ``evaluate`` and the distribution handles' kernels (the
-models' raw ``_survival``, ``_neg_log_survival``, ``_tail_integral``) check
-nothing, so a modular sum pays for the arithmetic alone. Past a table's last
+checks the vector (its smallest entry > 0 and its largest < inf; zeros,
+NaN and inf are told apart only when that fails), ``OrliczFunction.values``
+and ``__call__`` refuse NaN and negative arguments. ``evaluate`` and the
+distribution handles' kernels (the models' raw ``_survival``,
+``_neg_log_survival``, ``_tail_integral``, which skip the scaling at scale
+1) check nothing, so a modular sum pays for the arithmetic alone. Past a table's last
 knot the kernels read F = 0, so the handles need no mask, and the moment
 handle masks zeros only when its argument has one (never inside a solve).
 
@@ -118,6 +129,10 @@ _STEER_M = 512
 _STEER_TOP = 128
 _STEER_H = 1.0 + 1e-4
 _STEER_OVERSHOOT = 0.1
+# A warm start (a bound family's neighbouring root) overshoots its Newton
+# step by this share of itself.
+_WARM_OVERSHOOT = 0.01
+_LOG_HUGE = math.log(_HUGE)
 
 
 @dataclass(frozen=True)
@@ -135,6 +150,25 @@ class OrliczFunction:
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     is_orlicz: bool = True
     model: Optional[DistributionModel] = field(default=None, repr=False)
+    # A scaled handle is factor * base; it reads its probe off the base's.
+    base: Optional["OrliczFunction"] = field(default=None, repr=False)
+    factor: float = 1.0
+    _probed: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    def _probe_values(self) -> np.ndarray:
+        """``evaluate`` on ``_PROBES``, computed once per handle (read-only).
+        A scaled handle forms factor * (the base's probe), the product its
+        ``evaluate`` forms, so the bits are those of a fresh call. Called
+        under the solver's errstate."""
+        vals = self._probed
+        if vals is None:
+            if self.base is not None:
+                vals = self.factor * self.base._probe_values()
+            else:
+                vals = np.asarray(self.evaluate(_PROBES.copy()), dtype=float)
+            vals.flags.writeable = False
+            object.__setattr__(self, "_probed", vals)
+        return vals
 
     def values(self, t) -> np.ndarray:
         """The function at each entry of t, in the shape of t, validated
@@ -169,6 +203,8 @@ class OrliczFunction:
             label=f"{factor:g}*{base.label}",
             evaluate=_eval,
             is_orlicz=base.is_orlicz,
+            base=base,
+            factor=factor,
         )
 
 
@@ -362,10 +398,10 @@ def _probe(fun: OrliczFunction, n: int):
     first 2^-i with fun <= 1/n, each None when no i < 200 gives one, and
     fun(inf), its supremum, for the limit test.
 
-    One call of ``fun.evaluate`` on every point either scan can reach, plus
-    +inf.
+    Read off the handle's probe, ``fun`` on every point either scan can
+    reach plus +inf, computed once per handle (``_probe_values``).
     """
-    vals = np.asarray(fun.evaluate(_PROBES.copy()), dtype=float)
+    vals = fun._probe_values()
     up = np.flatnonzero(vals[_ONE:-1] >= 1.0)
     down = np.flatnonzero(vals[_ONE::-1] <= 1.0 / n)
     t_hi = float(_PROBES[_ONE + up[0]]) if up.size else None
@@ -373,36 +409,44 @@ def _probe(fun: OrliczFunction, n: int):
     return t_hi, t_lo, float(vals[-1])
 
 
-def orlicz_norm(x, fun: OrliczFunction) -> float:
+def orlicz_norm(x, fun: OrliczFunction, *, warm: Optional[_WarmStart] = None) -> float:
     """The norm functional inf { rho > 0 : sum_i fun(|x_i| / rho) <= 1 }.
 
-    One call of ``fun.evaluate`` on the grid 2^-199 ... 2^199 and +inf
-    finds the per-element probes: the first 2^i (i >= 0) where
-    fun >= 1 and the first 2^-i where fun <= 1/n, as scalar doubling and
-    halving from 1 would, and sup fun. They set the starting bracket of a
-    bisection on rho whose feasibility questions are answered from a bracket
-    a < rho* <= b narrowed beforehand by a safeguarded Illinois iteration on
-    log rho; see ``_solve``. Every other call of ``fun.evaluate`` is on the
-    nonzero |x_i|/rho, with no argument checks: x is validated here. The
-    returned rho is on the feasible side of a bracket of relative width
-    ``NORM_REL_TOL`` (for subnormal norms, of two adjacent floats, so a norm
-    below 5e-324 gives 5e-324), so the infimum is never overshot from below;
-    where the modular sum is continuous the residual |sum - 1| is well below
-    1e-9. It is the plain bisection's rho, bit for bit, wherever the
-    computed sum does not increase with rho; the moment functions' sums
-    cancel to about 1e-10, and there the two can differ by about 1e-12
-    relative.
+    ``fun`` on the grid 2^-199 ... 2^199 and +inf, evaluated once per
+    handle (a scaled handle scales its base's), finds the per-element
+    probes: the first 2^i (i >= 0) where fun >= 1 and the first 2^-i where
+    fun <= 1/n, as scalar doubling and halving from 1 would, and sup fun.
+    They set the starting bracket of a bisection on rho whose feasibility
+    questions are answered from a bracket a < rho* <= b narrowed beforehand
+    by a safeguarded secant iteration on log rho; see ``_solve``. Every
+    other call of ``fun.evaluate`` is on the nonzero |x_i|/rho, with no
+    argument checks: x is validated here. The returned rho is on the
+    feasible side of a bracket of relative width ``NORM_REL_TOL`` (for
+    subnormal norms, of two adjacent floats, so a norm below 5e-324 gives
+    5e-324), so the infimum is never overshot from below; where the modular
+    sum is continuous the residual |sum - 1| is well below 1e-9. It is the
+    plain bisection's rho, bit for bit, wherever the computed sum does not
+    increase with rho; the moment functions' sums cancel to about 1e-10,
+    and there the two can differ by about 1e-12 relative.
 
     Vectors of at least ``_STEER_MIN_N`` entries whose function reaches 1 on
     the grid are steered first: the same solve on a surrogate of
     ``_STEER_M`` entries (see ``_steer_guess``) guesses rho*, and that guess
     and one Newton step from it, along the surrogate's slope of log sum
     against log rho, are routed through the feasibility predicate on the
-    full vector. This only chooses which rho get a full modular sum; every
-    answer still comes from a full sum or from the bracket, so the bracket
-    loops and the bisection replay unchanged and, under the same condition
-    on the computed sum, the bits are those of the unsteered solve. Moment
-    functions need 4-6 full sums instead of 15-18.
+    full vector. Moment functions need 4-6 full sums instead of 15-18.
+
+    ``warm`` serves the shorter solves of a bound family, whose neighbouring
+    members' norms lie close together: a holder (``_WarmStart``) that one
+    solve fills with its root and the slope of log sum against log rho at
+    its final bracket, and the next starts from, with one sum at that root
+    and one Newton step along that slope, overshot by 1 %. It changes cost
+    only, never the result: like the steer it only chooses which rho get a
+    full modular sum, every answer still comes from a full sum or from the
+    bracket, so the bracket loops and the bisection replay unchanged and,
+    under the same condition on the computed sum, the bits are those of a
+    cold solve. Vectors of ``_STEER_MIN_N`` entries or more are steered
+    instead, and still fill the holder.
 
     The result is 0.0 exactly when the limit test n * sup fun <= 1 shows the
     sum <= 1 for every rho (a bounded functional). Otherwise, when a
@@ -415,17 +459,11 @@ def orlicz_norm(x, fun: OrliczFunction) -> float:
     if isinstance(x, Weights):
         x = x.values
     v = np.abs(np.asarray(x, dtype=float).ravel())
-    pos = v > 0
-    if v.size == 0 or not pos.any():
-        raise DomainError("norm of the zero vector is undefined")
-    if not np.isfinite(v).all():
-        if np.isnan(v).any():
-            raise DomainError("weights must not contain NaN")
-        raise UnboundedNormError("norm is infinite: input contains infinite entries")
-    if not pos.all():
-        v = v[pos]
+    vmax = float(v.max()) if v.size else math.nan  # NaN if an entry is
+    if not (vmax < math.inf and v.min() > 0.0):
+        v = _positive_entries(v)
+        vmax = float(v.max())
     n = v.size
-    vmax = float(v.max())
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Per-element probes: fun(t_hi) >= 1 gives an infeasible rho,
@@ -433,10 +471,36 @@ def orlicz_norm(x, fun: OrliczFunction) -> float:
         t_hi, t_lo, top = _probe(fun, n)
         if n * top <= 1.0:  # the sum is <= n sup fun <= 1 for every rho
             return 0.0
-        rho = _solve(v, vmax, fun, t_hi, t_lo)
+        rho = _solve(v, vmax, fun, t_hi, t_lo, warm)
     if rho == math.inf:
         raise NumericError(f"norm overflows: it exceeds the float range ({fun.label})")
     return rho
+
+
+def _positive_entries(v: np.ndarray) -> np.ndarray:
+    """The positive entries of |x| when some entry is not positive and
+    finite: DomainError for the zero vector and for NaN, UnboundedNormError
+    for an infinite entry."""
+    pos = v > 0
+    if v.size == 0 or not pos.any():
+        raise DomainError("norm of the zero vector is undefined")
+    if np.isnan(v).any():
+        raise DomainError("weights must not contain NaN")
+    if np.isinf(v).any():
+        raise UnboundedNormError("norm is infinite: input contains infinite entries")
+    return v[pos]
+
+
+class _WarmStart:
+    """What one solve of a bound family hands the next (``orlicz_norm``'s
+    ``warm``): its root and the slope of log S against log rho at its final
+    bracket. Empty until a solve ends with a finite positive root."""
+
+    __slots__ = ("root", "slope")
+
+    def __init__(self):
+        self.root = None
+        self.slope = math.nan
 
 
 def _modular_sum(v: np.ndarray, fun: OrliczFunction, rho: float) -> float:
@@ -446,7 +510,7 @@ def _modular_sum(v: np.ndarray, fun: OrliczFunction, rho: float) -> float:
     return float(np.add.reduce(fun.evaluate(v / rho), axis=None))  # np.sum, unwrapped
 
 
-def _solve(v, vmax, fun, t_hi, t_lo) -> float:
+def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
     """Bisection on rho with every feasibility test routed through a known
     bracket; +inf only when the largest float is infeasible. The caller has
     ruled out a zero infimum by the limit test.
@@ -455,24 +519,28 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
     evaluated feasible (sum sb <= 1). A rho >= b is feasible and a rho <= a
     infeasible without evaluating, because the modular sum does not increase
     with rho; only a rho strictly inside (a, b) is evaluated. A steer (large
-    vectors only) seeds (a, b) near rho* first. Between the bracket loops and
-    the bisection, an Illinois iteration narrows (a, b) to relative width
-    ``NORM_REL_TOL``, so the bisection takes its usual steps but evaluates
-    only the one or two midpoints that land inside.
+    vectors) or a warm start (a family's neighbouring root) seeds (a, b)
+    near rho* first. Between the bracket loops and the bisection, a secant
+    endgame narrows (a, b) to relative width ``NORM_REL_TOL``, so the
+    bisection takes its usual steps but evaluates only the one or two
+    midpoints that land inside.
     """
     n = v.size
 
     # a starts at 0, infeasible by the limit test; b at +inf, where every
-    # term is fun(0) = 0.
+    # term is fun(0) = 0. (u0, g0) and (u1, g1) are the two most recently
+    # summed points as (log rho, log S), the newer last.
     a, sa, b, sb = 0.0, math.inf, math.inf, 0.0
+    u0 = g0 = u1 = g1 = math.nan
 
     def feasible(rho: float) -> bool:
-        nonlocal a, sa, b, sb
+        nonlocal a, sa, b, sb, u0, g0, u1, g1
         if rho >= b:
             return True
         if rho <= a:
             return False
         s = _modular_sum(v, fun, rho)
+        u0, g0, u1, g1 = u1, g1, math.log(rho), _log_or_nan(s)
         if s <= 1.0:
             b, sb = rho, s
             return True
@@ -482,17 +550,21 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
     hi = min(n * vmax / t_lo, _HUGE) if t_lo else vmax
     lo = vmax / t_hi if t_hi else vmax
 
-    if t_hi is not None and n >= _STEER_MIN_N:
-        guess = _steer_guess(v, fun, t_hi, t_lo)
-        if guess is not None:
-            g, slope = guess
-            # The sum at g, then one Newton step in log rho along the
-            # subsample's slope, overshot so that it lands past rho*.
-            s_g = sb if feasible(g) else sa
-            step = -_log_or_nan(s_g) / slope
-            if abs(step) < 1.0:
-                overshoot = max(_STEER_OVERSHOOT * abs(step), NORM_REL_TOL)
-                feasible(g * math.exp(step + math.copysign(overshoot, step)))
+    guess = None
+    if n >= _STEER_MIN_N:
+        if t_hi is not None:
+            guess, overshoot = _steer_guess(v, fun, t_hi, t_lo), _STEER_OVERSHOOT
+    elif warm is not None and warm.root is not None:
+        guess, overshoot = (warm.root, warm.slope), _WARM_OVERSHOOT
+    if guess is not None:
+        g, slope = guess
+        # The sum at g, then one Newton step in log rho along the slope,
+        # overshot so that it lands past rho*.
+        s_g = sb if feasible(g) else sa
+        step = -_log_or_nan(s_g) / slope
+        if abs(step) < 1.0:
+            step += math.copysign(max(overshoot * abs(step), NORM_REL_TOL), step)
+            feasible(g * math.exp(step))
 
     doublings = 0
     while not feasible(hi):  # by 2, then on to the top of the float range
@@ -518,33 +590,37 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
         lo = lo * 0.5 if steps < _MAX_DOUBLINGS else lo / _EXPONENT_STEP
         steps += 1
 
-    # Illinois on g(u) = log S(e^u) with secant weights ga, gb: the weight of
-    # an endpoint kept twice in a row is halved, and each point is clamped
-    # delta inside (a, b) so that both ends close in. A side whose sum is 0
-    # or inf (or a = 0) gives the geometric (arithmetic) mean instead.
-    ga, gb = _log_or_nan(sa), _log_or_nan(sb)
-    last = None
+    # Secant on g(u) = log S(e^u) through the two most recently summed
+    # points, each new point clamped delta inside (a, b) so that both ends
+    # close in. When the secant leaves (a, b) or a sum is 0 or inf: regula
+    # falsi on (a, b), unless the last two steps have not halved log(b / a)
+    # (regula falsi creeps when one end's sum is far from 1) or a sum at a or
+    # b is 0 or inf; then the geometric (arithmetic, when a = 0) mean.
+    ratios = (math.inf, math.inf)  # b / a before the last two steps
     for _ in range(_MAX_DOUBLINGS):
         if b - a <= NORM_REL_TOL * b:
             break
-        if a > 0.0 and math.isfinite(ga) and math.isfinite(gb):
-            delta = 0.25 * NORM_REL_TOL * b
-            rho = b * math.exp(gb * math.log(b / a) / (ga - gb))
-            rho = min(max(rho, a + delta), b - delta)
-        elif a > 0.0:
-            rho = math.sqrt(a) * math.sqrt(b)
-        else:
-            rho = 0.5 * (a + b)
+        delta = 0.25 * NORM_REL_TOL * b
+        ratio = b / a if a > 0.0 else math.inf
+        rho = math.nan
+        if g1 != g0:  # False when either is NaN
+            u = u1 - g1 * (u1 - u0) / (g1 - g0)
+            if u < _LOG_HUGE:
+                rho = math.exp(u)
+        # A secant that converged onto an end may round just past it.
+        if not a - delta < rho < b + delta:
+            ga, gb = _log_or_nan(sa), _log_or_nan(sb)
+            if math.isfinite(ga) and math.isfinite(gb) and ratio <= math.sqrt(ratios[0]):
+                rho = b * math.exp(gb * math.log(ratio) / (ga - gb))
+            elif a > 0.0:
+                rho = math.sqrt(a) * math.sqrt(b)
+            else:
+                rho = 0.5 * (a + b)
+        ratios = (ratios[1], ratio)
+        rho = min(max(rho, a + delta), b - delta)
         if not a < rho < b:
             break
-        if feasible(rho):
-            if last == "b":  # a kept twice in a row
-                ga *= 0.5
-            gb, last = _log_or_nan(sb), "b"
-        else:
-            if last == "a":
-                gb *= 0.5
-            ga, last = _log_or_nan(sa), "a"
+        feasible(rho)
 
     while hi - lo > NORM_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
@@ -559,6 +635,10 @@ def _solve(v, vmax, fun, t_hi, t_lo) -> float:
             hi = mid
         else:
             lo = mid
+    if warm is not None and 0.0 < hi < math.inf:
+        width = math.log(b / a) if a > 0.0 else 0.0
+        slope = (_log_or_nan(sb) - _log_or_nan(sa)) / width if width > 0.0 else math.nan
+        warm.root, warm.slope = hi, (slope if slope < 0.0 else math.nan)
     return hi
 
 

@@ -124,6 +124,26 @@ class TestBoundsCommands:
         assert code == 2
         assert "N[symexp(rate=1e-300)] is 5e-324" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_kmin_norm_above_float_range_gives_its_term(self, k, tmp_path):
+        # The suffix norms under (2e/(k-j+1)) * 1e10 t are about 1e311, but
+        # their reciprocals (about 1e-311, subnormal) are floats: the norm is
+        # solved on the weights' reciprocals divided by their largest entry.
+        path = tmp_path / "w.csv"
+        path.write_text("".join(f"{float(v)!r}\n" for v in np.linspace(1e-300, 6e-300, 12)))
+        code, out = run_capture(
+            ["bounds-kmin", "--dist", "symexp:1e10", "--weights", str(path), "--k", str(k)])
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert 0.0 < report["lower"]
+        assert report["upper"] is None or report["lower"] <= report["upper"]
+        assert len(report["terms"]) == k and all(0.0 < t < 1e-300 for t in report["terms"])
+        assert any("exceeds the float range" in note for note in report["notes"])
+
     def test_max1(self, ascending_weights):
         code, out = run_capture(
             ["bounds-max1", "--dist", "symexp:2.0", "--weights", ascending_weights]

@@ -8,6 +8,7 @@ the same exception type on every input whose bracket loops end within their
 the closed form of the linear and power functions.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -26,6 +27,7 @@ from orlicz_bounds import (
     expected_overshoot_function,
     from_callable,
     gaussian_comparison_function,
+    kth_max_bounds,
     kth_min_bounds,
     linear_function,
     neg_log_survival_function,
@@ -429,3 +431,107 @@ def test_norm_without_finite_reciprocal_names_the_model():
     # ||(1e-300, ...)|| under 2e * 1e-300 * t is about 2e-599, below the float range.
     with pytest.raises(DomainError, match=r"symexp\(rate=1e-300\)"):
         kth_min_bounds(np.full(4, 1e300), SymExponential(rate=1e-300), 1)
+
+
+# -- The fast paths: one probe per base function, warm-started bound families.
+
+
+def _fresh_probe(fun):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.asarray(fun.evaluate(orlicz_module._PROBES.copy()), dtype=float)
+
+
+@pytest.mark.parametrize("kind", _KIND_NAMES)
+def test_cached_probe_is_a_fresh_evaluate(gaussian_table_model, nonconvex_table_model, kind):
+    """Bit for bit, on every handle kind (the table's N and M included), on
+    scaled chains two deep and on handles whose ``evaluate`` was replaced."""
+    base = _function_kinds(gaussian_table_model, nonconvex_table_model)[kind](3)
+    calls = [0]
+
+    def counted(t, _evaluate=base.evaluate):
+        calls[0] += 1
+        return _evaluate(t)
+
+    once, twice = base.scaled(0.3), base.scaled(0.3).scaled(7.0)
+    replaced = dataclasses.replace(base, evaluate=counted)
+    for fun in (base, once, twice, replaced, dataclasses.replace(twice, evaluate=twice.evaluate)):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cached = fun._probe_values()
+        assert cached.tobytes() == _fresh_probe(fun).tobytes(), fun.label
+        assert fun._probe_values() is cached  # computed once per handle
+    # The replaced unscaled handle probed through its own evaluate, once.
+    assert calls[0] == 2  # the probe and the fresh call above
+
+
+def _members(model, x, kind, k):
+    """(v, fun) of the family behind one k-min or k-max report, in order."""
+    nfun = neg_log_survival_function(model)
+    two_e = 2.0 * math.e
+    if kind == "kmin":
+        inv = 1.0 / x
+        return [(inv[j - 1 :], nfun.scaled(two_e / (k - j + 1))) for j in range(1, k + 1)]
+    inv = 1.0 / x[::-1]
+    k0 = int(math.floor(4.0 * (k - 1) / model.survival(1.0)))
+    return [(inv[: k + ell], nfun.scaled(two_e / (ell + 1))) for ell in range(k0)]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "symexp", "table"])
+def test_warm_family_terms_are_cold_terms(gaussian_table_model, family):
+    """A family's terms are those of cold solves and of plain bisection, bit
+    for bit, for k-min k = 1..20 and k-max k = 2..5."""
+    model = {"gaussian": Gaussian(), "symexp": SymExponential(rate=1.0),
+             "table": gaussian_table_model}[family]
+    x = np.sort(np.random.default_rng(17).uniform(0.5, 5.0, 60))
+    cases = [("kmin", k) for k in range(1, 21)] + [("kmax", k) for k in range(2, 6)]
+    for kind, k in cases:
+        if kind == "kmin":
+            terms = kth_min_bounds(x, model, k).terms
+        else:
+            terms = kth_max_bounds(x[::-1], model, k).terms
+        members = _members(model, x, kind, k)
+        cold = tuple(1.0 / orlicz_norm(v, fun) for v, fun in members)
+        plain = tuple(1.0 / bisection_norm(v, fun) for v, fun in members)
+        assert [t.hex() for t in terms] == [t.hex() for t in cold] == [t.hex() for t in plain], \
+            (kind, k)
+
+
+def test_warm_family_members_take_fewer_sums(monkeypatch):
+    """Each member after the first starts from its neighbour's root: the
+    k-min family at n = 100, k = 20 and the k-max family at k = 5 take at
+    most 7 sums per member, and at most 0.8 of the sums of cold solves
+    (about 6 against 8-10)."""
+    sums = [0]
+    modular_sum = orlicz_module._modular_sum
+
+    def counted(v, fun, rho):
+        sums[0] += 1
+        return modular_sum(v, fun, rho)
+
+    monkeypatch.setattr(orlicz_module, "_modular_sum", counted)
+    x = np.sort(np.random.default_rng(100).uniform(0.5, 5.0, 100))
+    for kind, k in (("kmin", 20), ("kmax", 5)):
+        members = _members(Gaussian(), x, kind, k)
+        sums[0] = 0
+        for v, fun in members:
+            orlicz_norm(v, fun)
+        cold = sums[0]
+        sums[0] = 0
+        if kind == "kmin":
+            kth_min_bounds(x, Gaussian(), k)
+        else:
+            kth_max_bounds(x[::-1], Gaussian(), k)
+        assert sums[0] <= min(7 * len(members), 0.8 * cold), (kind, sums[0], cold)
+
+
+def test_moment_sum_noise_keeps_the_norm_feasible_and_close():
+    """1e300 * M[gaussian] on 5,000 entries log-uniform over 0.1..10: the
+    computed sum moves by about 1e-10 between adjacent floats here and does
+    not decrease monotonically, so the solver's float may differ from plain
+    bisection's; it stays feasible within the moment handles' 1e-9 margin
+    and within 2e-12 relative of bisection's."""
+    x = _extreme_vectors(5000)[3]
+    fun = expected_overshoot_function(Gaussian()).scaled(1e300)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho = orlicz_norm(x, fun)
+        assert float(np.sum(fun.evaluate(x / rho))) <= 1.0 + 1e-9
+        assert rho == pytest.approx(bisection_norm(x, fun), rel=2e-12)
