@@ -173,6 +173,10 @@ def _norm_to_invert(x: np.ndarray, fun, warm=None) -> float:
     return nm
 
 
+_RESCALED_NOTE = ("a norm exceeds the float range: its term is solved on the vector "
+                  "divided by its largest entry, with reduced precision when subnormal")
+
+
 def _family_terms(members) -> tuple[list[float], tuple]:
     """(terms, notes): 1 / ||v||_fun for each (v, fun) of a bound family, in
     order, each solve warm-started from its neighbour's root (the floats do
@@ -190,10 +194,6 @@ def _family_terms(members) -> tuple[list[float], tuple]:
             terms.append((1.0 / _norm_to_invert(v / m, fun)) / m)
             notes = (_RESCALED_NOTE,)
     return terms, notes
-
-
-_RESCALED_NOTE = ("a norm exceeds the float range: its term is solved on the vector "
-                  "divided by its largest entry, with reduced precision when subnormal")
 
 
 def _suffix_norm_terms(inv: np.ndarray, nfun, k: int) -> tuple[list[float], tuple]:
