@@ -104,7 +104,8 @@ class DistributionModel:
     # an already validated float array: no NaN, nothing negative, nothing
     # past a table. The handles call the raw parts, so a solve validates
     # once, at its entry. At scale 1.0 the raw parts skip t / scale and
-    # scale *, which are exact there.
+    # scale *, which are exact there. The tail integral's raw part is the
+    # first half of the moment kernel, ``_tail_integral_and_survival``.
 
     def _prepare(self, t):
         """Validate a nonnegative scalar/array argument resolved by the model;
@@ -156,15 +157,17 @@ class DistributionModel:
             return _ret(self._tail_integral(arr), scalar)
 
     def _tail_integral(self, t: np.ndarray) -> np.ndarray:
-        if self.scale == 1.0:
-            return self._std_tail_integral(t)
-        return self.scale * self._std_tail_integral(t / self.scale)
+        return self._tail_integral_and_survival(t)[0]
 
     def _tail_integral_and_survival(self, t: np.ndarray):
         """(``_tail_integral(t)``, ``_survival(t)``): the two kernels the
-        moment function M combines, from one call. Tables override it to
-        resolve t once and reuse the F the tail integral computes."""
-        return self._tail_integral(t), self._survival(t)
+        moment function M combines, from one call of the family's
+        ``_std_tail_and_survival``. The one place the moment kernel applies
+        ``scale``."""
+        if self.scale == 1.0:
+            return self._std_tail_and_survival(t)
+        tail, surv = self._std_tail_and_survival(t / self.scale)
+        return self.scale * tail, surv
 
     def mean_abs(self) -> float:
         """E|xi| = tail_integral(0)."""
@@ -211,7 +214,9 @@ class DistributionModel:
     def _std_quantile(self, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _std_tail_integral(self, u: np.ndarray) -> np.ndarray:
+    def _std_tail_and_survival(self, u: np.ndarray):
+        """(tail integral, F) of the unscaled variable at u, which may hold
+        +inf (both read 0 there)."""
         raise NotImplementedError
 
     def _std_mean_abs(self) -> float:
@@ -246,8 +251,8 @@ class Gaussian(DistributionModel):
     def _std_quantile(self, p):
         return _SQRT2 * _special().erfcinv(p)
 
-    def _std_tail_integral(self, u):
-        return _SQRT_2_OVER_PI * np.exp(-0.5 * u * u)
+    def _std_tail_and_survival(self, u):
+        return _SQRT_2_OVER_PI * np.exp(-0.5 * u * u), self._std_survival(u)
 
     def _std_mean_abs(self):
         return _SQRT_2_OVER_PI
@@ -288,26 +293,18 @@ class SymExponential(DistributionModel):
     def _std_quantile(self, p):
         return -np.log(p) / self.rate
 
-    def _std_tail_integral(self, u):
-        return self._tail_from_survival(u, np.exp(-self.rate * u))
-
-    def _tail_from_survival(self, u, f):
-        # (u + 1/rate) F(u). At u = inf the product is inf * 0 = nan; fmax
-        # reads it as the limit 0 and leaves every other value, all >= 0, as
-        # it is. Below a rate of about 1e-292, u + 1/rate can overflow for a
-        # finite u although the product is about 0.5: there it is formed as
-        # u F + F / rate.
+    def _std_tail_and_survival(self, u):
+        # (u + 1/rate) F(u), with one exp for both kernels. At u = inf the
+        # product is inf * 0 = nan; fmax reads it as the limit 0 and leaves
+        # every other value, all >= 0, as it is. Below a rate of about
+        # 1e-292, u + 1/rate can overflow for a finite u although the product
+        # is about 0.5: there it is formed as u F + F / rate.
+        f = np.exp(-self.rate * u)
         out = (u + 1.0 / self.rate) * f
         if math.isinf(sys.float_info.max + 1.0 / self.rate):
             band = np.isinf(u + 1.0 / self.rate) & np.isfinite(u)
             out[band] = u[band] * f[band] + f[band] / self.rate
-        return np.fmax(out, 0.0)
-
-    def _tail_integral_and_survival(self, t):
-        # One exp serves both kernels: F(u) is the tail integral's factor.
-        u = t / self.scale
-        f = np.exp(-self.rate * u)
-        return self.scale * self._tail_from_survival(u, f), f
+        return np.fmax(out, 0.0), f
 
     def _std_mean_abs(self):
         return 1.0 / self.rate
@@ -598,12 +595,8 @@ class TabulatedSurvival(DistributionModel):
     def _std_quantile(self, p):
         return self._core.quantile(p)
 
-    def _std_tail_integral(self, u):
-        return self._on_table(u, self._core.tail_and_survival, 0.0)[0]
-
-    def _tail_integral_and_survival(self, t):
-        tail, surv = self._on_table(t / self.scale, self._core.tail_and_survival, 0.0)
-        return self.scale * tail, surv
+    def _std_tail_and_survival(self, u):
+        return self._on_table(u, self._core.tail_and_survival, 0.0)
 
     def _std_mean_abs(self):
         return self._core.mean_abs
@@ -660,8 +653,8 @@ def check_tail_integral_bound(model: DistributionModel, t: float) -> CheckResult
 
     Valid whenever N = -ln F is convex; both sides are returned.
     """
-    if not (t > 0):
-        raise DomainError(f"check requires t > 0, got {t}")
+    if not (0 < t < math.inf):
+        raise DomainError(f"check requires a finite t > 0, got {t}")
     n = model.neg_log_survival(t)
     if not (n > 0):
         raise DomainError(f"check requires N(t) > 0, got N({t}) = {n}")

@@ -80,9 +80,7 @@ class MonteCarloEstimate:
 def kth_smallest(values, k: int):
     """k-th smallest along the last axis via partial selection."""
     v = np.asarray(values, dtype=float)
-    n = v.shape[-1]
-    if not (1 <= k <= n):
-        raise RangeError(f"order statistic requires 1 <= k <= n: got k={k}, n={n}")
+    k = _order(k, v.shape[-1], "order statistic")
     return np.partition(v, k - 1, axis=-1)[..., k - 1]
 
 
@@ -96,6 +94,13 @@ def _weights_vector(x) -> np.ndarray:
 
 def _integer_at_least(value, low: int) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
+
+
+def _order(k, n: int, what: str) -> int:
+    """The order k as an int; RangeError unless it is an integer in 1..n."""
+    if not (_integer_at_least(k, 1) and k <= n):
+        raise RangeError(f"{what} requires an integer 1 <= k <= n: got k={k}, n={n}")
+    return int(k)
 
 
 def _worker_count(threads: int, chunks: int) -> int:
@@ -170,10 +175,9 @@ def estimate_order_stats(
     n = xv.size
     if statistic not in ("kmin", "kmax"):
         raise DomainError(f"statistic must be kmin or kmax, got {statistic!r}")
-    ks = [int(k) for k in ks]
-    for k in ks:
-        if not (1 <= k <= n):
-            raise RangeError(f"order statistic requires 1 <= k <= n: got k={k}, n={n}")
+    ks = [_order(k, n, "order statistic") for k in ks]
+    if not ks:
+        raise RangeError("estimates need at least one order k")
     if not (0 < power < math.inf):
         raise RangeError(f"power must be positive and finite, got {power}")
 
@@ -296,10 +300,9 @@ def check_kth_min_tail(
     """
     xv = _weights_vector(x)
     n = xv.size
-    if not (1 <= k <= n):
-        raise RangeError(f"tail check requires 1 <= k <= n: got k={k}, n={n}")
-    if t < 0:
-        raise DomainError(f"threshold must be >= 0, got {t}")
+    k = _order(k, n, "tail check")
+    if not (0 <= t < math.inf):
+        raise DomainError(f"threshold must be finite and >= 0, got {t}")
     g = 1.0 - model.survival(t / xv) if t > 0 else np.zeros(n)
     aval = float(math.e / k * np.sum(g))
     if aval >= 1.0:
@@ -329,8 +332,7 @@ def kth_min_tail_threshold(x, model: DistributionModel, k: int) -> float:
     extrapolates).
     """
     xv = _weights_vector(x)
-    if not (1 <= k <= xv.size):
-        raise RangeError(f"threshold requires 1 <= k <= n: got k={k}, n={xv.size}")
+    k = _order(k, xv.size, "threshold")
     nm = orlicz_norm(_reciprocals(xv), _tail_threshold_function(model, k))
     return math.inf if nm == 0.0 else 1.0 / nm
 
@@ -401,8 +403,7 @@ def check_kmax_split(values, k: int, j: int) -> CheckResult:
     if not np.all(np.isfinite(vals)):
         raise DomainError("split check needs finite values")
     n = vals.shape[1]
-    if not (1 <= k <= n):
-        raise RangeError(f"split check requires 1 <= k <= n: got k={k}, n={n}")
+    k = _order(k, n, "split check")
     if not (1 <= j <= n - k):
         raise RangeError(f"split check requires 1 <= j <= n - k: got j={j}, n-k={n - k}")
     kmax = np.partition(vals, n - k, axis=1)[:, n - k]
@@ -467,8 +468,7 @@ def check_symmetric_tail_bound(a, k: int) -> CheckResult:
     n = vals.size
     if n > _ENUMERATION_LIMIT:
         raise RangeError(f"check limited to n <= {_ENUMERATION_LIMIT}, got {n}")
-    if not (1 <= k <= n):
-        raise RangeError(f"check requires 1 <= k <= n: got k={k}, n={n}")
+    k = _order(k, n, "check")
     esp = elementary_symmetric(vals)
     with np.errstate(over="ignore"):  # an overflow reads inf, which the test refuses
         aval = float(math.e / k * np.sum(vals))

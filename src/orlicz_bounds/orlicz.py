@@ -55,10 +55,12 @@ checks the vector (its smallest entry > 0 and its largest < inf; zeros,
 NaN and inf are told apart only when that fails), ``OrliczFunction.values``
 and ``__call__`` refuse NaN and negative arguments. ``evaluate`` and the
 distribution handles' kernels (the models' raw ``_survival``,
-``_neg_log_survival``, ``_tail_integral``, which skip the scaling at scale
-1) check nothing, so a modular sum pays for the arithmetic alone. Past a table's last
-knot the kernels read F = 0, so the handles need no mask, and the moment
-handle masks zeros only when its argument has one (never inside a solve).
+``_neg_log_survival``, ``_tail_integral_and_survival``, which skip the
+scaling at scale 1) check nothing, so a modular sum pays for the
+arithmetic alone. Past a table's last knot and at +inf the kernels read
+F = 0 and a tail integral of 0, so the handles need no mask: an argument 0
+becomes 1/0 = inf, where M and F(1/t) read 0, on the same path as every
+other argument.
 
 The same functional is defined for merely positive increasing functions; such
 handles carry ``is_orlicz=False`` and the functional need not be a norm (it
@@ -139,13 +141,12 @@ _LOG_HUGE = math.log(_HUGE)
 class OrliczFunction:
     """Immutable handle for an extended-value function on [0, inf).
 
-    ``kind`` names the construction; ``is_orlicz`` records convexity (handles
-    built from non-convex data carry False and are treated as functionals,
-    not norms). ``model`` is set for distribution-derived moment functions
-    and enables the analytic conjugate shortcut.
+    ``is_orlicz`` records convexity (handles built from non-convex data carry
+    False and are treated as functionals, not norms). ``model`` is set only
+    for distribution-derived moment functions and enables the analytic
+    conjugate shortcut.
     """
 
-    kind: str
     label: str
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     is_orlicz: bool = True
@@ -199,7 +200,6 @@ class OrliczFunction:
             return _f * _b.evaluate(t)
 
         return OrliczFunction(
-            kind="scaled",
             label=f"{factor:g}*{base.label}",
             evaluate=_eval,
             is_orlicz=base.is_orlicz,
@@ -209,20 +209,19 @@ class OrliczFunction:
 
 
 def linear_function() -> OrliczFunction:
-    return OrliczFunction(kind="linear", label="t", evaluate=lambda t: t)
+    return OrliczFunction(label="t", evaluate=lambda t: t)
 
 
 def power_function(q: float) -> OrliczFunction:
     """M(t) = t**q for q >= 1."""
-    if q < 1:
+    if not (q >= 1):
         raise RangeError(f"power function requires exponent q >= 1, got {q}")
-    return OrliczFunction(kind="power", label=f"t^{q:g}", evaluate=lambda t: t**q)
+    return OrliczFunction(label=f"t^{q:g}", evaluate=lambda t: t**q)
 
 
 def gaussian_comparison_function() -> OrliczFunction:
     """Two-piece comparison function: t on [0, 1), t^2 from 1 on."""
     return OrliczFunction(
-        kind="gaussian_comparison",
         label="min(t,t^2)-kink",
         evaluate=lambda t: np.where(t < 1.0, t, t * t),
     )
@@ -236,7 +235,7 @@ def from_callable(
 ) -> OrliczFunction:
     """Wrap a vectorized callable. The caller asserts convexity via ``is_orlicz``.
     A function that is +inf past some b returns inf there from ``fn``."""
-    return OrliczFunction(kind="explicit", label=label, evaluate=fn, is_orlicz=is_orlicz)
+    return OrliczFunction(label=label, evaluate=fn, is_orlicz=is_orlicz)
 
 
 def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
@@ -249,21 +248,12 @@ def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
 
     def _eval(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        pos = t > 0.0
-        if pos.all():  # always, inside a solve: no mask, gather or scatter
-            tail, surv = model._tail_integral_and_survival(1.0 / t)
-            out = t * tail
-            out -= surv
-            return np.maximum(out, 0.0, out=out)
-        out = np.zeros(t.shape)
-        tp = t[pos]
-        if tp.size:
-            tail, surv = model._tail_integral_and_survival(1.0 / tp)
-            out[pos] = tp * tail - surv
-        return np.maximum(out, 0.0)
+        tail, surv = model._tail_integral_and_survival(1.0 / t)  # 0, 0 at 1/0 = inf
+        out = t * tail
+        out -= surv
+        return np.maximum(out, 0.0, out=out)
 
     return OrliczFunction(
-        kind="moment",
         label=f"M[{model.describe()}]",
         evaluate=_eval,
         is_orlicz=True,
@@ -289,7 +279,6 @@ def neg_log_survival_function(
         )
 
     return OrliczFunction(
-        kind="neg_log_survival",
         label=f"N[{model.describe()}]",
         evaluate=model._neg_log_survival,
         is_orlicz=convex,
@@ -308,15 +297,9 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
 
     def _eval(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t.shape)
-        pos = t > 0.0
-        tp = t[pos]
-        if tp.size:
-            out[pos] = model._survival(1.0 / tp) / (4.0 * (k - 1))
-        return out
+        return model._survival(1.0 / t) / (4.0 * (k - 1))  # F(1/0) = F(inf) = 0
 
     return OrliczFunction(
-        kind="reciprocal_survival",
         label=f"NF{k}[{model.describe()}]",
         evaluate=_eval,
         is_orlicz=False,
@@ -694,7 +677,7 @@ def young_conjugate(fun: OrliczFunction, s: float, *, method: str = "auto") -> f
         return 0.0
     if method not in ("auto", "tail", "search"):
         raise DomainError(f"unknown conjugate method {method!r}")
-    if method in ("auto", "tail") and fun.kind == "moment" and fun.model is not None:
+    if method in ("auto", "tail") and fun.model is not None:
         return _conjugate_by_tail(fun.model, s)
     if method == "tail":
         raise DomainError("tail method requires a distribution-derived moment function")

@@ -210,6 +210,9 @@ class TestSubMultiplicativeTailBound:
     def test_requires_positive_t(self, gaussian):
         with pytest.raises(DomainError):
             check_tail_integral_bound(gaussian, 0.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                check_tail_integral_bound(gaussian, t)
 
 
 class TestTabulated:

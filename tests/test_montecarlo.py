@@ -110,6 +110,31 @@ class TestEstimator:
                 check(np.ones(5), gaussian, *args, replications=1000, seed=-1)
             with pytest.raises(RangeError):
                 check(np.ones(5), gaussian, *args, replications=50)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="threshold must be finite"):
+                check_kth_min_tail(np.ones(5), gaussian, 1, t, replications=1000)
+
+    def test_orders_must_be_integers(self, gaussian):
+        x = np.ones(5)
+        for ks in ([1.5], [2.0], [True], [], [1, 2.5]):
+            with pytest.raises(RangeError):
+                estimate_order_stats(x, gaussian, ks, replications=100)
+        for k in (2.5, 2.0, math.nan):
+            with pytest.raises(RangeError):
+                estimate_order_stat(x, gaussian, k, replications=100)
+            with pytest.raises(RangeError):
+                check_kth_min_tail(x, gaussian, k, 0.05, replications=1000)
+            with pytest.raises(RangeError):
+                kth_min_tail_threshold(x, gaussian, k)
+            with pytest.raises(RangeError):
+                kth_smallest(x, k)
+            with pytest.raises(RangeError):
+                check_kmax_split(x, k, 1)
+            with pytest.raises(RangeError):
+                check_symmetric_tail_bound([0.1, 0.1, 0.1], k)
+        # numpy integers are integers, and the estimate carries a Python int
+        est = estimate_order_stats(x, gaussian, np.array([2]), replications=100)[0]
+        assert est.k == 2 and type(est.k) is int
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_bad_weight_names_its_entry(self, gaussian, bad):

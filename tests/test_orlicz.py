@@ -167,6 +167,13 @@ class TestNormSolver:
     def test_l2_recovery(self):
         assert orlicz_norm([3, 4], power_function(2)) == pytest.approx(5.0, rel=1e-10)
 
+    def test_power_exponent_validation(self):
+        for q in (0.5, math.nan):
+            with pytest.raises(RangeError):
+                power_function(q)
+        # t^inf is the 0/1/inf step at 1: its norm is the max norm
+        assert orlicz_norm([3, 4], power_function(math.inf)) == pytest.approx(4.0, rel=1e-10)
+
     def test_lp_recovery_random(self):
         rng = np.random.default_rng(0)
         lin, sq = linear_function(), power_function(2)
@@ -480,6 +487,12 @@ def test_values_have_no_nan_on_subnormals_and_the_probe_grid(gaussian_table_mode
         for name, fun in _handles(models):
             vals = fun.values(points)
             assert not np.any(np.isnan(vals)), (name, points[np.isnan(vals)])
+        # M(0) = 0 and F(1/0) = F(inf) = 0, exactly, with no mask in the handles
+        for name, model in models.items():
+            for fun in (expected_overshoot_function(model), reciprocal_survival_function(model, 3)):
+                for handle in (fun, fun.scaled(7.0)):
+                    assert handle.values(points)[0] == 0.0, (name, handle.label)
+                    assert handle(0.0) == 0.0, (name, handle.label)
 
 
 def test_symexp_tail_integral_is_zero_at_infinity():

@@ -368,8 +368,8 @@ def test_moment_direct_path_matches_masked_path(gaussian_table_model, gaussian, 
         fun = expected_overshoot_function(model)
         for t in _moment_inputs().values():
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                direct = fun.evaluate(t)  # every entry > 0: the direct path
-                masked = fun.evaluate(np.append(t, 0.0))  # a zero: the masked path
+                direct = fun.evaluate(t)  # every entry > 0
+                masked = fun.evaluate(np.append(t, 0.0))  # a zero: 1/0 = inf, read as 0
                 zeros = np.insert(t, [0, 2, 2], 0.0)
                 mixed = fun.evaluate(zeros)
             assert np.array_equal(direct, masked[:-1]) and masked[-1] == 0.0
