@@ -34,6 +34,7 @@ minimum.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -41,10 +42,10 @@ import numpy as np
 
 from .distributions import DistributionModel
 from .errors import DomainError, InfeasibleError, NonConvexError, NumericError, RangeError
+from .errors import _integer_in, _positive
 from .orlicz import (
-    _as_weights,
     _WarmStart,
-    _reciprocals,
+    _weights_and_reciprocals,
     expected_overshoot_function,
     neg_log_survival_function,
     orlicz_norm,
@@ -91,6 +92,10 @@ class BoundConstants:
     kmax_upper_c: float = KMAX_UPPER_C_DEFAULT
     max1_c_low: float = MAX1_C_LOW_DEFAULT
     max1_c_high: float = MAX1_C_HIGH_DEFAULT
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            _positive(getattr(self, field.name), field.name)
 
     @staticmethod
     def c_n(model: DistributionModel) -> float:
@@ -157,13 +162,6 @@ def _finite_or_none(value: float) -> float | None:
     return value if value < math.inf else None
 
 
-def _check_kmin_range(k: int, n: int) -> None:
-    if not (1 <= k and 2 * k <= n):
-        raise RangeError(
-            f"k-min bounds require 1 <= k <= n/2: got k={k}, n={n} (need n >= {2 * k})"
-        )
-
-
 def _norm_to_invert(x: np.ndarray, fun, warm=None) -> float:
     """||x||_fun for a caller that divides by it: DomainError naming the
     model in ``fun``'s label when the norm is 0 or its reciprocal overflows."""
@@ -210,9 +208,8 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
     the report then has upper=None and a note, as it does when the upper
     bound exceeds the float range.
     """
-    w = _as_weights(x, "ascending")
-    _check_kmin_range(k, len(w))
-    inv = _reciprocals(w.values)
+    w, inv = _weights_and_reciprocals(x, "ascending")
+    k = _integer_in(k, "k of the k-min bounds (at most n/2)", 1, w.size // 2)
     convex = model.n_is_convex()
     nfun = neg_log_survival_function(model, require_convex=False)
     terms, notes = _suffix_norm_terms(inv, nfun, k)
@@ -243,9 +240,8 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
 
 def kth_min_bounds_gaussian(x, k: int) -> BoundReport:
     """Closed-form Gaussian k-min sandwich via harmonic suffix sums."""
-    w = _as_weights(x, "ascending")
-    _check_kmin_range(k, len(w))
-    inv = _reciprocals(w.values)
+    w, inv = _weights_and_reciprocals(x, "ascending")
+    k = _integer_in(k, "k of the k-min bounds (at most n/2)", 1, w.size // 2)
     suffix = np.cumsum(inv[::-1])[::-1]  # suffix[j-1] = sum_{i=j..n} 1/x_i
     terms = [(k + 1 - j) / suffix[j - 1] for j in range(1, k + 1)]
     arg = int(np.argmax(terms))
@@ -273,12 +269,9 @@ def kth_max_bounds(
     the configurable ``kmax_upper_c`` (empirical, flagged in the report).
     """
     cons = constants or BoundConstants()
-    w = _as_weights(x, "descending")
-    n = len(w)
-    if k <= 1:
-        raise RangeError("k-max bounds require k > 1; use max_bounds for k = 1")
-    if k > n:
-        raise RangeError(f"k-max bounds require k <= n: got k={k}, n={n}")
+    w, inv = _weights_and_reciprocals(x, "descending")
+    n = w.size
+    k = _integer_in(k, "k of the k-max bounds (use max_bounds for k = 1)", 2, n)
     f1 = model.survival(1.0)
     if not (f1 > 0):
         raise DomainError(
@@ -291,13 +284,12 @@ def kth_max_bounds(
             required_n=k + k0,
         )
     nfun = neg_log_survival_function(model)  # convexity required here
-    inv = _reciprocals(w.values)
     terms, notes = _family_terms((inv[: k + ell], nfun.scaled(_TWO_E / (ell + 1)))
                                  for ell in range(k0))
     arg = int(np.argmax(terms))
     m = terms[arg]
     mfun = expected_overshoot_function(model)
-    tail_norm = orlicz_norm(w.values[k + k0 - 1 :], mfun)
+    tail_norm = orlicz_norm(w[k + k0 - 1 :], mfun)
     n1, c_n = _n1_and_c_n(model)
     a = 1.0 + math.log(8.0 * (k - 1)) / n1
     lower = 0.25 * (m + tail_norm / a)
@@ -367,16 +359,13 @@ def max_bounds(
 def kth_min_moment_lower(x, model: DistributionModel, k: int, p: float) -> float:
     """Lower bound for E (k-min)^p: c1 * max_j ||(1/x_i)_{i=j..n}||_{N_j}^{-p}.
 
-    Valid for 1 <= k <= n and any p > 0; does not need convexity of N.
+    Valid for 1 <= k <= n and any finite p > 0; does not need convexity of N.
     """
-    if not (p > 0):
-        raise RangeError(f"moment order must be positive, got p={p}")
-    w = _as_weights(x, "ascending")
-    n = len(w)
-    if not (1 <= k <= n):
-        raise RangeError(f"k-min moment bound requires 1 <= k <= n: got k={k}, n={n}")
+    _positive(p, "moment order p", RangeError)
+    w, inv = _weights_and_reciprocals(x, "ascending")
+    k = _integer_in(k, "k of the k-min moment bound", 1, w.size)
     nfun = neg_log_survival_function(model, require_convex=False)
-    terms, _ = _suffix_norm_terms(_reciprocals(w.values), nfun, k)
+    terms, _ = _suffix_norm_terms(inv, nfun, k)
     return C1_LOWER * max(terms) ** p
 
 
@@ -385,9 +374,8 @@ def min_moment_upper(x, model: DistributionModel, p: float) -> float:
 
     Requires N = -ln F convex (rejected otherwise).
     """
-    if not (p > 0):
-        raise RangeError(f"moment order must be positive, got p={p}")
-    w = _as_weights(x, "ascending")
+    _positive(p, "moment order p", RangeError)
+    _, inv = _weights_and_reciprocals(x, "ascending")
     nfun = neg_log_survival_function(model)  # NonConvexError if not convex
-    nm = _norm_to_invert(_reciprocals(w.values), nfun)
+    nm = _norm_to_invert(inv, nfun)
     return (1.0 + math.gamma(1.0 + p)) * nm ** (-p)

@@ -26,7 +26,7 @@ from .bounds import (
     max_bounds,
 )
 from .distributions import Gaussian, check_tail_integral_bound, parse_distribution
-from .errors import OrliczBoundsError, PreconditionError
+from .errors import OrliczBoundsError, PreconditionError, _integer_in, _positive
 from .montecarlo import (
     check_kmax_split,
     check_kth_min_tail,
@@ -74,16 +74,9 @@ def load_weights(path: str) -> np.ndarray:
         if not line:
             continue
         try:
-            value = float(line)
-        except ValueError:
-            raise PreconditionError(
-                f"{path}: line {lineno}: not a decimal number: {line!r}"
-            ) from None
-        if not (value > 0) or not math.isfinite(value):
-            raise PreconditionError(
-                f"{path}: line {lineno}: weights must be positive, got {value}"
-            )
-        values.append(value)
+            values.append(_positive(float(line), "weight"))
+        except ValueError as exc:  # not a number, or not positive and finite
+            raise PreconditionError(f"{path}: line {lineno}: {exc}") from None
     if not values:
         raise PreconditionError(f"{path}: no weights found")
     return np.array(values)
@@ -367,35 +360,28 @@ def run(args: argparse.Namespace, out=None) -> int:
     return 0
 
 
-def _int_at_least(low: int, env: str | None = None):
-    """argparse type: an integer >= low (anything else exits 2 with a message).
+def _checked(convert, check, env: str | None = None):
+    """argparse type: ``check(convert(text))``, with ``check`` one of the
+    library's argument checks; a value either refuses exits 2 with its
+    message, which argparse prefixes with the argument's name.
 
     ``env`` names the environment variable that supplies the default; the
     message then names it too, since a bad default reports as this argument.
     """
     source = f" (the default is read from {env})" if env else ""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}{source}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}{source}")
-        return value
+            return check(convert(text))
+        except ValueError as exc:  # a PreconditionError is a ValueError too
+            raise argparse.ArgumentTypeError(f"{exc}{source}") from None
 
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0 (anything else exits 2 with a message)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (0 < value < math.inf):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return value
+_THREADS = _checked(int, lambda v: _integer_in(v, "value", 1), ENV_THREADS)
+_SEED = _checked(int, lambda v: _integer_in(v, "value", 0))
+_CONSTANT = _checked(float, lambda v: _positive(v, "value"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,22 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
     def sampling(p, reps):
         # A string default goes through ``type`` too, so a bad environment
         # value exits 2 like a bad --threads.
-        p.add_argument("--threads", type=_int_at_least(1, ENV_THREADS),
+        p.add_argument("--threads", type=_THREADS,
                        default=os.environ.get(ENV_THREADS, "1"),
                        help=f"worker threads (default: ${ENV_THREADS}, else 1)")
         p.add_argument("--reps", type=int, default=reps, dest="replications")
-        p.add_argument("--seed", type=_int_at_least(0), default=0)
+        p.add_argument("--seed", type=_SEED, default=0)
 
     p = command("bounds-kmin", "two-sided k-min expectation bounds")
     p.add_argument("--closed-form", action="store_true",
                    help="Gaussian harmonic-sum form instead of Orlicz norms")
 
     p = command("bounds-kmax", "two-sided k-max expectation bounds")
-    p.add_argument("--kmax-upper-c", type=_positive_float, default=None)
+    p.add_argument("--kmax-upper-c", type=_CONSTANT, default=None)
 
     p = command("bounds-max1", "max expectation bounds (k = 1)", k=False)
-    p.add_argument("--max1-c-low", type=_positive_float, default=None)
-    p.add_argument("--max1-c-high", type=_positive_float, default=None)
+    p.add_argument("--max1-c-low", type=_CONSTANT, default=None)
+    p.add_argument("--max1-c-high", type=_CONSTANT, default=None)
 
     p = command("partition", "k-block certified interval partition", dist=False)
     p.add_argument("--shape", default="linear", choices=tuple(_PARTITION_SHAPES))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, TabulationError
+from .errors import DomainError, QuadratureError, TabulationError, _integer_in, _positive
 from .reporting import CheckResult
 
 __all__ = [
@@ -96,6 +96,12 @@ class DistributionModel:
 
     family = "abstract"
     scale: float
+
+    def __post_init__(self):
+        """Check the parameters where they are stored: every copy made by
+        ``scaled_by`` passes here, so no chain of scalings reaches a scale
+        of inf or 0."""
+        _positive(self.scale, "scale")
 
     # -- public, scale-aware operations ------------------------------------
     #
@@ -177,16 +183,13 @@ class DistributionModel:
         """``count`` i.i.d. draws of xi (signed), in a new array the caller
         may overwrite. Deterministic given the generator state; a stream
         must be owned by a single consumer."""
-        if count < 1:
-            raise DomainError(f"sample count must be >= 1, got {count}")
-        out = self._std_sample(rng, int(count))
+        count = _integer_in(count, "sample count", 1, error=DomainError)
+        out = self._std_sample(rng, count)
         out *= self.scale
         return out
 
     def scaled_by(self, factor: float) -> "DistributionModel":
         """Model of factor*xi (survival F(t / factor))."""
-        if not (factor > 0) or not math.isfinite(factor):
-            raise DomainError(f"scale factor must be positive, got {factor}")
         return dataclasses.replace(self, scale=self.scale * factor)
 
     def normalized(self) -> "DistributionModel":
@@ -276,8 +279,8 @@ class SymExponential(DistributionModel):
     family = "sym_exponential"
 
     def __post_init__(self):
-        if not (self.rate > 0) or not math.isfinite(self.rate):
-            raise DomainError(f"rate must be positive, got {self.rate}")
+        super().__post_init__()
+        _positive(self.rate, "rate")
         if not (1.0 / self.rate < math.inf):
             raise DomainError(
                 f"rate {self.rate!r} is too small: its reciprocal, the mean E|xi|, "
@@ -529,8 +532,9 @@ class TabulatedSurvival(DistributionModel):
 
     def __init__(self, ts, fs, scale: float = 1.0, _core: _TabulatedCore | None = None,
                  rows=None):
-        self._core = _core if _core is not None else _TabulatedCore(ts, fs, rows=rows)
         self.scale = float(scale)
+        self.__post_init__()
+        self._core = _core if _core is not None else _TabulatedCore(ts, fs, rows=rows)
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedSurvival":
@@ -566,8 +570,6 @@ class TabulatedSurvival(DistributionModel):
         return cls(np.array(ts), np.array(fs), rows=rows)
 
     def scaled_by(self, factor: float) -> "TabulatedSurvival":
-        if not (factor > 0) or not math.isfinite(factor):
-            raise DomainError(f"scale factor must be positive, got {factor}")
         return TabulatedSurvival(None, None, scale=self.scale * factor, _core=self._core)
 
     def _on_table(self, u: np.ndarray, kernel, past: float) -> np.ndarray:
@@ -653,8 +655,7 @@ def check_tail_integral_bound(model: DistributionModel, t: float) -> CheckResult
 
     Valid whenever N = -ln F is convex; both sides are returned.
     """
-    if not (0 < t < math.inf):
-        raise DomainError(f"check requires a finite t > 0, got {t}")
+    _positive(t, "t of the check")
     n = model.neg_log_survival(t)
     if not (n > 0):
         raise DomainError(f"check requires N(t) > 0, got N({t}) = {n}")

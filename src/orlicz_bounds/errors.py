@@ -1,11 +1,20 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the argument checks every layer shares.
 
 Two top-level branches matter for the CLI exit codes: ``PreconditionError``
 (bad inputs, violated preconditions; exit 2) and ``NumericError`` (internal
 numeric failures; exit 1).
+
+Each kind of scalar argument is checked here, once: ``_integer_in`` for an
+order k, a count or a seed (a Python or numpy integer in low..high; bool and
+integral floats are refused), and ``_positive`` for a constant, a scale or a
+moment order (finite and > 0). Weight vectors are checked in ``orlicz``, by
+``Weights`` and ``_as_weights``.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral
 
 
 class OrliczBoundsError(Exception):
@@ -65,3 +74,25 @@ class UnboundedNormError(NumericError):
 
 class PartitionError(NumericError):
     """The interval-partition construction could not certify its output."""
+
+
+def _integer_in(value, what: str, low: int, high: int | None = None,
+                error: type[PreconditionError] = RangeError) -> int:
+    """``value`` as an int. RangeError unless it is an integer (a bool is
+    not); ``error`` unless low <= value <= high (no upper limit when
+    ``high`` is None), which lets a seed and a sample count keep the
+    DomainError they have always raised. The message names the argument
+    as ``what``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise RangeError(f"{what} must be an integer, got {value}")
+    if value < low or (high is not None and value > high):
+        limits = f">= {low}" if high is None else f"in {low}..{high}"
+        raise error(f"{what} must be {limits}, got {value}")
+    return int(value)
+
+
+def _positive(value, what: str, error: type[PreconditionError] = DomainError):
+    """``value``; ``error`` unless it is finite and > 0 (NaN is not)."""
+    if not (0 < value < math.inf):
+        raise error(f"{what} must be positive and finite, got {value}")
+    return value

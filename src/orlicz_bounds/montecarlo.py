@@ -29,13 +29,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from numbers import Integral
 
 import numpy as np
 
 from .distributions import DistributionModel
-from .errors import DomainError, NumericError, RangeError
-from .orlicz import Weights, _reciprocals, _validate_weights, from_callable, orlicz_norm
+from .errors import DomainError, NumericError, RangeError, _integer_in, _positive
+from .orlicz import _as_weights, _weights_and_reciprocals, from_callable, orlicz_norm
 from .reporting import CheckResult
 
 __all__ = [
@@ -80,27 +79,8 @@ class MonteCarloEstimate:
 def kth_smallest(values, k: int):
     """k-th smallest along the last axis via partial selection."""
     v = np.asarray(values, dtype=float)
-    k = _order(k, v.shape[-1], "order statistic")
+    k = _integer_in(k, "order statistic k", 1, v.shape[-1])
     return np.partition(v, k - 1, axis=-1)[..., k - 1]
-
-
-def _weights_vector(x) -> np.ndarray:
-    if isinstance(x, Weights):
-        return x.values  # validated on construction
-    arr = np.asarray(x, dtype=float).ravel()
-    _validate_weights(arr)
-    return arr
-
-
-def _integer_at_least(value, low: int) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
-
-
-def _order(k, n: int, what: str) -> int:
-    """The order k as an int; RangeError unless it is an integer in 1..n."""
-    if not (_integer_at_least(k, 1) and k <= n):
-        raise RangeError(f"{what} requires an integer 1 <= k <= n: got k={k}, n={n}")
-    return int(k)
 
 
 def _worker_count(threads: int, chunks: int) -> int:
@@ -125,12 +105,9 @@ def _selected_chunks(xv: np.ndarray, model: DistributionModel, kth, replications
     inf without a warning. Which thread runs a chunk never changes its
     result.
     """
-    if not _integer_at_least(replications, 100):
-        raise RangeError(f"need at least 100 replications, got {replications!r}")
-    if not _integer_at_least(seed, 0):
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not _integer_at_least(threads, 1):
-        raise RangeError(f"threads must be a positive integer, got {threads!r}")
+    _integer_in(replications, "replications", 100)
+    _integer_in(seed, "seed", 0, error=DomainError)
+    _integer_in(threads, "threads", 1)
     n = xv.size
     chunk_rows = min(_CHUNK_ROWS, max(1, _CHUNK_ELEMENTS // n))
     chunks = -(-replications // chunk_rows)
@@ -171,15 +148,14 @@ def estimate_order_stats(
     Each k's estimate is identical to the one ``estimate_order_stat`` would
     produce with the same (seed, replications).
     """
-    xv = _weights_vector(x)
+    xv = _as_weights(x)
     n = xv.size
     if statistic not in ("kmin", "kmax"):
         raise DomainError(f"statistic must be kmin or kmax, got {statistic!r}")
-    ks = [_order(k, n, "order statistic") for k in ks]
+    ks = [_integer_in(k, "order statistic k", 1, n) for k in ks]
     if not ks:
         raise RangeError("estimates need at least one order k")
-    if not (0 < power < math.inf):
-        raise RangeError(f"power must be positive and finite, got {power}")
+    _positive(power, "power", RangeError)
 
     sel = [(k - 1) if statistic == "kmin" else (n - k) for k in ks]
 
@@ -298,9 +274,9 @@ def check_kth_min_tail(
     a = 0 (e.g. t = 0 and a continuous distribution) is allowed and trivially
     true; a >= 1 violates the precondition.
     """
-    xv = _weights_vector(x)
+    xv = _as_weights(x)
     n = xv.size
-    k = _order(k, n, "tail check")
+    k = _integer_in(k, "k of the tail check", 1, n)
     if not (0 <= t < math.inf):
         raise DomainError(f"threshold must be finite and >= 0, got {t}")
     g = 1.0 - model.survival(t / xv) if t > 0 else np.zeros(n)
@@ -331,9 +307,9 @@ def kth_min_tail_threshold(x, model: DistributionModel, k: int) -> float:
     trivial upper bound 1, which only shrinks the returned threshold (never
     extrapolates).
     """
-    xv = _weights_vector(x)
-    k = _order(k, xv.size, "threshold")
-    nm = orlicz_norm(_reciprocals(xv), _tail_threshold_function(model, k))
+    _, inv = _weights_and_reciprocals(x)
+    k = _integer_in(k, "k of the tail threshold", 1, inv.size)
+    nm = orlicz_norm(inv, _tail_threshold_function(model, k))
     return math.inf if nm == 0.0 else 1.0 / nm
 
 
@@ -358,9 +334,8 @@ def check_min_survival_product(
 ) -> CheckResult:
     """Empirical P(min > t) against the product of survivals, plus the
     union-bound side P(min <= t) <= sum_i G(t/x_i)."""
-    xv = _weights_vector(x)
-    if not (t > 0):
-        raise DomainError(f"threshold must be positive, got {t}")
+    xv = _as_weights(x)
+    _positive(t, "threshold")
     surv = model.survival(t / xv)
     product = float(np.prod(surv))
     sum_g = float(np.sum(1.0 - surv))
@@ -403,9 +378,8 @@ def check_kmax_split(values, k: int, j: int) -> CheckResult:
     if not np.all(np.isfinite(vals)):
         raise DomainError("split check needs finite values")
     n = vals.shape[1]
-    k = _order(k, n, "split check")
-    if not (1 <= j <= n - k):
-        raise RangeError(f"split check requires 1 <= j <= n - k: got j={j}, n-k={n - k}")
+    k = _integer_in(k, "k of the split check", 1, n)
+    j = _integer_in(j, "j of the split check (at most n - k)", 1, n - k)
     kmax = np.partition(vals, n - k, axis=1)[:, n - k]
     jmin = np.partition(vals[:, : k + j - 1], j - 1, axis=1)[:, j - 1]
     rest = np.max(vals[:, k + j - 1 :], axis=1)
@@ -449,8 +423,7 @@ def elementary_symmetric_by_enumeration(values, order: int) -> Fraction:
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size > 12:
         raise RangeError(f"enumeration limited to n <= 12, got {vals.size}")
-    if not (0 <= order <= vals.size):
-        raise RangeError(f"order must be in 0..{vals.size}, got {order}")
+    order = _integer_in(order, "order", 0, vals.size)
     fracs = [Fraction(float(v)) for v in vals]
     total = Fraction(0)
     for subset in combinations(fracs, order):
@@ -468,7 +441,7 @@ def check_symmetric_tail_bound(a, k: int) -> CheckResult:
     n = vals.size
     if n > _ENUMERATION_LIMIT:
         raise RangeError(f"check limited to n <= {_ENUMERATION_LIMIT}, got {n}")
-    k = _order(k, n, "check")
+    k = _integer_in(k, "k of the symmetric tail check", 1, n)
     esp = elementary_symmetric(vals)
     with np.errstate(over="ignore"):  # an overflow reads inf, which the test refuses
         aval = float(math.e / k * np.sum(vals))
@@ -498,8 +471,7 @@ def check_subset_product_chain(a, j: int) -> CheckResult:
         raise RangeError(f"check limited to m <= {_ENUMERATION_LIMIT}, got {m}")
     if m == 0:
         raise RangeError("check requires a nonempty vector")
-    if not (0 <= j <= m):
-        raise RangeError(f"check requires 0 <= j <= m: got j={j}, m={m}")
+    j = _integer_in(j, "j of the subset product chain", 0, m)
     if np.any(vals < 0):
         raise DomainError("check requires nonnegative values")
     esp = elementary_symmetric(vals)

@@ -95,6 +95,8 @@ from .errors import (
     NumericError,
     RangeError,
     UnboundedNormError,
+    _integer_in,
+    _positive,
 )
 
 __all__ = [
@@ -190,8 +192,7 @@ class OrliczFunction:
 
     def scaled(self, factor: float) -> "OrliczFunction":
         """Pointwise factor * self. Convexity is preserved."""
-        if not (factor > 0) or not math.isfinite(factor):
-            raise DomainError(f"scale factor must be positive, got {factor}")
+        _positive(factor, "scale factor")
         if factor == 1.0:
             return self
         base = self
@@ -292,8 +293,7 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
     bounded by 1/(4(k-1)), so the functional can legitimately be 0. Where 1/t
     lies past a tabulated model's range the value is 0.
     """
-    if k < 2:
-        raise RangeError(f"reciprocal survival function requires k >= 2, got {k}")
+    k = _integer_in(k, "k of the reciprocal survival function", 2)
 
     def _eval(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -352,19 +352,27 @@ def _validate_weights(arr: np.ndarray) -> None:
         raise DomainError(f"weights must be positive and finite: entry {i + 1} is {arr[i]}")
 
 
-def _as_weights(x, order: str) -> Weights:
-    """``x`` as ``Weights`` in ``order``: a ``Weights`` is checked to be declared
-    in that order, anything else is validated as a vector in that order."""
+def _as_weights(x, order: str | None = None) -> np.ndarray:
+    """The entries of the weights ``x``, validated as ``Weights`` are: a
+    nonempty 1-d vector of positive finite entries, in ``order`` when one
+    is given. A ``Weights`` is validated already; it is only checked to be
+    declared in ``order``."""
     if isinstance(x, Weights):
-        if x.order != order:
+        if order is not None and x.order != order:
             raise DomainError(f"weights declared {x.order}, operation requires {order}")
-        return x
-    return Weights(np.asarray(x, dtype=float), order)
+        return x.values
+    if order is not None:
+        return Weights(np.asarray(x, dtype=float), order).values
+    values = np.asarray(x, dtype=float)
+    _validate_weights(values)
+    return values
 
 
-def _reciprocals(values: np.ndarray) -> np.ndarray:
-    """``1.0 / values`` for positive finite weights, refusing weights whose
-    reciprocal overflows (below about 5.6e-309) with a DomainError."""
+def _weights_and_reciprocals(x, order: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, 1.0 / w) for the weights w of ``_as_weights(x, order)``, refusing
+    weights whose reciprocal overflows (below about 5.6e-309) with a
+    DomainError."""
+    values = _as_weights(x, order)
     with np.errstate(over="ignore"):
         inv = 1.0 / values
     bad = np.flatnonzero(np.isinf(inv))
@@ -373,7 +381,7 @@ def _reciprocals(values: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"weights too small: the reciprocal of entry {i + 1} ({values[i]}) overflows"
         )
-    return inv
+    return values, inv
 
 
 def _probe(fun: OrliczFunction, n: int):
@@ -671,16 +679,16 @@ def young_conjugate(fun: OrliczFunction, s: float, *, method: str = "auto") -> f
         the absolute tolerance 1e-10 * max(1, bracket end), so a maximizer
         far below 1e-10 is not resolved.
     """
+    if method not in ("auto", "tail", "search"):
+        raise DomainError(f"unknown conjugate method {method!r}")
+    if method == "tail" and fun.model is None:
+        raise DomainError("tail method requires a distribution-derived moment function")
     if not (s >= 0):
         raise DomainError(f"conjugate argument must be >= 0, got {s}")
     if s == 0.0:
         return 0.0
-    if method not in ("auto", "tail", "search"):
-        raise DomainError(f"unknown conjugate method {method!r}")
-    if method in ("auto", "tail") and fun.model is not None:
+    if method != "search" and fun.model is not None:
         return _conjugate_by_tail(fun.model, s)
-    if method == "tail":
-        raise DomainError("tail method requires a distribution-derived moment function")
     return _conjugate_by_search(fun, s)
 
 

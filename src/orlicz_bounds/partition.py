@@ -53,13 +53,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PartitionError, RangeError
+from .errors import DomainError, PartitionError, _integer_in
 from .orlicz import (
     NORM_REL_TOL,
     OrliczFunction,
-    _as_weights,
+    Weights,
     _modular_sum,
-    _reciprocals,
+    _weights_and_reciprocals,
     orlicz_norm,
 )
 from .reporting import CheckResult
@@ -185,16 +185,15 @@ def _greedy_blocks(inv: np.ndarray, start: int, blocks_needed: int, fun: OrliczF
 def build_partition(x, fun: OrliczFunction, k: int) -> PartitionResult:
     """Split {1..n} into k consecutive blocks certifying the suffix-norm
     minimum; see the module docstring for the construction and guards."""
-    w = _as_weights(x, "ascending")
+    w = x if isinstance(x, Weights) else Weights.ascending(x)  # verify_partition reuses it
+    _, inv = _weights_and_reciprocals(w, "ascending")
     n = len(w)
-    if not (1 <= k <= n):
-        raise RangeError(f"partition requires 1 <= k <= n: got k={k}, n={n}")
+    k = _integer_in(k, "the number of blocks k", 1, n)
     h1 = fun(1.0)
     if not (0 < h1 < math.inf):
         raise DomainError(f"partition requires 0 < H(1) < inf, got H(1) = {h1}")
 
     hn = fun.scaled(1.0 / h1)  # normalized so hn(1) = 1
-    inv = _reciprocals(w.values)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(1, k + 1):
@@ -229,8 +228,9 @@ def verify_partition(x, fun: OrliczFunction, k: int, result: PartitionResult) ->
     original, unnormalized H. Each side is a minimum of k norms, of which
     only those a modular sum cannot rule out are solved.
     """
-    w = _as_weights(x, "ascending")
-    n = len(w)
+    _, inv = _weights_and_reciprocals(x, "ascending")
+    n = inv.size
+    k = _integer_in(k, "the number of blocks k", 1, n)
     blocks = list(result.blocks)
     if len(blocks) != k:
         raise DomainError(f"malformed partition: {len(blocks)} blocks, expected {k}")
@@ -247,7 +247,6 @@ def verify_partition(x, fun: OrliczFunction, k: int, result: PartitionResult) ->
     h1 = fun(1.0)
     if not (0 < h1 < math.inf):
         raise DomainError(f"partition certificate requires 0 < H(1) < inf, got {h1}")
-    inv = _reciprocals(w.values)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lhs = _smallest_norm(

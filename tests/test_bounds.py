@@ -13,6 +13,7 @@ from orlicz_bounds import (
     C1_LOWER,
     KMIN_UPPER_FACTOR,
     BoundConstants,
+    BoundReport,
     DomainError,
     Gaussian,
     InfeasibleError,
@@ -23,6 +24,9 @@ from orlicz_bounds import (
     SymExponential,
     Weights,
     build_partition,
+    check_kmax_split,
+    check_subset_product_chain,
+    elementary_symmetric_by_enumeration,
     estimate_order_stat,
     kth_max_bounds,
     kth_min_bounds,
@@ -32,6 +36,7 @@ from orlicz_bounds import (
     linear_function,
     max_bounds,
     min_moment_upper,
+    reciprocal_survival_function,
     verify_partition,
 )
 from orlicz_bounds.reporting import dumps_report
@@ -231,6 +236,12 @@ class TestKmaxBounds:
         assert rep.upper == pytest.approx(2 * base.upper, rel=1e-12)
         assert rep.lower == base.lower
 
+    @pytest.mark.parametrize("field", ["kmax_upper_c", "max1_c_low", "max1_c_high"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_constants_checked_at_construction(self, field, bad):
+        with pytest.raises(DomainError, match=field):
+            BoundConstants(**{field: bad})
+
     def test_overflowing_upper_reported_as_none(self, gaussian):
         rep = kth_max_bounds(np.ones(50), gaussian, 2, BoundConstants(kmax_upper_c=1e308))
         base = kth_max_bounds(np.ones(50), gaussian, 2)
@@ -375,6 +386,11 @@ class TestMomentBounds:
             kth_min_moment_lower(np.ones(5), gaussian, 1, 0.0)
         with pytest.raises(RangeError):
             min_moment_upper(np.ones(5), gaussian, -1.0)
+        for p in (math.inf, math.nan):
+            with pytest.raises(RangeError):
+                kth_min_moment_lower(np.ones(5), gaussian, 1, p)
+            with pytest.raises(RangeError):
+                min_moment_upper(np.ones(5), gaussian, p)
 
 
 class TestMcMonotonicity:
@@ -413,3 +429,32 @@ def test_weights_with_overflowing_reciprocal_refused(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="reciprocal of entry 1"):
             call()
+
+
+_ONES = np.ones(40)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: kth_min_bounds(_ONES, _GAUSS, k),
+        lambda k: kth_min_bounds_gaussian(_ONES, k),
+        lambda k: kth_max_bounds(_ONES, _GAUSS, k),
+        lambda k: kth_min_moment_lower(_ONES, _GAUSS, k, 1.0),
+        lambda k: build_partition(_ONES, linear_function(), k),
+        lambda k: reciprocal_survival_function(_GAUSS, k),
+        lambda k: check_kmax_split(_ONES, 1, k),
+        lambda k: check_subset_product_chain([0.5, 0.5, 0.5], k),
+        lambda k: elementary_symmetric_by_enumeration([0.5, 0.5, 0.5], k),
+        lambda k: _GAUSS.sample(np.random.default_rng(0), k),
+    ],
+    ids=["kmin", "kmin-gaussian", "kmax", "kmin-moment", "partition", "reciprocal-survival",
+         "kmax-split-j", "subset-chain-j", "enumeration-order", "sample-count"],
+)
+def test_orders_must_be_integers(call):
+    for bad in (2.5, 2.0, math.nan, True):
+        with pytest.raises(RangeError):
+            call(bad)
+    out = call(np.int64(2))  # a numpy integer is an integer
+    if isinstance(out, BoundReport):
+        assert out.k == 2 and type(out.k) is int

@@ -114,6 +114,17 @@ class TestSymExponential:
     def test_invalid_rate(self):
         with pytest.raises(DomainError):
             SymExponential(rate=0.0)
+        ts = np.linspace(0.0, 10.0, 401)
+        fs = special.erfc(ts / np.sqrt(2.0))
+        for make in (
+            lambda: Gaussian(scale=-2.0),
+            lambda: Gaussian(scale=math.nan),
+            lambda: TabulatedSurvival(ts, fs, scale=0.0),
+            lambda: Gaussian().scaled_by(1e200).scaled_by(1e200),
+            lambda: SymExponential().scaled_by(1e-200).scaled_by(1e-200),
+        ):
+            with pytest.raises(DomainError):
+                make()
 
     def test_quantile(self, symexp):
         assert symexp.quantile(math.exp(-2.0)) == pytest.approx(2.0, rel=1e-14)

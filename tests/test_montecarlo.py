@@ -113,6 +113,9 @@ class TestEstimator:
         for t in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="threshold must be finite"):
                 check_kth_min_tail(np.ones(5), gaussian, 1, t, replications=1000)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="threshold must be positive and finite"):
+                check_min_survival_product(np.ones(5), gaussian, t, replications=1000)
 
     def test_orders_must_be_integers(self, gaussian):
         x = np.ones(5)

@@ -419,6 +419,11 @@ class TestConjugate:
     def test_tail_method_requires_moment_function(self):
         with pytest.raises(DomainError):
             young_conjugate(linear_function(), 0.5, method="tail")
+        # checked before the s = 0 shortcut
+        with pytest.raises(DomainError):
+            young_conjugate(linear_function(), 0.0, method="tail")
+        with pytest.raises(DomainError):
+            young_conjugate(linear_function(), 0.0, method="bogus")
 
 
 class TestWeights:
