@@ -13,10 +13,11 @@ erfc table) at n = 1e2, 1e4 and 1e5; the M norm per family at n = 1e2 and
 1e5; ``kth_min_bounds`` (gaussian k = 7, table k = 20) and
 ``kth_max_bounds`` (table and gaussian, k = 5) at n = 100; one
 ``max_bounds``, one ``build_partition`` and one solve under
-``reciprocal_survival_function`` at n = 1e4, which never reaches 1 on the
-probe grid and so runs without a steer. Each repetition runs every call on both sides, and
-which side runs first alternates from one repetition to the next, so both
-see the same host speed (which can swing by 2x within minutes). Every pair
+``reciprocal_survival_function`` at n = 1e4, a bounded functional that
+never reaches 1 on the probe grid, steered like every vector of n >= 4096.
+Each repetition runs every call on both sides, and which side runs first
+alternates from one repetition to the next, so both see the same host
+speed (which can swing by 2x within minutes). Every pair
 of results must have the same ``repr`` (arrays and reports compared as
 plain lists and dicts of floats); a difference stops the run with exit
 status 1.
@@ -97,7 +98,7 @@ def call_list(lib, data: dict) -> list[tuple[str, callable]]:
         ("kth_max_bounds/table/n=100/k=5", lambda: lib.kth_max_bounds(x100[::-1], table, 5)),
         ("kth_max_bounds/gaussian/n=100/k=5",
          lambda: lib.kth_max_bounds(x100[::-1], models["gaussian"], 5)),
-        # Never reaches 1 on the probe grid: the solve without a steer.
+        # A bounded functional: never reaches 1 on the probe grid.
         ("norm/reciprocal_survival/gaussian/n=1e4",
          lambda: lib.orlicz_norm(data["x1e4"],
                                  lib.reciprocal_survival_function(models["gaussian"], 3))),

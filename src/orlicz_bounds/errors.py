@@ -7,14 +7,14 @@ numeric failures; exit 1).
 Each kind of scalar argument is checked here, once: ``_integer_in`` for an
 order k, a count or a seed (a Python or numpy integer in low..high; bool and
 integral floats are refused), and ``_positive`` for a constant, a scale or a
-moment order (finite and > 0). Weight vectors are checked in ``orlicz``, by
-``Weights`` and ``_as_weights``.
+moment order (a real number, not a bool, finite and > 0). Weight vectors are
+checked in ``orlicz``, by ``Weights`` and ``_as_weights``.
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class OrliczBoundsError(Exception):
@@ -92,7 +92,7 @@ def _integer_in(value, what: str, low: int, high: int | None = None,
 
 
 def _positive(value, what: str, error: type[PreconditionError] = DomainError):
-    """``value``; ``error`` unless it is finite and > 0 (NaN is not)."""
-    if not (0 < value < math.inf):
+    """``value``; ``error`` unless it is a real number, not a bool, in (0, inf)."""
+    if not isinstance(value, Real) or isinstance(value, bool) or not 0 < value < math.inf:
         raise error(f"{what} must be positive and finite, got {value}")
     return value

@@ -79,6 +79,8 @@ class MonteCarloEstimate:
 def kth_smallest(values, k: int):
     """k-th smallest along the last axis via partial selection."""
     v = np.asarray(values, dtype=float)
+    if v.ndim == 0:
+        raise DomainError("order statistics need values with at least one axis, got a scalar")
     k = _integer_in(k, "order statistic k", 1, v.shape[-1])
     return np.partition(v, k - 1, axis=-1)[..., k - 1]
 
@@ -397,6 +399,14 @@ def check_kmax_split(values, k: int, j: int) -> CheckResult:
     )
 
 
+def _finite_nonnegative(values) -> np.ndarray:
+    """values as a flat float array; DomainError unless all are finite and >= 0."""
+    vals = np.asarray(values, dtype=float).ravel()
+    if np.any(vals < 0) or np.any(~np.isfinite(vals)):
+        raise DomainError("elementary symmetric polynomials need finite nonnegative values")
+    return vals
+
+
 def elementary_symmetric(values) -> list[Fraction]:
     """e_0 .. e_n of nonnegative values, exact.
 
@@ -405,9 +415,7 @@ def elementary_symmetric(values) -> list[Fraction]:
     integers E_l = 2^(p l) e_l, so no rounding and no gcd occurs until each
     e_l is formed once as E_l / 2^(p l).
     """
-    vals = np.asarray(values, dtype=float).ravel()
-    if np.any(vals < 0) or np.any(~np.isfinite(vals)):
-        raise DomainError("elementary symmetric polynomials need finite nonnegative values")
+    vals = _finite_nonnegative(values)
     ratios = [float(v).as_integer_ratio() for v in vals]
     shifts = [den.bit_length() - 1 for _, den in ratios]  # den = 2^q
     p = max(shifts, default=0)
@@ -418,9 +426,10 @@ def elementary_symmetric(values) -> list[Fraction]:
             e[level] += a * e[level - 1]
     return [Fraction(big, 1 << (p * level)) for level, big in enumerate(e)]
 
+
 def elementary_symmetric_by_enumeration(values, order: int) -> Fraction:
     """Subset enumeration route (cross-check of the recurrence, n <= 12)."""
-    vals = np.asarray(values, dtype=float).ravel()
+    vals = _finite_nonnegative(values)
     if vals.size > 12:
         raise RangeError(f"enumeration limited to n <= 12, got {vals.size}")
     order = _integer_in(order, "order", 0, vals.size)

@@ -30,18 +30,18 @@ an explicit value, returned by the function itself past its domain: a
 single infinite term makes the modular sum infinite, which keeps brackets
 well-defined there.
 
-Two seeds put the first full sums next to rho*, so the bracket is narrow
-before the loops start. Long vectors (n >= 4096, ``_STEER_MIN_N``) are
-steered: a solve on a 512-entry surrogate (the 128 largest entries and a
-strided sample of the rest, each standing for its stratum) guesses rho*.
-Shorter solves of a bound family are warm-started (``orlicz_norm``'s
-``warm``): the guess is the previous member's root. Either way the guess
-and one Newton step from it, overshot so that it lands past rho*, get the
-first full sums. The loops, the endgame and the bisection ask the same
-predicate as before, and a seeded bracket only answers what a full sum
-would answer, so the returned float keeps its bits. Steered moment
-functions take 4-6 full sums instead of 15-18, and warm-started members of
-the k-min and k-max families about 6 instead of 8-10.
+One seed rule puts the first full sums next to rho*, so the bracket is
+narrow before the loops start. A seed (``_WarmStart``) is the root of an
+earlier solve and the slope of log S against log rho at its final bracket:
+for a long vector (n >= 4096, ``_STEER_MIN_N``), whatever the function, a
+solve on a 512-entry surrogate (the 128 largest entries and a strided
+sample of the rest, each standing for its stratum); for a shorter one,
+``orlicz_norm``'s ``warm``, the previous member of a bound family. The
+seed's root and one Newton step from it, overshot so that it lands past
+rho*, get the first full sums; a seeded bracket only answers what a full
+sum would answer, so the returned float keeps its bits. Steered moment
+functions take 4-6 full sums instead of 15-18, bounded functionals 4-8
+instead of 7-21, and warm-started family members about 6 instead of 8-10.
 
 The result is 0.0 only when a limit test, n * fun(inf) <= 1, shows that the
 modular sum never exceeds 1. A bracket loop that runs out of its 200 steps
@@ -123,18 +123,16 @@ _HUGE = sys.float_info.max
 # The probe grid 2^-199 ... 2^199, then +inf; _PROBES[_ONE] == 1.0.
 _PROBES = np.append(np.ldexp(1.0, np.arange(1 - _MAX_DOUBLINGS, _MAX_DOUBLINGS)), math.inf)
 _ONE = _MAX_DOUBLINGS - 1
-# Steering: vectors of at least _STEER_MIN_N entries are first solved on a
-# surrogate of _STEER_M entries, the _STEER_TOP largest and a strided sample
-# of the rest; the surrogate's slope is read over a step of _STEER_H in rho,
-# and the Newton step from the guess is lengthened by _STEER_OVERSHOOT of
-# itself so that it lands past the root.
+# Seeds: vectors of at least _STEER_MIN_N entries are warm-started from a
+# solve on a surrogate of _STEER_M entries, the _STEER_TOP largest and a
+# strided sample of the rest; shorter ones from ``warm``, a bound family's
+# neighbouring root. The Newton step from the seed is lengthened by
+# _STEER_OVERSHOOT (surrogate) or _WARM_OVERSHOOT (neighbour) of itself, so
+# that it lands past the root.
 _STEER_MIN_N = 4096
 _STEER_M = 512
 _STEER_TOP = 128
-_STEER_H = 1.0 + 1e-4
 _STEER_OVERSHOOT = 0.1
-# A warm start (a bound family's neighbouring root) overshoots its Newton
-# step by this share of itself.
 _WARM_OVERSHOOT = 0.01
 _LOG_HUGE = math.log(_HUGE)
 
@@ -420,24 +418,18 @@ def orlicz_norm(x, fun: OrliczFunction, *, warm: Optional[_WarmStart] = None) ->
     increase with rho; the moment functions' sums cancel to about 1e-10,
     and there the two can differ by about 1e-12 relative.
 
-    Vectors of at least ``_STEER_MIN_N`` entries whose function reaches 1 on
-    the grid are steered first: the same solve on a surrogate of
-    ``_STEER_M`` entries (see ``_steer_guess``) guesses rho*, and that guess
-    and one Newton step from it, along the surrogate's slope of log sum
-    against log rho, are routed through the feasibility predicate on the
-    full vector. Moment functions need 4-6 full sums instead of 15-18.
-
-    ``warm`` serves the shorter solves of a bound family, whose neighbouring
-    members' norms lie close together: a holder (``_WarmStart``) that one
-    solve fills with its root and the slope of log sum against log rho at
-    its final bracket, and the next starts from, with one sum at that root
-    and one Newton step along that slope, overshot by 1 %. It changes cost
-    only, never the result: like the steer it only chooses which rho get a
-    full modular sum, every answer still comes from a full sum or from the
-    bracket, so the bracket loops and the bisection replay unchanged and,
-    under the same condition on the computed sum, the bits are those of a
-    cold solve. Vectors of ``_STEER_MIN_N`` entries or more are steered
-    instead, and still fill the holder.
+    A solve with a seed (``_WarmStart``: the root of an earlier solve and
+    the slope of log sum against log rho at its final bracket) first routes
+    the sum at that root and one Newton step from it, overshot so that it
+    lands past rho*, through the feasibility predicate. Vectors of at least
+    ``_STEER_MIN_N`` entries take the seed of a solve on a surrogate of
+    ``_STEER_M`` entries (``_steer``), whatever the function; shorter ones
+    take ``warm``, a holder that each solve of a bound family fills
+    (steered members too) and the next starts from. A seed changes cost
+    only, never the result: every answer still comes from a full sum or
+    from the bracket, so the bracket loops and the bisection replay
+    unchanged and, under the same condition on the computed sum, the bits
+    are those of a cold solve.
 
     The result is 0.0 exactly when the limit test n * sup fun <= 1 shows the
     sum <= 1 for every rho (a bounded functional). Otherwise, when a
@@ -509,12 +501,12 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
     a is the largest rho evaluated infeasible (sum sa > 1), b the smallest
     evaluated feasible (sum sb <= 1). A rho >= b is feasible and a rho <= a
     infeasible without evaluating, because the modular sum does not increase
-    with rho; only a rho strictly inside (a, b) is evaluated. A steer (large
-    vectors) or a warm start (a family's neighbouring root) seeds (a, b)
-    near rho* first. Between the bracket loops and the bisection, a secant
-    endgame narrows (a, b) to relative width ``NORM_REL_TOL``, so the
-    bisection takes its usual steps but evaluates only the one or two
-    midpoints that land inside.
+    with rho; only a rho strictly inside (a, b) is evaluated. A seed (the
+    surrogate's for long vectors, ``warm`` otherwise) puts (a, b) near rho*
+    first, and ``warm`` receives the root. Between the bracket loops and
+    the bisection, a secant endgame narrows (a, b) to relative width
+    ``NORM_REL_TOL``, so the bisection takes its usual steps but evaluates
+    only the one or two midpoints that land inside.
     """
     n = v.size
 
@@ -541,19 +533,15 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
     hi = min(n * vmax / t_lo, _HUGE) if t_lo else vmax
     lo = vmax / t_hi if t_hi else vmax
 
-    guess = None
-    if n >= _STEER_MIN_N:
-        if t_hi is not None:
-            guess, overshoot = _steer_guess(v, fun, t_hi, t_lo), _STEER_OVERSHOOT
-    elif warm is not None and warm.root is not None:
-        guess, overshoot = (warm.root, warm.slope), _WARM_OVERSHOOT
-    if guess is not None:
-        g, slope = guess
-        # The sum at g, then one Newton step in log rho along the slope,
-        # overshot so that it lands past rho*.
+    seed = _steer(v, fun, t_hi, t_lo) if n >= _STEER_MIN_N else warm
+    if seed is not None and seed.root is not None:
+        # The sum at the seed's root, then one Newton step in log rho along
+        # its slope, overshot so that it lands past rho*.
+        g = seed.root
         s_g = sb if feasible(g) else sa
-        step = -_log_or_nan(s_g) / slope
+        step = -_log_or_nan(s_g) / seed.slope
         if abs(step) < 1.0:
+            overshoot = _STEER_OVERSHOOT if n >= _STEER_MIN_N else _WARM_OVERSHOOT
             step += math.copysign(max(overshoot * abs(step), NORM_REL_TOL), step)
             feasible(g * math.exp(step))
 
@@ -633,10 +621,11 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
     return hi
 
 
-def _steer_guess(v, fun, t_hi, t_lo):
-    """(g, slope): a guess g for rho* and the slope of log sum against log
-    rho there, from a surrogate of ``_STEER_M`` entries; None when either is
-    not a usable number.
+def _steer(v, fun, t_hi, t_lo) -> _WarmStart:
+    """A warm start for the solve on v, read off a surrogate of ``_STEER_M``
+    entries: the surrogate's solve fills a fresh holder with its root and
+    final-bracket slope, as any warm-started solve does (the root stays
+    None when it is 0 or inf).
 
     The surrogate keeps the ``_STEER_TOP`` largest entries, which dominate
     the sum when the entries spread over many decades, and takes the rest
@@ -652,12 +641,9 @@ def _steer_guess(v, fun, t_hi, t_lo):
     counts = np.ones(_STEER_M)
     counts[:strata] = rest.size / strata
     surrogate = from_callable(lambda t: counts * fun.evaluate(t), label=fun.label)
-    g = _solve(sub, float(ordered[-1]), surrogate, t_hi, t_lo)
-    if not 0.0 < g < math.inf:
-        return None
-    s0, s1 = (_modular_sum(sub, surrogate, rho) for rho in (g, g * _STEER_H))
-    slope = (_log_or_nan(s1) - _log_or_nan(s0)) / math.log(_STEER_H)
-    return (g, slope) if slope < 0.0 else None
+    seed = _WarmStart()
+    _solve(sub, float(ordered[-1]), surrogate, t_hi, t_lo, seed)
+    return seed
 
 
 def _log_or_nan(s: float) -> float:

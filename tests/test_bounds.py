@@ -237,7 +237,7 @@ class TestKmaxBounds:
         assert rep.lower == base.lower
 
     @pytest.mark.parametrize("field", ["kmax_upper_c", "max1_c_low", "max1_c_high"])
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan, "2", None, True])
     def test_constants_checked_at_construction(self, field, bad):
         with pytest.raises(DomainError, match=field):
             BoundConstants(**{field: bad})

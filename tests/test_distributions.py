@@ -119,6 +119,9 @@ class TestSymExponential:
         for make in (
             lambda: Gaussian(scale=-2.0),
             lambda: Gaussian(scale=math.nan),
+            lambda: Gaussian(scale="2"),
+            lambda: Gaussian(scale=None),
+            lambda: Gaussian(scale=True),
             lambda: TabulatedSurvival(ts, fs, scale=0.0),
             lambda: Gaussian().scaled_by(1e200).scaled_by(1e200),
             lambda: SymExponential().scaled_by(1e-200).scaled_by(1e-200),

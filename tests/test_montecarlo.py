@@ -103,8 +103,13 @@ class TestEstimator:
             estimate_order_stat(np.ones(5), gaussian, 1, statistic="median")
         with pytest.raises(RangeError):
             estimate_order_stat(np.ones(5), gaussian, 1, threads=0)
-        with pytest.raises(RangeError):
-            estimate_order_stat(np.ones(5), gaussian, 1, power=math.inf)
+        for power in (math.inf, "2", True):
+            with pytest.raises(RangeError):
+                estimate_order_stat(np.ones(5), gaussian, 1, power=power)
+            with pytest.raises(RangeError):
+                estimate_order_stats(np.ones(5), gaussian, [1], power=power)
+        with pytest.raises(DomainError, match="at least one axis"):
+            kth_smallest(3.0, 1)
         for check, args in ((check_kth_min_tail, (1, 0.05)), (check_min_survival_product, (0.05,))):
             with pytest.raises(DomainError):
                 check(np.ones(5), gaussian, *args, replications=1000, seed=-1)
@@ -341,6 +346,12 @@ class TestElementarySymmetric:
     def test_enumeration_limit(self):
         with pytest.raises(RangeError):
             elementary_symmetric_by_enumeration(np.ones(13), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_values_must_be_finite_and_nonnegative(self, bad):
+        for esp in (elementary_symmetric, lambda v: elementary_symmetric_by_enumeration(v, 1)):
+            with pytest.raises(DomainError, match="finite nonnegative"):
+                esp([0.5, bad])
 
 
 class TestSymmetricTailBound:

@@ -317,6 +317,22 @@ def test_steer_costs_at_most_one_more_full_sum(
         assert calls[3] <= _STEER_M
 
 
+@pytest.mark.parametrize("n", [10_000, 30_000])
+@pytest.mark.parametrize("kind", ["reciprocal-survival", "reciprocal-survival-table",
+                                  "tail-threshold-G", "tail-threshold-G-table"])
+def test_bounded_functionals_are_steered(gaussian_table_model, kind, n):
+    """F(1/t)/8 and (e/3)G never reach 1 on the probe grid, and long
+    vectors are steered under them too: at most 8 full sums (7-19
+    unsteered), with plain bisection's bits."""
+    fun = _function_kinds(gaussian_table_model, None)[kind](3)
+    rng = np.random.default_rng(n)
+    for x in (1.0 / rng.uniform(0.5, 5.0, n), _weights(rng, n, True)):
+        bits, calls = _counted_solve(x, fun)
+        assert bits == bisection_norm(x, fun).hex()
+        assert calls[0] <= 8, f"{calls[0]} full sums"
+        assert calls[2] > 0 and calls[3] <= _STEER_M
+
+
 @pytest.mark.parametrize("scale", [10.0**e for e in (-300, -200, -61, 61, 200, 300)])
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
 # [1e7, 1e8] at 1e300 * t: the norm 1.1e308 sits where lo + hi overflows.
