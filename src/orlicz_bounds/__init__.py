@@ -45,7 +45,6 @@ from .montecarlo import (
     check_subset_product_chain,
     check_symmetric_tail_bound,
     elementary_symmetric,
-    elementary_symmetric_by_enumeration,
     estimate_order_stat,
     estimate_order_stats,
     kth_min_tail_threshold,

@@ -3,20 +3,22 @@
 Order-statistic expectations are estimated by averaging the k-th smallest
 (or largest) of |x_i xi_i| over replications. Each row is partially
 selected at the wanted order statistics, or sorted when more than two are
-wanted (the selected values are the same either way). The frequency checks
-select nothing: a row's k-th smallest is <= t exactly when at least k of its
-entries are, so they count per row. Replications are split
-into chunks whose size depends only on n; chunk c draws from an independent
-substream seeded by (seed, c), and per-chunk sums are combined in chunk
-order, so results are bit-identical for a given (seed, replications)
-regardless of how many worker threads run the chunks.
+wanted (the selected values are the same either way). The one frequency
+check, the minimum's survival product, selects nothing: a row's minimum is
+<= t exactly when any of its entries is, so it counts per row. Replications
+are split into chunks whose size depends only on n; chunk c draws from an
+independent substream seeded by (seed, c), and per-chunk sums are combined
+in chunk order, so results are bit-identical for a given (seed,
+replications) regardless of how many worker threads run the chunks.
 
-The exact checks use elementary symmetric polynomials computed by the
+The k-min tail check samples nothing: the events {|x_i xi_i| <= t} are
+independent, so P(k-min <= t) is the Poisson-binomial chance that at least
+k of them occur, computed exactly by a recurrence over k + 1 levels. The
+other exact checks use elementary symmetric polynomials computed by the
 product recurrence e_l <- e_l + a_i e_{l-1}. Doubles are dyadic rationals,
 so each input is written as an integer over one common denominator 2^p and
 the recurrence runs on Python integers: exact, and with no gcd until e_l is
-formed once as E_l / 2^(p l). A subset enumeration route is kept as an
-n <= 12 cross-check of the recurrence.
+formed once as E_l / 2^(p l).
 Every checker reports both sides; a False result is a diagnosable failure,
 never a silent pass.
 """
@@ -28,7 +30,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "estimate_order_stat",
     "estimate_order_stats",
     "elementary_symmetric",
-    "elementary_symmetric_by_enumeration",
     "check_symmetric_tail_bound",
     "check_kth_min_tail",
     "kth_min_tail_threshold",
@@ -237,44 +237,31 @@ def estimate_order_stat(
     )[0]
 
 
-def _frequency_kth_min_below(
-    xv: np.ndarray,
-    model: DistributionModel,
-    k: int,
-    t: float,
-    replications: int,
-    seed: int,
-    threads: int = 1,
-):
-    """Empirical P(k-min <= t) with its binomial standard error.
+def _poisson_binomial_tail(p: np.ndarray, k: int) -> float:
+    """P(at least k of independent events with probabilities p occur).
 
-    A row is a hit when at least k of its entries are <= t, which holds
-    exactly when its k-th smallest is (ties included; rows hold no NaN), so
-    the rows are counted, not selected."""
-
-    def below(rows):
-        return int(np.count_nonzero(np.count_nonzero(rows <= t, axis=1) >= k))
-
-    hits = sum(_selected_chunks(xv, model, None, replications, seed, threads, below))
-    freq = hits / replications
-    se = math.sqrt(max(freq * (1.0 - freq), 0.0) / replications)
-    return freq, se
+    q[l] holds P(exactly l events so far) for l < k, and q[k] absorbs
+    P(at least k). Each entry moves mass p_i one level up; every update adds
+    nonnegative terms, so a tail of 1e-14 keeps its relative precision.
+    """
+    q = np.zeros(k + 1)
+    q[0] = 1.0
+    for pi in p:
+        moved = q[:k] * pi
+        q[:k] *= 1.0 - pi
+        q[1:] += moved
+    return float(q[k])
 
 
-def check_kth_min_tail(
-    x,
-    model: DistributionModel,
-    k: int,
-    t: float,
-    replications: int = 100_000,
-    seed: int = 0,
-    threads: int = 1,
-) -> CheckResult:
-    """Empirical P(k-min <= t) against a^k / ((1-a) sqrt(2 pi k)) with
+def check_kth_min_tail(x, model: DistributionModel, k: int, t: float) -> CheckResult:
+    """Exact P(k-min <= t) against a^k / ((1-a) sqrt(2 pi k)) with
     a = (e/k) sum_i G(t/x_i), valid while a < 1.
 
-    a = 0 (e.g. t = 0 and a continuous distribution) is allowed and trivially
-    true; a >= 1 violates the precondition.
+    The k-min is <= t exactly when at least k of the independent events
+    {|x_i xi_i| <= t}, of probabilities G(t/x_i), occur; the left side is
+    that Poisson-binomial tail. a = 0 (e.g. t = 0 and a continuous
+    distribution) is allowed and trivially true; a >= 1 violates the
+    precondition.
     """
     xv = _as_weights(x)
     n = xv.size
@@ -289,14 +276,13 @@ def check_kth_min_tail(
         rhs = 0.0
     else:
         rhs = aval**k / ((1.0 - aval) * math.sqrt(2.0 * math.pi * k))
-    freq, se = _frequency_kth_min_below(xv, model, k, t, replications, seed, threads)
-    ok = freq <= rhs + 4.0 * se + 1e-12
+    lhs = _poisson_binomial_tail(g, k)
     return CheckResult(
         name="kth_min_tail",
-        ok=bool(ok),
-        lhs=freq,
+        ok=bool(lhs <= rhs),
+        lhs=lhs,
         rhs=float(rhs),
-        detail={"a": aval, "ci": se, "t": t, "k": k, "replications": replications},
+        detail={"a": aval, "t": t, "k": k},
     )
 
 
@@ -341,7 +327,13 @@ def check_min_survival_product(
     surv = model.survival(t / xv)
     product = float(np.prod(surv))
     sum_g = float(np.sum(1.0 - surv))
-    freq_le, se = _frequency_kth_min_below(xv, model, 1, t, replications, seed, threads)
+
+    def below(rows):  # rows whose minimum is <= t
+        return int(np.count_nonzero(np.any(rows <= t, axis=1)))
+
+    hits = sum(_selected_chunks(xv, model, None, replications, seed, threads, below))
+    freq_le = hits / replications
+    se = math.sqrt(max(freq_le * (1.0 - freq_le), 0.0) / replications)
     freq_gt = 1.0 - freq_le
     ok_product = abs(freq_gt - product) <= 4.0 * se + 1e-12
     union = CheckResult(
@@ -399,14 +391,6 @@ def check_kmax_split(values, k: int, j: int) -> CheckResult:
     )
 
 
-def _finite_nonnegative(values) -> np.ndarray:
-    """values as a flat float array; DomainError unless all are finite and >= 0."""
-    vals = np.asarray(values, dtype=float).ravel()
-    if np.any(vals < 0) or np.any(~np.isfinite(vals)):
-        raise DomainError("elementary symmetric polynomials need finite nonnegative values")
-    return vals
-
-
 def elementary_symmetric(values) -> list[Fraction]:
     """e_0 .. e_n of nonnegative values, exact.
 
@@ -415,7 +399,9 @@ def elementary_symmetric(values) -> list[Fraction]:
     integers E_l = 2^(p l) e_l, so no rounding and no gcd occurs until each
     e_l is formed once as E_l / 2^(p l).
     """
-    vals = _finite_nonnegative(values)
+    vals = np.asarray(values, dtype=float).ravel()
+    if np.any(vals < 0) or np.any(~np.isfinite(vals)):
+        raise DomainError("elementary symmetric polynomials need finite nonnegative values")
     ratios = [float(v).as_integer_ratio() for v in vals]
     shifts = [den.bit_length() - 1 for _, den in ratios]  # den = 2^q
     p = max(shifts, default=0)
@@ -425,22 +411,6 @@ def elementary_symmetric(values) -> list[Fraction]:
         for level in range(i, 0, -1):
             e[level] += a * e[level - 1]
     return [Fraction(big, 1 << (p * level)) for level, big in enumerate(e)]
-
-
-def elementary_symmetric_by_enumeration(values, order: int) -> Fraction:
-    """Subset enumeration route (cross-check of the recurrence, n <= 12)."""
-    vals = _finite_nonnegative(values)
-    if vals.size > 12:
-        raise RangeError(f"enumeration limited to n <= 12, got {vals.size}")
-    order = _integer_in(order, "order", 0, vals.size)
-    fracs = [Fraction(float(v)) for v in vals]
-    total = Fraction(0)
-    for subset in combinations(fracs, order):
-        prod = Fraction(1)
-        for a in subset:
-            prod *= a
-        total += prod
-    return total
 
 
 def check_symmetric_tail_bound(a, k: int) -> CheckResult:

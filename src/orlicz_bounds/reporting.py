@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,8 +32,7 @@ class CheckResult:
 def to_jsonable(obj: Any) -> Any:
     """Convert dataclasses / numpy containers to plain JSON-serializable data.
 
-    Floats stay floats; ``inf`` serializes via Python's JSON ``Infinity``
-    token, which round-trips through ``json.loads``.
+    A non-finite float becomes None, so every report is strict JSON.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
@@ -42,8 +42,8 @@ def to_jsonable(obj: Any) -> Any:
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -53,4 +53,4 @@ def to_jsonable(obj: Any) -> Any:
 
 def dumps_report(obj: Any) -> str:
     """Deterministic JSON text for a report: sorted keys, stable float repr."""
-    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,7 +15,7 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
-from orlicz_bounds import Gaussian, SymExponential, TabulatedSurvival
+from orlicz_bounds import DomainError, Gaussian, RangeError, SymExponential, TabulatedSurvival
 from scipy import special
 
 
@@ -43,3 +47,22 @@ def nonconvex_table_model():
     fs = np.exp(-n)
     fs[0] = 1.0
     return TabulatedSurvival(ts, fs)
+
+
+def _esp_by_enumeration(values, order: int) -> Fraction:
+    """e_order(values) summed over every subset of that size in exact
+    rationals: the reference for ``elementary_symmetric``'s integer
+    recurrence, for n <= 12."""
+    vals = np.asarray(values, dtype=float).ravel()
+    if vals.size > 12:
+        raise RangeError(f"enumeration limited to n <= 12, got {vals.size}")
+    if np.any(vals < 0) or np.any(~np.isfinite(vals)):
+        raise DomainError("elementary symmetric polynomials need finite nonnegative values")
+    fracs = [Fraction(float(v)) for v in vals]
+    return sum((math.prod(subset, start=Fraction(1)) for subset in combinations(fracs, order)),
+               Fraction(0))
+
+
+@pytest.fixture(scope="session")
+def esp_by_enumeration():
+    return _esp_by_enumeration

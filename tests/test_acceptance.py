@@ -26,7 +26,6 @@ from orlicz_bounds import (
     check_symmetric_tail_bound,
     check_tail_integral_bound,
     elementary_symmetric,
-    elementary_symmetric_by_enumeration,
     estimate_order_stat,
     estimate_order_stats,
     expected_overshoot_function,
@@ -192,7 +191,7 @@ def test_criterion_5_partition_certificates():
                   "certificate within factor 4*max{H(1),1/H(1)}", failures)
 
 
-def test_criterion_6_symmetric_tail_enumeration():
+def test_criterion_6_symmetric_tail_enumeration(esp_by_enumeration):
     rng = np.random.default_rng(66)
     failures = []
     for case in range(1000):
@@ -208,9 +207,7 @@ def test_criterion_6_symmetric_tail_enumeration():
         n = int(rng.integers(1, 13))
         vals = rng.uniform(0.0, 3.0, n)
         order = int(rng.integers(0, n + 1))
-        if elementary_symmetric(vals)[order] != elementary_symmetric_by_enumeration(
-            vals, order
-        ):
+        if elementary_symmetric(vals)[order] != esp_by_enumeration(vals, order):
             failures.append(("enumeration", case, n, order))
     _criterion(6, "1000 symmetric-function tail bounds hold exactly; recurrence "
                   "matches enumeration exactly for n <= 12", failures)
@@ -230,7 +227,7 @@ def test_criterion_7_probability_inequality_suites():
         if not math.isfinite(cap):
             cap = float(model.quantile(0.5) * x[0])
         t = float(rng.uniform(0.05, 0.95) * cap)
-        res = check_kth_min_tail(x, model, k, t, replications=REPS, seed=7000 + case)
+        res = check_kth_min_tail(x, model, k, t)
         if not res.ok:
             failures.append(("kth_min_tail", case, res.lhs, res.rhs))
 
@@ -280,7 +277,8 @@ def test_criterion_7_probability_inequality_suites():
             failures.append(("tail_integral_bound", case, res.lhs, res.rhs))
 
     _criterion(7, "probability-inequality checker suites on 100 randomized "
-                  "configurations each (4-sigma margins)", failures)
+                  "configurations each (exact k-min tail; 4-sigma margins on the "
+                  "survival-product frequency)", failures)
 
 
 def test_criterion_8_gaussian_function_claims():

@@ -26,7 +26,6 @@ from orlicz_bounds import (
     build_partition,
     check_kmax_split,
     check_subset_product_chain,
-    elementary_symmetric_by_enumeration,
     estimate_order_stat,
     kth_max_bounds,
     kth_min_bounds,
@@ -445,11 +444,10 @@ _ONES = np.ones(40)
         lambda k: reciprocal_survival_function(_GAUSS, k),
         lambda k: check_kmax_split(_ONES, 1, k),
         lambda k: check_subset_product_chain([0.5, 0.5, 0.5], k),
-        lambda k: elementary_symmetric_by_enumeration([0.5, 0.5, 0.5], k),
         lambda k: _GAUSS.sample(np.random.default_rng(0), k),
     ],
     ids=["kmin", "kmin-gaussian", "kmax", "kmin-moment", "partition", "reciprocal-survival",
-         "kmax-split-j", "subset-chain-j", "enumeration-order", "sample-count"],
+         "kmax-split-j", "subset-chain-j", "sample-count"],
 )
 def test_orders_must_be_integers(call):
     for bad in (2.5, 2.0, math.nan, True):

@@ -418,6 +418,15 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("dist", ["gaussian", "symexp:1"])
+    def test_kmin_tail_rows_are_positive(self, dist):
+        # the kmin-tail rows of the default verify --suite all; a sampled
+        # left side read 0 on half of them, which passed without a test
+        code, out = run_capture(["verify", "--suite", "kmin-tail", "--dist", dist])
+        rows = json.loads(out)["checks"]
+        assert code == 0 and len(rows) == 6
+        assert all(0.0 < r["lhs"] <= r["rhs"] for r in rows), rows
+
     def test_registry_order_fixed(self):
         code1, out1 = run_capture(
             ["verify", "--suite", "tail-bound,sym-tail", "--seed", "0", "--format", "csv"]
@@ -470,6 +479,10 @@ class TestParsing:
          "argument --kmax-upper-c"),
         (["bounds-kmin", "--weights", "w.csv", "--k", "1", "--threads", "2"],
          "unrecognized arguments: --threads 2"),
+        (["verify", "--suite", "sym-tail", "--reps", "50"], "argument --reps"),
+        (["verify", "--suite", "kmin-tail", "--reps", "50"], "argument --reps"),
+        (["simulate", "--weights", "w.csv", "--k", "1", "--reps", "50"], "argument --reps"),
+        (["simulate", "--weights", "w.csv", "--k", "1", "--reps", "1e5"], "argument --reps"),
     ])
     def test_rejected_while_parsing_exit_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -552,10 +565,8 @@ def cli_argv(draw, weights_path):
 @given(data=st.data())
 def test_cli_contract(data):
     """In process, over every command: exit 0, 1 or 2 with no exception and
-    no warning; every exit-0 report is strict JSON (only verify's
-    duality/beyond-mean row, whose rhs is +inf by design, may hold
-    Infinity); a lower bound is at most its upper bound, and an upper bound
-    is null or positive."""
+    no warning; every exit-0 report is strict JSON; a lower bound is at most
+    its upper bound, and an upper bound is null or positive."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "w.csv")
         argv, w = data.draw(cli_argv(path), label="argv, weights")
@@ -570,12 +581,9 @@ def test_cli_contract(data):
     assert not caught, [str(w.message) for w in caught]
     if code != 0:
         return
-    if argv[0] == "verify":
-        rows = json.loads(out.getvalue())["checks"]
-        assert all(math.isfinite(r["lhs"]) and math.isfinite(r["rhs"]) for r in rows
-                   if (r["suite"], r["check"]) != ("duality", "beyond-mean")), rows
-        return
     report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    if argv[0] == "verify":
+        return
     if "upper" in report:
         upper = report["upper"]
         assert upper is None or 0.0 < upper, report

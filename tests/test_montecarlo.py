@@ -25,7 +25,6 @@ from orlicz_bounds import (
     check_subset_product_chain,
     check_symmetric_tail_bound,
     elementary_symmetric,
-    elementary_symmetric_by_enumeration,
     estimate_order_stat,
     estimate_order_stats,
     kth_min_tail_threshold,
@@ -55,10 +54,10 @@ class TestEstimator:
         assert one.mean == three.mean
         assert one.ci_halfwidth == three.ci_halfwidth
         x = np.linspace(0.5, 5.0, 12)
-        for check, args in ((check_kth_min_tail, (2, 0.1)), (check_min_survival_product, (0.4,))):
-            a, b = (check(x, gaussian, *args, replications=30_000, seed=5, threads=t)
-                    for t in (1, 2))
-            assert (a.lhs, a.detail["ci"]) == (b.lhs, b.detail["ci"])
+        a, b = (check_min_survival_product(x, gaussian, 0.4, replications=30_000, seed=5,
+                                           threads=t)
+                for t in (1, 2))
+        assert (a.lhs, a.detail["ci"]) == (b.lhs, b.detail["ci"])
 
     def test_worker_count_bounded(self):
         assert _worker_count(1, 3) == 1
@@ -110,14 +109,13 @@ class TestEstimator:
                 estimate_order_stats(np.ones(5), gaussian, [1], power=power)
         with pytest.raises(DomainError, match="at least one axis"):
             kth_smallest(3.0, 1)
-        for check, args in ((check_kth_min_tail, (1, 0.05)), (check_min_survival_product, (0.05,))):
-            with pytest.raises(DomainError):
-                check(np.ones(5), gaussian, *args, replications=1000, seed=-1)
-            with pytest.raises(RangeError):
-                check(np.ones(5), gaussian, *args, replications=50)
+        with pytest.raises(DomainError):
+            check_min_survival_product(np.ones(5), gaussian, 0.05, replications=1000, seed=-1)
+        with pytest.raises(RangeError):
+            check_min_survival_product(np.ones(5), gaussian, 0.05, replications=50)
         for t in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="threshold must be finite"):
-                check_kth_min_tail(np.ones(5), gaussian, 1, t, replications=1000)
+                check_kth_min_tail(np.ones(5), gaussian, 1, t)
         for t in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="threshold must be positive and finite"):
                 check_min_survival_product(np.ones(5), gaussian, t, replications=1000)
@@ -131,7 +129,7 @@ class TestEstimator:
             with pytest.raises(RangeError):
                 estimate_order_stat(x, gaussian, k, replications=100)
             with pytest.raises(RangeError):
-                check_kth_min_tail(x, gaussian, k, 0.05, replications=1000)
+                check_kth_min_tail(x, gaussian, k, 0.05)
             with pytest.raises(RangeError):
                 kth_min_tail_threshold(x, gaussian, k)
             with pytest.raises(RangeError):
@@ -337,19 +335,19 @@ class TestElementarySymmetric:
         st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=12),
         st.data(),
     )
-    def test_recurrence_matches_enumeration_exactly(self, values, data):
+    def test_recurrence_matches_enumeration_exactly(self, esp_by_enumeration, values, data):
         order = data.draw(st.integers(min_value=0, max_value=len(values)))
         rec = elementary_symmetric(values)[order]
-        enum = elementary_symmetric_by_enumeration(values, order)
+        enum = esp_by_enumeration(values, order)
         assert rec == enum  # exact rational equality
 
-    def test_enumeration_limit(self):
+    def test_enumeration_limit(self, esp_by_enumeration):
         with pytest.raises(RangeError):
-            elementary_symmetric_by_enumeration(np.ones(13), 2)
+            esp_by_enumeration(np.ones(13), 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-    def test_values_must_be_finite_and_nonnegative(self, bad):
-        for esp in (elementary_symmetric, lambda v: elementary_symmetric_by_enumeration(v, 1)):
+    def test_values_must_be_finite_and_nonnegative(self, esp_by_enumeration, bad):
+        for esp in (elementary_symmetric, lambda v: esp_by_enumeration(v, 1)):
             with pytest.raises(DomainError, match="finite nonnegative"):
                 esp([0.5, bad])
 
@@ -400,8 +398,7 @@ class TestKthMinTail:
         x = np.sort(np.random.default_rng(1).uniform(0.5, 5.0, 25))
         k = 4
         t_max = kth_min_tail_threshold(x, gaussian, k)
-        res = check_kth_min_tail(x, gaussian, k, 0.7 * t_max,
-                                 replications=10**5, seed=5)
+        res = check_kth_min_tail(x, gaussian, k, 0.7 * t_max)
         assert res.ok, (res.lhs, res.rhs)
         assert 0 < res.detail["a"] < 1
 
@@ -420,20 +417,19 @@ class TestKthMinTail:
                 lo = mid
             else:
                 hi = mid
-        res = check_kth_min_tail(x, gaussian, k, lo, replications=10**5, seed=6)
+        res = check_kth_min_tail(x, gaussian, k, lo)
         assert res.ok
         assert res.detail["a"] == pytest.approx(0.5, abs=1e-3)
 
     def test_degenerate_zero_threshold(self, gaussian):
-        res = check_kth_min_tail(np.ones(5), gaussian, 2, 0.0,
-                                 replications=1000, seed=0)
+        res = check_kth_min_tail(np.ones(5), gaussian, 2, 0.0)
         assert res.ok
         assert res.lhs == 0.0 and res.rhs == 0.0
 
     def test_precondition(self, gaussian):
         # enormous t makes a >= 1
         with pytest.raises(DomainError):
-            check_kth_min_tail(np.ones(5), gaussian, 1, 50.0, replications=1000)
+            check_kth_min_tail(np.ones(5), gaussian, 1, 50.0)
 
     def test_tabulated_threshold_conservative(self, gaussian, gaussian_table_model):
         # beyond the table G is replaced by 1, which can only shrink the
@@ -444,14 +440,14 @@ class TestKthMinTail:
         t_tab = kth_min_tail_threshold(x, gaussian_table_model, k)
         # agreement up to the table's interpolation error; never larger
         assert t_tab <= t_an * (1 + 1e-6)
-        res = check_kth_min_tail(x, gaussian_table_model, k, 0.7 * t_tab,
-                                 replications=20_000, seed=5)
+        res = check_kth_min_tail(x, gaussian_table_model, k, 0.7 * t_tab)
         assert res.ok
 
 
 def _reference_frequency(xv, model, k, t, replications, seed, threads=1):
-    """The k-min frequency as it stood before counting: every row
-    partitioned at k - 1 and its k-th smallest compared with t."""
+    """The sampled k-min frequency: every row partitioned at k - 1 and its
+    k-th smallest compared with t. The reference for the minimum's count
+    per row, and the frequency the exact k-min tail replaced."""
 
     def below(part):
         return int(np.count_nonzero(part[:, k - 1] <= t))
@@ -462,23 +458,58 @@ def _reference_frequency(xv, model, k, t, replications, seed, threads=1):
     return freq, math.sqrt(max(freq * (1.0 - freq), 0.0) / replications)
 
 
-def _frequency_outcomes(x, model, k, t, reps, seed, threads):
-    """float.hex of freq and se from the frequency itself and from both
-    checkers that use it ("precondition" where a checker refuses t)."""
-    out = [tuple(map(float.hex, montecarlo._frequency_kth_min_below(
-        x, model, k, t, reps, seed, threads)))]
-    try:
-        res = check_kth_min_tail(x, model, k, t, reps, seed, threads)
-        out.append((res.lhs.hex(), res.detail["ci"].hex()))
-    except PreconditionError:
-        out.append("precondition")
-    if k == 1:
-        try:
-            res = check_min_survival_product(x, model, t, reps, seed, threads)
-            out.append((res.lhs.hex(), res.detail["ci"].hex(), res.detail["union"].lhs.hex()))
-        except PreconditionError:  # t / x_i past a table's last knot
-            out.append("precondition")
-    return out
+def _hits_by_enumeration(p):
+    """P(exactly j of independent events with probabilities p occur) for
+    j = 0..n: every one of the 2^n outcomes, its probability a product in
+    exact rationals, added to its number of hits."""
+    outcomes = [(0, Fraction(1))]
+    for f in map(Fraction, map(float, p)):
+        outcomes = [o for hits, prob in outcomes
+                    for o in ((hits, prob * (1 - f)), (hits + 1, prob * f))]
+    dist = [Fraction(0)] * (len(p) + 1)
+    for hits, prob in outcomes:
+        dist[hits] += prob
+    return dist
+
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 3e-9, 7e-7]),
+                         st.floats(min_value=0.0, max_value=1e-6),
+                         st.floats(min_value=0.0, max_value=1.0))
+
+
+class TestPoissonBinomialTail:
+    @settings(max_examples=40)
+    @given(st.lists(_PROBABILITY, min_size=1, max_size=12))
+    @example([0.0, 1.0, 5e-7, 0.3])
+    @example([1e-7] * 12)
+    def test_matches_enumeration(self, p):
+        # relative 1e-12, or absolute where the tail is below the smallest
+        # normal double (a product of 5e-324 and 1e-6 underflows to 0)
+        dist = _hits_by_enumeration(p)
+        tiny = Fraction(np.finfo(float).tiny)
+        for k in range(1, len(p) + 1):
+            got = montecarlo._poisson_binomial_tail(np.array(p), k)
+            want = sum(dist[k:])
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want + tiny, (
+                k, got, float(want))
+
+    @pytest.mark.parametrize("family", ["gaussian", "symexp"])
+    def test_matches_frequency(self, family):
+        # the old sampled left side, within 4 binomial sigmas of the exact
+        # tail, on cases where that tail is far from 0
+        model = {"gaussian": Gaussian(), "symexp": SymExponential(rate=1.0)}[family]
+        rng = np.random.default_rng(31)
+        reps = 20_000
+        for case in range(5):
+            n = int(rng.integers(5, 31))
+            k = int(rng.integers(1, 4))
+            x = np.sort(rng.uniform(0.5, 5.0, n))
+            t = 0.95 * kth_min_tail_threshold(x, model, k)
+            res = check_kth_min_tail(x, model, k, t)
+            freq, _ = _reference_frequency(x, model, k, t, reps, seed=case)
+            sigma = math.sqrt(res.lhs * (1.0 - res.lhs) / reps)
+            assert res.lhs * reps > 50, (case, res.lhs)
+            assert abs(freq - res.lhs) <= 4.0 * sigma, (case, freq, res.lhs, sigma)
 
 
 class _ReplayingModel:
@@ -504,24 +535,29 @@ class TestFrequencyByCounting:
     @pytest.mark.parametrize("family", ["gaussian", "symexp", "table"])
     @pytest.mark.parametrize("n, ks", [(12, range(1, 13)),
                                        (300, (1, 2, 37, 150, 151, 263, 299, 300))])
-    def test_same_bits_as_selection(self, gaussian_table_model, monkeypatch, family, n, ks):
+    def test_same_bits_as_selection(self, gaussian_table_model, family, n, ks):
+        # the minimum's frequency in check_min_survival_product, counted per
+        # row, against the reference's selection of each row's minimum
         model = _ReplayingModel({"gaussian": Gaussian(),
                                  "symexp": SymExponential(rate=1.7).scaled_by(0.3),
                                  "table": gaussian_table_model}[family])
         x = np.sort(np.random.default_rng(23).uniform(0.5, 5.0, n))
         reps, seed = 8192 + 37, 11  # a full chunk and a remainder
         first = montecarlo._selected_chunks(x, model, None, reps, seed, 1, np.sort)[0]
+        compared = 0
         for k in ks:
-            # each t is some row's k-th smallest, so that row ties with t;
-            # the lowest one also meets the k-min tail check's precondition
+            # each t is some row's k-th smallest, so that row ties with t
             for t in (float(first[:, k - 1].min()), float(first[0, k - 1])):
-                with monkeypatch.context() as patch:
-                    patch.setattr(montecarlo, "_frequency_kth_min_below",
-                                  _reference_frequency)
-                    want = _frequency_outcomes(x, model, k, t, reps, seed, 1)
+                freq, se = _reference_frequency(x, model, 1, t, reps, seed)
                 for threads in (1, 2):
-                    got = _frequency_outcomes(x, model, k, t, reps, seed, threads)
-                    assert got == want, (k, t, threads)
+                    try:
+                        res = check_min_survival_product(x, model, t, reps, seed, threads)
+                    except PreconditionError:  # t / x_i past a table's last knot
+                        continue
+                    got = (res.detail["union"].lhs, res.lhs, res.detail["ci"])
+                    assert got == (freq, 1.0 - freq, se), (k, t, threads)
+                    compared += 1
+        assert compared >= len(ks)
 
 
 class TestMinSurvivalProduct:
