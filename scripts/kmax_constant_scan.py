@@ -16,7 +16,7 @@ import numpy as np
 from orlicz_bounds import (
     Gaussian,
     SymExponential,
-    estimate_order_stat,
+    estimate_order_stats,
     kth_max_bounds,
     parse_distribution,
 )
@@ -40,9 +40,9 @@ def main():
             for trial in range(args.trials):
                 x = np.sort(rng.uniform(0.5, 5.0, n))[::-1].copy()
                 rep = kth_max_bounds(x, model, k)
-                est = estimate_order_stat(x, model, k, statistic="kmax",
-                                          replications=args.reps,
-                                          seed=args.seed + trial)
+                [est] = estimate_order_stats(x, model, [k], statistic="kmax",
+                                             replications=args.reps,
+                                             seed=args.seed + trial)
                 base = rep.upper / rep.constants["kmax_upper_c"]
                 needed = (est.mean - 4 * est.ci_halfwidth) / base
                 worst = max(worst, needed)

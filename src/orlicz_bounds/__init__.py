@@ -7,6 +7,8 @@ from .bounds import (
     C1_LOWER,
     KMAX_UPPER_C_DEFAULT,
     KMIN_UPPER_FACTOR,
+    MAX1_C_HIGH_DEFAULT,
+    MAX1_C_LOW_DEFAULT,
     BoundConstants,
     BoundReport,
     kth_max_bounds,
@@ -45,16 +47,13 @@ from .montecarlo import (
     check_subset_product_chain,
     check_symmetric_tail_bound,
     elementary_symmetric,
-    estimate_order_stat,
     estimate_order_stats,
     kth_min_tail_threshold,
-    kth_smallest,
 )
 from .orlicz import (
     OrliczFunction,
     Weights,
     expected_overshoot_function,
-    from_callable,
     gaussian_comparison_function,
     linear_function,
     neg_log_survival_function,

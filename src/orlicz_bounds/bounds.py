@@ -97,17 +97,13 @@ class BoundConstants:
         for field in dataclasses.fields(self):
             _positive(getattr(self, field.name), field.name)
 
-    @staticmethod
-    def c_n(model: DistributionModel) -> float:
-        """C_N = max{N(1), 1/N(1)}."""
-        return _n1_and_c_n(model)[1]
-
 
 def _n1_and_c_n(model: DistributionModel) -> tuple[float, float]:
-    """(N(1), C_N) from a single evaluation of N(1). C_N is inf when 1/N(1)
-    overflows; reports then list it (and the k-max tail discount
-    1 + ln(8(k-1))/N(1)) as None, and the upper bound it multiplies is
-    omitted with a note."""
+    """(N(1), C_N) with C_N = max{N(1), 1/N(1)}, from a single evaluation of
+    N(1). C_N is inf when 1/N(1) overflows; reports then keep it (and the
+    k-max tail discount 1 + ln(8(k-1))/N(1)) as inf, which their JSON and
+    CSV print as null, and the upper bound it multiplies is omitted with a
+    note."""
     n1 = model.neg_log_survival(1.0)
     if not (n1 > 0):
         raise DomainError(f"C_N undefined: N(1) = {n1}")
@@ -155,11 +151,6 @@ def _finite_upper(upper: float | None, notes: tuple) -> tuple[float | None, tupl
         return upper, notes
     where = "it exceeds the float range" if upper > 0.0 else "below the float range"
     return None, notes + (f"upper bound omitted: {where}",)
-
-
-def _finite_or_none(value: float) -> float | None:
-    """A report constant: None when it exceeds the float range."""
-    return value if value < math.inf else None
 
 
 def _norm_to_invert(x: np.ndarray, fun, warm=None) -> float:
@@ -229,7 +220,7 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
         constants={
             "c1": C1_LOWER,
             "upper_kmin": KMIN_UPPER_FACTOR,
-            "C_N": _finite_or_none(c_n),
+            "C_N": c_n,
             "N1": n1,
         },
         terms=tuple(terms),
@@ -302,10 +293,10 @@ def kth_max_bounds(
         upper=upper,
         constants={
             "kmax_upper_c": cons.kmax_upper_c,
-            "C_N": _finite_or_none(c_n),
+            "C_N": c_n,
             "N1": n1,
             "F1": float(f1),
-            "tail_discount": _finite_or_none(a),
+            "tail_discount": a,
         },
         terms=tuple(terms),
         argmax_j=arg,  # 0-based l, matching the k-max formula's index

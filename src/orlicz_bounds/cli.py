@@ -33,7 +33,7 @@ from .montecarlo import (
     check_min_survival_product,
     check_subset_product_chain,
     check_symmetric_tail_bound,
-    estimate_order_stat,
+    estimate_order_stats,
     kth_min_tail_threshold,
 )
 from .orlicz import (
@@ -301,10 +301,10 @@ def _partition(args, constants):
 
 def _simulate(args, constants):
     model = parse_distribution(args.dist)
-    return estimate_order_stat(
-        load_weights(args.weights_path), model, args.k, statistic=args.statistic,
+    return estimate_order_stats(
+        load_weights(args.weights_path), model, [args.k], statistic=args.statistic,
         replications=args.replications, seed=args.seed, power=args.power, threads=args.threads,
-    )
+    )[0]
 
 
 _COMMANDS = {

@@ -53,11 +53,11 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LN2 = math.log(2.0)
 
-# Tolerances for the adaptive quadrature used by the tabulated family. The
-# bound formulas downstream are inverted by root-finding, so integral error
-# must sit far below the root tolerances.
+# Largest error estimate the tabulated family's quadrature may report for
+# any one knot interval before the table is refused. The bound formulas
+# downstream are inverted by root-finding, so integral error must sit far
+# below the root tolerances.
 QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
 
 # Unresolved tail mass (beyond the last table knot) above which a table is
 # refused rather than extrapolated.
@@ -94,7 +94,6 @@ class DistributionModel:
     """Common scale-aware interface; families implement the ``_std_*`` hooks
     for the unscaled (scale = 1) variable."""
 
-    family = "abstract"
     scale: float
 
     def __post_init__(self):
@@ -242,7 +241,6 @@ class Gaussian(DistributionModel):
     """
 
     scale: float = 1.0
-    family = "gaussian"
 
     def _std_survival(self, u):
         return _special().erfc(u / _SQRT2)
@@ -276,7 +274,6 @@ class SymExponential(DistributionModel):
 
     rate: float = 1.0
     scale: float = 1.0
-    family = "sym_exponential"
 
     def __post_init__(self):
         super().__post_init__()
@@ -527,8 +524,6 @@ class TabulatedSurvival(DistributionModel):
     unresolved tail mass. Public requests beyond the table raise; the raw
     kernels read F = 0 there. Nothing is extrapolated.
     """
-
-    family = "tabulated"
 
     def __init__(self, ts, fs, scale: float = 1.0, _core: _TabulatedCore | None = None,
                  rows=None):

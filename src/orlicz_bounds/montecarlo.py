@@ -1,9 +1,10 @@
 """Seeded Monte Carlo estimators and exact combinatorial inequality checks.
 
 Order-statistic expectations are estimated by averaging the k-th smallest
-(or largest) of |x_i xi_i| over replications. Each row is partially
-selected at the wanted order statistics, or sorted when more than two are
-wanted (the selected values are the same either way). The one frequency
+(or largest) of |x_i xi_i| over replications; ``estimate_order_stats``
+estimates every order it is given from one sample stream. Each row is
+partially selected at the wanted order statistics, or sorted when more than
+two are wanted (the selected values are the same either way). The one frequency
 check, the minimum's survival product, selects nothing: a row's minimum is
 <= t exactly when any of its entries is, so it counts per row. Replications
 are split into chunks whose size depends only on n; chunk c draws from an
@@ -35,13 +36,11 @@ import numpy as np
 
 from .distributions import DistributionModel
 from .errors import DomainError, NumericError, RangeError, _integer_in, _positive
-from .orlicz import _as_weights, _weights_and_reciprocals, from_callable, orlicz_norm
+from .orlicz import OrliczFunction, _as_weights, _weights_and_reciprocals, orlicz_norm
 from .reporting import CheckResult
 
 __all__ = [
     "MonteCarloEstimate",
-    "kth_smallest",
-    "estimate_order_stat",
     "estimate_order_stats",
     "elementary_symmetric",
     "check_symmetric_tail_bound",
@@ -74,15 +73,6 @@ class MonteCarloEstimate:
     ci_halfwidth: float
     replications: int
     seed: int
-
-
-def kth_smallest(values, k: int):
-    """k-th smallest along the last axis via partial selection."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 0:
-        raise DomainError("order statistics need values with at least one axis, got a scalar")
-    k = _integer_in(k, "order statistic k", 1, v.shape[-1])
-    return np.partition(v, k - 1, axis=-1)[..., k - 1]
 
 
 def _worker_count(threads: int, chunks: int) -> int:
@@ -145,10 +135,11 @@ def estimate_order_stats(
     power: float = 1.0,
     threads: int = 1,
 ) -> list[MonteCarloEstimate]:
-    """Estimates for several k at once, sharing the same sample stream.
+    """Means of the k-th order statistics of |x_i xi_i| over replications,
+    one estimate per k in ``ks``, all from the same sample stream.
 
-    Each k's estimate is identical to the one ``estimate_order_stat`` would
-    produce with the same (seed, replications).
+    Each k's estimate is identical to the one ``ks=[k]`` would produce with
+    the same (seed, replications).
     """
     xv = _as_weights(x)
     n = xv.size
@@ -219,22 +210,6 @@ def estimate_order_stats(
             )
         )
     return estimates
-
-
-def estimate_order_stat(
-    x,
-    model: DistributionModel,
-    k: int,
-    statistic: str = "kmin",
-    replications: int = 100_000,
-    seed: int = 0,
-    power: float = 1.0,
-    threads: int = 1,
-) -> MonteCarloEstimate:
-    """Mean of the k-th order statistic of |x_i xi_i| over replications."""
-    return estimate_order_stats(
-        x, model, [k], statistic, replications, seed, power, threads
-    )[0]
 
 
 def _poisson_binomial_tail(p: np.ndarray, k: int) -> float:
@@ -309,7 +284,7 @@ def _tail_threshold_function(model: DistributionModel, k: int):
     def _g(u):
         return (math.e / k) * (1.0 - model._survival(u))
 
-    return from_callable(_g, label=f"(e/{k})G", is_orlicz=False)
+    return OrliczFunction(label=f"(e/{k})G", evaluate=_g)
 
 
 def check_min_survival_product(

@@ -62,8 +62,8 @@ F = 0 and a tail integral of 0, so the handles need no mask: an argument 0
 becomes 1/0 = inf, where M and F(1/t) read 0, on the same path as every
 other argument.
 
-The same functional is defined for merely positive increasing functions; such
-handles carry ``is_orlicz=False`` and the functional need not be a norm (it
+The same functional is defined for merely positive increasing functions,
+such as the reciprocal survival function; there it need not be a norm (it
 can even be 0 when the function is bounded and the modular sum never reaches
 1 -- the solver returns that infimum honestly).
 
@@ -105,7 +105,6 @@ __all__ = [
     "linear_function",
     "power_function",
     "gaussian_comparison_function",
-    "from_callable",
     "expected_overshoot_function",
     "neg_log_survival_function",
     "reciprocal_survival_function",
@@ -139,17 +138,15 @@ _LOG_HUGE = math.log(_HUGE)
 
 @dataclass(frozen=True)
 class OrliczFunction:
-    """Immutable handle for an extended-value function on [0, inf).
+    """Immutable handle for an extended-value function on [0, inf): a
+    vectorized ``evaluate`` that returns +inf past the function's domain.
 
-    ``is_orlicz`` records convexity (handles built from non-convex data carry
-    False and are treated as functionals, not norms). ``model`` is set only
-    for distribution-derived moment functions and enables the analytic
-    conjugate shortcut.
+    ``model`` is set only for distribution-derived moment functions and
+    enables the analytic conjugate shortcut.
     """
 
     label: str
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    is_orlicz: bool = True
     model: Optional[DistributionModel] = field(default=None, repr=False)
     # A scaled handle is factor * base; it reads its probe off the base's.
     base: Optional["OrliczFunction"] = field(default=None, repr=False)
@@ -189,7 +186,7 @@ class OrliczFunction:
         return float(self.values(np.atleast_1d(np.asarray(t, dtype=float)))[0])
 
     def scaled(self, factor: float) -> "OrliczFunction":
-        """Pointwise factor * self. Convexity is preserved."""
+        """Pointwise factor * self."""
         _positive(factor, "scale factor")
         if factor == 1.0:
             return self
@@ -201,7 +198,6 @@ class OrliczFunction:
         return OrliczFunction(
             label=f"{factor:g}*{base.label}",
             evaluate=_eval,
-            is_orlicz=base.is_orlicz,
             base=base,
             factor=factor,
         )
@@ -226,17 +222,6 @@ def gaussian_comparison_function() -> OrliczFunction:
     )
 
 
-def from_callable(
-    fn: Callable[[np.ndarray], np.ndarray],
-    *,
-    label: str = "custom",
-    is_orlicz: bool = True,
-) -> OrliczFunction:
-    """Wrap a vectorized callable. The caller asserts convexity via ``is_orlicz``.
-    A function that is +inf past some b returns inf there from ``fn``."""
-    return OrliczFunction(label=label, evaluate=fn, is_orlicz=is_orlicz)
-
-
 def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
     """The Orlicz function M(s) = E(s|xi| - 1)_+ of a model with E|xi| < inf.
 
@@ -255,7 +240,6 @@ def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
     return OrliczFunction(
         label=f"M[{model.describe()}]",
         evaluate=_eval,
-        is_orlicz=True,
         model=model,
     )
 
@@ -266,30 +250,24 @@ def neg_log_survival_function(
     """N(t) = -ln F(t). Convex exactly when the model is log-concave.
 
     With ``require_convex`` (default) a model failing the grid convexity
-    check is rejected; pass False to obtain the functional anyway, flagged
-    ``is_orlicz=False``. Beyond a tabulated model's range the value is +inf
-    (a loaded table guarantees N(t_max) > 1, so this cannot flip a modular
-    sum across the budget 1).
+    check is rejected; pass False to obtain the functional anyway. Beyond a
+    tabulated model's range the value is +inf (a loaded table guarantees
+    N(t_max) > 1, so this cannot flip a modular sum across the budget 1).
     """
-    convex = model.n_is_convex()
-    if require_convex and not convex:
+    if require_convex and not model.n_is_convex():
         raise NonConvexError(
             f"negative log-survival of {model.describe()} fails the grid convexity check"
         )
 
-    return OrliczFunction(
-        label=f"N[{model.describe()}]",
-        evaluate=model._neg_log_survival,
-        is_orlicz=convex,
-    )
+    return OrliczFunction(label=f"N[{model.describe()}]", evaluate=model._neg_log_survival)
 
 
 def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunction:
     """F(1/t) / (4(k-1)) for k >= 2: positive and increasing, not convex.
 
-    The associated functional is computed with the non-norm flag; it is
-    bounded by 1/(4(k-1)), so the functional can legitimately be 0. Where 1/t
-    lies past a tabulated model's range the value is 0.
+    The function is bounded by 1/(4(k-1)), so the associated functional
+    need not be a norm and can legitimately be 0. Where 1/t lies past a
+    tabulated model's range the value is 0.
     """
     k = _integer_in(k, "k of the reciprocal survival function", 2)
 
@@ -297,11 +275,7 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return model._survival(1.0 / t) / (4.0 * (k - 1))  # F(1/0) = F(inf) = 0
 
-    return OrliczFunction(
-        label=f"NF{k}[{model.describe()}]",
-        evaluate=_eval,
-        is_orlicz=False,
-    )
+    return OrliczFunction(label=f"NF{k}[{model.describe()}]", evaluate=_eval)
 
 
 @dataclass(frozen=True)
@@ -640,7 +614,7 @@ def _steer(v, fun, t_hi, t_lo) -> _WarmStart:
     sub = np.concatenate((rest[picks], ordered[n - _STEER_TOP :]))
     counts = np.ones(_STEER_M)
     counts[:strata] = rest.size / strata
-    surrogate = from_callable(lambda t: counts * fun.evaluate(t), label=fun.label)
+    surrogate = OrliczFunction(label=fun.label, evaluate=lambda t: counts * fun.evaluate(t))
     seed = _WarmStart()
     _solve(sub, float(ordered[-1]), surrogate, t_hi, t_lo, seed)
     return seed
@@ -654,21 +628,19 @@ def young_conjugate(fun: OrliczFunction, s: float, *, method: str = "auto") -> f
     """The conjugate fun*(s) = sup_{t >= 0} (t*s - fun(t)), extended-valued.
 
     ``method``:
-      * "auto": analytic tail-threshold shortcut for distribution-derived
-        moment functions, golden-section search otherwise;
-      * "tail": force the shortcut (moment functions only): F(t) at the t
-        with tail_integral(t) = s, found by one norm solve to relative
-        precision ``NORM_REL_TOL`` at every scale; a t past a table's last
-        knot raises TabulationError, one past the float range NumericError;
+      * "auto": for distribution-derived moment functions, the analytic
+        tail-threshold shortcut: F(t) at the t with tail_integral(t) = s,
+        found by one norm solve to relative precision ``NORM_REL_TOL`` at
+        every scale (a t past a table's last knot raises TabulationError,
+        one past the float range NumericError); golden-section search for
+        every other function;
       * "search": force the derivative-free search (always available):
         doubling up to the top of the float range, then golden section to
         the absolute tolerance 1e-10 * max(1, bracket end), so a maximizer
         far below 1e-10 is not resolved.
     """
-    if method not in ("auto", "tail", "search"):
+    if method not in ("auto", "search"):
         raise DomainError(f"unknown conjugate method {method!r}")
-    if method == "tail" and fun.model is None:
-        raise DomainError("tail method requires a distribution-derived moment function")
     if not (s >= 0):
         raise DomainError(f"conjugate argument must be >= 0, got {s}")
     if s == 0.0:
@@ -691,8 +663,8 @@ def _conjugate_by_tail(model: DistributionModel, s: float) -> float:
     # At rho = t near the largest float, u = 1/t is subnormal and 1/u can
     # overflow: read it as the largest float, not as inf (where the tail
     # integral is 0), so a threshold past the float range overflows the norm.
-    h = from_callable(lambda u: model._tail_integral(np.minimum(1.0 / u, _HUGE)) / s,
-                      label=f"tail threshold of {model.describe()}", is_orlicz=False)
+    h = OrliczFunction(label=f"tail threshold of {model.describe()}",
+                       evaluate=lambda u: model._tail_integral(np.minimum(1.0 / u, _HUGE)) / s)
     return float(model.survival(orlicz_norm([1.0], h)))
 
 

@@ -86,10 +86,6 @@ class PartitionResult:
     case_taken: str
     certificate: CheckResult | None = None
 
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
 
 def _below_stop(head: float) -> float:
     """The largest float c with 0.25 * c * _TIE_GUARD < head: a suffix norm

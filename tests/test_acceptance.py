@@ -26,7 +26,6 @@ from orlicz_bounds import (
     check_symmetric_tail_bound,
     check_tail_integral_bound,
     elementary_symmetric,
-    estimate_order_stat,
     estimate_order_stats,
     expected_overshoot_function,
     gaussian_comparison_function,
@@ -122,10 +121,10 @@ def test_criterion_3_kmax_sandwich():
             for trial in range(10):
                 x = np.sort(rng.uniform(0.5, 5.0, n))[::-1].copy()
                 rep = kth_max_bounds(x, model, k)
-                est = estimate_order_stat(
-                    x, model, k, statistic="kmax", replications=REPS,
+                est = estimate_order_stats(
+                    x, model, [k], statistic="kmax", replications=REPS,
                     seed=5000 + 100 * k + trial,
-                )
+                )[0]
                 lo = rep.lower - 4 * est.ci_halfwidth
                 hi = rep.upper + 4 * est.ci_halfwidth
                 if not (lo <= est.mean <= hi):
@@ -150,7 +149,7 @@ def test_criterion_4_duality_identity():
         if err > 1e-6:
             failures.append((float(t), err))
     boundary = math.sqrt(2 / math.pi) * (1 + 1e-6)
-    for method in ("search", "tail"):
+    for method in ("search", "auto"):
         if not math.isinf(young_conjugate(mfun, boundary, method=method)):
             failures.append(("boundary", method))
     _criterion(4, "conjugate-of-tail identity on t in {0, 0.25, ..., 4} within 1e-6, "

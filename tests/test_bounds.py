@@ -26,7 +26,7 @@ from orlicz_bounds import (
     build_partition,
     check_kmax_split,
     check_subset_product_chain,
-    estimate_order_stat,
+    estimate_order_stats,
     kth_max_bounds,
     kth_min_bounds,
     kth_min_bounds_gaussian,
@@ -55,10 +55,11 @@ class TestConstants:
 
     def test_c_n_gaussian(self, gaussian):
         n1 = -math.log(special.erfc(1 / math.sqrt(2)))
-        assert BoundConstants.c_n(gaussian) == pytest.approx(max(n1, 1 / n1), rel=1e-12)
+        c_n = kth_min_bounds(np.ones(4), gaussian, 1).constants["C_N"]
+        assert c_n == pytest.approx(max(n1, 1 / n1), rel=1e-12)
 
     def test_c_n_symexp_is_one(self, symexp):
-        assert BoundConstants.c_n(symexp) == 1.0
+        assert kth_min_bounds(np.ones(4), symexp, 1).constants["C_N"] == 1.0
 
 
 class TestKminBounds:
@@ -88,7 +89,7 @@ class TestKminBounds:
     def test_equal_weights_k1_below_mc(self, gaussian):
         n = 100
         rep = kth_min_bounds(np.ones(n), gaussian, 1)
-        est = estimate_order_stat(np.ones(n), gaussian, 1, replications=10**6, seed=21)
+        est = estimate_order_stats(np.ones(n), gaussian, [1], replications=10**6, seed=21)[0]
         assert rep.lower <= est.mean + 4 * est.ci_halfwidth
         assert est.mean <= rep.upper + 4 * est.ci_halfwidth
 
@@ -96,14 +97,14 @@ class TestKminBounds:
         rng = np.random.default_rng(5)
         x = np.sort(rng.uniform(0.5, 5.0, 50))
         rep = kth_min_bounds(x, gaussian, 10)
-        est = estimate_order_stat(x, gaussian, 10, replications=10**5, seed=99)
+        est = estimate_order_stats(x, gaussian, [10], replications=10**5, seed=99)[0]
         assert sandwiched(rep, est), (rep.lower, est.mean, rep.upper)
 
     def test_symexp_sandwich(self, symexp):
         rng = np.random.default_rng(6)
         x = np.sort(rng.uniform(0.5, 5.0, 40))
         rep = kth_min_bounds(x, symexp, 5)
-        est = estimate_order_stat(x, symexp, 5, replications=10**5, seed=17)
+        est = estimate_order_stats(x, symexp, [5], replications=10**5, seed=17)[0]
         assert sandwiched(rep, est)
 
     def test_lower_monotone_in_k_equal_weights(self, gaussian):
@@ -161,14 +162,14 @@ class TestKminGaussianClosedForm:
         terms = [(5 + 1 - j) / inv[j - 1 :].sum() for j in range(1, 6)]
         assert list(rep.terms) == pytest.approx(terms, rel=1e-12)
         assert rep.argmax_j == int(np.argmax(terms)) + 1
-        est = estimate_order_stat(x, gaussian, 5, replications=10**5, seed=41)
+        est = estimate_order_stats(x, gaussian, [5], replications=10**5, seed=41)[0]
         assert sandwiched(rep, est)
 
     def test_sandwich_and_mc(self, gaussian):
         rng = np.random.default_rng(14)
         x = np.sort(rng.uniform(0.5, 5.0, 40))
         rep = kth_min_bounds_gaussian(x, 8)
-        est = estimate_order_stat(x, gaussian, 8, replications=10**5, seed=3)
+        est = estimate_order_stats(x, gaussian, [8], replications=10**5, seed=3)[0]
         assert sandwiched(rep, est)
 
     def test_homogeneity(self):
@@ -205,8 +206,8 @@ class TestKmaxBounds:
 
     def test_equal_weights_sandwich(self, gaussian):
         rep = kth_max_bounds(np.ones(100), gaussian, 2)
-        est = estimate_order_stat(np.ones(100), gaussian, 2, statistic="kmax",
-                                  replications=10**5, seed=12)
+        est = estimate_order_stats(np.ones(100), gaussian, [2], statistic="kmax",
+                                   replications=10**5, seed=12)[0]
         assert sandwiched(rep, est), (rep.lower, est.mean, rep.upper)
 
     def test_random_descending_sandwich(self, symexp):
@@ -216,8 +217,8 @@ class TestKmaxBounds:
         n = k + rep0.k0 + 10
         x = np.sort(rng.uniform(0.5, 5.0, n))[::-1].copy()
         rep = kth_max_bounds(x, symexp, k)
-        est = estimate_order_stat(x, symexp, k, statistic="kmax",
-                                  replications=10**5, seed=31)
+        est = estimate_order_stats(x, symexp, [k], statistic="kmax",
+                                   replications=10**5, seed=31)[0]
         assert sandwiched(rep, est)
 
     def test_report_shape(self, gaussian):
@@ -279,8 +280,8 @@ class TestMaxBounds:
     def test_growth_rate_equal_weights(self, gaussian):
         n = 1000
         rep = max_bounds(np.ones(n), gaussian)
-        est = estimate_order_stat(np.ones(n), gaussian, 1, statistic="kmax",
-                                  replications=2 * 10**4, seed=9)
+        est = estimate_order_stats(np.ones(n), gaussian, [1], statistic="kmax",
+                                   replications=2 * 10**4, seed=9)[0]
         assert sandwiched(rep, est)
         # the norm itself tracks sqrt(2 ln n) within a factor of 2
         norm_scale = rep.constants["mean_abs"] * rep.constants["unit_norm"]
@@ -322,16 +323,20 @@ def _refuse_constant(token):
 
 def test_overflowing_c_n_is_reported_as_none():
     # N(1) = 1e-310, so C_N = 1/N(1) overflows; the upper bound it multiplies
-    # is omitted with a note, and the report stays strict JSON.
+    # is omitted with a note. The report keeps C_N = inf, and its JSON is
+    # strict, with null in its place.
     model = SymExponential(rate=1e-300).scaled_by(1e10)
     reports = [kth_min_bounds(np.linspace(1.0, 6.0, 6), model, 1),
                kth_max_bounds(np.linspace(6.0, 1.0, 6) * 1e-300, model, 2)]
     for rep in reports:
-        assert rep.constants["C_N"] is None
+        assert rep.constants["C_N"] == math.inf
         assert rep.upper is None
         assert rep.notes == ("upper bound omitted: it exceeds the float range",)
-        json.loads(dumps_report(rep), parse_constant=_refuse_constant)
-    assert reports[1].constants["tail_discount"] is None
+        printed = json.loads(dumps_report(rep), parse_constant=_refuse_constant)
+        assert printed["constants"]["C_N"] is None
+    assert reports[1].constants["tail_discount"] == math.inf
+    printed = json.loads(dumps_report(reports[1]), parse_constant=_refuse_constant)
+    assert printed["constants"]["tail_discount"] is None
 
 
 class TestMomentBounds:
@@ -344,15 +349,15 @@ class TestMomentBounds:
     def test_p2_below_mc(self, gaussian):
         x = np.sort(np.random.default_rng(4).uniform(0.5, 5.0, 40))
         low = kth_min_moment_lower(x, gaussian, 3, 2.0)
-        est = estimate_order_stat(x, gaussian, 3, power=2.0,
-                                  replications=10**5, seed=2)
+        est = estimate_order_stats(x, gaussian, [3], power=2.0,
+                                   replications=10**5, seed=2)[0]
         assert low <= est.mean + 4 * est.ci_halfwidth
 
     def test_sqrt_moment_below_mc(self, gaussian):
         x = np.sort(np.random.default_rng(5).uniform(0.5, 5.0, 40))
         low = kth_min_moment_lower(x, gaussian, 1, 0.5)
-        est = estimate_order_stat(x, gaussian, 1, power=0.5,
-                                  replications=10**5, seed=6)
+        est = estimate_order_stats(x, gaussian, [1], power=0.5,
+                                   replications=10**5, seed=6)[0]
         assert low <= est.mean + 4 * est.ci_halfwidth
 
     def test_allows_k_beyond_half(self, gaussian):
@@ -373,7 +378,7 @@ class TestMomentBounds:
     def test_upper_above_mc(self, gaussian):
         x = np.sort(np.random.default_rng(6).uniform(0.5, 5.0, 50))
         up = min_moment_upper(x, gaussian, 1.0)
-        est = estimate_order_stat(x, gaussian, 1, replications=10**5, seed=8)
+        est = estimate_order_stats(x, gaussian, [1], replications=10**5, seed=8)[0]
         assert est.mean - 4 * est.ci_halfwidth <= up
 
     def test_nonconvex_rejected(self, nonconvex_table_model):
@@ -396,7 +401,7 @@ class TestMcMonotonicity:
     def test_kmin_estimates_nondecreasing_in_k(self, gaussian):
         x = np.sort(np.random.default_rng(7).uniform(0.5, 5.0, 20))
         means = [
-            estimate_order_stat(x, gaussian, k, replications=2 * 10**4, seed=44).mean
+            estimate_order_stats(x, gaussian, [k], replications=2 * 10**4, seed=44)[0].mean
             for k in (1, 3, 7, 12, 20)
         ]
         assert all(b >= a for a, b in zip(means, means[1:]))

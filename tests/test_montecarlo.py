@@ -25,10 +25,8 @@ from orlicz_bounds import (
     check_subset_product_chain,
     check_symmetric_tail_bound,
     elementary_symmetric,
-    estimate_order_stat,
     estimate_order_stats,
     kth_min_tail_threshold,
-    kth_smallest,
 )
 from orlicz_bounds import montecarlo
 from orlicz_bounds.montecarlo import _worker_count
@@ -38,19 +36,19 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 class TestEstimator:
     def test_half_normal_mean(self, gaussian):
-        est = estimate_order_stat(np.ones(1), gaussian, 1, replications=10**5, seed=0)
+        est = estimate_order_stats(np.ones(1), gaussian, [1], replications=10**5, seed=0)[0]
         assert abs(est.mean - SQRT_2_OVER_PI) < 4 * est.ci_halfwidth
 
     def test_bitwise_reproducibility(self, gaussian):
-        a = estimate_order_stat(np.ones(10), gaussian, 3, replications=20_000, seed=7)
-        b = estimate_order_stat(np.ones(10), gaussian, 3, replications=20_000, seed=7)
+        a = estimate_order_stats(np.ones(10), gaussian, [3], replications=20_000, seed=7)[0]
+        b = estimate_order_stats(np.ones(10), gaussian, [3], replications=20_000, seed=7)[0]
         assert a == b
 
     def test_thread_count_invariance(self, gaussian):
-        one = estimate_order_stat(np.ones(10), gaussian, 3, replications=30_000,
-                                  seed=5, threads=1)
-        three = estimate_order_stat(np.ones(10), gaussian, 3, replications=30_000,
-                                    seed=5, threads=3)
+        one = estimate_order_stats(np.ones(10), gaussian, [3], replications=30_000,
+                                   seed=5, threads=1)[0]
+        three = estimate_order_stats(np.ones(10), gaussian, [3], replications=30_000,
+                                     seed=5, threads=3)[0]
         assert one.mean == three.mean
         assert one.ci_halfwidth == three.ci_halfwidth
         x = np.linspace(0.5, 5.0, 12)
@@ -67,48 +65,44 @@ class TestEstimator:
     def test_kmax_equals_complementary_kmin(self, gaussian):
         # k-max = (n-k+1)-min on every realization, so the estimates match
         n, k = 20, 6
-        a = estimate_order_stat(np.ones(n), gaussian, k, statistic="kmax",
-                                replications=20_000, seed=3)
-        b = estimate_order_stat(np.ones(n), gaussian, n - k + 1, statistic="kmin",
-                                replications=20_000, seed=3)
+        a = estimate_order_stats(np.ones(n), gaussian, [k], statistic="kmax",
+                                 replications=20_000, seed=3)[0]
+        b = estimate_order_stats(np.ones(n), gaussian, [n - k + 1], statistic="kmin",
+                                 replications=20_000, seed=3)[0]
         assert a.mean == b.mean
 
     def test_full_min_is_max_statistic(self, gaussian):
-        a = estimate_order_stat(np.ones(20), gaussian, 20, statistic="kmin",
-                                replications=20_000, seed=4)
-        b = estimate_order_stat(np.ones(20), gaussian, 1, statistic="kmax",
-                                replications=20_000, seed=4)
+        a = estimate_order_stats(np.ones(20), gaussian, [20], statistic="kmin",
+                                 replications=20_000, seed=4)[0]
+        b = estimate_order_stats(np.ones(20), gaussian, [1], statistic="kmax",
+                                 replications=20_000, seed=4)[0]
         assert a.mean == b.mean
 
     def test_multi_k_matches_single(self, gaussian):
         x = np.sort(np.random.default_rng(0).uniform(0.5, 5.0, 15))
         multi = estimate_order_stats(x, gaussian, [1, 4, 9], replications=20_000, seed=8)
         for est in multi:
-            single = estimate_order_stat(x, gaussian, est.k, replications=20_000, seed=8)
+            single = estimate_order_stats(x, gaussian, [est.k], replications=20_000, seed=8)[0]
             assert est == single
 
     def test_power_statistic(self, gaussian):
-        est = estimate_order_stat(np.ones(1), gaussian, 1, power=2.0,
-                                  replications=10**5, seed=1)
+        est = estimate_order_stats(np.ones(1), gaussian, [1], power=2.0,
+                                   replications=10**5, seed=1)[0]
         # E xi^2 = 1 for the standard normal
         assert abs(est.mean - 1.0) < 4 * est.ci_halfwidth
 
     def test_validation(self, gaussian):
         with pytest.raises(RangeError):
-            estimate_order_stat(np.ones(5), gaussian, 6)
+            estimate_order_stats(np.ones(5), gaussian, [6])
         with pytest.raises(RangeError):
-            estimate_order_stat(np.ones(5), gaussian, 1, replications=50)
+            estimate_order_stats(np.ones(5), gaussian, [1], replications=50)
         with pytest.raises(DomainError):
-            estimate_order_stat(np.ones(5), gaussian, 1, statistic="median")
+            estimate_order_stats(np.ones(5), gaussian, [1], statistic="median")
         with pytest.raises(RangeError):
-            estimate_order_stat(np.ones(5), gaussian, 1, threads=0)
+            estimate_order_stats(np.ones(5), gaussian, [1], threads=0)
         for power in (math.inf, "2", True):
             with pytest.raises(RangeError):
-                estimate_order_stat(np.ones(5), gaussian, 1, power=power)
-            with pytest.raises(RangeError):
                 estimate_order_stats(np.ones(5), gaussian, [1], power=power)
-        with pytest.raises(DomainError, match="at least one axis"):
-            kth_smallest(3.0, 1)
         with pytest.raises(DomainError):
             check_min_survival_product(np.ones(5), gaussian, 0.05, replications=1000, seed=-1)
         with pytest.raises(RangeError):
@@ -127,13 +121,11 @@ class TestEstimator:
                 estimate_order_stats(x, gaussian, ks, replications=100)
         for k in (2.5, 2.0, math.nan):
             with pytest.raises(RangeError):
-                estimate_order_stat(x, gaussian, k, replications=100)
+                estimate_order_stats(x, gaussian, [k], replications=100)
             with pytest.raises(RangeError):
                 check_kth_min_tail(x, gaussian, k, 0.05)
             with pytest.raises(RangeError):
                 kth_min_tail_threshold(x, gaussian, k)
-            with pytest.raises(RangeError):
-                kth_smallest(x, k)
             with pytest.raises(RangeError):
                 check_kmax_split(x, k, 1)
             with pytest.raises(RangeError):
@@ -146,7 +138,7 @@ class TestEstimator:
     def test_bad_weight_names_its_entry(self, gaussian, bad):
         x = [1.0, 2.0, bad, 4.0]
         with pytest.raises(DomainError, match=r"positive and finite: entry 3 is"):
-            estimate_order_stat(x, gaussian, 1, replications=100)
+            estimate_order_stats(x, gaussian, [1], replications=100)
         with pytest.raises(DomainError, match=r"positive and finite: entry 3 is"):
             kth_min_tail_threshold(x, gaussian, 1)
 
@@ -224,8 +216,8 @@ class TestChunkEngine:
         x = np.full(30, 1e160)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = estimate_order_stat(x, gaussian, 3, replications=1000)
-        unit = estimate_order_stat(np.ones(30), gaussian, 3, replications=1000)
+            est = estimate_order_stats(x, gaussian, [3], replications=1000)[0]
+        unit = estimate_order_stats(np.ones(30), gaussian, [3], replications=1000)[0]
         assert math.isfinite(est.ci_halfwidth) and est.ci_halfwidth > 0
         assert est.mean == pytest.approx(1e160 * unit.mean, rel=1e-14)
         assert est.ci_halfwidth == pytest.approx(1e160 * unit.ci_halfwidth, rel=1e-14)
@@ -234,34 +226,16 @@ class TestChunkEngine:
     def test_underflowing_squares_rescaled(self, gaussian, scale):
         # Squares below the smallest normal double: the variance lost its
         # digits and used to be clamped to a zero half-width.
-        est = estimate_order_stat(np.full(30, scale), gaussian, 3, replications=1000)
-        unit = estimate_order_stat(np.ones(30), gaussian, 3, replications=1000)
+        est = estimate_order_stats(np.full(30, scale), gaussian, [3], replications=1000)[0]
+        unit = estimate_order_stats(np.ones(30), gaussian, [3], replications=1000)[0]
         assert est.ci_halfwidth > 0
         assert est.mean == pytest.approx(scale * unit.mean, rel=1e-14)
         assert est.ci_halfwidth == pytest.approx(scale * unit.ci_halfwidth, rel=1e-14)
 
     def test_overflow_after_rescaling_raises(self, gaussian):
         with pytest.raises(NumericError):
-            estimate_order_stat(np.full(30, 1e300), gaussian, 3, replications=1000,
-                                power=2.0)
-
-
-class TestSelection:
-    def test_matches_full_sort(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10_000):
-            n = int(rng.integers(1, 30))
-            v = rng.normal(size=n)
-            k = int(rng.integers(1, n + 1))
-            assert kth_smallest(v, k) == np.sort(v)[k - 1]
-
-    def test_identity_kmax_vs_kmin(self):
-        rng = np.random.default_rng(13)
-        vals = rng.normal(size=(1000, 12))
-        for k in (1, 5, 12):
-            kmax = -kth_smallest(-vals, k)
-            kmin_equiv = kth_smallest(vals, 12 - k + 1)
-            assert np.array_equal(kmax, kmin_equiv)
+            estimate_order_stats(np.full(30, 1e300), gaussian, [3], replications=1000,
+                                 power=2.0)[0]
 
 
 def _reference_elementary_symmetric(values):

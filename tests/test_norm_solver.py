@@ -23,9 +23,9 @@ from orlicz_bounds import (
     Gaussian,
     NumericError,
     SymExponential,
+    OrliczFunction,
     UnboundedNormError,
     expected_overshoot_function,
-    from_callable,
     gaussian_comparison_function,
     kth_max_bounds,
     kth_min_bounds,
@@ -114,11 +114,11 @@ def _function_kinds(table, nonconvex):
         "linear": lambda k: linear_function(),
         "power": lambda k: power_function(1.0 + k / 7.0),
         "gaussian-comparison": lambda k: gaussian_comparison_function(),
-        "domain-bound": lambda k: from_callable(
-            lambda t: np.where(t > 1.0 + k / 10.0, math.inf, t / (k + 2.0)), label="capped"
+        "domain-bound": lambda k: OrliczFunction(
+            "capped", lambda t: np.where(t > 1.0 + k / 10.0, math.inf, t / (k + 2.0))
         ),
-        "bounded-below-one": lambda k: from_callable(
-            lambda t: np.minimum(t, 1.0 / k), label="min(t,1/k)", is_orlicz=False
+        "bounded-below-one": lambda k: OrliczFunction(
+            "min(t,1/k)", lambda t: np.minimum(t, 1.0 / k)
         ),
     }
 
@@ -187,7 +187,7 @@ def test_infinite_entries_unbounded_in_both(gaussian_table_model, nonconvex_tabl
 
 
 def _counting(fun, n):
-    """fun as a from_callable handle plus counters: calls[0] of full-vector
+    """fun as a new handle (its own probe) plus counters: calls[0] of full-vector
     calls, calls[1] of the first other call (the probe), calls[2] of the
     later ones (the steer's surrogate) and calls[3] the most entries one of
     those touched."""
@@ -203,7 +203,7 @@ def _counting(fun, n):
             calls[3] = max(calls[3], np.size(t))
         return fun.evaluate(t)
 
-    return from_callable(evaluate, label=fun.label), calls
+    return OrliczFunction(fun.label, evaluate), calls
 
 
 @pytest.mark.parametrize(
@@ -360,7 +360,7 @@ _EXTREME_FUNS = {
     "power-2": (power_function(2.0), 0.0),
     "comparison": (gaussian_comparison_function(), 0.0),
     "N-gaussian": (neg_log_survival_function(Gaussian()), 0.0),
-    "jump-to-inf": (from_callable(lambda t: np.where(t <= 1.0, 0.1 * t, np.inf), label="jump"),
+    "jump-to-inf": (OrliczFunction("jump", lambda t: np.where(t <= 1.0, 0.1 * t, np.inf)),
                     0.0),
     "reciprocal-survival": (reciprocal_survival_function(Gaussian(), 3), 0.0),
     "moment-gaussian": (expected_overshoot_function(Gaussian()), 1e-9),
@@ -418,7 +418,7 @@ def test_bounded_functional_is_zero_only_by_the_limit_test():
     assert orlicz_norm([1.0, 2.0, 3.0], reciprocal_survival_function(Gaussian(), 3)) == 0.0
     # n * sup = 3/2 > 1: the infimum is positive, though the sum at
     # 2^-199 * max|x| is still below 1.
-    fun = from_callable(lambda t: np.minimum(1e-70 * t, 0.5), label="min(1e-70 t, 1/2)")
+    fun = OrliczFunction("min(1e-70 t, 1/2)", lambda t: np.minimum(1e-70 * t, 0.5))
     rho = orlicz_norm([1.0, 2.0, 4.0], fun)
     assert rho == pytest.approx(7e-70, rel=1e-10)
 

@@ -18,9 +18,9 @@ from orlicz_bounds import (
     SymExponential,
     TabulationError,
     UnboundedNormError,
+    OrliczFunction,
     Weights,
     expected_overshoot_function,
-    from_callable,
     gaussian_comparison_function,
     linear_function,
     neg_log_survival_function,
@@ -108,7 +108,7 @@ class TestNegLogSurvival:
         with pytest.raises(NonConvexError):
             neg_log_survival_function(nonconvex_table_model)
         fun = neg_log_survival_function(nonconvex_table_model, require_convex=False)
-        assert not fun.is_orlicz
+        assert fun(1.0) == nonconvex_table_model.neg_log_survival(1.0)
 
     def test_scaling_inequality(self, gaussian):
         # s * N(t) <= N(s t) for s >= 1, N convex with N(0) = 0
@@ -135,9 +135,6 @@ class TestReciprocalSurvival:
     def test_k_validation(self, gaussian):
         with pytest.raises(RangeError):
             reciprocal_survival_function(gaussian, 1)
-
-    def test_not_flagged_convex(self, gaussian):
-        assert not reciprocal_survival_function(gaussian, 2).is_orlicz
 
     def test_bounded_function_norm_is_zero(self, gaussian):
         # sup N_{F,k} = 1/(4(k-1)); few entries keep the modular sum below 1
@@ -212,7 +209,7 @@ class TestNormSolver:
     def test_extended_value_domain_bound(self):
         # fun = t/4 on [0, 2], +inf beyond: the domain bound binds before the
         # modular budget does, so ||(v)|| = v/2
-        fun = from_callable(lambda t: np.where(t > 2.0, math.inf, t / 4.0), label="capped")
+        fun = OrliczFunction("capped", lambda t: np.where(t > 2.0, math.inf, t / 4.0))
         assert orlicz_norm([4.0], fun) == pytest.approx(2.0, rel=1e-9)
 
     def test_weights_input(self):
@@ -231,7 +228,7 @@ class TestNormSolver:
                 raise RuntimeError("norm solver did not terminate")
             return t
 
-        fun = from_callable(counted_linear, label="counted-t")
+        fun = OrliczFunction("counted-t", counted_linear)
         rho = orlicz_norm([1e-320, 2e-320], fun)
         assert rho == pytest.approx(3e-320, rel=1e-3)
         assert 1e-320 / rho + 2e-320 / rho <= 1.0
@@ -330,7 +327,7 @@ class TestConjugate:
             m = expected_overshoot_function(model)
             for t in (0.25, 1.0, 2.0, 3.5):
                 s = model.tail_integral(t)
-                a = young_conjugate(m, s, method="tail")
+                a = young_conjugate(m, s)
                 b = young_conjugate(m, s, method="search")
                 assert b == pytest.approx(a, abs=1e-7)
 
@@ -416,14 +413,15 @@ class TestConjugate:
         with pytest.raises(TabulationError):
             young_conjugate(m, 0.5 * gaussian_table_model.tail_integral(10.0))
 
-    def test_tail_method_requires_moment_function(self):
-        with pytest.raises(DomainError):
-            young_conjugate(linear_function(), 0.5, method="tail")
-        # checked before the s = 0 shortcut
-        with pytest.raises(DomainError):
-            young_conjugate(linear_function(), 0.0, method="tail")
-        with pytest.raises(DomainError):
-            young_conjugate(linear_function(), 0.0, method="bogus")
+    def test_unknown_method_refused(self, gaussian):
+        m = expected_overshoot_function(gaussian)
+        for fun in (m, linear_function()):
+            for s in (0.5, 0.0):  # checked before the s = 0 shortcut
+                with pytest.raises(DomainError, match="unknown conjugate method"):
+                    young_conjugate(fun, s, method="bogus")
+        # "auto" already takes the tail shortcut for a moment function
+        with pytest.raises(DomainError, match="unknown conjugate method"):
+            young_conjugate(m, 0.5, method="tail")
 
 
 class TestWeights:

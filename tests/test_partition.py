@@ -20,6 +20,7 @@ from orlicz_bounds import (
     DomainError,
     Gaussian,
     NumericError,
+    OrliczFunction,
     PartitionError,
     PartitionResult,
     RangeError,
@@ -27,7 +28,6 @@ from orlicz_bounds import (
     Weights,
     build_partition,
     expected_overshoot_function,
-    from_callable,
     gaussian_comparison_function,
     linear_function,
     neg_log_survival_function,
@@ -43,7 +43,7 @@ SHAPES = [linear_function(), power_function(2.0), GAUSS_N]
 
 # 0.1 t up to 1, then +inf: the modular sum jumps, so a rule that reads a
 # norm off one sum at the cap itself would be wrong here.
-JUMP = from_callable(lambda t: np.where(t <= 1.0, 0.1 * t, np.inf), label="jump-to-inf")
+JUMP = OrliczFunction("jump-to-inf", lambda t: np.where(t <= 1.0, 0.1 * t, np.inf))
 
 DIFF_FUNS = [
     linear_function(),
@@ -54,7 +54,7 @@ DIFF_FUNS = [
     expected_overshoot_function(Gaussian()),
     expected_overshoot_function(SymExponential(2.0)),
     power_function(3.5).scaled(7.0),
-    from_callable(lambda t: np.where(t < 1.0, 0.0, t), label="zero-then-t"),
+    OrliczFunction("zero-then-t", lambda t: np.where(t < 1.0, 0.0, t)),
 ]
 
 
@@ -243,9 +243,7 @@ class TestValidation:
             build_partition(np.ones(4), linear_function(), 0)
 
     def test_h1_domain(self):
-        from orlicz_bounds import from_callable
-
-        bad = from_callable(lambda t: np.maximum(t - 2.0, 0.0), label="flat-start")
+        bad = OrliczFunction("flat-start", lambda t: np.maximum(t - 2.0, 0.0))
         assert bad(1.0) == 0.0
         with pytest.raises(DomainError):
             build_partition(np.ones(4), bad, 2)

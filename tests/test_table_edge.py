@@ -25,10 +25,10 @@ import pytest
 
 from orlicz_bounds import (
     NonConvexError,
+    OrliczFunction,
     TabulatedSurvival,
     TabulationError,
     expected_overshoot_function,
-    from_callable,
     kth_max_bounds,
     kth_min_bounds,
     kth_min_tail_threshold,
@@ -105,7 +105,7 @@ def ref_moment(model):
             out[pos] = tp * _ref_tail_integral(model, thr) - _ref_survival(model, thr)
         return np.maximum(out, 0.0)
 
-    return from_callable(_eval, label="ref-M")
+    return OrliczFunction("ref-M", _eval)
 
 
 def ref_neg_log_survival(model, *, require_convex=True):
@@ -120,7 +120,7 @@ def ref_neg_log_survival(model, *, require_convex=True):
         out[~over] = -model._core.interp(np.minimum(u[~over], lim))
         return out
 
-    return from_callable(_eval, label="ref-N", is_orlicz=model.n_is_convex())
+    return OrliczFunction("ref-N", _eval)
 
 
 def ref_reciprocal_survival(model, k):
@@ -135,7 +135,7 @@ def ref_reciprocal_survival(model, k):
             out[pos] = _ref_survival(model, 1.0 / tp) / (4.0 * (k - 1))
         return out
 
-    return from_callable(_eval, label="ref-NF", is_orlicz=False)
+    return OrliczFunction("ref-NF", _eval)
 
 
 def ref_tail_threshold(model, k):
@@ -148,7 +148,7 @@ def ref_tail_threshold(model, k):
         out[inside] = 1.0 - _ref_survival(model, u[inside])
         return (math.e / k) * out
 
-    return from_callable(_eval, label="ref-G", is_orlicz=False)
+    return OrliczFunction("ref-G", _eval)
 
 
 # (library handle, masked reference, whether F is read at 1/t), k >= 2
