@@ -19,7 +19,10 @@ tabulated data, known analytically for the built-in families).
 A table resolves F up to its last knot t_max: t/scale past t_max * (1 +
 1e-12) is beyond it, and t up to that is clipped to t_max. There the public
 primitives refuse, and the raw kernels the Orlicz handles call read F = 0
-(N = +inf, tail integral 0).
+(N = +inf, tail integral 0). On the table, the tail integral costs no
+quadrature per call: the integrals between knots are computed when the
+table loads, and the partial integral within a knot interval is read off a
+polynomial fit made then. F itself keeps the bits of scipy's PCHIP.
 
 Built-in families: standard Gaussian, symmetric exponential (Laplace), and
 a tabulated survival function loaded from a two-column ``t,F`` CSV. Models
@@ -66,8 +69,13 @@ _MAX_TRUNCATION = 1e-9
 _CONVEXITY_SLACK = -1e-9
 _VALIDATION_POINTS = 201
 
-# Entries per block of the table's moment kernel (``tail_and_survival``).
-_GL_BLOCK = 1024
+# The table's fit of its partial integrals (``_partial_integral_fit``): each
+# piece's spread (see there) is at most _PIECE_SPREAD, which holds the
+# degree-_FIT_DEGREE interpolant's error below the rounding; its values are
+# _FIT_GL-point Gauss-Legendre means.
+_PIECE_SPREAD = 0.125
+_FIT_DEGREE = 8
+_FIT_GL = 30
 
 
 @functools.cache
@@ -320,12 +328,106 @@ class SymExponential(DistributionModel):
         return base if self.scale == 1.0 else f"{base}*{self.scale:g}"
 
 
+def _partial_integral_fit(interp, cum_tail: np.ndarray):
+    """(cuts, pieces): the fit from which ``_TabulatedCore.tail_and_survival``
+    reads integral_u^{tmax} F, made once when a table loads.
+
+    Each knot interval is cut into equal pieces [a, b). On a piece, ln F
+    written about the piece's midpoint as a cubic in y in [-1, 1] with
+    coefficients alpha, beta, gamma of y, y^2, y^3 has a spread |alpha| +
+    sqrt|beta| + cbrt|gamma| of at most ``_PIECE_SPREAD``, from bounds over
+    the whole interval (the slope alone, ln F's fall, is not enough: a cubic
+    term spreads the interpolant's coefficients as much). Then the mean g of
+    F over [b - v, b] is, to within rounding, a polynomial of degree
+    ``_FIT_DEGREE`` in y = 2 v / (b - a) - 1: it interpolates the means at
+    the Chebyshev points, each a ``_FIT_GL``-point Gauss-Legendre rule, and
+    is stored in powers of y. The fit takes no BLAS call, so its bits do not
+    depend on the BLAS kernel or its threads.
+
+    ``cuts`` holds the pieces' left ends but the first. ``pieces`` holds one
+    column per piece: x_j and the cubic's c3, c2, c1, c0 of its knot
+    interval (F's bits come from scipy's cubic, not from the fit), b, 2 /
+    (b - a), the integral of F from b to t_max, and g's coefficients, the
+    highest power first. The piece count is the knot count plus about the
+    total spread over ``_PIECE_SPREAD``; F > 0 holds ln F's fall below 745.
+    """
+    x, c = interp.x, interp.c
+    h = np.diff(x)
+    c0, c1, c2 = c[0], c[1], c[2]  # of s^3, s^2, s with s = t - x_j
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # |d ln F / ds| peaks at an end or at the vertex of this quadratic;
+        # the vertex is clipped into the interval, NaN dropped by fmax.
+        vertex = np.clip(-c1 / (3.0 * c0), 0.0, h)
+        slope = np.fmax(np.fmax(np.abs(c2), np.abs(c2 + (2.0 * c1 + 3.0 * c0 * h) * h)),
+                        np.abs(c2 + (2.0 * c1 + 3.0 * c0 * vertex) * vertex))
+        curve = np.fmax(np.abs(c1), np.abs(c1 + 3.0 * c0 * h))
+        count = np.ceil(0.5 * h * (slope + np.sqrt(curve) + np.cbrt(np.abs(c0))) / _PIECE_SPREAD)
+    count = np.where(np.isfinite(count) & (count > 1.0), count, 1.0).astype(np.intp)
+
+    # Equal pieces; a cut that rounds onto its predecessor or past the
+    # interval's right end is dropped.
+    knot = np.repeat(np.arange(h.size), count)
+    k = np.arange(knot.size) - np.repeat(np.cumsum(count) - count, count)
+    left = x[knot] + h[knot] * (k / count[knot])
+    keep = (k == 0) | ((left > np.append(-math.inf, left[:-1])) & (left < x[knot + 1]))
+    knot, left = knot[keep], left[keep]
+    right = np.append(left[1:], x[-1])
+    width = right - left
+
+    nodes, weights = np.polynomial.legendre.leggauss(_FIT_GL)
+    at = 0.5 * (1.0 + nodes)  # the nodes on [0, 1]
+
+    def mean_back(span):
+        """The mean of F over [right - span, right], per piece."""
+        vals = np.exp(interp(right[:, None] - span[:, None] * at))
+        return 0.5 * (vals * weights).sum(axis=1)
+
+    # C: the integral from each piece's right end to the next knot (the sum
+    # of the later pieces of its interval, from the right), then on to t_max.
+    full = (width * mean_back(width)).tolist()
+    same = (knot[1:] == knot[:-1]).tolist()
+    later = [0.0] * knot.size
+    for p in range(knot.size - 2, -1, -1):
+        if same[p]:
+            later[p] = later[p + 1] + full[p + 1]
+    const = cum_tail[knot + 1] + np.array(later)
+
+    # g at the Chebyshev points y_i, less its value at the middle point
+    # (y = 0 up to rounding; the differences are exact), to power
+    # coefficients in y: a Chebyshev transform, then each T_n's powers.
+    deg = _FIT_DEGREE
+    theta = np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1)
+    means = np.stack([mean_back(0.5 * (1.0 + y) * width) for y in np.cos(theta)])
+    centre = means[deg // 2].copy()
+    means -= centre
+    transform = np.cos(np.outer(np.arange(deg + 1), theta)) * (2.0 / (deg + 1))
+    transform[0] *= 0.5
+    powers = np.zeros((deg + 1, deg + 1))  # powers[m, n]: y^m in T_n
+    for n in range(deg + 1):
+        t_n = np.polynomial.chebyshev.cheb2poly(np.eye(deg + 1)[n])
+        powers[: t_n.size, n] = t_n
+    to_powers = (powers[:, :, None] * transform[None, :, :]).sum(axis=1)
+    coef = np.zeros((deg + 1, knot.size))
+    for i in range(deg + 1):
+        coef += to_powers[:, i, None] * means[i]
+    coef[0] += centre
+
+    pieces = np.vstack((x[knot], c[3, knot], c[2, knot], c[1, knot], c[0, knot], right,
+                        2.0 / width, const, coef[::-1]))
+    return left[1:].copy(), pieces
+
+
 class _TabulatedCore:
     """Immutable interpolation/quadrature state shared by scaled copies.
 
     ln F is interpolated by a monotone piecewise cubic (PCHIP), which
     preserves the strict decrease of the data and keeps the convexity check
     on N = -ln F meaningful. Beyond the table nothing is invented: F reads 0.
+    The integrals of F come from two load-time computations: adaptive
+    quadrature per knot interval for the integral from each knot to t_max
+    (``cum_tail``, which also gives E|xi|), and the fit of the partial
+    integrals within the intervals (``_partial_integral_fit``), so that a
+    moment-kernel call does no quadrature.
     """
 
     def __init__(self, ts: np.ndarray, fs: np.ndarray, rows=None):
@@ -421,73 +523,46 @@ class _TabulatedCore:
         d2k = (nk[2:] - nk[1:-1]) / hk[1:] - (nk[1:-1] - nk[:-2]) / hk[:-1]
         self.n_convex = bool(np.all(d2 >= _CONVEXITY_SLACK) and np.all(d2k >= _CONVEXITY_SLACK))
 
-        # 21-point Gauss-Legendre rule for within-interval partial integrals.
-        nodes, weights = np.polynomial.legendre.leggauss(21)
-        self._gl_nodes = nodes
-        self._gl_weights = weights
+        self._cuts, self._pieces = _partial_integral_fit(self.interp, self.cum_tail)
 
     def tail_and_survival(self, u: np.ndarray) -> np.ndarray:
         """np.stack((u F(u) + integral_u^{tmax} F(s) ds, F(u))) for u in
         [0, tmax], the two kernels the moment function needs.
 
-        The partial integral from u to the next knot x_{j+1} is a 21-point
-        Gauss-Legendre rule whose points all lie in u's knot interval
-        [x_j, x_{j+1}), so ln F at them, and at u itself, is that interval's
-        cubic: one interval lookup per entry, not one per point. The cubic
-        is evaluated in scipy's own order, s = p - x_j, then c3 + c2 s,
-        + c1 (s s), + c0 ((s s) s), so every value keeps scipy's bits. A
-        point that rounds out of [x_j, x_{j+1}) (onto the next knot, say)
-        takes its value from ``self.interp`` instead, which keeps scipy's
-        half-open interval rule. The points ascend with the nodes, so a
-        row's first and last point show whether any of its points left.
-
-        The points and the cubic run in blocks of ``_GL_BLOCK`` entries
-        through two (block x 22) arrays allocated once per call; F lands in
-        one (n x 22) array, u's value in its last column, and the weights
-        are applied in one product over all n entries, the call the rule
-        has always made (a product per block would move BLAS's thread
-        split, and with it the rounding of a few rows).
+        One lookup finds u's piece [a, b) of the load-time fit (the last one
+        closed) and one ``take`` gathers that piece's row of
+        ``_pieces``. F(u) is the cubic of the knot interval [x_j, x_{j+1})
+        holding the piece, evaluated in scipy's own order, s = u - x_j, then
+        c3 + c2 s, + c1 (s s), + c0 ((s s) s), and exponentiated, so it
+        keeps scipy's bits (the pieces' ends include every knot, so the
+        lookup keeps scipy's half-open interval rule). The integral is
+        (b - u) g(y) + C: the mean g of F over [u, b] is a Horner loop in
+        y = 2 (b - u) / (b - a) - 1, and C, the integral from b to t_max, is
+        a constant of the piece. b - u is exact where u is near b, so the
+        term keeps its digits on a table whose knots lie ulps apart.
         """
-        x, c, nodes = self.interp.x, self.interp.c, self._gl_nodes
-        k = nodes.size  # column k holds u itself
-        j = np.searchsorted(x[1:-1], u, side="right")  # x_j <= u < x_{j+1}, last one closed
-        xk = x[j + 1]
-        half = 0.5 * (xk - u)
-        mid = 0.5 * (xk + u)
-        vals = np.empty((u.size, k + 1))
-        rows = min(u.size, _GL_BLOCK)
-        s, sq = np.empty((rows, k + 1)), np.empty((rows, k + 1))
-        for lo in range(0, u.size, _GL_BLOCK):
-            block = slice(lo, lo + _GL_BLOCK)
-            jb = j[block]
-            p, w, v = s[: jb.size], sq[: jb.size], vals[block]
-            xj, xjk = x[jb], xk[block]
-            c0, c1, c2, c3 = c[:, jb, None]
-            np.multiply(half[block, None], nodes, out=p[:, :k])
-            p[:, :k] += mid[block, None]
-            p[:, k] = u[block]
-            left = np.flatnonzero((p[:, 0] < xj) | (p[:, k - 1] >= xjk))
-            p_left = p[left, :k]
-            p -= xj[:, None]  # s from here on
-            np.multiply(c2, p, out=v)
-            v += c3
-            np.multiply(p, p, out=w)
-            p *= w
-            p *= c0
-            w *= c1
-            v += w
-            v += p
-            if left.size:
-                outside = (p_left < xj[left, None]) | (p_left >= xjk[left, None])
-                fixed = v[left, :k]
-                fixed[outside] = self.interp(p_left[outside])
-                v[left, :k] = fixed
-            np.exp(v, out=v)
-        f = vals[:, k]
-        partial = half * (vals[:, :k] @ self._gl_weights)
-        # u exactly at (or numerically past) a knot: partial over empty interval
-        partial = np.where(xk > u, partial, 0.0)
-        return np.stack((u * f + (partial + self.cum_tail[j + 1]), f))
+        x, c3, c2, c1, c0, b, r, const, *g = self._pieces.take(
+            np.searchsorted(self._cuts, u, side="right"), axis=1)
+        s = u - x
+        ss = s * s
+        f = c2 * s
+        f += c3
+        f += c1 * ss
+        ss *= s
+        ss *= c0
+        f += ss
+        np.exp(f, out=f)
+        v = b - u
+        y = v * r
+        y -= 1.0
+        mean = g[0] * y
+        for coef in g[1:-1]:
+            mean += coef
+            mean *= y
+        mean += g[-1]
+        mean *= v
+        mean += const
+        return np.stack((u * f + mean, f))
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         if np.any(p < self.fs[-1] * (1 - 1e-12)):
@@ -570,11 +645,14 @@ class TabulatedSurvival(DistributionModel):
     def _on_table(self, u: np.ndarray, kernel, past: float) -> np.ndarray:
         """``kernel(min(u, t_max))`` where the table resolves u, ``past``
         elsewhere. Only the resolved entries are evaluated; a kernel may
-        return several values per entry, stacked along a leading axis."""
+        return several values per entry, stacked along a leading axis. In
+        the common case one maximum shows that every entry is on the table,
+        where there is nothing to clip (NaN fails the test and takes the
+        masked path)."""
         lim = self._core.ts[-1]
+        if u.max(initial=0.0) <= lim:
+            return kernel(u)
         inside = _within(u, lim)
-        if inside.all():
-            return kernel(np.minimum(u, lim))
         vals = kernel(np.minimum(u[inside], lim))
         out = np.full(vals.shape[:-1] + u.shape, past)
         out[..., inside] = vals

@@ -32,7 +32,8 @@ well-defined there.
 
 One seed rule puts the first full sums next to rho*, so the bracket is
 narrow before the loops start. A seed (``_WarmStart``) is the root of an
-earlier solve and the slope of log S against log rho at its final bracket:
+earlier solve and the slope of log S against log rho near it (across at
+least 1e-9 of log rho, so that the sums' rounding noise does not set it):
 for a long vector (n >= 4096, ``_STEER_MIN_N``), whatever the function, a
 solve on a 512-entry surrogate (the 128 largest entries and a strided
 sample of the rest, each standing for its stratum); for a shorter one,
@@ -133,6 +134,8 @@ _STEER_M = 512
 _STEER_TOP = 128
 _STEER_OVERSHOOT = 0.1
 _WARM_OVERSHOOT = 0.01
+# A seed's slope is taken across at least this much log rho.
+_SLOPE_SPAN = 1e-9
 _LOG_HUGE = math.log(_HUGE)
 
 
@@ -393,7 +396,7 @@ def orlicz_norm(x, fun: OrliczFunction, *, warm: Optional[_WarmStart] = None) ->
     and there the two can differ by about 1e-12 relative.
 
     A solve with a seed (``_WarmStart``: the root of an earlier solve and
-    the slope of log sum against log rho at its final bracket) first routes
+    the slope of log sum against log rho near that root) first routes
     the sum at that root and one Newton step from it, overshot so that it
     lands past rho*, through the feasibility predicate. Vectors of at least
     ``_STEER_MIN_N`` entries take the seed of a solve on a surrogate of
@@ -450,8 +453,9 @@ def _positive_entries(v: np.ndarray) -> np.ndarray:
 
 class _WarmStart:
     """What one solve of a bound family hands the next (``orlicz_norm``'s
-    ``warm``): its root and the slope of log S against log rho at its final
-    bracket. Empty until a solve ends with a finite positive root."""
+    ``warm``): its root and the slope of log S against log rho near it
+    (``_seed_slope``). Empty until a solve ends with a finite positive
+    root."""
 
     __slots__ = ("root", "slope")
 
@@ -485,19 +489,19 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
     n = v.size
 
     # a starts at 0, infeasible by the limit test; b at +inf, where every
-    # term is fun(0) = 0. (u0, g0) and (u1, g1) are the two most recently
-    # summed points as (log rho, log S), the newer last.
+    # term is fun(0) = 0. ``summed`` holds every summed point as (log rho,
+    # log S), the newest last, after two placeholders.
     a, sa, b, sb = 0.0, math.inf, math.inf, 0.0
-    u0 = g0 = u1 = g1 = math.nan
+    summed = [(math.nan, math.nan)] * 2
 
     def feasible(rho: float) -> bool:
-        nonlocal a, sa, b, sb, u0, g0, u1, g1
+        nonlocal a, sa, b, sb
         if rho >= b:
             return True
         if rho <= a:
             return False
         s = _modular_sum(v, fun, rho)
-        u0, g0, u1, g1 = u1, g1, math.log(rho), _log_or_nan(s)
+        summed.append((math.log(rho), _log_or_nan(s)))
         if s <= 1.0:
             b, sb = rho, s
             return True
@@ -556,6 +560,7 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
         delta = 0.25 * NORM_REL_TOL * b
         ratio = b / a if a > 0.0 else math.inf
         rho = math.nan
+        (u0, g0), (u1, g1) = summed[-2:]
         if g1 != g0:  # False when either is NaN
             u = u1 - g1 * (u1 - u0) / (g1 - g0)
             if u < _LOG_HUGE:
@@ -589,16 +594,28 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
         else:
             lo = mid
     if warm is not None and 0.0 < hi < math.inf:
-        width = math.log(b / a) if a > 0.0 else 0.0
-        slope = (_log_or_nan(sb) - _log_or_nan(sa)) / width if width > 0.0 else math.nan
-        warm.root, warm.slope = hi, (slope if slope < 0.0 else math.nan)
+        warm.root, warm.slope = hi, _seed_slope(summed)
     return hi
+
+
+def _seed_slope(summed) -> float:
+    """The slope of log S against log rho through the newest summed point
+    and the newest earlier one at least ``_SLOPE_SPAN`` away in log rho;
+    NaN when there is none or the slope is not negative. The final bracket
+    is about 1e-12 wide, and the sums' rounding noise (about 1e-14 for N
+    near t = 0) would be a large part of a slope across it."""
+    u1, g1 = summed[-1]
+    for u0, g0 in reversed(summed[:-1]):
+        if abs(u1 - u0) >= _SLOPE_SPAN:
+            slope = (g1 - g0) / (u1 - u0)
+            return slope if slope < 0.0 else math.nan
+    return math.nan
 
 
 def _steer(v, fun, t_hi, t_lo) -> _WarmStart:
     """A warm start for the solve on v, read off a surrogate of ``_STEER_M``
     entries: the surrogate's solve fills a fresh holder with its root and
-    final-bracket slope, as any warm-started solve does (the root stays
+    slope, as any warm-started solve does (the root stays
     None when it is 0 or inf).
 
     The surrogate keeps the ``_STEER_TOP`` largest entries, which dominate

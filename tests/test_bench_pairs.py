@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py's verdicts on synthetic runs, and scripts/ab_calls.py run on the working tree."""
 
+import dataclasses
 import importlib.util
 import json
 import types
@@ -195,3 +196,30 @@ def test_ab_calls_stops_when_results_differ():
     shifted.orlicz_norm = lambda x, fun: lib.orlicz_norm(x, fun) * (1.0 + 2.0**-52)
     with pytest.raises(AssertionError, match="norm/M/gaussian/n=100: results differ"):
         ab_calls.compare(lib, shifted, reps=1)
+
+
+def _table_moment_shifted(lib, factor):
+    """``lib`` with the table's M values multiplied by ``factor``."""
+    shifted = types.SimpleNamespace(**vars(lib))
+
+    def moment(model):
+        fun = lib.expected_overshoot_function(model)
+        if not isinstance(model, lib.TabulatedSurvival):
+            return fun
+        return dataclasses.replace(fun, evaluate=lambda t: fun.evaluate(t) * factor)
+
+    shifted.expected_overshoot_function = moment
+    return shifted
+
+
+def test_ab_calls_table_kernel_rows_compare_by_relative_difference():
+    """The table's M rows pass a difference within 1e-15 of s *
+    tail_integral(1/s) and report it; 1e-13 stops the run."""
+    lib = ab_calls.load_package(_working_tree_package(None, None), ab_calls.PACKAGE)
+    rows = ab_calls.compare(lib, _table_moment_shifted(lib, 1.0 + 4e-16), reps=1)
+    diffs = {row["call"]: row.get("max_rel_diff") for row in rows}
+    assert all(0.0 < diffs[f"M/table/n={n}"] <= 1e-15 for n in ab_calls.EVAL_SIZES)
+    assert sum(diff is not None for diff in diffs.values()) == len(ab_calls.EVAL_SIZES)
+    with pytest.raises(AssertionError,
+                       match=r"M/table/n=100: results differ by .* relative, above 1e-15"):
+        ab_calls.compare(lib, _table_moment_shifted(lib, 1.0 + 1e-13), reps=1)

@@ -539,6 +539,28 @@ def test_warm_family_members_take_fewer_sums(monkeypatch):
         assert sums[0] <= min(7 * len(members), 0.8 * cold), (kind, sums[0], cold)
 
 
+def test_seed_slope_is_not_read_off_the_final_bracket(monkeypatch):
+    """bound-batch's kmin/gaussian/n=10000/k=2 (seed 1): the second member
+    (n = 9999) was seeded with a slope of -1.75 read across its surrogate's
+    1e-12-wide final bracket, where the sums read -1.00, and took 6 full
+    sums; a slope across at least 1e-9 of log rho takes it to 4. Each member
+    takes at most 5, with plain bisection's bits."""
+    sizes = []
+    modular_sum = orlicz_module._modular_sum
+
+    def counted(v, fun, rho):
+        sizes.append(v.size)
+        return modular_sum(v, fun, rho)
+
+    monkeypatch.setattr(orlicz_module, "_modular_sum", counted)
+    x = np.sort(np.random.default_rng([1, 1, 5]).uniform(0.5, 5.0, 10_000))
+    terms = kth_min_bounds(x, Gaussian(), 2).terms
+    assert sizes.count(10_000) <= 5 and sizes.count(9_999) <= 5, sizes
+    monkeypatch.setattr(orlicz_module, "_modular_sum", modular_sum)
+    plain = [1.0 / bisection_norm(v, fun) for v, fun in _members(Gaussian(), x, "kmin", 2)]
+    assert [t.hex() for t in terms] == [t.hex() for t in plain]
+
+
 def test_moment_sum_noise_keeps_the_norm_feasible_and_close():
     """1e300 * M[gaussian] on 5,000 entries log-uniform over 0.1..10: the
     computed sum moves by about 1e-10 between adjacent floats here and does

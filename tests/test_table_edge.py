@@ -13,9 +13,13 @@ read (1/t for M and the reciprocal survival, t for N and (e/k)G) lies in the
 band from t_max to t_max * (1 + 1e-12), which the masks and the kernels
 split differently.
 
-The tables' moment kernel, which looks up each entry's knot interval once
-and evaluates its cubic itself, is compared bit for bit with the kernel it
-replaced (kept below), in which scipy evaluated every quadrature point.
+The tables' moment kernel reads each partial integral of F off a fit made
+when the table loads. It is compared with the 21-point Gauss-Legendre kernel
+it replaced (kept below as the reference): the tail column to 1e-15
+relative, the F column bit for bit. That kernel looked up each entry's knot
+interval once and evaluated the cubic itself; it is in turn compared bit for
+bit with the first form of the rule, in which scipy evaluated every
+quadrature point.
 """
 
 import math
@@ -43,6 +47,9 @@ from orlicz_bounds.montecarlo import _tail_threshold_function
 
 _FUZZ = 1e-12
 _EPS = np.finfo(float).eps
+# The 21-point Gauss-Legendre rule of the reference kernels.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
+_GL_BLOCK = 1024
 
 
 def _models(table):
@@ -70,20 +77,72 @@ def _ref_survival(model, t):
 
 
 def _reference_integral_f_to_end(core, u):
-    """integral_u^{tmax} F as the table computed it before its one-lookup
-    kernel (``_TabulatedCore.tail_and_survival``): scipy evaluates ln F at
-    every Gauss-Legendre point."""
+    """integral_u^{tmax} F by the first form of the 21-point rule: scipy
+    evaluates ln F at every Gauss-Legendre point."""
     ts = core.ts
     j = np.clip(np.searchsorted(ts, u, side="right") - 1, 0, len(ts) - 2)
     a = u
     b = ts[j + 1]
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    pts = mid[:, None] + half[:, None] * core._gl_nodes[None, :]
+    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = np.exp(core.interp(pts))
-    partial = half * (vals @ core._gl_weights)
+    partial = half * (vals @ _GL_WEIGHTS)
     partial = np.where(b > a, partial, 0.0)
     return partial + core.cum_tail[j + 1]
+
+
+def _gl21_tail_and_survival(core, u):
+    """The moment kernel the load-time fit replaced: the same rule, with
+    one knot-interval lookup per entry.
+
+    The 21 points all lie in u's knot interval [x_j, x_{j+1}), so ln F at
+    them, and at u itself, is that interval's cubic, evaluated in scipy's
+    own order (s = p - x_j, then c3 + c2 s, + c1 (s s), + c0 ((s s) s)). A
+    point that rounds out of [x_j, x_{j+1}) takes its value from
+    ``core.interp`` instead, which keeps scipy's half-open interval rule;
+    the points ascend with the nodes, so a row's first and last point show
+    whether any of its points left. Blocks of ``_GL_BLOCK`` entries; the
+    weights are applied in one product over all n entries."""
+    x, c, nodes = core.interp.x, core.interp.c, _GL_NODES
+    k = nodes.size  # column k holds u itself
+    j = np.searchsorted(x[1:-1], u, side="right")  # x_j <= u < x_{j+1}, last one closed
+    xk = x[j + 1]
+    half = 0.5 * (xk - u)
+    mid = 0.5 * (xk + u)
+    vals = np.empty((u.size, k + 1))
+    rows = min(u.size, _GL_BLOCK)
+    s, sq = np.empty((rows, k + 1)), np.empty((rows, k + 1))
+    for lo in range(0, u.size, _GL_BLOCK):
+        block = slice(lo, lo + _GL_BLOCK)
+        jb = j[block]
+        p, w, v = s[: jb.size], sq[: jb.size], vals[block]
+        xj, xjk = x[jb], xk[block]
+        c0, c1, c2, c3 = c[:, jb, None]
+        np.multiply(half[block, None], nodes, out=p[:, :k])
+        p[:, :k] += mid[block, None]
+        p[:, k] = u[block]
+        left = np.flatnonzero((p[:, 0] < xj) | (p[:, k - 1] >= xjk))
+        p_left = p[left, :k]
+        p -= xj[:, None]  # s from here on
+        np.multiply(c2, p, out=v)
+        v += c3
+        np.multiply(p, p, out=w)
+        p *= w
+        p *= c0
+        w *= c1
+        v += w
+        v += p
+        if left.size:
+            outside = (p_left < xj[left, None]) | (p_left >= xjk[left, None])
+            fixed = v[left, :k]
+            fixed[outside] = core.interp(p_left[outside])
+            v[left, :k] = fixed
+        np.exp(v, out=v)
+    f = vals[:, k]
+    partial = half * (vals[:, :k] @ _GL_WEIGHTS)
+    partial = np.where(xk > u, partial, 0.0)  # u at a knot: an empty interval
+    return np.stack((u * f + (partial + core.cum_tail[j + 1]), f))
 
 
 def _ref_tail_integral(model, t):
@@ -172,8 +231,21 @@ def _arguments(model, reciprocal):
     ])
 
 
+def _moment_slack(model, t, u):
+    """What an M value may move by outside the band: the tail kernel's
+    1e-15 relative, carried by the term s * tail_integral(1/s) (0 where 1/s
+    is past the table, where both read 0)."""
+    on = u <= model._core.ts[-1] * (1 + _FUZZ)
+    term = np.zeros(t.shape)
+    term[on] = t[on] * _ref_tail_integral(model, 1.0 / t[on])
+    return 1e-15 * term
+
+
 @pytest.mark.parametrize("handle", sorted(HANDLES))
 def test_handle_values_differ_only_in_the_fuzz_band(gaussian_table_model, handle):
+    """Outside the band N, F(1/t) and (e/k)G keep their bits; M, whose tail
+    integral the table now reads off its fit, stays within
+    ``_moment_slack`` of the reference."""
     build, reference, reciprocal = HANDLES[handle]
     counts = {}
     for name, model in _models(gaussian_table_model).items():
@@ -182,10 +254,11 @@ def test_handle_values_differ_only_in_the_fuzz_band(gaussian_table_model, handle
         old = reference(model, 3).values(t)
         u = (1.0 / t if reciprocal else t) / model.scale
         differ = new != old
+        beyond = np.abs(new - old) > _moment_slack(model, t, u) if handle == "M" else differ
         lim = model._core.ts[-1]
         # 4 ulp below t_max: 1/(1/x) need not round back to x
         in_band = (u >= lim * (1 - 4 * _EPS)) & (u <= lim * (1 + _FUZZ))
-        assert not np.any(differ & ~in_band), (name, t[differ & ~in_band])
+        assert not np.any(beyond & ~in_band), (name, t[beyond & ~in_band])
         counts[name] = int(np.count_nonzero(differ))
     print(f"{handle}: values differing from the masked reference, per table: {counts}")
 
@@ -264,7 +337,7 @@ def test_one_rule_for_public_refusal_and_kernel_extension(gaussian_table_model, 
         assert out[0] == public(1.0)
 
 
-# -- the one-lookup moment kernel against scipy at every point ---------------
+# -- the fitted moment kernel against the 21-point rule -----------------------
 
 
 def _kernel_tables(table):
@@ -281,6 +354,8 @@ def _kernel_tables(table):
 
 
 _KERNEL_TABLES = ["erfc", "uneven", "clustered-end", "erfc*3"]
+# every size up to 70, then sizes that are not multiples of the block
+_SIZES = list(range(1, 71)) + [1023, 1025, 2049, 4097, 10_001, 33_243, 99_999]
 
 
 def _near_knots(ts):
@@ -293,47 +368,84 @@ def _near_knots(ts):
     return u[(u >= 0.0) & (u <= ts[-1])]
 
 
-def _assert_kernel_matches_scipy(model, u):
+def _assert_fit_matches_gl21(model, u):
+    """The fitted kernel against the 21-point rule: F bit for bit, the tail
+    to 1e-15 relative, also through the scaled kernels the moment handle
+    reads, at t = scale * u."""
     core = model._core
-    f = np.exp(core.interp(u))
-    want = np.stack((u * f + _reference_integral_f_to_end(core, u), f))
-    assert np.array_equal(core.tail_and_survival(u), want)
-    # and through the kernels the moment handle reads, at t = scale * u
+    got, want = core.tail_and_survival(u), _gl21_tail_and_survival(core, u)
+    assert np.array_equal(got[1], want[1])
+    assert np.all(np.abs(got[0] - want[0]) <= 1e-15 * want[0]), np.max(
+        np.abs(got[0] - want[0]) / want[0])
     t = model.scale * u
     tail, surv = model._tail_integral_and_survival(t)
-    assert np.array_equal(tail, _ref_tail_integral(model, t))
     assert np.array_equal(surv, _ref_survival(model, t))
+    ref = _ref_tail_integral(model, t)
+    assert np.all(np.abs(tail - ref) <= 1e-15 * ref)
     assert np.array_equal(model._tail_integral(t), tail)
 
 
 @pytest.mark.parametrize("name", _KERNEL_TABLES)
-def test_one_lookup_kernel_matches_scipy_at_random_points(gaussian_table_model, name):
+def test_fitted_kernel_matches_the_gl21_rule(gaussian_table_model, name):
+    """At random points, around every knot, and around every piece's ends."""
     model = _kernel_tables(gaussian_table_model)[name]
+    ts, cuts = model._core.ts, model._core._cuts
     rng = np.random.default_rng(11)
-    # every size up to 70, then sizes that are not multiples of the block
-    for n in list(range(1, 71)) + [1023, 1025, 2049, 4097, 10_001, 33_243, 99_999]:
-        _assert_kernel_matches_scipy(model, rng.uniform(0.0, model._core.ts[-1], n))
+    for n in [0, 1, 2, 3, 70, 1023, 10_001]:
+        _assert_fit_matches_gl21(model, rng.uniform(0.0, ts[-1], n))
+    _assert_fit_matches_gl21(model, _near_knots(ts))
+    _assert_fit_matches_gl21(model, np.concatenate(
+        [np.nextafter(cuts, -np.inf), cuts, np.nextafter(cuts, np.inf)]))
+
+
+def test_fitted_kernel_on_a_coarse_exponential_table():
+    """Knots 0, 1, 2, 30 of F = e^-t: ln F falls by 28 over the last
+    interval, which the fit cuts into pieces. The table's cubic is ln F
+    itself, so the kernel must give u e^-u + e^-u - e^-30."""
+    ts = np.array([0.0, 1.0, 2.0, 30.0])
+    core = TabulatedSurvival(ts, np.exp(-ts))._core
+    assert core._cuts.size > 100
+    u = np.concatenate([np.linspace(0.0, 30.0, 3001), _near_knots(ts), core._cuts,
+                        np.random.default_rng(12).uniform(0.0, 30.0, 2000)])
+    exact = u * np.exp(-u) + np.exp(-u) - math.exp(-30.0)
+    tail = core.tail_and_survival(u)[0]
+    assert np.all(np.abs(tail - exact) <= 1e-14 * exact), np.max(np.abs(tail - exact) / exact)
+
+
+def _assert_gl21_kernel_matches_scipy(core, u):
+    f = np.exp(core.interp(u))
+    want = np.stack((u * f + _reference_integral_f_to_end(core, u), f))
+    assert np.array_equal(_gl21_tail_and_survival(core, u), want)
+
+
+@pytest.mark.parametrize("name", _KERNEL_TABLES)
+def test_one_lookup_kernel_matches_scipy_at_random_points(gaussian_table_model, name):
+    """The reference's one-lookup form against scipy at every point."""
+    core = _kernel_tables(gaussian_table_model)[name]._core
+    rng = np.random.default_rng(11)
+    for n in _SIZES:
+        _assert_gl21_kernel_matches_scipy(core, rng.uniform(0.0, core.ts[-1], n))
 
 
 @pytest.mark.parametrize("name", _KERNEL_TABLES)
 def test_one_lookup_kernel_matches_scipy_around_every_knot(gaussian_table_model, name):
-    model = _kernel_tables(gaussian_table_model)[name]
-    _assert_kernel_matches_scipy(model, _near_knots(model._core.ts))
+    core = _kernel_tables(gaussian_table_model)[name]._core
+    _assert_gl21_kernel_matches_scipy(core, _near_knots(core.ts))
 
 
 @pytest.mark.parametrize("name", _KERNEL_TABLES)
 def test_points_off_their_interval_are_read_from_scipy(gaussian_table_model, name):
-    """The knot rule: exactly the Gauss-Legendre points that round out of
-    their entry's [x_j, x_{j+1}) (thousands on the near-knot grid) are
-    evaluated by ``interp``. Next to the u F(u) term such a point changes no
-    output bit in practice, so the rule is checked here, not through the
-    kernel's values."""
+    """The reference's knot rule: exactly the Gauss-Legendre points that
+    round out of their entry's [x_j, x_{j+1}) (thousands on the near-knot
+    grid) are evaluated by ``interp``. Next to the u F(u) term such a point
+    changes no output bit in practice, so the rule is checked here, not
+    through the kernel's values."""
     table = _kernel_tables(gaussian_table_model)[name]
     core = TabulatedSurvival(table._core.ts, table._core.fs)._core  # patched below
     u = _near_knots(core.ts)
     j = np.clip(np.searchsorted(core.ts, u, side="right") - 1, 0, len(core.ts) - 2)
     a, b = core.ts[j], core.ts[j + 1]
-    pts = 0.5 * (b + u)[:, None] + 0.5 * (b - u)[:, None] * core._gl_nodes
+    pts = 0.5 * (b + u)[:, None] + 0.5 * (b - u)[:, None] * _GL_NODES
     off = pts[(pts < a[:, None]) | (pts >= b[:, None])]
     assert off.size > 500
 
@@ -347,7 +459,7 @@ def test_points_off_their_interval_are_read_from_scipy(gaussian_table_model, nam
             return interp(p)
 
     core.interp = Recording()
-    core.tail_and_survival(u)
+    _gl21_tail_and_survival(core, u)
     assert np.array_equal(np.sort(np.concatenate(asked)), np.sort(off))
 
 
