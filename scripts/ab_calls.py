@@ -25,7 +25,8 @@ revision to the next, so those rows compare by their largest difference
 relative to s * tail_integral(1/s), the term that carries the kernel's
 rounding (M itself cancels, by up to about 65x here). A difference, or a
 kernel row's relative difference above ``KERNEL_REL_TOL``, stops the run
-with exit status 1.
+with exit status 1; the message names the first differing leaf (say
+``result['BoundReport']['constants']['mean_abs']``) and both its reprs.
 
 It prints each call's median milliseconds per side, the ratio change /
 base, the repetitions in which the change was faster and, for the kernel
@@ -142,11 +143,29 @@ def plain(value):
     return value
 
 
+def first_difference(base, change, where: str = "result"):
+    """(where, base repr, change repr) at the first leaf of two ``plain``
+    values whose ``repr`` differs, walking dicts and lists of the same keys
+    and length in order; None when the values agree."""
+    if repr(base) == repr(change):
+        return None
+    if isinstance(base, dict) and isinstance(change, dict) and base.keys() == change.keys():
+        pairs = [(f"{where}[{key!r}]", base[key], change[key]) for key in base]
+    elif isinstance(base, list) and isinstance(change, list) and len(base) == len(change):
+        pairs = [(f"{where}[{i}]", b, c) for i, (b, c) in enumerate(zip(base, change))]
+    else:
+        return where, repr(base), repr(change)
+    for path, b, c in pairs:
+        if (leaf := first_difference(b, c, path)) is not None:
+            return leaf
+    return None
+
+
 def compare(base_lib, change_lib, reps: int) -> list[dict]:
     """Run the call list ``reps`` times on both packages, alternating which
     goes first; one row per call: each side's median ms, the ratio change /
     base and the change's wins. Raises AssertionError when a pair of results
-    differs."""
+    differs, naming the first differing leaf and both its reprs."""
     data = _inputs()
     sides = {"base": call_list(base_lib, data), "change": call_list(change_lib, data)}
     names = [name for name, _ in sides["base"]]
@@ -169,8 +188,11 @@ def compare(base_lib, change_lib, reps: int) -> list[dict]:
                 if not diff <= KERNEL_REL_TOL:
                     raise AssertionError(f"{name}: results differ by {diff:.3g} relative, "
                                          f"above {KERNEL_REL_TOL:g} (repetition {rep + 1})")
-            elif repr(plain(results["base"])) != repr(plain(results["change"])):
-                raise AssertionError(f"{name}: results differ (repetition {rep + 1})")
+            elif (leaf := first_difference(plain(results["base"]),
+                                           plain(results["change"]))) is not None:
+                where, base_repr, change_repr = leaf
+                raise AssertionError(f"{name}: results differ at {where}: base {base_repr}, "
+                                     f"change {change_repr} (repetition {rep + 1})")
     rows = []
     print(f"{'call':40s} {'base ms':>10s} {'change ms':>10s} {'ratio':>7s} {'wins':>7s} "
           f"{'max rel':>9s}")

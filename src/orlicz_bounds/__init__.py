@@ -34,7 +34,6 @@ from .errors import (
     OrliczBoundsError,
     PartitionError,
     PreconditionError,
-    QuadratureError,
     RangeError,
     TabulationError,
     UnboundedNormError,

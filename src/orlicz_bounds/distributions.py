@@ -20,9 +20,10 @@ A table resolves F up to its last knot t_max: t/scale past t_max * (1 +
 1e-12) is beyond it, and t up to that is clipped to t_max. There the public
 primitives refuse, and the raw kernels the Orlicz handles call read F = 0
 (N = +inf, tail integral 0). On the table, the tail integral costs no
-quadrature per call: the integrals between knots are computed when the
-table loads, and the partial integral within a knot interval is read off a
-polynomial fit made then. F itself keeps the bits of scipy's PCHIP.
+quadrature per call: it is read off a piecewise polynomial fit of F's
+partial integrals, made when the table loads. That fit is the only
+integral of F a table takes; E|xi| is its tail integral at 0. F itself
+keeps the bits of scipy's PCHIP.
 
 Built-in families: standard Gaussian, symmetric exponential (Laplace), and
 a tabulated survival function loaded from a two-column ``t,F`` CSV. Models
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, TabulationError, _integer_in, _positive
+from .errors import DomainError, TabulationError, _integer_in, _positive
 from .reporting import CheckResult
 
 __all__ = [
@@ -55,12 +56,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LN2 = math.log(2.0)
-
-# Largest error estimate the tabulated family's quadrature may report for
-# any one knot interval before the table is refused. The bound formulas
-# downstream are inverted by root-finding, so integral error must sit far
-# below the root tolerances.
-QUAD_ABS_TOL = 1e-10
 
 # Unresolved tail mass (beyond the last table knot) above which a table is
 # refused rather than extrapolated.
@@ -328,9 +323,10 @@ class SymExponential(DistributionModel):
         return base if self.scale == 1.0 else f"{base}*{self.scale:g}"
 
 
-def _partial_integral_fit(interp, cum_tail: np.ndarray):
-    """(cuts, pieces): the fit from which ``_TabulatedCore.tail_and_survival``
-    reads integral_u^{tmax} F, made once when a table loads.
+def _partial_integral_fit(interp):
+    """(cuts, pieces, cum_tail): the fit from which
+    ``_TabulatedCore.tail_and_survival`` reads integral_u^{tmax} F, made
+    once when a table loads. It is the one place a table's F is integrated.
 
     Each knot interval is cut into equal pieces [a, b). On a piece, ln F
     written about the piece's midpoint as a cubic in y in [-1, 1] with
@@ -347,9 +343,13 @@ def _partial_integral_fit(interp, cum_tail: np.ndarray):
     ``cuts`` holds the pieces' left ends but the first. ``pieces`` holds one
     column per piece: x_j and the cubic's c3, c2, c1, c0 of its knot
     interval (F's bits come from scipy's cubic, not from the fit), b, 2 /
-    (b - a), the integral of F from b to t_max, and g's coefficients, the
+    (b - a), the integral C of F from b to t_max, and g's coefficients, the
     highest power first. The piece count is the knot count plus about the
     total spread over ``_PIECE_SPREAD``; F > 0 holds ln F's fall below 745.
+
+    Each piece's integral, (b - a) times its Gauss-Legendre mean, is summed
+    once from the right. That one running sum gives every C and
+    ``cum_tail``, the integral of F from each knot to t_max (0 at t_max).
     """
     x, c = interp.x, interp.c
     h = np.diff(x)
@@ -370,7 +370,7 @@ def _partial_integral_fit(interp, cum_tail: np.ndarray):
     k = np.arange(knot.size) - np.repeat(np.cumsum(count) - count, count)
     left = x[knot] + h[knot] * (k / count[knot])
     keep = (k == 0) | ((left > np.append(-math.inf, left[:-1])) & (left < x[knot + 1]))
-    knot, left = knot[keep], left[keep]
+    knot, left, first = knot[keep], left[keep], np.flatnonzero(k[keep] == 0)
     right = np.append(left[1:], x[-1])
     width = right - left
 
@@ -382,15 +382,12 @@ def _partial_integral_fit(interp, cum_tail: np.ndarray):
         vals = np.exp(interp(right[:, None] - span[:, None] * at))
         return 0.5 * (vals * weights).sum(axis=1)
 
-    # C: the integral from each piece's right end to the next knot (the sum
-    # of the later pieces of its interval, from the right), then on to t_max.
-    full = (width * mean_back(width)).tolist()
-    same = (knot[1:] == knot[:-1]).tolist()
-    later = [0.0] * knot.size
-    for p in range(knot.size - 2, -1, -1):
-        if same[p]:
-            later[p] = later[p + 1] + full[p + 1]
-    const = cum_tail[knot + 1] + np.array(later)
+    # The pieces' integrals summed once, from the right: C of a piece is the
+    # sum over the later pieces, and a knot's integral to t_max the sum from
+    # its interval's first piece on.
+    to_end = np.append(np.cumsum((width * mean_back(width))[::-1])[::-1], 0.0)
+    const = to_end[1:]
+    cum_tail = np.append(to_end[first], 0.0)
 
     # g at the Chebyshev points y_i, less its value at the middle point
     # (y = 0 up to rounding; the differences are exact), to power
@@ -414,26 +411,26 @@ def _partial_integral_fit(interp, cum_tail: np.ndarray):
 
     pieces = np.vstack((x[knot], c[3, knot], c[2, knot], c[1, knot], c[0, knot], right,
                         2.0 / width, const, coef[::-1]))
-    return left[1:].copy(), pieces
+    return left[1:].copy(), pieces, cum_tail
 
 
 class _TabulatedCore:
-    """Immutable interpolation/quadrature state shared by scaled copies.
+    """Immutable interpolation and fit state shared by scaled copies.
 
     ln F is interpolated by a monotone piecewise cubic (PCHIP), which
     preserves the strict decrease of the data and keeps the convexity check
     on N = -ln F meaningful. Beyond the table nothing is invented: F reads 0.
-    The integrals of F come from two load-time computations: adaptive
-    quadrature per knot interval for the integral from each knot to t_max
-    (``cum_tail``, which also gives E|xi|), and the fit of the partial
-    integrals within the intervals (``_partial_integral_fit``), so that a
-    moment-kernel call does no quadrature.
+    The integrals of F all come from one load-time computation, the fit of
+    the partial integrals (``_partial_integral_fit``): it also gives the
+    integral from each knot to t_max (``cum_tail``), and E|xi| is the
+    fitted kernel's own tail integral at 0. A moment-kernel call does no
+    quadrature.
     """
 
     def __init__(self, ts: np.ndarray, fs: np.ndarray, rows=None):
-        # Imported here: scipy.integrate and scipy.interpolate are most of the
-        # package's import time, and only tabulated models need them.
-        from scipy import integrate, interpolate
+        # Imported here: scipy.interpolate is most of the package's import
+        # time, and only tabulated models need it.
+        from scipy import interpolate
 
         ts = np.asarray(ts, dtype=float)
         fs = np.asarray(fs, dtype=float)
@@ -482,32 +479,10 @@ class _TabulatedCore:
         n_end = -self.log_fs[-1]
         trunc = fs[-1] * ts[-1] / n_end if n_end > 0 else math.inf
         if trunc > _MAX_TRUNCATION:
-            raise QuadratureError(
+            raise TabulationError(
                 f"table too short: unresolved tail mass bound {trunc:.3e} exceeds "
-                f"{_MAX_TRUNCATION:g}; extend the table to larger t",
-                achieved_tol=trunc,
+                f"{_MAX_TRUNCATION:g}; extend the table to larger t"
             )
-        self.truncation_bound = trunc
-
-        # Cumulative integral of F from each knot to t_max, via adaptive
-        # quadrature per interval.
-        f_of = lambda s: math.exp(float(self.interp(s)))
-        seg = np.empty(len(ts) - 1)
-        worst = 0.0
-        for i in range(len(ts) - 1):
-            val, err = integrate.quad(
-                f_of, ts[i], ts[i + 1], epsabs=1e-13, epsrel=1e-11, limit=200
-            )
-            seg[i] = val
-            worst = max(worst, err)
-        if worst > QUAD_ABS_TOL:
-            raise QuadratureError(
-                f"table quadrature did not converge: worst interval error {worst:.3e} "
-                f"exceeds {QUAD_ABS_TOL:g}",
-                achieved_tol=worst,
-            )
-        self.cum_tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        self.mean_abs = float(self.cum_tail[0])  # = E|xi| up to the truncation bound
 
         # Dense grid for fast (vectorized) quantile inversion.
         self.dense_t = np.linspace(ts[0], ts[-1], 4097)
@@ -523,7 +498,10 @@ class _TabulatedCore:
         d2k = (nk[2:] - nk[1:-1]) / hk[1:] - (nk[1:-1] - nk[:-2]) / hk[:-1]
         self.n_convex = bool(np.all(d2 >= _CONVEXITY_SLACK) and np.all(d2k >= _CONVEXITY_SLACK))
 
-        self._cuts, self._pieces = _partial_integral_fit(self.interp, self.cum_tail)
+        self._cuts, self._pieces, self.cum_tail = _partial_integral_fit(self.interp)
+        # E|xi| up to the truncation bound, read off the kernel itself, so
+        # that it equals tail_integral(0) to the bit.
+        self.mean_abs = float(self.tail_and_survival(np.zeros(1))[0, 0])
 
     def tail_and_survival(self, u: np.ndarray) -> np.ndarray:
         """np.stack((u F(u) + integral_u^{tmax} F(s) ds, F(u))) for u in

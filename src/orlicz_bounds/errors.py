@@ -57,17 +57,6 @@ class NumericError(OrliczBoundsError, RuntimeError):
     """Internal numeric failure."""
 
 
-class QuadratureError(NumericError):
-    """Quadrature failed to reach the requested tolerance.
-
-    ``achieved_tol`` records the tolerance that was actually attained.
-    """
-
-    def __init__(self, message: str, achieved_tol: float | None = None):
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
-
-
 class UnboundedNormError(NumericError):
     """The modular sum exceeds 1 for every scaling; the norm is infinite."""
 

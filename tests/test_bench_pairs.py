@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import types
 from pathlib import Path
 
@@ -191,11 +192,33 @@ def test_ab_calls_on_the_working_tree_against_itself(monkeypatch, tmp_path, caps
 
 
 def test_ab_calls_stops_when_results_differ():
+    """The message names the first differing leaf and both its reprs."""
     lib = ab_calls.load_package(_working_tree_package(None, None), ab_calls.PACKAGE)
     shifted = types.SimpleNamespace(**vars(lib))
     shifted.orlicz_norm = lambda x, fun: lib.orlicz_norm(x, fun) * (1.0 + 2.0**-52)
-    with pytest.raises(AssertionError, match="norm/M/gaussian/n=100: results differ"):
+    with pytest.raises(AssertionError) as err:
         ab_calls.compare(lib, shifted, reps=1)
+    x = ab_calls._inputs()["x", 100]
+    norm = lib.orlicz_norm(x, lib.expected_overshoot_function(lib.Gaussian()))
+    assert str(err.value) == (f"norm/M/gaussian/n=100: results differ at result: "
+                              f"base {norm!r}, change {norm * (1.0 + 2.0**-52)!r} "
+                              f"(repetition 1)")
+
+
+def test_ab_calls_names_the_first_differing_leaf_of_a_report():
+    lib = ab_calls.load_package(_working_tree_package(None, None), ab_calls.PACKAGE)
+    report = lib.max_bounds([0.5, 1.0, 5.0], lib.Gaussian())
+    mean = report.constants["mean_abs"]
+    moved = dataclasses.replace(report, constants={**report.constants,
+                                                   "mean_abs": math.nextafter(mean, 0.0)},
+                                terms=tuple(2.0 * t for t in report.terms))
+    base, change = ab_calls.plain(report), ab_calls.plain(moved)
+    assert ab_calls.first_difference(base, base) is None
+    assert ab_calls.first_difference(base, change) == (
+        "result['BoundReport']['constants']['mean_abs']", repr(mean),
+        repr(math.nextafter(mean, 0.0)))
+    assert ab_calls.first_difference([1.0, [2.0, 3.0]], [1.0, [2.0]]) == (
+        "result[1]", "[2.0, 3.0]", "[2.0]")
 
 
 def _table_moment_shifted(lib, factor):

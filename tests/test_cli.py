@@ -179,6 +179,17 @@ class TestBoundsCommands:
         assert report["lower"] == 0.0
         assert report["notes"] == ["upper bound omitted: below the float range"]
 
+    def test_too_short_table_exit2(self, ascending_weights, tmp_path, capsys):
+        """A table whose tail past its last knot is not negligible is bad
+        input: 50 knots of e^-t on [0, 2] leave mass up to 0.135 unresolved."""
+        ts = np.linspace(0.0, 2.0, 50)
+        path = tmp_path / "short.csv"
+        path.write_text("".join(f"{t:.17g},{f:.17g}\n" for t, f in zip(ts, np.exp(-ts))))
+        assert main(["bounds-max1", "--dist", f"table:{path}",
+                     "--weights", ascending_weights]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: table too short: unresolved tail mass bound 1.353e-01")
+
     @pytest.mark.parametrize("argv", [["bounds-kmin", "--k", "1"], ["partition", "--k", "2"]])
     def test_weights_with_overflowing_reciprocal_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "w.csv"
@@ -519,6 +530,21 @@ def test_cli_import_leaves_scipy_special_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_table_bounds_leave_scipy_integrate_unloaded(ascending_weights):
+    """A table integrates F by its own load-time fit, not by scipy.integrate."""
+    src = str(Path(orlicz_bounds.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from orlicz_bounds.cli import main; "
+         f"main(['bounds-max1', '--dist', 'table:{_GOLDEN_TABLE}', "
+         f"'--weights', {ascending_weights!r}]); "
+         "print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 _GOLDEN_TABLE = str(Path(__file__).parent / "golden" / "erfc-table.csv")

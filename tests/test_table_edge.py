@@ -412,6 +412,39 @@ def test_fitted_kernel_on_a_coarse_exponential_table():
     assert np.all(np.abs(tail - exact) <= 1e-14 * exact), np.max(np.abs(tail - exact) / exact)
 
 
+_REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(60)
+
+
+def _fsum_integrals_to_end(core):
+    """integral_{x_j}^{tmax} F for every knot x_j: a 60-point Gauss-Legendre
+    rule on 16 equal sub-intervals of each knot interval, summed by fsum."""
+    x, sub = core.ts, np.linspace(0.0, 1.0, 17)
+    per_interval = []
+    for a, b in zip(x[:-1], x[1:]):
+        ends = a + (b - a) * sub
+        ends[-1] = b
+        half = 0.5 * np.diff(ends)
+        pts = 0.5 * (ends[:-1] + ends[1:])[:, None] + half[:, None] * _REF_NODES
+        per_interval.append(math.fsum((np.exp(core.interp(pts)) * half[:, None]
+                                       * _REF_WEIGHTS).ravel()))
+    return np.array([math.fsum(per_interval[j:]) for j in range(x.size)])
+
+
+@pytest.mark.parametrize("name", ["erfc", "uneven", "clustered-end", "coarse-exp", "non-convex"])
+def test_knot_integrals_match_an_independent_reference(gaussian_table_model,
+                                                       nonconvex_table_model, name):
+    """The load-time fit's integral from every knot to t_max against a finer
+    rule summed exactly, and E|xi| as the kernel's own tail integral at 0."""
+    ts = np.array([0.0, 1.0, 2.0, 30.0])
+    model = {**_kernel_tables(gaussian_table_model), "non-convex": nonconvex_table_model,
+             "coarse-exp": TabulatedSurvival(ts, np.exp(-ts))}[name]
+    got, want = model._core.cum_tail, _fsum_integrals_to_end(model._core)
+    assert got[-1] == want[-1] == 0.0
+    rel = np.abs(got[:-1] - want[:-1]) / want[:-1]
+    assert np.all(rel <= 2e-15), rel.max()
+    assert model.tail_integral(0.0) == model.mean_abs()
+
+
 def _assert_gl21_kernel_matches_scipy(core, u):
     f = np.exp(core.interp(u))
     want = np.stack((u * f + _reference_integral_f_to_end(core, u), f))
