@@ -14,7 +14,8 @@ erfc table) at n = 1e2, 1e4 and 1e5; the M norm per family at n = 1e2 and
 ``kth_max_bounds`` (table and gaussian, k = 5) at n = 100; one
 ``max_bounds``, one ``build_partition`` and one solve under
 ``reciprocal_survival_function`` at n = 1e4, a bounded functional that
-never reaches 1 on the probe grid, steered like every vector of n >= 4096.
+never reaches 1 on the probe grid, steered like every vector of n >= 4096;
+building the table anew, and 1e5 draws from it.
 Each repetition runs every call on both sides, and which side runs first
 alternates from one repetition to the next, so both see the same host
 speed (which can swing by 2x within minutes). Every pair
@@ -23,15 +24,17 @@ plain lists and dicts of floats), norms and bounds included, except on the
 table's M rows: the table's moment kernel may round differently from one
 revision to the next, so those rows compare by their largest difference
 relative to s * tail_integral(1/s), the term that carries the kernel's
-rounding (M itself cancels, by up to about 65x here). A difference, or a
-kernel row's relative difference above ``KERNEL_REL_TOL``, stops the run
-with exit status 1; the message names the first differing leaf (say
-``result['BoundReport']['constants']['mean_abs']``) and both its reprs.
+rounding (M itself cancels, by up to about 65x here).
 
 It prints each call's median milliseconds per side, the ratio change /
 base, the repetitions in which the change was faster and, for the kernel
-rows, the largest relative difference seen. ``--out`` also writes the
-rows, both commits and the machine to a JSON file.
+rows, the largest relative difference seen. Every row is timed and
+compared, whether or not an earlier one differed. Then, if any pair of
+results differed (a kernel row: by more than ``KERNEL_REL_TOL``), it lists
+every differing row, each with the first repetition it differed in and the
+first differing leaf (say ``result['BoundReport']['constants']['mean_abs']``)
+with both its reprs, and exits with status 1. Otherwise ``--out`` also
+writes the rows, both commits and the machine to a JSON file.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ def _inputs() -> dict:
     return data
 
 
+def _loaded(lib, data: dict):
+    """The 401-knot table, built anew, as the values its load computes."""
+    model = lib.TabulatedSurvival(data["knots"], data["survival"])
+    return [model.mean_abs(), model.n_is_convex(), model.describe()]
+
+
 def call_list(lib, data: dict) -> list[tuple[str, callable]]:
     """(name, thunk) for every call, built on the package ``lib``."""
     models = {
@@ -114,6 +123,8 @@ def call_list(lib, data: dict) -> list[tuple[str, callable]]:
         ("build_partition/gaussian-N/n=60/k=4",
          lambda: lib.build_partition(data["x60"],
                                      lib.neg_log_survival_function(models["gaussian"]), 4)),
+        ("load/table", lambda: _loaded(lib, data)),
+        ("sample/table/n=1e5", lambda: table.sample(np.random.default_rng(7), 100_000)),
     ]
     return calls
 
@@ -164,14 +175,16 @@ def first_difference(base, change, where: str = "result"):
 def compare(base_lib, change_lib, reps: int) -> list[dict]:
     """Run the call list ``reps`` times on both packages, alternating which
     goes first; one row per call: each side's median ms, the ratio change /
-    base and the change's wins. Raises AssertionError when a pair of results
-    differs, naming the first differing leaf and both its reprs."""
+    base and the change's wins. Prints the rows, then raises AssertionError
+    if any pair of results differed, with one line per differing row that
+    names the first differing leaf and both its reprs."""
     data = _inputs()
     sides = {"base": call_list(base_lib, data), "change": call_list(change_lib, data)}
     names = [name for name, _ in sides["base"]]
     times = {side: [[] for _ in names] for side in sides}
     scales = kernel_scales(base_lib, data)
     worst = {name: 0.0 for name in scales}
+    differ = {}  # name -> (first repetition that differed, what differed)
     for rep in range(reps):
         order = ("base", "change") if rep % 2 == 0 else ("change", "base")
         for i, name in enumerate(names):
@@ -181,18 +194,14 @@ def compare(base_lib, change_lib, reps: int) -> list[dict]:
                 start = time.perf_counter()
                 results[side] = thunk()
                 times[side][i].append(time.perf_counter() - start)
-            # raised, not asserted, so that -O keeps it
             if name in scales:
                 diff = float(np.max(np.abs(results["change"] - results["base"]) / scales[name]))
                 worst[name] = max(worst[name], diff)
                 if not diff <= KERNEL_REL_TOL:
-                    raise AssertionError(f"{name}: results differ by {diff:.3g} relative, "
-                                         f"above {KERNEL_REL_TOL:g} (repetition {rep + 1})")
-            elif (leaf := first_difference(plain(results["base"]),
-                                           plain(results["change"]))) is not None:
-                where, base_repr, change_repr = leaf
-                raise AssertionError(f"{name}: results differ at {where}: base {base_repr}, "
-                                     f"change {change_repr} (repetition {rep + 1})")
+                    differ.setdefault(name, (rep, None))
+            elif name not in differ and (leaf := first_difference(
+                    plain(results["base"]), plain(results["change"]))) is not None:
+                differ[name] = (rep, leaf)
     rows = []
     print(f"{'call':40s} {'base ms':>10s} {'change ms':>10s} {'ratio':>7s} {'wins':>7s} "
           f"{'max rel':>9s}")
@@ -207,6 +216,18 @@ def compare(base_lib, change_lib, reps: int) -> list[dict]:
         rel = f"{worst[name]:9.2e}" if name in worst else ""
         print(f"{name:40s} {base_ms:10.3f} {change_ms:10.3f} {change_ms / base_ms:7.3f} "
               f"{f'{wins}/{reps}':>7s} {rel}")
+    lines = []
+    for name in names:
+        if name not in differ:
+            continue
+        rep, leaf = differ[name]
+        if leaf is None:
+            what = f"differ by {worst[name]:.3g} relative, above {KERNEL_REL_TOL:g}"
+        else:
+            what = f"differ at {leaf[0]}: base {leaf[1]}, change {leaf[2]}"
+        lines.append(f"{name}: results {what} (repetition {rep + 1})")
+    if lines:  # raised, not asserted, so that -O keeps it
+        raise AssertionError("\n".join(lines))
     return rows
 
 

@@ -22,8 +22,11 @@ primitives refuse, and the raw kernels the Orlicz handles call read F = 0
 (N = +inf, tail integral 0). On the table, the tail integral costs no
 quadrature per call: it is read off a piecewise polynomial fit of F's
 partial integrals, made when the table loads. That fit is the only
-integral of F a table takes; E|xi| is its tail integral at 0. F itself
-keeps the bits of scipy's PCHIP.
+integral of F a table takes; E|xi| is its tail integral at 0. ln F is the
+table's own PCHIP, built and read with the arithmetic of scipy's
+``PchipInterpolator``, so F keeps scipy's bits without importing
+scipy.interpolate. The one part of scipy the package uses is
+scipy.special, for the Gaussian.
 
 Built-in families: standard Gaussian, symmetric exponential (Laplace), and
 a tabulated survival function loaded from a two-column ``t,F`` CSV. Models
@@ -71,6 +74,9 @@ _VALIDATION_POINTS = 201
 _PIECE_SPREAD = 0.125
 _FIT_DEGREE = 8
 _FIT_GL = 30
+
+# Points per block of the table quantile's Newton steps.
+_NEWTON_BLOCK = 8192
 
 
 @functools.cache
@@ -323,7 +329,64 @@ class SymExponential(DistributionModel):
         return base if self.scale == 1.0 else f"{base}*{self.scale:g}"
 
 
-def _partial_integral_fit(interp):
+def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The monotone piecewise cubic (PCHIP) of y through the knots x, as
+    rows (x_j, c3, c2, c1, c0), one column per knot interval, with y = c3 +
+    c2 s + c1 s^2 + c0 s^3 at s = t - x_j.
+
+    The arithmetic is that of scipy's ``PchipInterpolator`` (scipy 1.17:
+    ``_find_derivatives``, then ``CubicHermiteSpline``), operation for
+    operation, so the coefficients have its bits. The slope at an interior
+    knot is the weighted harmonic mean of its two secants, 0 where one of
+    them is 0; at an end it is the one-sided three-point formula, 0 where
+    its sign is not the secant's. Raises ``TabulationError`` where scipy
+    raises: a knot or value that is not finite, or a slope that overflows
+    (knot spacings near the float limit).
+    """
+    for data, what in ((x, "t"), (y, "ln F")):
+        if not np.all(np.isfinite(data)):
+            raise TabulationError(f"cannot interpolate ln F through the table: {what} must "
+                                  "be finite")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        d = np.empty_like(y)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                      (-1, (h[-1], h[-2], m[-1], m[-2]))):
+            edge = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            if np.sign(edge) != np.sign(m0):
+                edge = 0.0
+            elif np.sign(m0) != np.sign(m1) and abs(edge) > 3.0 * abs(m0):
+                edge = 3.0 * m0
+            d[end] = edge
+        if not np.all(np.isfinite(d)):
+            raise TabulationError("cannot interpolate ln F through the table: its slopes "
+                                  "overflow the float range")
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        return np.vstack((x[:-1], y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+
+
+def _cubic(s, c3, c2, c1, c0):
+    """c3 + c2 s + c1 s^2 + c0 s^3, summed in the order of scipy's PPoly
+    evaluation, so with its bits: c3 + c2 s, + c1 (s s), + c0 ((s s) s).
+    (scipy's sum starts from 0.0, which changes no c3 = ln F: that is never
+    -0.0.) Works in the buffers of c3, c2 and c1, and returns c2's."""
+    f = np.multiply(c2, s, out=c2)
+    f += c3
+    ss = np.multiply(s, s, out=c3)
+    f += np.multiply(c1, ss, out=c1)
+    ss *= s
+    ss *= c0
+    f += ss
+    return f
+
+
+def _partial_integral_fit(x, cubic, log_f):
     """(cuts, pieces, cum_tail): the fit from which
     ``_TabulatedCore.tail_and_survival`` reads integral_u^{tmax} F, made
     once when a table loads. It is the one place a table's F is integrated.
@@ -340,20 +403,21 @@ def _partial_integral_fit(interp):
     is stored in powers of y. The fit takes no BLAS call, so its bits do not
     depend on the BLAS kernel or its threads.
 
-    ``cuts`` holds the pieces' left ends but the first. ``pieces`` holds one
-    column per piece: x_j and the cubic's c3, c2, c1, c0 of its knot
-    interval (F's bits come from scipy's cubic, not from the fit), b, 2 /
-    (b - a), the integral C of F from b to t_max, and g's coefficients, the
-    highest power first. The piece count is the knot count plus about the
-    total spread over ``_PIECE_SPREAD``; F > 0 holds ln F's fall below 745.
+    ``x`` are the knots, ``cubic`` the table's PCHIP rows (see ``_pchip``)
+    and ``log_f`` its ln F kernel, ``_TabulatedCore.log_f``. ``cuts`` holds
+    the pieces' left ends but the first. ``pieces`` holds one column per
+    piece: the PCHIP row of its knot interval (F's bits come from that
+    cubic, not from the fit), b, 2 / (b - a), the integral C of F from b to
+    t_max, and g's coefficients, the highest power first. The piece count
+    is the knot count plus about the total spread over ``_PIECE_SPREAD``;
+    F > 0 holds ln F's fall below 745.
 
     Each piece's integral, (b - a) times its Gauss-Legendre mean, is summed
     once from the right. That one running sum gives every C and
     ``cum_tail``, the integral of F from each knot to t_max (0 at t_max).
     """
-    x, c = interp.x, interp.c
     h = np.diff(x)
-    c0, c1, c2 = c[0], c[1], c[2]  # of s^3, s^2, s with s = t - x_j
+    c2, c1, c0 = cubic[2:]  # of s, s^2, s^3 with s = t - x_j
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # |d ln F / ds| peaks at an end or at the vertex of this quadratic;
         # the vertex is clipped into the interval, NaN dropped by fmax.
@@ -379,7 +443,15 @@ def _partial_integral_fit(interp):
 
     def mean_back(span):
         """The mean of F over [right - span, right], per piece."""
-        vals = np.exp(interp(right[:, None] - span[:, None] * at))
+        pts = right[:, None] - span[:, None] * at
+        # Each row descends, so a row whose first and last points share a
+        # knot interval lies in it whole: one lookup per row, and one per
+        # point only in a row across a knot.
+        j = np.searchsorted(x[1:-1], pts[:, [0, -1]], side="right")
+        across = j[:, 0] != j[:, 1]
+        j = np.repeat(j[:, :1], at.size, axis=1)
+        j[across] = np.searchsorted(x[1:-1], pts[across], side="right")
+        vals = np.exp(log_f(pts, j))
         return 0.5 * (vals * weights).sum(axis=1)
 
     # The pieces' integrals summed once, from the right: C of a piece is the
@@ -409,29 +481,26 @@ def _partial_integral_fit(interp):
         coef += to_powers[:, i, None] * means[i]
     coef[0] += centre
 
-    pieces = np.vstack((x[knot], c[3, knot], c[2, knot], c[1, knot], c[0, knot], right,
-                        2.0 / width, const, coef[::-1]))
+    pieces = np.vstack((cubic[:, knot], right, 2.0 / width, const, coef[::-1]))
     return left[1:].copy(), pieces, cum_tail
 
 
 class _TabulatedCore:
     """Immutable interpolation and fit state shared by scaled copies.
 
-    ln F is interpolated by a monotone piecewise cubic (PCHIP), which
-    preserves the strict decrease of the data and keeps the convexity check
-    on N = -ln F meaningful. Beyond the table nothing is invented: F reads 0.
-    The integrals of F all come from one load-time computation, the fit of
-    the partial integrals (``_partial_integral_fit``): it also gives the
-    integral from each knot to t_max (``cum_tail``), and E|xi| is the
-    fitted kernel's own tail integral at 0. A moment-kernel call does no
-    quadrature.
+    ln F is interpolated by a monotone piecewise cubic (PCHIP, ``_pchip``),
+    which preserves the strict decrease of the data and keeps the convexity
+    check on N = -ln F meaningful. Its coefficients, and every value and
+    slope read from them, have the bits of scipy's ``PchipInterpolator``
+    without importing scipy.interpolate. Beyond the table nothing is
+    invented: F reads 0. The integrals of F all come from one load-time
+    computation, the fit of the partial integrals (``_partial_integral_fit``):
+    it also gives the integral from each knot to t_max (``cum_tail``), and
+    E|xi| is the fitted kernel's own tail integral at 0. A moment-kernel call
+    does no quadrature.
     """
 
     def __init__(self, ts: np.ndarray, fs: np.ndarray, rows=None):
-        # Imported here: scipy.interpolate is most of the package's import
-        # time, and only tabulated models need it.
-        from scipy import interpolate
-
         ts = np.asarray(ts, dtype=float)
         fs = np.asarray(fs, dtype=float)
         if rows is None:
@@ -465,14 +534,8 @@ class _TabulatedCore:
         self.ts = ts
         self.fs = fs
         self.log_fs = np.log(fs)
-        try:
-            # scipy rejects NaN or infinite data, and spacings near the float
-            # limit that overflow its slope formula, with ValueError.
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.interp = interpolate.PchipInterpolator(ts, self.log_fs, extrapolate=False)
-        except ValueError as exc:
-            raise TabulationError(f"cannot interpolate ln F through the table: {exc}") from None
-        self.dinterp = self.interp.derivative()
+        self._inner = ts[1:-1]
+        self._cubic = _pchip(ts, self.log_fs)
 
         # Refuse tables whose tail beyond t_max could matter: for log-concave F,
         # integral_{tmax}^{inf} F <= F(tmax) * tmax / N(tmax).
@@ -486,22 +549,54 @@ class _TabulatedCore:
 
         # Dense grid for fast (vectorized) quantile inversion.
         self.dense_t = np.linspace(ts[0], ts[-1], 4097)
-        self.dense_l = self.interp(self.dense_t)
+        self.dense_l = self.log_f(self.dense_t)
 
         # Convexity flag for N = -ln F: second differences on a ~200-point
         # grid and on the knots themselves must stay above -1e-9.
         grid = np.linspace(ts[0], ts[-1], _VALIDATION_POINTS)
-        nn = -self.interp(grid)
+        nn = -self.log_f(grid)
         d2 = nn[2:] - 2 * nn[1:-1] + nn[:-2]
         nk = -self.log_fs
         hk = np.diff(ts)
         d2k = (nk[2:] - nk[1:-1]) / hk[1:] - (nk[1:-1] - nk[:-2]) / hk[:-1]
         self.n_convex = bool(np.all(d2 >= _CONVEXITY_SLACK) and np.all(d2k >= _CONVEXITY_SLACK))
 
-        self._cuts, self._pieces, self.cum_tail = _partial_integral_fit(self.interp)
+        self._cuts, self._pieces, self.cum_tail = _partial_integral_fit(ts, self._cubic,
+                                                                        self.log_f)
         # E|xi| up to the truncation bound, read off the kernel itself, so
         # that it equals tail_integral(0) to the bit.
         self.mean_abs = float(self.tail_and_survival(np.zeros(1))[0, 0])
+
+    def _rows(self, u: np.ndarray, j=None):
+        """The PCHIP rows (x_j, c3, c2, c1, c0) of the knot interval of each
+        u, in a new array of shape (5,) + u.shape: one lookup by scipy's
+        half-open rule, x_j <= u < x_{j+1}, with t_max in the last interval
+        (unless the caller found the j already), and one ``take``."""
+        if j is None:
+            j = np.searchsorted(self._inner, u, side="right")
+        return self._cubic.take(j, axis=1)
+
+    def log_f(self, u: np.ndarray, j=None) -> np.ndarray:
+        """ln F(u) for u in [0, t_max] of one or more dimensions; ``j``, if
+        given, holds each u's knot interval."""
+        x, c3, c2, c1, c0 = self._rows(u, j)
+        return _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
+
+    def log_f_and_slope(self, u: np.ndarray):
+        """(ln F(u), d ln F / du) from one lookup. The slope is scipy's
+        derivative polynomial, coefficients (c2, 2 c1, 3 c0), summed in its
+        order: (0.0 + c2) + (2 c1) s, + (3 c0) (s s). Starting from 0.0
+        reads a slope of -0.0 as +0.0."""
+        x, c3, c2, c1, c0 = self._rows(u)
+        s = np.subtract(u, x, out=x)
+        slope = c2 + 0.0
+        term = np.multiply(c1, 2.0)
+        term *= s
+        slope += term
+        np.multiply(c0, 3.0, out=term)
+        term *= s * s
+        slope += term
+        return _cubic(s, c3, c2, c1, c0), slope
 
     def tail_and_survival(self, u: np.ndarray) -> np.ndarray:
         """np.stack((u F(u) + integral_u^{tmax} F(s) ds, F(u))) for u in
@@ -521,14 +616,7 @@ class _TabulatedCore:
         """
         x, c3, c2, c1, c0, b, r, const, *g = self._pieces.take(
             np.searchsorted(self._cuts, u, side="right"), axis=1)
-        s = u - x
-        ss = s * s
-        f = c2 * s
-        f += c3
-        f += c1 * ss
-        ss *= s
-        ss *= c0
-        f += ss
+        f = _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
         np.exp(f, out=f)
         v = b - u
         y = v * r
@@ -550,20 +638,28 @@ class _TabulatedCore:
             )
         lp = np.log(np.minimum(p, 1.0))
         # Walk the probabilities in ascending order, so that np.interp and the
-        # PCHIP evaluation find each interval next to the last one instead of
-        # by binary search. Every step is elementwise and the stop test is a
-        # max over the same values, so the bits do not depend on the order.
+        # interval lookups find each interval next to the last one instead of
+        # by a full binary search, and in blocks of _NEWTON_BLOCK, so that a
+        # step's temporaries stay in cache. Every step is elementwise and the
+        # stop test is a max over all the values, so the bits depend on
+        # neither the order nor the blocks.
         order = np.argsort(lp)
         lp = lp[order]
         # Initial guess from the dense grid, then Newton on ln F (C^1, strictly
         # decreasing), clipped to the table.
         t = np.interp(lp, self.dense_l[::-1], self.dense_t[::-1])
         for _ in range(60):
-            resid = self.interp(t) - lp
-            deriv = self.dinterp(t)
-            step = resid / deriv
-            t = np.clip(t - step, self.ts[0], self.ts[-1])
-            if np.max(np.abs(step)) <= 1e-13 * max(1.0, float(np.max(t))):
+            top_step = top_t = 0.0  # np.maximum keeps a NaN, as np.max does
+            for lo in range(0, t.size, _NEWTON_BLOCK):
+                tb = t[lo:lo + _NEWTON_BLOCK]
+                step, slope = self.log_f_and_slope(tb)
+                step -= lp[lo:lo + _NEWTON_BLOCK]
+                step /= slope
+                tb -= step
+                np.clip(tb, self.ts[0], self.ts[-1], out=tb)
+                top_step = np.maximum(top_step, np.max(np.abs(step)))
+                top_t = np.maximum(top_t, np.max(tb))
+            if top_step <= 1e-13 * max(1.0, float(top_t)):
                 break
         lp[order] = t  # back to the caller's order, in an array no longer read
         return lp
@@ -626,7 +722,10 @@ class TabulatedSurvival(DistributionModel):
         return several values per entry, stacked along a leading axis. In
         the common case one maximum shows that every entry is on the table,
         where there is nothing to clip (NaN fails the test and takes the
-        masked path)."""
+        masked path). The kernels need at least one dimension: a 0-d u is
+        read as one entry."""
+        if u.ndim == 0:
+            return self._on_table(u.reshape(1), kernel, past)[..., 0]
         lim = self._core.ts[-1]
         if u.max(initial=0.0) <= lim:
             return kernel(u)
@@ -637,10 +736,11 @@ class TabulatedSurvival(DistributionModel):
         return out
 
     def _std_survival(self, u):
-        return self._on_table(u, lambda r: np.exp(self._core.interp(r)), 0.0)
+        return self._on_table(u, lambda r: np.exp(f := self._core.log_f(r), out=f), 0.0)
 
     def _std_neg_log_survival(self, u):
-        return self._on_table(u, lambda r: -self._core.interp(r), math.inf)
+        return self._on_table(u, lambda r: np.negative(n := self._core.log_f(r), out=n),
+                              math.inf)
 
     def _std_upper_limit(self) -> float:
         return float(self._core.ts[-1])

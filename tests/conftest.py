@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +17,9 @@ settings.register_profile(
 settings.load_profile("default")
 
 from orlicz_bounds import DomainError, Gaussian, RangeError, SymExponential, TabulatedSurvival
-from scipy import special
+from scipy import interpolate, special
+
+_SCIPY_PCHIPS = weakref.WeakKeyDictionary()
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +38,21 @@ def gaussian_table_model():
     ts = np.linspace(0.0, 10.0, 401)
     fs = special.erfc(ts / np.sqrt(2.0))
     return TabulatedSurvival(ts, fs)
+
+
+def _scipy_pchip(core):
+    """scipy's PCHIP of ln F through a table core's knots, without
+    extrapolation, built from ``core.ts`` and ``core.log_fs`` alone and
+    cached per core: the reference for the package's own PCHIP."""
+    if core not in _SCIPY_PCHIPS:
+        _SCIPY_PCHIPS[core] = interpolate.PchipInterpolator(core.ts, core.log_fs,
+                                                            extrapolate=False)
+    return _SCIPY_PCHIPS[core]
+
+
+@pytest.fixture(scope="session")
+def scipy_pchip():
+    return _scipy_pchip
 
 
 @pytest.fixture(scope="session")

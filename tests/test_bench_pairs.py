@@ -183,26 +183,34 @@ def test_ab_calls_on_the_working_tree_against_itself(monkeypatch, tmp_path, caps
     assert ab_calls.main(["--base", "HEAD", "--reps", "2", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     rows = record["rows"]
-    # N, M, survival x 3 sizes; 2 norms; 6 reports and partitions; 1 norm
-    assert len(rows) == 3 * 3 * 3 + 3 * 2 + 6 + 1
+    # N, M, survival x 3 sizes; 2 norms; 6 reports and partitions; 1 norm;
+    # the table's load and sample
+    assert len(rows) == 3 * 3 * 3 + 3 * 2 + 6 + 1 + 2
     assert all(row["reps"] == 2 and 0 <= row["wins"] <= 2 and row["base_ms"] > 0 for row in rows)
     printed = capsys.readouterr().out
     assert all(row["call"] in printed for row in rows)
     assert record["base"]["revision"] == "HEAD"
 
 
-def test_ab_calls_stops_when_results_differ():
-    """The message names the first differing leaf and both its reprs."""
+def test_ab_calls_lists_every_differing_row(capsys):
+    """A differing row stops nothing: every row is timed and printed, and
+    the message lists each row that differed, in call order, with its first
+    differing leaf and both its reprs."""
     lib = ab_calls.load_package(_working_tree_package(None, None), ab_calls.PACKAGE)
     shifted = types.SimpleNamespace(**vars(lib))
     shifted.orlicz_norm = lambda x, fun: lib.orlicz_norm(x, fun) * (1.0 + 2.0**-52)
     with pytest.raises(AssertionError) as err:
         ab_calls.compare(lib, shifted, reps=1)
+    lines = str(err.value).splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"norm/M/{fam}/n={n}" for fam in ("gaussian", "symexp", "table")
+        for n in ab_calls.NORM_SIZES] + ["norm/reciprocal_survival/gaussian/n=1e4"]
     x = ab_calls._inputs()["x", 100]
     norm = lib.orlicz_norm(x, lib.expected_overshoot_function(lib.Gaussian()))
-    assert str(err.value) == (f"norm/M/gaussian/n=100: results differ at result: "
-                              f"base {norm!r}, change {norm * (1.0 + 2.0**-52)!r} "
-                              f"(repetition 1)")
+    assert lines[0] == (f"norm/M/gaussian/n=100: results differ at result: "
+                        f"base {norm!r}, change {norm * (1.0 + 2.0**-52)!r} (repetition 1)")
+    printed = capsys.readouterr().out
+    assert all(name in printed for name, _ in ab_calls.call_list(lib, ab_calls._inputs()))
 
 
 def test_ab_calls_names_the_first_differing_leaf_of_a_report():

@@ -533,18 +533,19 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 
 def test_table_bounds_leave_scipy_integrate_unloaded(ascending_weights):
-    """A table integrates F by its own load-time fit, not by scipy.integrate."""
+    """A table integrates F by its own load-time fit, not by scipy.integrate,
+    and interpolates ln F by its own PCHIP, not by scipy.interpolate."""
     src = str(Path(orlicz_bounds.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys; from orlicz_bounds.cli import main; "
          f"main(['bounds-max1', '--dist', 'table:{_GOLDEN_TABLE}', "
          f"'--weights', {ascending_weights!r}]); "
-         "print('scipy.integrate' in sys.modules)"],
+         "print('scipy.integrate' in sys.modules, 'scipy.interpolate' in sys.modules)"],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "False"
+    assert done.stdout.strip().splitlines()[-1] == "False False"
 
 
 _GOLDEN_TABLE = str(Path(__file__).parent / "golden" / "erfc-table.csv")

@@ -6,6 +6,8 @@ itself goes through erfc), exponential values against closed forms.
 
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -24,6 +26,7 @@ from orlicz_bounds import (
     check_tail_integral_bound,
     parse_distribution,
 )
+from orlicz_bounds import distributions
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -387,15 +390,17 @@ def test_public_primitives_validate(gaussian_table_model, family, primitive):
         method(-1.0)
 
 
-def _reference_quantile(core, p):
+def _reference_quantile(core, pchip, p):
     """The table quantile as first written: the guess and Newton loop run on
-    the probabilities in the caller's order. Kept as the oracle for the
-    sorted walk."""
+    the probabilities in the caller's order, on scipy's PCHIP ``pchip`` of
+    the table and its derivative. Kept as the oracle for the sorted, blocked
+    walk on the package's own PCHIP."""
+    dpchip = pchip.derivative()
     lp = np.log(np.minimum(p, 1.0))
     t = np.interp(lp, core.dense_l[::-1], core.dense_t[::-1])
     for _ in range(60):
-        resid = core.interp(t) - lp
-        deriv = core.dinterp(t)
+        resid = pchip(t) - lp
+        deriv = dpchip(t)
         step = resid / deriv
         t = np.clip(t - step, core.ts[0], core.ts[-1])
         if np.max(np.abs(step)) <= 1e-13 * max(1.0, float(np.max(t))):
@@ -403,10 +408,10 @@ def _reference_quantile(core, p):
     return t
 
 
-def _reference_sample(model, rng, count):
+def _reference_sample(model, pchip, rng, count):
     """``TabulatedSurvival.sample`` with ``_reference_quantile``."""
     u = 1.0 - rng.random(count)
-    magnitude = _reference_quantile(model._core, u)
+    magnitude = _reference_quantile(model._core, pchip, u)
     out = np.where(rng.random(count) < 0.5, -1.0, 1.0) * magnitude
     out *= model.scale
     return out
@@ -433,12 +438,14 @@ def quantile_tables(gaussian_table_model, nonconvex_table_model):
     extremes=st.integers(min_value=0, max_value=20),
     repeats=st.integers(min_value=0, max_value=500),
 )
-def test_sorted_quantile_matches_reference_bits(quantile_tables, name, size, seed, extremes,
-                                                repeats):
-    """The sorted walk gives the bits of the unsorted Newton, for quantile and
-    sample, on draws with p = 1, p = F(t_max) and repeated entries."""
+def test_sorted_quantile_matches_reference_bits(quantile_tables, scipy_pchip, name, size, seed,
+                                                extremes, repeats):
+    """The sorted walk gives the bits of the unsorted Newton on scipy's
+    PCHIP, for quantile and sample, on draws with p = 1, p = F(t_max) and
+    repeated entries."""
     model = quantile_tables[name]
     core = model._core
+    pchip = scipy_pchip(core)
     rng = np.random.default_rng(seed)
     p = rng.uniform(core.fs[-1], 1.0, size)
     p[rng.integers(0, size, extremes)] = 1.0
@@ -447,28 +454,56 @@ def test_sorted_quantile_matches_reference_bits(quantile_tables, name, size, see
     before = p.copy()
     got = model.quantile(p)
     assert _same_bits(p, before)  # the caller's probabilities are left alone
-    assert _same_bits(got, model.scale * _reference_quantile(core, p))
+    assert _same_bits(got, model.scale * _reference_quantile(core, pchip, p))
     count = int(rng.integers(1, 5001))
     assert _same_bits(model.sample(np.random.default_rng(seed), count),
-                      _reference_sample(model, np.random.default_rng(seed), count))
+                      _reference_sample(model, pchip, np.random.default_rng(seed), count))
+
+
+def test_table_leaves_scipy_interpolate_unloaded():
+    """Building the 401-knot erfc table, and reading F and the quantile off
+    it, imports no scipy.interpolate: the table's PCHIP is the package's."""
+    src = os.path.dirname(os.path.dirname(distributions.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import numpy as np; from scipy import special; "
+         "from orlicz_bounds import TabulatedSurvival; "
+         "ts = np.linspace(0.0, 10.0, 401); "
+         "model = TabulatedSurvival(ts, special.erfc(ts / np.sqrt(2.0))); "
+         "model.survival(ts); model.quantile(np.linspace(0.5, 1.0, 9)); "
+         "print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_blocked_quantile_matches_reference_bits(quantile_tables, scipy_pchip):
+    """Over several Newton blocks, a last one partly filled."""
+    model = quantile_tables["erfc"]
+    p = np.random.default_rng(9).uniform(model._core.fs[-1], 1.0,
+                                         3 * distributions._NEWTON_BLOCK + 5)
+    want = _reference_quantile(model._core, scipy_pchip(model._core), p)
+    assert _same_bits(model.quantile(p), want)
 
 
 def test_quantile_newton_walks_sorted_probabilities(gaussian_table_model, monkeypatch):
-    """Every array the Newton loop hands to the interpolant is monotone: the
-    speed of the table sampler rests on that, and timing would not catch a
-    refactor that drops the sort."""
+    """Every array the Newton loop hands to the interpolant is monotone and
+    at most one block long: the speed of the table sampler rests on that,
+    and timing would not catch a refactor that drops the sort."""
     core = gaussian_table_model._core
     seen = []
-    interp = core.interp
+    kernel = core.log_f_and_slope
 
     def recording(t):
         seen.append(np.array(t))
-        return interp(t)
+        return kernel(t)
 
-    monkeypatch.setattr(core, "interp", recording)
+    monkeypatch.setattr(core, "log_f_and_slope", recording)
     p = 1.0 - np.random.default_rng(5).random(20_000)
     gaussian_table_model.quantile(p)
     assert seen
     for t in seen:
         steps = np.diff(t)
         assert np.all(steps <= 0) or np.all(steps >= 0)
+        assert t.size <= distributions._NEWTON_BLOCK
