@@ -23,9 +23,9 @@ explicit Orlicz-norm expressions that do not depend on n:
       where M(s) = E(s|xi| - 1)_+ and c is configurable (no sharp value is
       known; the default 32 is empirical and flagged in reports).
 
-  k = 1 max: c_low ||x||_M <= E max <= c_high ||x||_M after normalizing
-  E|xi| = 1 (the model is rescaled internally and the output compensated);
-  (c_low, c_high) default to (1/4, 8), empirical and flagged.
+  k = 1 max: c_low E|xi| ||x||_M <= E max <= c_high E|xi| ||x||_M, M the
+  moment function of xi / E|xi|; (c_low, c_high) default to (1/4, 8),
+  empirical and flagged.
 
 Moment variants: E(k-min)^p lower bound with the same max raised to p, and
 the p-th moment upper bound (1 + Gamma(1+p)) ||(1/x_i)||_N^{-p} for the
@@ -44,6 +44,7 @@ from .distributions import DistributionModel
 from .errors import DomainError, InfeasibleError, NonConvexError, NumericError, RangeError
 from .errors import _integer_in, _positive
 from .orlicz import (
+    OrliczFunction,
     _WarmStart,
     _weights_and_reciprocals,
     expected_overshoot_function,
@@ -307,22 +308,33 @@ def kth_max_bounds(
     )
 
 
+def _unit_mean_moment_function(model: DistributionModel) -> OrliczFunction:
+    """M(s / E|xi|), the moment function of xi / E|xi|, which has mean 1.
+    At E|xi| = 1 that is M itself (s / 1.0 is s), and a sum skips the
+    division and its temporary array."""
+    mean = model.mean_abs()
+    m = expected_overshoot_function(model)
+    if mean == 1.0:
+        return m
+    return OrliczFunction(label=f"{m.label}(s/{mean:g})",
+                          evaluate=lambda s: m.evaluate(s / mean))
+
+
 def max_bounds(
     x, model: DistributionModel, constants: BoundConstants | None = None
 ) -> BoundReport:
-    """Bounds c_low ||x||_M <= E max |x_i xi_i| <= c_high ||x||_M.
+    """Bounds c_low E|xi| ||x||_M <= E max |x_i xi_i| <= c_high E|xi| ||x||_M.
 
-    The norm is taken for the model rescaled to E|xi| = 1 and the output is
-    compensated, so callers need no normalization precondition. The pair
-    (c_low, c_high) has empirical defaults (1/4, 8), flagged in the report.
+    M is the moment function of xi / E|xi|, so callers need no
+    normalization precondition. The pair (c_low, c_high) has empirical
+    defaults (1/4, 8), flagged in the report.
     """
     cons = constants or BoundConstants()
     v = np.asarray(x, dtype=float).ravel()
     if v.size == 0 or not np.any(v != 0):
         raise DomainError("max bounds require a nonzero vector")
     mean = model.mean_abs()
-    mfun = expected_overshoot_function(model.normalized())
-    nm = orlicz_norm(np.abs(v), mfun)
+    nm = orlicz_norm(np.abs(v), _unit_mean_moment_function(model))
     lower = cons.max1_c_low * mean * nm
     if not (lower < math.inf):
         raise NumericError(

@@ -16,8 +16,8 @@ have a convex negative log-survival N(t) = -ln F(t); the flag
 ``n_is_convex()`` reports whether that holds (checked on a grid for
 tabulated data, known analytically for the built-in families).
 
-A table resolves F up to its last knot t_max: t/scale past t_max * (1 +
-1e-12) is beyond it, and t up to that is clipped to t_max. There the public
+A table resolves F up to its last knot t_max: t past t_max * (1 + 1e-12)
+is beyond it, and t up to that is clipped to t_max. There the public
 primitives refuse, and the raw kernels the Orlicz handles call read F = 0
 (N = +inf, tail integral 0). On the table, the tail integral costs no
 quadrature per call: it is read off a piecewise polynomial fit of F's
@@ -30,13 +30,12 @@ scipy.special, for the Gaussian.
 
 Built-in families: standard Gaussian, symmetric exponential (Laplace), and
 a tabulated survival function loaded from a two-column ``t,F`` CSV. Models
-are immutable; rescaling |xi| by a constant is done through ``scaled_by``,
-which is what the bound routines use to normalize E|xi| = 1.
+are immutable and have no scale parameter: the estimates see xi only
+through the products |x_i xi_i|, so a model of c xi is the weights c x.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import sys
@@ -100,26 +99,15 @@ def _ret(values: np.ndarray, scalar: bool):
 
 
 class DistributionModel:
-    """Common scale-aware interface; families implement the ``_std_*`` hooks
-    for the unscaled (scale = 1) variable."""
-
-    scale: float
-
-    def __post_init__(self):
-        """Check the parameters where they are stored: every copy made by
-        ``scaled_by`` passes here, so no chain of scalings reaches a scale
-        of inf or 0."""
-        _positive(self.scale, "scale")
-
-    # -- public, scale-aware operations ------------------------------------
-    #
-    # Each primitive the Orlicz handles evaluate (survival, neg_log_survival,
-    # tail_integral) is ``_prepare`` plus a raw part (``_survival``, ...) on
-    # an already validated float array: no NaN, nothing negative, nothing
-    # past a table. The handles call the raw parts, so a solve validates
-    # once, at its entry. At scale 1.0 the raw parts skip t / scale and
-    # scale *, which are exact there. The tail integral's raw part is the
-    # first half of the moment kernel, ``_tail_integral_and_survival``.
+    """Common interface. A family implements the raw kernels the Orlicz
+    handles call, ``_survival``, ``_neg_log_survival`` and
+    ``_tail_integral_and_survival`` (the pair of the tail integral and F,
+    which the moment function M combines), on an already validated float
+    array: no NaN, nothing negative, nothing past a table, though +inf may
+    occur, where both read 0. It also implements ``_quantile``,
+    ``_sample``, ``mean_abs`` and, for a table, ``upper_limit``. The public
+    methods validate, then call the kernel, so a solve validates once, at
+    its entry."""
 
     def _prepare(self, t):
         """Validate a nonnegative scalar/array argument resolved by the model;
@@ -131,11 +119,11 @@ class DistributionModel:
             raise DomainError("t must not be NaN")
         if np.any(arr < 0):
             raise DomainError(f"t must be >= 0, got {arr.min()}")
-        lim = self._std_upper_limit()
-        if math.isfinite(lim) and not np.all(_within(arr / self.scale, lim)):
+        lim = self.upper_limit()
+        if math.isfinite(lim) and not np.all(_within(arr, lim)):
             raise TabulationError(
                 f"t={float(np.max(arr)):g} beyond tabulated range "
-                f"[0, {lim * self.scale:g}]; extrapolation refused"
+                f"[0, {lim:g}]; extrapolation refused"
             )
         return arr, scalar
 
@@ -144,16 +132,10 @@ class DistributionModel:
         arr, scalar = self._prepare(t)
         return _ret(self._survival(arr), scalar)
 
-    def _survival(self, t: np.ndarray) -> np.ndarray:
-        return self._std_survival(t if self.scale == 1.0 else t / self.scale)
-
     def neg_log_survival(self, t):
         """N(t) = -ln F(t)."""
         arr, scalar = self._prepare(t)
         return _ret(self._neg_log_survival(arr), scalar)
-
-    def _neg_log_survival(self, t: np.ndarray) -> np.ndarray:
-        return self._std_neg_log_survival(t if self.scale == 1.0 else t / self.scale)
 
     def quantile(self, p):
         """Inverse of F: the t with F(t) = p, for p in (0, 1]."""
@@ -162,7 +144,7 @@ class DistributionModel:
         arr = np.atleast_1d(arr)
         if np.any(np.isnan(arr)) or np.any(arr <= 0) or np.any(arr > 1):
             raise DomainError("quantile requires probabilities in (0, 1]")
-        return _ret(self.scale * self._std_quantile(arr), scalar)
+        return _ret(self._quantile(arr), scalar)
 
     def tail_integral(self, t):
         """First-moment tail mass: integral of |xi| over {|xi| >= t}."""
@@ -173,71 +155,25 @@ class DistributionModel:
     def _tail_integral(self, t: np.ndarray) -> np.ndarray:
         return self._tail_integral_and_survival(t)[0]
 
-    def _tail_integral_and_survival(self, t: np.ndarray):
-        """(``_tail_integral(t)``, ``_survival(t)``): the two kernels the
-        moment function M combines, from one call of the family's
-        ``_std_tail_and_survival``. The one place the moment kernel applies
-        ``scale``."""
-        if self.scale == 1.0:
-            return self._std_tail_and_survival(t)
-        tail, surv = self._std_tail_and_survival(t / self.scale)
-        return self.scale * tail, surv
-
-    def mean_abs(self) -> float:
-        """E|xi| = tail_integral(0)."""
-        return self.scale * self._std_mean_abs()
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` i.i.d. draws of xi (signed), in a new array the caller
         may overwrite. Deterministic given the generator state; a stream
         must be owned by a single consumer."""
-        count = _integer_in(count, "sample count", 1, error=DomainError)
-        out = self._std_sample(rng, count)
-        out *= self.scale
-        return out
-
-    def scaled_by(self, factor: float) -> "DistributionModel":
-        """Model of factor*xi (survival F(t / factor))."""
-        return dataclasses.replace(self, scale=self.scale * factor)
-
-    def normalized(self) -> "DistributionModel":
-        """Rescaled copy with E|xi| = 1."""
-        return self.scaled_by(1.0 / self.mean_abs())
+        return self._sample(rng, _integer_in(count, "sample count", 1, error=DomainError))
 
     def upper_limit(self) -> float:
         """Largest t with F resolved (inf for analytic families)."""
-        return self.scale * self._std_upper_limit()
+        return math.inf
+
+    def mean_abs(self) -> float:
+        """E|xi| = tail_integral(0)."""
+        raise NotImplementedError
 
     def n_is_convex(self) -> bool:
         raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    # -- hooks for concrete families ---------------------------------------
-
-    def _std_survival(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _std_neg_log_survival(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _std_quantile(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _std_tail_and_survival(self, u: np.ndarray):
-        """(tail integral, F) of the unscaled variable at u, which may hold
-        +inf (both read 0 there)."""
-        raise NotImplementedError
-
-    def _std_mean_abs(self) -> float:
-        raise NotImplementedError
-
-    def _std_sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _std_upper_limit(self) -> float:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -249,32 +185,30 @@ class Gaussian(DistributionModel):
     the test suite.
     """
 
-    scale: float = 1.0
+    def _survival(self, t):
+        return _special().erfc(t / _SQRT2)
 
-    def _std_survival(self, u):
-        return _special().erfc(u / _SQRT2)
-
-    def _std_neg_log_survival(self, u):
+    def _neg_log_survival(self, t):
         # F = 2*Phi(-t)  =>  ln F = ln 2 + log_ndtr(-t); precise for large t.
-        return -(_LN2 + _special().log_ndtr(-u))
+        return -(_LN2 + _special().log_ndtr(-t))
 
-    def _std_quantile(self, p):
+    def _quantile(self, p):
         return _SQRT2 * _special().erfcinv(p)
 
-    def _std_tail_and_survival(self, u):
-        return _SQRT_2_OVER_PI * np.exp(-0.5 * u * u), self._std_survival(u)
+    def _tail_integral_and_survival(self, t):
+        return _SQRT_2_OVER_PI * np.exp(-0.5 * t * t), self._survival(t)
 
-    def _std_mean_abs(self):
+    def mean_abs(self) -> float:
         return _SQRT_2_OVER_PI
 
-    def _std_sample(self, rng, count):
+    def _sample(self, rng, count):
         return rng.standard_normal(count)
 
     def n_is_convex(self) -> bool:
         return True
 
     def describe(self) -> str:
-        return "gaussian" if self.scale == 1.0 else f"gaussian*{self.scale:g}"
+        return "gaussian"
 
 
 @dataclass(frozen=True)
@@ -282,10 +216,8 @@ class SymExponential(DistributionModel):
     """Symmetric exponential (Laplace) xi: |xi| ~ Exp(rate), F(t) = exp(-rate*t)."""
 
     rate: float = 1.0
-    scale: float = 1.0
 
     def __post_init__(self):
-        super().__post_init__()
         _positive(self.rate, "rate")
         if not (1.0 / self.rate < math.inf):
             raise DomainError(
@@ -293,40 +225,39 @@ class SymExponential(DistributionModel):
                 "overflows the float range"
             )
 
-    def _std_survival(self, u):
-        return np.exp(-self.rate * u)
+    def _survival(self, t):
+        return np.exp(-self.rate * t)
 
-    def _std_neg_log_survival(self, u):
-        return self.rate * u
+    def _neg_log_survival(self, t):
+        return self.rate * t
 
-    def _std_quantile(self, p):
+    def _quantile(self, p):
         return -np.log(p) / self.rate
 
-    def _std_tail_and_survival(self, u):
-        # (u + 1/rate) F(u), with one exp for both kernels. At u = inf the
+    def _tail_integral_and_survival(self, t):
+        # (t + 1/rate) F(t), with one exp for both kernels. At t = inf the
         # product is inf * 0 = nan; fmax reads it as the limit 0 and leaves
         # every other value, all >= 0, as it is. Below a rate of about
-        # 1e-292, u + 1/rate can overflow for a finite u although the product
-        # is about 0.5: there it is formed as u F + F / rate.
-        f = np.exp(-self.rate * u)
-        out = (u + 1.0 / self.rate) * f
+        # 1e-292, t + 1/rate can overflow for a finite t although the product
+        # is about 0.5: there it is formed as t F + F / rate.
+        f = np.exp(-self.rate * t)
+        out = (t + 1.0 / self.rate) * f
         if math.isinf(sys.float_info.max + 1.0 / self.rate):
-            band = np.isinf(u + 1.0 / self.rate) & np.isfinite(u)
-            out[band] = u[band] * f[band] + f[band] / self.rate
+            band = np.isinf(t + 1.0 / self.rate) & np.isfinite(t)
+            out[band] = t[band] * f[band] + f[band] / self.rate
         return np.fmax(out, 0.0), f
 
-    def _std_mean_abs(self):
+    def mean_abs(self) -> float:
         return 1.0 / self.rate
 
-    def _std_sample(self, rng, count):
+    def _sample(self, rng, count):
         return rng.laplace(0.0, 1.0 / self.rate, count)
 
     def n_is_convex(self) -> bool:
         return True  # N(t) = rate*t is linear
 
     def describe(self) -> str:
-        base = f"symexp(rate={self.rate:g})"
-        return base if self.scale == 1.0 else f"{base}*{self.scale:g}"
+        return f"symexp(rate={self.rate:g})"
 
 
 def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -388,7 +319,7 @@ def _cubic(s, c3, c2, c1, c0):
 
 def _partial_integral_fit(x, cubic, log_f):
     """(cuts, pieces, cum_tail): the fit from which
-    ``_TabulatedCore.tail_and_survival`` reads integral_u^{tmax} F, made
+    ``TabulatedSurvival._fit_tail_and_survival`` reads integral_u^{tmax} F, made
     once when a table loads. It is the one place a table's F is integrated.
 
     Each knot interval is cut into equal pieces [a, b). On a piece, ln F
@@ -404,7 +335,7 @@ def _partial_integral_fit(x, cubic, log_f):
     depend on the BLAS kernel or its threads.
 
     ``x`` are the knots, ``cubic`` the table's PCHIP rows (see ``_pchip``)
-    and ``log_f`` its ln F kernel, ``_TabulatedCore.log_f``. ``cuts`` holds
+    and ``log_f`` its ln F kernel, ``TabulatedSurvival._log_f``. ``cuts`` holds
     the pieces' left ends but the first. ``pieces`` holds one column per
     piece: the PCHIP row of its knot interval (F's bits come from that
     cubic, not from the fit), b, 2 / (b - a), the integral C of F from b to
@@ -485,22 +416,27 @@ def _partial_integral_fit(x, cubic, log_f):
     return left[1:].copy(), pieces, cum_tail
 
 
-class _TabulatedCore:
-    """Immutable interpolation and fit state shared by scaled copies.
+class TabulatedSurvival(DistributionModel):
+    """Survival function given by a table of (t, F(t)) pairs.
+
+    Construction validates the table (strictly increasing t, F(0)=1, F
+    strictly decreasing in (0,1], no knot interval so wide that its cubic
+    overflows) and refuses tables with non-negligible unresolved tail mass.
+    Public requests beyond the table raise; the raw kernels read F = 0
+    there. Nothing is extrapolated.
 
     ln F is interpolated by a monotone piecewise cubic (PCHIP, ``_pchip``),
     which preserves the strict decrease of the data and keeps the convexity
     check on N = -ln F meaningful. Its coefficients, and every value and
     slope read from them, have the bits of scipy's ``PchipInterpolator``
-    without importing scipy.interpolate. Beyond the table nothing is
-    invented: F reads 0. The integrals of F all come from one load-time
-    computation, the fit of the partial integrals (``_partial_integral_fit``):
-    it also gives the integral from each knot to t_max (``cum_tail``), and
-    E|xi| is the fitted kernel's own tail integral at 0. A moment-kernel call
-    does no quadrature.
+    without importing scipy.interpolate. The integrals of F all come from
+    one load-time computation, the fit of the partial integrals
+    (``_partial_integral_fit``): it also gives the integral from each knot
+    to t_max (``_cum_tail``), and E|xi| is the fitted kernel's own tail
+    integral at 0. A moment-kernel call does no quadrature.
     """
 
-    def __init__(self, ts: np.ndarray, fs: np.ndarray, rows=None):
+    def __init__(self, ts, fs, rows=None):
         ts = np.asarray(ts, dtype=float)
         fs = np.asarray(fs, dtype=float)
         if rows is None:
@@ -536,6 +472,17 @@ class _TabulatedCore:
         self.log_fs = np.log(fs)
         self._inner = ts[1:-1]
         self._cubic = _pchip(ts, self.log_fs)
+        # The cubic's s^3, s = t - x_j, must not overflow on any knot interval
+        # (the knots are finite here: ``_pchip`` checked them).
+        with np.errstate(over="ignore"):
+            wide = np.isinf(dts * dts * dts)
+        if np.any(wide):
+            bad = int(np.argmax(wide))
+            raise TabulationError(
+                f"cannot interpolate ln F through the table: rows {rows[bad]}-{rows[bad + 1]} "
+                f"are {dts[bad]:g} apart, more than the cube root of the largest float, "
+                f"{np.cbrt(sys.float_info.max):.3g}"
+            )
 
         # Refuse tables whose tail beyond t_max could matter: for log-concave F,
         # integral_{tmax}^{inf} F <= F(tmax) * tmax / N(tmax).
@@ -548,137 +495,23 @@ class _TabulatedCore:
             )
 
         # Dense grid for fast (vectorized) quantile inversion.
-        self.dense_t = np.linspace(ts[0], ts[-1], 4097)
-        self.dense_l = self.log_f(self.dense_t)
+        self._dense_t = np.linspace(ts[0], ts[-1], 4097)
+        self._dense_l = self._log_f(self._dense_t)
 
         # Convexity flag for N = -ln F: second differences on a ~200-point
         # grid and on the knots themselves must stay above -1e-9.
         grid = np.linspace(ts[0], ts[-1], _VALIDATION_POINTS)
-        nn = -self.log_f(grid)
+        nn = -self._log_f(grid)
         d2 = nn[2:] - 2 * nn[1:-1] + nn[:-2]
         nk = -self.log_fs
-        hk = np.diff(ts)
-        d2k = (nk[2:] - nk[1:-1]) / hk[1:] - (nk[1:-1] - nk[:-2]) / hk[:-1]
-        self.n_convex = bool(np.all(d2 >= _CONVEXITY_SLACK) and np.all(d2k >= _CONVEXITY_SLACK))
+        d2k = (nk[2:] - nk[1:-1]) / dts[1:] - (nk[1:-1] - nk[:-2]) / dts[:-1]
+        self._n_convex = bool(np.all(d2 >= _CONVEXITY_SLACK) and np.all(d2k >= _CONVEXITY_SLACK))
 
-        self._cuts, self._pieces, self.cum_tail = _partial_integral_fit(ts, self._cubic,
-                                                                        self.log_f)
+        self._cuts, self._pieces, self._cum_tail = _partial_integral_fit(ts, self._cubic,
+                                                                         self._log_f)
         # E|xi| up to the truncation bound, read off the kernel itself, so
         # that it equals tail_integral(0) to the bit.
-        self.mean_abs = float(self.tail_and_survival(np.zeros(1))[0, 0])
-
-    def _rows(self, u: np.ndarray, j=None):
-        """The PCHIP rows (x_j, c3, c2, c1, c0) of the knot interval of each
-        u, in a new array of shape (5,) + u.shape: one lookup by scipy's
-        half-open rule, x_j <= u < x_{j+1}, with t_max in the last interval
-        (unless the caller found the j already), and one ``take``."""
-        if j is None:
-            j = np.searchsorted(self._inner, u, side="right")
-        return self._cubic.take(j, axis=1)
-
-    def log_f(self, u: np.ndarray, j=None) -> np.ndarray:
-        """ln F(u) for u in [0, t_max] of one or more dimensions; ``j``, if
-        given, holds each u's knot interval."""
-        x, c3, c2, c1, c0 = self._rows(u, j)
-        return _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
-
-    def log_f_and_slope(self, u: np.ndarray):
-        """(ln F(u), d ln F / du) from one lookup. The slope is scipy's
-        derivative polynomial, coefficients (c2, 2 c1, 3 c0), summed in its
-        order: (0.0 + c2) + (2 c1) s, + (3 c0) (s s). Starting from 0.0
-        reads a slope of -0.0 as +0.0."""
-        x, c3, c2, c1, c0 = self._rows(u)
-        s = np.subtract(u, x, out=x)
-        slope = c2 + 0.0
-        term = np.multiply(c1, 2.0)
-        term *= s
-        slope += term
-        np.multiply(c0, 3.0, out=term)
-        term *= s * s
-        slope += term
-        return _cubic(s, c3, c2, c1, c0), slope
-
-    def tail_and_survival(self, u: np.ndarray) -> np.ndarray:
-        """np.stack((u F(u) + integral_u^{tmax} F(s) ds, F(u))) for u in
-        [0, tmax], the two kernels the moment function needs.
-
-        One lookup finds u's piece [a, b) of the load-time fit (the last one
-        closed) and one ``take`` gathers that piece's row of
-        ``_pieces``. F(u) is the cubic of the knot interval [x_j, x_{j+1})
-        holding the piece, evaluated in scipy's own order, s = u - x_j, then
-        c3 + c2 s, + c1 (s s), + c0 ((s s) s), and exponentiated, so it
-        keeps scipy's bits (the pieces' ends include every knot, so the
-        lookup keeps scipy's half-open interval rule). The integral is
-        (b - u) g(y) + C: the mean g of F over [u, b] is a Horner loop in
-        y = 2 (b - u) / (b - a) - 1, and C, the integral from b to t_max, is
-        a constant of the piece. b - u is exact where u is near b, so the
-        term keeps its digits on a table whose knots lie ulps apart.
-        """
-        x, c3, c2, c1, c0, b, r, const, *g = self._pieces.take(
-            np.searchsorted(self._cuts, u, side="right"), axis=1)
-        f = _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
-        np.exp(f, out=f)
-        v = b - u
-        y = v * r
-        y -= 1.0
-        mean = g[0] * y
-        for coef in g[1:-1]:
-            mean += coef
-            mean *= y
-        mean += g[-1]
-        mean *= v
-        mean += const
-        return np.stack((u * f + mean, f))
-
-    def quantile(self, p: np.ndarray) -> np.ndarray:
-        if np.any(p < self.fs[-1] * (1 - 1e-12)):
-            raise TabulationError(
-                f"quantile {p.min():.3e} below the resolved range "
-                f"[{self.fs[-1]:.3e}, 1]; extend the table"
-            )
-        lp = np.log(np.minimum(p, 1.0))
-        # Walk the probabilities in ascending order, so that np.interp and the
-        # interval lookups find each interval next to the last one instead of
-        # by a full binary search, and in blocks of _NEWTON_BLOCK, so that a
-        # step's temporaries stay in cache. Every step is elementwise and the
-        # stop test is a max over all the values, so the bits depend on
-        # neither the order nor the blocks.
-        order = np.argsort(lp)
-        lp = lp[order]
-        # Initial guess from the dense grid, then Newton on ln F (C^1, strictly
-        # decreasing), clipped to the table.
-        t = np.interp(lp, self.dense_l[::-1], self.dense_t[::-1])
-        for _ in range(60):
-            top_step = top_t = 0.0  # np.maximum keeps a NaN, as np.max does
-            for lo in range(0, t.size, _NEWTON_BLOCK):
-                tb = t[lo:lo + _NEWTON_BLOCK]
-                step, slope = self.log_f_and_slope(tb)
-                step -= lp[lo:lo + _NEWTON_BLOCK]
-                step /= slope
-                tb -= step
-                np.clip(tb, self.ts[0], self.ts[-1], out=tb)
-                top_step = np.maximum(top_step, np.max(np.abs(step)))
-                top_t = np.maximum(top_t, np.max(tb))
-            if top_step <= 1e-13 * max(1.0, float(top_t)):
-                break
-        lp[order] = t  # back to the caller's order, in an array no longer read
-        return lp
-
-
-class TabulatedSurvival(DistributionModel):
-    """Survival function given by a table of (t, F(t)) pairs.
-
-    Construction validates the table (strictly increasing t, F(0)=1, F
-    strictly decreasing in (0,1]) and refuses tables with non-negligible
-    unresolved tail mass. Public requests beyond the table raise; the raw
-    kernels read F = 0 there. Nothing is extrapolated.
-    """
-
-    def __init__(self, ts, fs, scale: float = 1.0, _core: _TabulatedCore | None = None,
-                 rows=None):
-        self.scale = float(scale)
-        self.__post_init__()
-        self._core = _core if _core is not None else _TabulatedCore(ts, fs, rows=rows)
+        self._mean_abs = float(self._fit_tail_and_survival(np.zeros(1))[0, 0])
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedSurvival":
@@ -713,8 +546,70 @@ class TabulatedSurvival(DistributionModel):
             raise TabulationError(f"{path}: empty table")
         return cls(np.array(ts), np.array(fs), rows=rows)
 
-    def scaled_by(self, factor: float) -> "TabulatedSurvival":
-        return TabulatedSurvival(None, None, scale=self.scale * factor, _core=self._core)
+    # -- the table's interpolant and fit, on u in [0, t_max] ----------------
+
+    def _rows(self, u: np.ndarray, j=None):
+        """The PCHIP rows (x_j, c3, c2, c1, c0) of the knot interval of each
+        u, in a new array of shape (5,) + u.shape: one lookup by scipy's
+        half-open rule, x_j <= u < x_{j+1}, with t_max in the last interval
+        (unless the caller found the j already), and one ``take``."""
+        if j is None:
+            j = np.searchsorted(self._inner, u, side="right")
+        return self._cubic.take(j, axis=1)
+
+    def _log_f(self, u: np.ndarray, j=None) -> np.ndarray:
+        """ln F(u) for u in [0, t_max] of one or more dimensions; ``j``, if
+        given, holds each u's knot interval."""
+        x, c3, c2, c1, c0 = self._rows(u, j)
+        return _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
+
+    def _log_f_and_slope(self, u: np.ndarray):
+        """(ln F(u), d ln F / du) from one lookup. The slope is scipy's
+        derivative polynomial, coefficients (c2, 2 c1, 3 c0), summed in its
+        order: (0.0 + c2) + (2 c1) s, + (3 c0) (s s). Starting from 0.0
+        reads a slope of -0.0 as +0.0."""
+        x, c3, c2, c1, c0 = self._rows(u)
+        s = np.subtract(u, x, out=x)
+        slope = c2 + 0.0
+        term = np.multiply(c1, 2.0)
+        term *= s
+        slope += term
+        np.multiply(c0, 3.0, out=term)
+        term *= s * s
+        slope += term
+        return _cubic(s, c3, c2, c1, c0), slope
+
+    def _fit_tail_and_survival(self, u: np.ndarray) -> np.ndarray:
+        """np.stack((u F(u) + integral_u^{tmax} F(s) ds, F(u))) for u in
+        [0, tmax], the two kernels the moment function needs.
+
+        One lookup finds u's piece [a, b) of the load-time fit (the last one
+        closed) and one ``take`` gathers that piece's row of
+        ``_pieces``. F(u) is the cubic of the knot interval [x_j, x_{j+1})
+        holding the piece, evaluated in scipy's own order, s = u - x_j, then
+        c3 + c2 s, + c1 (s s), + c0 ((s s) s), and exponentiated, so it
+        keeps scipy's bits (the pieces' ends include every knot, so the
+        lookup keeps scipy's half-open interval rule). The integral is
+        (b - u) g(y) + C: the mean g of F over [u, b] is a Horner loop in
+        y = 2 (b - u) / (b - a) - 1, and C, the integral from b to t_max, is
+        a constant of the piece. b - u is exact where u is near b, so the
+        term keeps its digits on a table whose knots lie ulps apart.
+        """
+        x, c3, c2, c1, c0, b, r, const, *g = self._pieces.take(
+            np.searchsorted(self._cuts, u, side="right"), axis=1)
+        f = _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
+        np.exp(f, out=f)
+        v = b - u
+        y = v * r
+        y -= 1.0
+        mean = g[0] * y
+        for coef in g[1:-1]:
+            mean += coef
+            mean *= y
+        mean += g[-1]
+        mean *= v
+        mean += const
+        return np.stack((u * f + mean, f))
 
     def _on_table(self, u: np.ndarray, kernel, past: float) -> np.ndarray:
         """``kernel(min(u, t_max))`` where the table resolves u, ``past``
@@ -726,7 +621,7 @@ class TabulatedSurvival(DistributionModel):
         read as one entry."""
         if u.ndim == 0:
             return self._on_table(u.reshape(1), kernel, past)[..., 0]
-        lim = self._core.ts[-1]
+        lim = self.ts[-1]
         if u.max(initial=0.0) <= lim:
             return kernel(u)
         inside = _within(u, lim)
@@ -735,42 +630,72 @@ class TabulatedSurvival(DistributionModel):
         out[..., inside] = vals
         return out
 
-    def _std_survival(self, u):
-        return self._on_table(u, lambda r: np.exp(f := self._core.log_f(r), out=f), 0.0)
+    # -- the model's kernels -------------------------------------------------
 
-    def _std_neg_log_survival(self, u):
-        return self._on_table(u, lambda r: np.negative(n := self._core.log_f(r), out=n),
-                              math.inf)
+    def _survival(self, t):
+        return self._on_table(t, lambda r: np.exp(f := self._log_f(r), out=f), 0.0)
 
-    def _std_upper_limit(self) -> float:
-        return float(self._core.ts[-1])
+    def _neg_log_survival(self, t):
+        return self._on_table(t, lambda r: np.negative(n := self._log_f(r), out=n), math.inf)
 
-    def _std_quantile(self, p):
-        return self._core.quantile(p)
+    def _tail_integral_and_survival(self, t):
+        return self._on_table(t, self._fit_tail_and_survival, 0.0)
 
-    def _std_tail_and_survival(self, u):
-        return self._on_table(u, self._core.tail_and_survival, 0.0)
+    def _quantile(self, p: np.ndarray) -> np.ndarray:
+        if np.any(p < self.fs[-1] * (1 - 1e-12)):
+            raise TabulationError(
+                f"quantile {p.min():.3e} below the resolved range "
+                f"[{self.fs[-1]:.3e}, 1]; extend the table"
+            )
+        lp = np.log(np.minimum(p, 1.0))
+        # Walk the probabilities in ascending order, so that np.interp and the
+        # interval lookups find each interval next to the last one instead of
+        # by a full binary search, and in blocks of _NEWTON_BLOCK, so that a
+        # step's temporaries stay in cache. Every step is elementwise and the
+        # stop test is a max over all the values, so the bits depend on
+        # neither the order nor the blocks.
+        order = np.argsort(lp)
+        lp = lp[order]
+        # Initial guess from the dense grid, then Newton on ln F (C^1, strictly
+        # decreasing), clipped to the table.
+        t = np.interp(lp, self._dense_l[::-1], self._dense_t[::-1])
+        for _ in range(60):
+            top_step = top_t = 0.0  # np.maximum keeps a NaN, as np.max does
+            for lo in range(0, t.size, _NEWTON_BLOCK):
+                tb = t[lo:lo + _NEWTON_BLOCK]
+                step, slope = self._log_f_and_slope(tb)
+                step -= lp[lo:lo + _NEWTON_BLOCK]
+                step /= slope
+                tb -= step
+                np.clip(tb, self.ts[0], self.ts[-1], out=tb)
+                top_step = np.maximum(top_step, np.max(np.abs(step)))
+                top_t = np.maximum(top_t, np.max(tb))
+            if top_step <= 1e-13 * max(1.0, float(top_t)):
+                break
+        lp[order] = t  # back to the caller's order, in an array no longer read
+        return lp
 
-    def _std_mean_abs(self):
-        return self._core.mean_abs
+    def mean_abs(self) -> float:
+        return self._mean_abs
 
-    def _std_sample(self, rng, count):
+    def _sample(self, rng, count):
         u = 1.0 - rng.random(count)  # in (0, 1]
-        if np.any(u < self._core.fs[-1]):
+        if np.any(u < self.fs[-1]):
             raise TabulationError(
                 "sampling hit the unresolved tail of the table; extend the table"
             )
-        magnitude = self._core.quantile(u)
+        magnitude = self._quantile(u)
         sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
         return sign * magnitude
 
+    def upper_limit(self) -> float:
+        return float(self.ts[-1])
+
     def n_is_convex(self) -> bool:
-        return self._core.n_convex
+        return self._n_convex
 
     def describe(self) -> str:
-        core = self._core
-        base = f"table(n={len(core.ts)}, tmax={core.ts[-1]:g})"
-        return base if self.scale == 1.0 else f"{base}*{self.scale:g}"
+        return f"table(n={len(self.ts)}, tmax={self.ts[-1]:g})"
 
 
 def _is_number(text: str) -> bool:

@@ -228,6 +228,12 @@ def _poisson_binomial_tail(p: np.ndarray, k: int) -> float:
     return float(q[k])
 
 
+def _tail_bound(a: float, k: int) -> float:
+    """a^k / ((1 - a) sqrt(2 pi k)), the right side of both tail checks,
+    for a in [0, 1) and k >= 1."""
+    return a**k / ((1.0 - a) * math.sqrt(2.0 * math.pi * k))
+
+
 def check_kth_min_tail(x, model: DistributionModel, k: int, t: float) -> CheckResult:
     """Exact P(k-min <= t) against a^k / ((1-a) sqrt(2 pi k)) with
     a = (e/k) sum_i G(t/x_i), valid while a < 1.
@@ -247,16 +253,13 @@ def check_kth_min_tail(x, model: DistributionModel, k: int, t: float) -> CheckRe
     aval = float(math.e / k * np.sum(g))
     if aval >= 1.0:
         raise DomainError(f"(e/k) sum G(t/x_i) must be < 1, got {aval:.6f}")
-    if aval == 0.0:
-        rhs = 0.0
-    else:
-        rhs = aval**k / ((1.0 - aval) * math.sqrt(2.0 * math.pi * k))
+    rhs = _tail_bound(aval, k)
     lhs = _poisson_binomial_tail(g, k)
     return CheckResult(
         name="kth_min_tail",
         ok=bool(lhs <= rhs),
         lhs=lhs,
-        rhs=float(rhs),
+        rhs=rhs,
         detail={"a": aval, "t": t, "k": k},
     )
 
@@ -403,12 +406,12 @@ def check_symmetric_tail_bound(a, k: int) -> CheckResult:
         raise DomainError(f"(e/k) sum a_i must lie in (0, 1), got {aval}")
     # Formed after the test: with a in (0, 1) the exact sum is far below the float limit.
     lhs = float(sum(esp[k:], Fraction(0)))
-    rhs = aval**k / ((1.0 - aval) * math.sqrt(2.0 * math.pi * k))
+    rhs = _tail_bound(aval, k)
     return CheckResult(
         name="symmetric_tail_bound",
         ok=bool(lhs < rhs),
         lhs=lhs,
-        rhs=float(rhs),
+        rhs=rhs,
         detail={"a": aval, "n": n, "k": k},
     )
 

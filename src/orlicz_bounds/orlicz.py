@@ -56,12 +56,11 @@ checks the vector (its smallest entry > 0 and its largest < inf; zeros,
 NaN and inf are told apart only when that fails), ``OrliczFunction.values``
 and ``__call__`` refuse NaN and negative arguments. ``evaluate`` and the
 distribution handles' kernels (the models' raw ``_survival``,
-``_neg_log_survival``, ``_tail_integral_and_survival``, which skip the
-scaling at scale 1) check nothing, so a modular sum pays for the
-arithmetic alone. Past a table's last knot and at +inf the kernels read
-F = 0 and a tail integral of 0, so the handles need no mask: an argument 0
-becomes 1/0 = inf, where M and F(1/t) read 0, on the same path as every
-other argument.
+``_neg_log_survival``, ``_tail_integral_and_survival``) check nothing, so a
+modular sum pays for the arithmetic alone. Past a table's last knot and at
++inf the kernels read F = 0 and a tail integral of 0, so the handles need
+no mask: an argument 0 becomes 1/0 = inf, where M and F(1/t) read 0, on the
+same path as every other argument.
 
 The same functional is defined for merely positive increasing functions,
 such as the reciprocal survival function; there it need not be a norm (it

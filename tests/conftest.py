@@ -40,14 +40,14 @@ def gaussian_table_model():
     return TabulatedSurvival(ts, fs)
 
 
-def _scipy_pchip(core):
-    """scipy's PCHIP of ln F through a table core's knots, without
-    extrapolation, built from ``core.ts`` and ``core.log_fs`` alone and
-    cached per core: the reference for the package's own PCHIP."""
-    if core not in _SCIPY_PCHIPS:
-        _SCIPY_PCHIPS[core] = interpolate.PchipInterpolator(core.ts, core.log_fs,
-                                                            extrapolate=False)
-    return _SCIPY_PCHIPS[core]
+def _scipy_pchip(table):
+    """scipy's PCHIP of ln F through a table's knots, without extrapolation,
+    built from ``table.ts`` and ``table.log_fs`` alone and cached per table:
+    the reference for the package's own PCHIP."""
+    if table not in _SCIPY_PCHIPS:
+        _SCIPY_PCHIPS[table] = interpolate.PchipInterpolator(table.ts, table.log_fs,
+                                                             extrapolate=False)
+    return _SCIPY_PCHIPS[table]
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from orlicz_bounds import (
     InfeasibleError,
     NonConvexError,
     NumericError,
+    OrliczFunction,
     PartitionResult,
     RangeError,
     SymExponential,
@@ -35,6 +36,7 @@ from orlicz_bounds import (
     linear_function,
     max_bounds,
     min_moment_upper,
+    orlicz_norm,
     reciprocal_survival_function,
     verify_partition,
 )
@@ -309,12 +311,34 @@ class TestMaxBounds:
         assert a.lower == pytest.approx(b.lower, rel=1e-9)
         assert a.upper == pytest.approx(b.upper, rel=1e-9)
 
-    def test_normalization_compensation(self, gaussian):
-        # a model already at unit mean must give identical bounds
-        unit = gaussian.normalized()
-        a = max_bounds(np.ones(20), gaussian)
-        b = max_bounds(np.ones(20), unit)
-        assert b.lower == pytest.approx(a.lower / gaussian.mean_abs(), rel=1e-9)
+
+
+def _max_norm_by_rescaled_model(x, model):
+    """The max bound's norm as a model rescaled to E|xi| = 1 computed it:
+    u = 1/s, the tail integral and F read at u / c, then M = s (c tail) - F,
+    with c = 1.0 / E|xi|."""
+    c = 1.0 / model.mean_abs()
+
+    def _eval(s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        tail, surv = model._tail_integral_and_survival((1.0 / s) / c)
+        out = s * (c * tail)
+        out -= surv
+        return np.maximum(out, 0.0, out=out)
+
+    return orlicz_norm(np.abs(x), OrliczFunction("M of the rescaled model", _eval))
+
+
+@pytest.mark.parametrize("n", [100, 10_000])  # 10,000: a steered solve
+@pytest.mark.parametrize("family", ["gaussian", "symexp:1", "symexp:1e-300", "symexp:1.7e308",
+                                    "table"])
+def test_max_norm_keeps_the_bits_of_the_rescaled_model(gaussian_table_model, family, n):
+    model = {"gaussian": Gaussian(), "symexp:1": SymExponential(1.0),
+             "symexp:1e-300": SymExponential(1e-300), "symexp:1.7e308": SymExponential(1.7e308),
+             "table": gaussian_table_model}[family]
+    x = np.random.default_rng(n).uniform(-5.0, 5.0, n)
+    got = max_bounds(x, model).terms[0]
+    assert got.hex() == _max_norm_by_rescaled_model(x, model).hex()
 
 
 def _refuse_constant(token):
@@ -325,7 +349,11 @@ def test_overflowing_c_n_is_reported_as_none():
     # N(1) = 1e-310, so C_N = 1/N(1) overflows; the upper bound it multiplies
     # is omitted with a note. The report keeps C_N = inf, and its JSON is
     # strict, with null in its place.
-    model = SymExponential(rate=1e-300).scaled_by(1e10)
+    class TinyN(SymExponential):
+        def _neg_log_survival(self, t):
+            return 1e-310 * t
+
+    model = TinyN(rate=1e-300)
     reports = [kth_min_bounds(np.linspace(1.0, 6.0, 6), model, 1),
                kth_max_bounds(np.linspace(6.0, 1.0, 6) * 1e-300, model, 2)]
     for rep in reports:

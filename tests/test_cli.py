@@ -190,6 +190,20 @@ class TestBoundsCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: table too short: unresolved tail mass bound 1.353e-01")
 
+    @pytest.mark.parametrize("argv", [["bounds-max1"], ["bounds-kmin", "--k", "1"]])
+    def test_table_with_huge_knot_spacing_exit2(self, argv, ascending_weights, tmp_path, capsys):
+        """Knots 1e160 apart: the cubic's s^3 overflows, so the table is
+        refused at load, before any numpy warning."""
+        path = tmp_path / "wide.csv"
+        path.write_text("0,1\n1e160,0.5\n2e160,1e-100\n3e160,1e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--dist", f"table:{path}", "--weights", ascending_weights])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot interpolate ln F through the table: rows 1-2 are "
+                              "1e+160 apart")
+
     @pytest.mark.parametrize("argv", [["bounds-kmin", "--k", "1"], ["partition", "--k", "2"]])
     def test_weights_with_overflowing_reciprocal_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "w.csv"

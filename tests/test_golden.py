@@ -156,14 +156,13 @@ def test_partition_bits(case):
 
 def table_norm_figures() -> dict:
     """float.hex of the norms of table-backed handles, and of the tail
-    threshold, on seeded vectors, for the table, the table cut at t = 8 and
-    the table scaled by 3; an exception is recorded by its type name."""
+    threshold, on seeded vectors, for the table and the table cut at t = 8;
+    an exception is recorded by its type name."""
     full = TabulatedSurvival.from_csv(GOLDEN / TABLE)
-    cut = full._core.ts <= 8.0
+    cut = full.ts <= 8.0
     models = {
         "table": full,
-        "table-tmax8": TabulatedSurvival(full._core.ts[cut], full._core.fs[cut]),
-        "table*3": full.scaled_by(3.0),
+        "table-tmax8": TabulatedSurvival(full.ts[cut], full.fs[cut]),
     }
     vectors = {
         "uniform-30": np.random.default_rng(0).uniform(0.5, 5.0, 30),
@@ -210,7 +209,6 @@ def montecarlo_table_figures() -> dict:
     1, F(t_max), the dense-grid probabilities exp(dense_l), seeded uniforms
     and repeats of some of them."""
     table = TabulatedSurvival.from_csv(GOLDEN / TABLE)
-    core = table._core
     x = np.sort(np.random.default_rng(0).uniform(0.5, 5.0, 15))
     out = {}
     for threads in (1, 2):
@@ -226,9 +224,9 @@ def montecarlo_table_figures() -> dict:
                     "mean": est.mean.hex(),
                     "ci_halfwidth": est.ci_halfwidth.hex(),
                 }
-    uniforms = np.random.default_rng(14).uniform(core.fs[-1], 1.0, 300)
-    p = np.concatenate([[1.0, core.fs[-1]], np.exp(core.dense_l), uniforms,
-                        np.repeat(uniforms[:40], 3), [1.0, core.fs[-1]]])
+    uniforms = np.random.default_rng(14).uniform(table.fs[-1], 1.0, 300)
+    p = np.concatenate([[1.0, table.fs[-1]], np.exp(table._dense_l), uniforms,
+                        np.repeat(uniforms[:40], 3), [1.0, table.fs[-1]]])
     out["quantile"] = [float(t).hex() for t in table.quantile(p)]
     return out
 

@@ -145,14 +145,14 @@ class TestEstimator:
 
 def _reference_chunks(xv, model, kth, replications, seed, threads, reduce):
     """The chunk engine as it stood before in-place selection: a fresh
-    scaled sample, |xi| * x in new arrays, and one partition at ``kth``.
+    sample, |xi| * x in new arrays, and one partition at ``kth``.
     Chunks of 8192 rows, as the engine still uses for n <= 1024."""
     n = xv.size
     out = []
     for c in range(-(-replications // 8192)):
         rows = min(8192, replications - c * 8192)
         rng = np.random.default_rng([seed, c])
-        draws = (model.scale * model._std_sample(rng, rows * n)).reshape(rows, n)
+        draws = model._sample(rng, rows * n).reshape(rows, n)
         out.append(reduce(np.partition(np.abs(draws) * xv, kth, axis=1)))
     return out
 
@@ -184,7 +184,7 @@ class TestChunkEngine:
     @pytest.mark.parametrize("power", [1.0, 2.0])
     def test_same_bits_as_reference(self, gaussian_table_model, monkeypatch,
                                     family, statistic, power):
-        model = {"gaussian": Gaussian(), "symexp": SymExponential(rate=1.7).scaled_by(0.3),
+        model = {"gaussian": Gaussian(), "symexp": SymExponential(rate=1.7 / 0.3),
                  "table": gaussian_table_model}[family]
         n = 12
         x = np.sort(np.random.default_rng(21).uniform(0.5, 5.0, n))
@@ -513,7 +513,7 @@ class TestFrequencyByCounting:
         # the minimum's frequency in check_min_survival_product, counted per
         # row, against the reference's selection of each row's minimum
         model = _ReplayingModel({"gaussian": Gaussian(),
-                                 "symexp": SymExponential(rate=1.7).scaled_by(0.3),
+                                 "symexp": SymExponential(rate=1.7 / 0.3),
                                  "table": gaussian_table_model}[family])
         x = np.sort(np.random.default_rng(23).uniform(0.5, 5.0, n))
         reps, seed = 8192 + 37, 11  # a full chunk and a remainder

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orlicz_bounds import bounds as bounds_module
 from orlicz_bounds import orlicz as orlicz_module
 from orlicz_bounds import (
     DomainError,
@@ -286,13 +287,14 @@ def _steered_and_unsteered(monkeypatch, x, fun):
 @pytest.mark.parametrize("n", [10_000, 100_000])
 @pytest.mark.parametrize("name", ["moment-gaussian", "moment-symexp", "moment-table"])
 def test_steered_moment_solves_take_at_most_ten_sums(monkeypatch, gaussian_table_model, name, n):
-    """The max_bounds solves: bound-batch's weights, model normalized to E|xi| = 1."""
+    """The max_bounds solves: bound-batch's weights, under max_bounds' own
+    handle, the moment function of xi / E|xi|."""
     model = {
         "moment-gaussian": Gaussian(),
         "moment-symexp": SymExponential(rate=1.0),
         "moment-table": gaussian_table_model,
     }[name]
-    fun = expected_overshoot_function(model.normalized())
+    fun = bounds_module._unit_mean_moment_function(model)
     x = np.random.default_rng(n).uniform(0.5, 5.0, n)
     (bits, calls), (plain_bits, plain_calls) = _steered_and_unsteered(monkeypatch, x, fun)
     assert bits == plain_bits

@@ -59,29 +59,29 @@ def _points(ts, rng):
 @given(table=tables(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_pchip_matches_scipy_bit_for_bit(table, seed):
     ts, fs = table
-    core = TabulatedSurvival(ts, fs)._core
+    model = TabulatedSurvival(ts, fs)
     want = interpolate.PchipInterpolator(ts, np.log(fs), extrapolate=False)
-    assert _same_bits(core._cubic[0], ts[:-1])
-    assert _same_bits(core._cubic[1:][::-1], want.c)
+    assert _same_bits(model._cubic[0], ts[:-1])
+    assert _same_bits(model._cubic[1:][::-1], want.c)
 
     u = _points(ts, np.random.default_rng(seed))
-    assert _same_bits(core.log_f(u), want(u))
-    value, slope = core.log_f_and_slope(u)
+    assert _same_bits(model._log_f(u), want(u))
+    value, slope = model._log_f_and_slope(u)
     assert _same_bits(value, want(u))
     assert _same_bits(slope, want.derivative()(u))
     grid = u[: u.size // 4 * 4].reshape(4, -1)  # 2-d input
-    assert _same_bits(core.log_f(grid), want(grid))
-    value, slope = core.log_f_and_slope(grid)
+    assert _same_bits(model._log_f(grid), want(grid))
+    value, slope = model._log_f_and_slope(grid)
     assert _same_bits(value, want(grid))
     assert _same_bits(slope, want.derivative()(grid))
 
     # The load-time fit looks up one knot interval per row of its points
     # where it can; every point looked up alone gives the same bits.
     cuts, pieces, cum_tail = distributions._partial_integral_fit(
-        ts, core._cubic, lambda pts, j: core.log_f(pts))
-    assert _same_bits(cuts, core._cuts)
-    assert _same_bits(pieces, core._pieces)
-    assert _same_bits(cum_tail, core.cum_tail)
+        ts, model._cubic, lambda pts, j: model._log_f(pts))
+    assert _same_bits(cuts, model._cuts)
+    assert _same_bits(pieces, model._pieces)
+    assert _same_bits(cum_tail, model._cum_tail)
 
 
 def test_pchip_keeps_its_zero_slopes():
@@ -98,11 +98,11 @@ def test_pchip_keeps_its_zero_slopes():
     }
     for ts, fs in cases.values():
         ts, fs = np.array(ts), np.array(fs)
-        core = TabulatedSurvival(ts, fs)._core
+        model = TabulatedSurvival(ts, fs)
         want = interpolate.PchipInterpolator(ts, np.log(fs), extrapolate=False)
-        assert _same_bits(core._cubic[1:][::-1], want.c)
+        assert _same_bits(model._cubic[1:][::-1], want.c)
         u = _points(ts, np.random.default_rng(1))
-        value, slope = core.log_f_and_slope(u)
+        value, slope = model._log_f_and_slope(u)
         assert _same_bits(value, want(u))
         assert _same_bits(slope, want.derivative()(u))
 
@@ -113,14 +113,14 @@ def test_fit_rows_across_a_knot_keep_their_bits():
     the bits of looking up every point alone."""
     ulps = np.spacing(10.0) * np.array([3000.0, 400.0, 120.0, 60.0, 0.0])
     ts = np.concatenate((np.linspace(0.0, 9.75, 40), 10.0 - ulps))
-    core = TabulatedSurvival(ts, np.exp(-0.5 * ts * ts))._core
+    model = TabulatedSurvival(ts, np.exp(-0.5 * ts * ts))
     looked_up, crossed = [], []
 
     def log_f(pts, j):
         looked_up.append(np.array_equal(j, np.searchsorted(ts[1:-1], pts, side="right")))
         crossed.append(np.any(j[:, 0] != j[:, -1]))
-        return core.log_f(pts)
+        return model._log_f(pts)
 
-    cuts, pieces, cum_tail = distributions._partial_integral_fit(ts, core._cubic, log_f)
+    cuts, pieces, cum_tail = distributions._partial_integral_fit(ts, model._cubic, log_f)
     assert looked_up and all(looked_up) and any(crossed)
-    assert _same_bits(pieces, core._pieces) and _same_bits(cum_tail, core.cum_tail)
+    assert _same_bits(pieces, model._pieces) and _same_bits(cum_tail, model._cum_tail)

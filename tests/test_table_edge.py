@@ -1,8 +1,8 @@
 """Past a table's last knot: one rule in the kernels, differential against masks.
 
-A table resolves F up to t_max. The public primitives refuse t/scale past
+A table resolves F up to t_max. The public primitives refuse t past
 t_max * (1 + 1e-12); the raw kernels the Orlicz handles call read F = 0
-there (N = +inf, tail integral 0) and clip t/scale up to that point to t_max.
+there (N = +inf, tail integral 0) and clip t up to that point to t_max.
 
 The handles used to mask instead: the moment and reciprocal-survival handles
 gave 0 for t <= 1/upper_limit(), the (e/k)G handle gave e/k for t above
@@ -57,11 +57,10 @@ _GL_BLOCK = 1024
 
 
 def _models(table):
-    cut = table._core.ts <= 8.0
+    cut = table.ts <= 8.0
     return {
         "tmax10": table,
-        "tmax8": TabulatedSurvival(table._core.ts[cut], table._core.fs[cut]),
-        "tmax10*3": table.scaled_by(3.0),
+        "tmax8": TabulatedSurvival(table.ts[cut], table.fs[cut]),
     }
 
 
@@ -69,34 +68,33 @@ def _models(table):
 
 
 def _clipped(model, t):
-    """t / scale clipped to t_max; the masks never ask past the fuzzed limit."""
-    lim = model._core.ts[-1]
-    u = t / model.scale
-    assert not np.any(u > lim * (1 + _FUZZ)), "masked reference read past the table"
-    return np.minimum(u, lim)
+    """t clipped to t_max; the masks never ask past the fuzzed limit."""
+    lim = model.ts[-1]
+    assert not np.any(t > lim * (1 + _FUZZ)), "masked reference read past the table"
+    return np.minimum(t, lim)
 
 
 def _ref_survival(pchip, model, t):
-    return np.exp(pchip(model._core)(_clipped(model, t)))
+    return np.exp(pchip(model)(_clipped(model, t)))
 
 
-def _reference_integral_f_to_end(pchip, core, u):
+def _reference_integral_f_to_end(pchip, table, u):
     """integral_u^{tmax} F by the first form of the 21-point rule: scipy
     evaluates ln F at every Gauss-Legendre point."""
-    ts = core.ts
+    ts = table.ts
     j = np.clip(np.searchsorted(ts, u, side="right") - 1, 0, len(ts) - 2)
     a = u
     b = ts[j + 1]
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.exp(pchip(core)(pts))
+    vals = np.exp(pchip(table)(pts))
     partial = half * (vals @ _GL_WEIGHTS)
     partial = np.where(b > a, partial, 0.0)
-    return partial + core.cum_tail[j + 1]
+    return partial + table._cum_tail[j + 1]
 
 
-def _gl21_tail_and_survival(interp, core, u):
+def _gl21_tail_and_survival(interp, table, u):
     """The moment kernel the load-time fit replaced: the same rule, with
     one knot-interval lookup per entry.
 
@@ -146,14 +144,12 @@ def _gl21_tail_and_survival(interp, core, u):
     f = vals[:, k]
     partial = half * (vals[:, :k] @ _GL_WEIGHTS)
     partial = np.where(xk > u, partial, 0.0)  # u at a knot: an empty interval
-    return np.stack((u * f + (partial + core.cum_tail[j + 1]), f))
+    return np.stack((u * f + (partial + table._cum_tail[j + 1]), f))
 
 
 def _ref_tail_integral(pchip, model, t):
     u = _clipped(model, t)
-    core = model._core
-    return model.scale * (u * np.exp(pchip(core)(u))
-                          + _reference_integral_f_to_end(pchip, core, u))
+    return u * np.exp(pchip(model)(u)) + _reference_integral_f_to_end(pchip, model, u)
 
 
 def ref_moment(pchip, model):
@@ -176,13 +172,12 @@ def ref_moment(pchip, model):
 def ref_neg_log_survival(pchip, model, *, require_convex=True):
     if require_convex and not model.n_is_convex():
         raise NonConvexError("not convex")
-    lim = model._core.ts[-1]
+    lim = model.ts[-1]
 
     def _eval(t):
-        u = t / model.scale
-        over = u > lim * (1 + _FUZZ)
-        out = np.full(u.shape, math.inf)
-        out[~over] = -pchip(model._core)(np.minimum(u[~over], lim))
+        over = t > lim * (1 + _FUZZ)
+        out = np.full(t.shape, math.inf)
+        out[~over] = -pchip(model)(np.minimum(t[~over], lim))
         return out
 
     return OrliczFunction("ref-N", _eval)
@@ -229,7 +224,7 @@ HANDLES = {
 def _arguments(model, reciprocal):
     """The solver's probe grid, random points over e^-14..e^14, and points
     whose threshold lands on a fine grid around t_max."""
-    at = model.scale * model._core.ts[-1] * (1.0 + np.linspace(-3e-12, 3e-12, 121))
+    at = model.ts[-1] * (1.0 + np.linspace(-3e-12, 3e-12, 121))
     return np.concatenate([
         np.ldexp(1.0, np.arange(-199, 200)),
         np.exp(np.random.default_rng(0).uniform(-14.0, 14.0, 2000)),
@@ -241,7 +236,7 @@ def _moment_slack(pchip, model, t, u):
     """What an M value may move by outside the band: the tail kernel's
     1e-15 relative, carried by the term s * tail_integral(1/s) (0 where 1/s
     is past the table, where both read 0)."""
-    on = u <= model._core.ts[-1] * (1 + _FUZZ)
+    on = u <= model.ts[-1] * (1 + _FUZZ)
     term = np.zeros(t.shape)
     term[on] = t[on] * _ref_tail_integral(pchip, model, 1.0 / t[on])
     return 1e-15 * term
@@ -258,11 +253,11 @@ def test_handle_values_differ_only_in_the_fuzz_band(gaussian_table_model, scipy_
         t = _arguments(model, reciprocal)
         new = build(model, 3).values(t)
         old = reference(scipy_pchip, model, 3).values(t)
-        u = (1.0 / t if reciprocal else t) / model.scale
+        u = 1.0 / t if reciprocal else t
         differ = new != old
         beyond = (np.abs(new - old) > _moment_slack(scipy_pchip, model, t, u) if handle == "M"
                   else differ)
-        lim = model._core.ts[-1]
+        lim = model.ts[-1]
         # 4 ulp below t_max: 1/(1/x) need not round back to x
         in_band = (u >= lim * (1 - 4 * _EPS)) & (u <= lim * (1 + _FUZZ))
         assert not np.any(beyond & ~in_band), (name, t[beyond & ~in_band])
@@ -326,10 +321,11 @@ def test_bound_and_threshold_bits_match_the_masked_reference(
     assert new == old
 
 
-@pytest.mark.parametrize("scale", [1.0, 3.0])
-def test_one_rule_for_public_refusal_and_kernel_extension(gaussian_table_model, scale):
-    model = gaussian_table_model.scaled_by(scale)
-    edge = scale * model._core.ts[-1]
+@pytest.mark.parametrize("stretch", [1.0, 3.0])
+def test_one_rule_for_public_refusal_and_kernel_extension(gaussian_table_model, stretch):
+    """On the erfc table and on the table of 3 xi, its knots stretched by 3."""
+    model = _stretched(gaussian_table_model, stretch)
+    edge = model.ts[-1]
     inside, past = edge * (1 + 0.5 * _FUZZ), edge * (1 + 10 * _FUZZ)
     for public, raw, beyond in (
         (model.survival, model._survival, 0.0),
@@ -350,17 +346,22 @@ def test_one_rule_for_public_refusal_and_kernel_extension(gaussian_table_model, 
 # -- the fitted moment kernel against the 21-point rule -----------------------
 
 
+def _stretched(table, factor):
+    """The table of factor * xi: its knots times factor."""
+    return table if factor == 1.0 else TabulatedSurvival(factor * table.ts, table.fs)
+
+
 def _kernel_tables(table):
     """The erfc table, a table with uneven knots, one whose last knots lie
     60-3000 ulps apart (partial integrals there are a large share of the
-    tail) and the erfc table scaled."""
+    tail) and the erfc table with its knots stretched by 3."""
     ts = np.concatenate(([0.0], np.cumsum(np.random.default_rng(7).uniform(0.002, 0.2, 120))))
     uneven = TabulatedSurvival(ts, np.exp(-0.5 * ts * ts - 0.3 * ts))
     ulps = np.spacing(10.0) * np.array([3000.0, 400.0, 120.0, 60.0, 0.0])
     ts = np.concatenate((np.linspace(0.0, 9.75, 40), 10.0 - ulps))
     clustered = TabulatedSurvival(ts, np.exp(-0.5 * ts * ts))
     return {"erfc": table, "uneven": uneven, "clustered-end": clustered,
-            "erfc*3": table.scaled_by(3.0)}
+            "erfc*3": _stretched(table, 3.0)}
 
 
 _KERNEL_TABLES = ["erfc", "uneven", "clustered-end", "erfc*3"]
@@ -380,26 +381,24 @@ def _near_knots(ts):
 
 def _assert_fit_matches_gl21(pchip, model, u):
     """The fitted kernel against the 21-point rule: F bit for bit, the tail
-    to 1e-15 relative, also through the scaled kernels the moment handle
-    reads, at t = scale * u."""
-    core = model._core
-    got, want = core.tail_and_survival(u), _gl21_tail_and_survival(pchip(core), core, u)
+    to 1e-15 relative, also through the masked kernels the moment handle
+    reads."""
+    got, want = model._fit_tail_and_survival(u), _gl21_tail_and_survival(pchip(model), model, u)
     assert np.array_equal(got[1], want[1])
     assert np.all(np.abs(got[0] - want[0]) <= 1e-15 * want[0]), np.max(
         np.abs(got[0] - want[0]) / want[0])
-    t = model.scale * u
-    tail, surv = model._tail_integral_and_survival(t)
-    assert np.array_equal(surv, _ref_survival(pchip, model, t))
-    ref = _ref_tail_integral(pchip, model, t)
+    tail, surv = model._tail_integral_and_survival(u)
+    assert np.array_equal(surv, _ref_survival(pchip, model, u))
+    ref = _ref_tail_integral(pchip, model, u)
     assert np.all(np.abs(tail - ref) <= 1e-15 * ref)
-    assert np.array_equal(model._tail_integral(t), tail)
+    assert np.array_equal(model._tail_integral(u), tail)
 
 
 @pytest.mark.parametrize("name", _KERNEL_TABLES)
 def test_fitted_kernel_matches_the_gl21_rule(gaussian_table_model, scipy_pchip, name):
     """At random points, around every knot, and around every piece's ends."""
     model = _kernel_tables(gaussian_table_model)[name]
-    ts, cuts = model._core.ts, model._core._cuts
+    ts, cuts = model.ts, model._cuts
     rng = np.random.default_rng(11)
     for n in [0, 1, 2, 3, 70, 1023, 10_001]:
         _assert_fit_matches_gl21(scipy_pchip, model, rng.uniform(0.0, ts[-1], n))
@@ -413,22 +412,22 @@ def test_fitted_kernel_on_a_coarse_exponential_table():
     interval, which the fit cuts into pieces. The table's cubic is ln F
     itself, so the kernel must give u e^-u + e^-u - e^-30."""
     ts = np.array([0.0, 1.0, 2.0, 30.0])
-    core = TabulatedSurvival(ts, np.exp(-ts))._core
-    assert core._cuts.size > 100
-    u = np.concatenate([np.linspace(0.0, 30.0, 3001), _near_knots(ts), core._cuts,
+    table = TabulatedSurvival(ts, np.exp(-ts))
+    assert table._cuts.size > 100
+    u = np.concatenate([np.linspace(0.0, 30.0, 3001), _near_knots(ts), table._cuts,
                         np.random.default_rng(12).uniform(0.0, 30.0, 2000)])
     exact = u * np.exp(-u) + np.exp(-u) - math.exp(-30.0)
-    tail = core.tail_and_survival(u)[0]
+    tail = table._fit_tail_and_survival(u)[0]
     assert np.all(np.abs(tail - exact) <= 1e-14 * exact), np.max(np.abs(tail - exact) / exact)
 
 
 _REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(60)
 
 
-def _fsum_integrals_to_end(interp, core):
+def _fsum_integrals_to_end(interp, table):
     """integral_{x_j}^{tmax} F for every knot x_j: a 60-point Gauss-Legendre
     rule on 16 equal sub-intervals of each knot interval, summed by fsum."""
-    x, sub = core.ts, np.linspace(0.0, 1.0, 17)
+    x, sub = table.ts, np.linspace(0.0, 1.0, 17)
     per_interval = []
     for a, b in zip(x[:-1], x[1:]):
         ends = a + (b - a) * sub
@@ -448,35 +447,34 @@ def test_knot_integrals_match_an_independent_reference(gaussian_table_model,
     ts = np.array([0.0, 1.0, 2.0, 30.0])
     model = {**_kernel_tables(gaussian_table_model), "non-convex": nonconvex_table_model,
              "coarse-exp": TabulatedSurvival(ts, np.exp(-ts))}[name]
-    got, want = model._core.cum_tail, _fsum_integrals_to_end(scipy_pchip(model._core),
-                                                             model._core)
+    got, want = model._cum_tail, _fsum_integrals_to_end(scipy_pchip(model), model)
     assert got[-1] == want[-1] == 0.0
     rel = np.abs(got[:-1] - want[:-1]) / want[:-1]
     assert np.all(rel <= 2e-15), rel.max()
     assert model.tail_integral(0.0) == model.mean_abs()
 
 
-def _assert_gl21_kernel_matches_scipy(pchip, core, u):
-    f = np.exp(pchip(core)(u))
-    want = np.stack((u * f + _reference_integral_f_to_end(pchip, core, u), f))
-    assert np.array_equal(_gl21_tail_and_survival(pchip(core), core, u), want)
+def _assert_gl21_kernel_matches_scipy(pchip, table, u):
+    f = np.exp(pchip(table)(u))
+    want = np.stack((u * f + _reference_integral_f_to_end(pchip, table, u), f))
+    assert np.array_equal(_gl21_tail_and_survival(pchip(table), table, u), want)
 
 
 @pytest.mark.parametrize("name", _KERNEL_TABLES)
 def test_one_lookup_kernel_matches_scipy_at_random_points(gaussian_table_model, scipy_pchip,
                                                           name):
     """The reference's one-lookup form against scipy at every point."""
-    core = _kernel_tables(gaussian_table_model)[name]._core
+    table = _kernel_tables(gaussian_table_model)[name]
     rng = np.random.default_rng(11)
     for n in _SIZES:
-        _assert_gl21_kernel_matches_scipy(scipy_pchip, core, rng.uniform(0.0, core.ts[-1], n))
+        _assert_gl21_kernel_matches_scipy(scipy_pchip, table, rng.uniform(0.0, table.ts[-1], n))
 
 
 @pytest.mark.parametrize("name", _KERNEL_TABLES)
 def test_one_lookup_kernel_matches_scipy_around_every_knot(gaussian_table_model, scipy_pchip,
                                                            name):
-    core = _kernel_tables(gaussian_table_model)[name]._core
-    _assert_gl21_kernel_matches_scipy(scipy_pchip, core, _near_knots(core.ts))
+    table = _kernel_tables(gaussian_table_model)[name]
+    _assert_gl21_kernel_matches_scipy(scipy_pchip, table, _near_knots(table.ts))
 
 
 @pytest.mark.parametrize("name", _KERNEL_TABLES)
@@ -487,15 +485,15 @@ def test_points_off_their_interval_are_read_from_scipy(gaussian_table_model, sci
     grid) are evaluated by scipy's PCHIP. Next to the u F(u) term such a point
     changes no output bit in practice, so the rule is checked here, not
     through the kernel's values."""
-    core = _kernel_tables(gaussian_table_model)[name]._core
-    u = _near_knots(core.ts)
-    j = np.clip(np.searchsorted(core.ts, u, side="right") - 1, 0, len(core.ts) - 2)
-    a, b = core.ts[j], core.ts[j + 1]
+    table = _kernel_tables(gaussian_table_model)[name]
+    u = _near_knots(table.ts)
+    j = np.clip(np.searchsorted(table.ts, u, side="right") - 1, 0, len(table.ts) - 2)
+    a, b = table.ts[j], table.ts[j + 1]
     pts = 0.5 * (b + u)[:, None] + 0.5 * (b - u)[:, None] * _GL_NODES
     off = pts[(pts < a[:, None]) | (pts >= b[:, None])]
     assert off.size > 500
 
-    interp, asked = scipy_pchip(core), []
+    interp, asked = scipy_pchip(table), []
 
     class Recording:
         x, c = interp.x, interp.c
@@ -504,7 +502,7 @@ def test_points_off_their_interval_are_read_from_scipy(gaussian_table_model, sci
             asked.append(np.array(p))
             return interp(p)
 
-    _gl21_tail_and_survival(Recording(), core, u)
+    _gl21_tail_and_survival(Recording(), table, u)
     assert np.array_equal(np.sort(np.concatenate(asked)), np.sort(off))
 
 
