@@ -20,21 +20,16 @@ Each repetition runs every call on both sides, and which side runs first
 alternates from one repetition to the next, so both see the same host
 speed (which can swing by 2x within minutes). Every pair
 of results must have the same ``repr`` (arrays and reports compared as
-plain lists and dicts of floats), norms and bounds included, except on the
-table's M rows: the table's moment kernel may round differently from one
-revision to the next, so those rows compare by their largest difference
-relative to s * tail_integral(1/s), the term that carries the kernel's
-rounding (M itself cancels, by up to about 65x here).
+plain lists and dicts of floats), kernel rows, norms and bounds alike.
 
 It prints each call's median milliseconds per side, the ratio change /
-base, the repetitions in which the change was faster and, for the kernel
-rows, the largest relative difference seen. Every row is timed and
-compared, whether or not an earlier one differed. Then, if any pair of
-results differed (a kernel row: by more than ``KERNEL_REL_TOL``), it lists
-every differing row, each with the first repetition it differed in and the
-first differing leaf (say ``result['BoundReport']['constants']['mean_abs']``)
-with both its reprs, and exits with status 1. Otherwise ``--out`` also
-writes the rows, both commits and the machine to a JSON file.
+base and the repetitions in which the change was faster. Every row is
+timed and compared, whether or not an earlier one differed. Then, if any
+pair of results differed, it lists every differing row, each with the
+first repetition it differed in and the first differing leaf (say
+``result['BoundReport']['constants']['mean_abs']``) with both its reprs,
+and exits with status 1. Otherwise ``--out`` also writes the rows, both
+commits and the machine to a JSON file.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ BASE_PACKAGE = "orlicz_bounds_base"
 
 EVAL_SIZES = (100, 10_000, 100_000)
 NORM_SIZES = (100, 100_000)
-KERNEL_REL_TOL = 1e-15
 
 
 def _inputs() -> dict:
@@ -129,14 +123,6 @@ def call_list(lib, data: dict) -> list[tuple[str, callable]]:
     return calls
 
 
-def kernel_scales(lib, data: dict) -> dict:
-    """name -> s * tail_integral(1/s) for each table M row: the scale of
-    the rounding its kernel may carry."""
-    table = lib.TabulatedSurvival(data["knots"], data["survival"])
-    return {f"M/table/n={n}": table.tail_integral(data["t", n]) / data["t", n]
-            for n in EVAL_SIZES}
-
-
 def plain(value):
     """``value`` as plain lists, dicts and floats, so that two packages'
     results compare by ``repr`` (floats repr exactly)."""
@@ -182,8 +168,6 @@ def compare(base_lib, change_lib, reps: int) -> list[dict]:
     sides = {"base": call_list(base_lib, data), "change": call_list(change_lib, data)}
     names = [name for name, _ in sides["base"]]
     times = {side: [[] for _ in names] for side in sides}
-    scales = kernel_scales(base_lib, data)
-    worst = {name: 0.0 for name in scales}
     differ = {}  # name -> (first repetition that differed, what differed)
     for rep in range(reps):
         order = ("base", "change") if rep % 2 == 0 else ("change", "base")
@@ -194,38 +178,25 @@ def compare(base_lib, change_lib, reps: int) -> list[dict]:
                 start = time.perf_counter()
                 results[side] = thunk()
                 times[side][i].append(time.perf_counter() - start)
-            if name in scales:
-                diff = float(np.max(np.abs(results["change"] - results["base"]) / scales[name]))
-                worst[name] = max(worst[name], diff)
-                if not diff <= KERNEL_REL_TOL:
-                    differ.setdefault(name, (rep, None))
-            elif name not in differ and (leaf := first_difference(
+            if name not in differ and (leaf := first_difference(
                     plain(results["base"]), plain(results["change"]))) is not None:
                 differ[name] = (rep, leaf)
     rows = []
-    print(f"{'call':40s} {'base ms':>10s} {'change ms':>10s} {'ratio':>7s} {'wins':>7s} "
-          f"{'max rel':>9s}")
+    print(f"{'call':40s} {'base ms':>10s} {'change ms':>10s} {'ratio':>7s} {'wins':>7s}")
     for i, name in enumerate(names):
         base_t, change_t = times["base"][i], times["change"][i]
         base_ms, change_ms = (1e3 * statistics.median(t) for t in (base_t, change_t))
         wins = sum(c < b for b, c in zip(base_t, change_t))
         rows.append({"call": name, "base_ms": base_ms, "change_ms": change_ms,
                      "ratio": change_ms / base_ms, "wins": wins, "reps": reps})
-        if name in worst:
-            rows[-1]["max_rel_diff"] = worst[name]
-        rel = f"{worst[name]:9.2e}" if name in worst else ""
         print(f"{name:40s} {base_ms:10.3f} {change_ms:10.3f} {change_ms / base_ms:7.3f} "
-              f"{f'{wins}/{reps}':>7s} {rel}")
+              f"{f'{wins}/{reps}':>7s}")
     lines = []
     for name in names:
-        if name not in differ:
-            continue
-        rep, leaf = differ[name]
-        if leaf is None:
-            what = f"differ by {worst[name]:.3g} relative, above {KERNEL_REL_TOL:g}"
-        else:
-            what = f"differ at {leaf[0]}: base {leaf[1]}, change {leaf[2]}"
-        lines.append(f"{name}: results {what} (repetition {rep + 1})")
+        if name in differ:
+            rep, (where, base, change) = differ[name]
+            lines.append(f"{name}: results differ at {where}: base {base}, change {change} "
+                         f"(repetition {rep + 1})")
     if lines:  # raised, not asserted, so that -O keeps it
         raise AssertionError("\n".join(lines))
     return rows

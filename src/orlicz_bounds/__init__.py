@@ -51,7 +51,6 @@ from .montecarlo import (
 )
 from .orlicz import (
     OrliczFunction,
-    Weights,
     expected_overshoot_function,
     gaussian_comparison_function,
     linear_function,

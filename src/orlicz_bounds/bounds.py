@@ -44,8 +44,8 @@ from .distributions import DistributionModel
 from .errors import DomainError, InfeasibleError, NonConvexError, NumericError, RangeError
 from .errors import _integer_in, _positive
 from .orlicz import (
-    OrliczFunction,
     _WarmStart,
+    _unit_mean_moment_function,
     _weights_and_reciprocals,
     expected_overshoot_function,
     neg_log_survival_function,
@@ -306,18 +306,6 @@ def kth_max_bounds(
         empirical_constants=("kmax_upper_c",),
         notes=notes,
     )
-
-
-def _unit_mean_moment_function(model: DistributionModel) -> OrliczFunction:
-    """M(s / E|xi|), the moment function of xi / E|xi|, which has mean 1.
-    At E|xi| = 1 that is M itself (s / 1.0 is s), and a sum skips the
-    division and its temporary array."""
-    mean = model.mean_abs()
-    m = expected_overshoot_function(model)
-    if mean == 1.0:
-        return m
-    return OrliczFunction(label=f"{m.label}(s/{mean:g})",
-                          evaluate=lambda s: m.evaluate(s / mean))
 
 
 def max_bounds(

@@ -26,7 +26,7 @@ from .bounds import (
     max_bounds,
 )
 from .distributions import Gaussian, check_tail_integral_bound, parse_distribution
-from .errors import OrliczBoundsError, PreconditionError, _integer_in, _positive
+from .errors import OrliczBoundsError, PreconditionError, _csv_lines, _integer_in, _positive
 from .montecarlo import (
     check_kmax_split,
     check_kth_min_tail,
@@ -37,7 +37,7 @@ from .montecarlo import (
     kth_min_tail_threshold,
 )
 from .orlicz import (
-    Weights,
+    _unit_mean_moment_function,
     expected_overshoot_function,
     gaussian_comparison_function,
     linear_function,
@@ -61,18 +61,8 @@ _PARTITION_SHAPES = {
 
 def load_weights(path: str) -> np.ndarray:
     """Weights CSV: one positive decimal per line (blank lines ignored)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise PreconditionError(f"cannot read weights file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise PreconditionError(f"{path}: not UTF-8 text: {exc}") from None
     values = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _csv_lines(path, "weights file", PreconditionError):
         try:
             values.append(_positive(float(line), "weight"))
         except ValueError as exc:  # not a number, or not positive and finite
@@ -233,14 +223,17 @@ def _suite_partition(model, args):
 
 
 def _suite_duality(model, args):
-    mfun = expected_overshoot_function(model)
+    # M*(s) = M1*(s / E|xi|), M1(u) = M(u / E|xi|): u s / E|xi| and M1(u) are
+    # of order 1 at every scale, where t s and M(t) would cancel near 1/E|xi|.
+    mean = model.mean_abs()
+    m1 = _unit_mean_moment_function(model)
     checks = []
     for t in np.arange(0.0, 4.01, 0.25):
         s = model.tail_integral(float(t))
-        via_search = young_conjugate(mfun, s, method="search")
+        via_search = young_conjugate(m1, s / mean, method="search")
         err = float(abs(via_search - model.survival(float(t))))
         checks.append((f"t={t:g}", CheckResult("duality", err <= 1e-6, err, 1e-6)))
-    beyond = young_conjugate(mfun, model.mean_abs() * (1 + 1e-6))
+    beyond = young_conjugate(expected_overshoot_function(model), mean * (1 + 1e-6))
     checks.append(("beyond-mean", CheckResult("duality", math.isinf(beyond), beyond, math.inf)))
     return checks
 
@@ -267,7 +260,7 @@ SUITES = tuple(_SUITE_RUNNERS)
 
 def _bounds_kmin(args, constants):
     model = parse_distribution(args.dist)
-    w = Weights.ascending(load_weights(args.weights_path))
+    w = load_weights(args.weights_path)
     if not args.closed_form:
         return kth_min_bounds(w, model, args.k)
     if not isinstance(model, Gaussian):
@@ -277,8 +270,7 @@ def _bounds_kmin(args, constants):
 
 def _bounds_kmax(args, constants):
     model = parse_distribution(args.dist)
-    w = Weights.descending(load_weights(args.weights_path))
-    return kth_max_bounds(w, model, args.k, constants)
+    return kth_max_bounds(load_weights(args.weights_path), model, args.k, constants)
 
 
 def _bounds_max1(args, constants):
@@ -287,7 +279,7 @@ def _bounds_max1(args, constants):
 
 
 def _partition(args, constants):
-    w = Weights.ascending(load_weights(args.weights_path))
+    w = load_weights(args.weights_path)
     result = build_partition(w, _PARTITION_SHAPES[args.shape](), args.k)
     return {
         "shape": args.shape,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TabulationError, _integer_in, _positive
+from .errors import DomainError, TabulationError, _csv_lines, _integer_in, _positive
 from .reporting import CheckResult
 
 __all__ = [
@@ -515,18 +515,8 @@ class TabulatedSurvival(DistributionModel):
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedSurvival":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise TabulationError(f"cannot read table {path}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise TabulationError(f"{path}: not UTF-8 text: {exc}") from None
         ts, fs, rows = [], [], []
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line:
-                continue
+        for lineno, line in _csv_lines(path, "table", TabulationError):
             parts = [p.strip() for p in line.split(",")]
             if lineno == 1 and parts and not _is_number(parts[0]):
                 continue  # optional header row

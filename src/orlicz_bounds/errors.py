@@ -8,7 +8,8 @@ Each kind of scalar argument is checked here, once: ``_integer_in`` for an
 order k, a count or a seed (a Python or numpy integer in low..high; bool and
 integral floats are refused), and ``_positive`` for a constant, a scale or a
 moment order (a real number, not a bool, finite and > 0). Weight vectors are
-checked in ``orlicz``, by ``Weights`` and ``_as_weights``.
+checked in ``orlicz``, by ``_weights_and_reciprocals`` alone. ``_csv_lines``
+reads both CSV inputs, weights and tables.
 """
 
 from __future__ import annotations
@@ -85,3 +86,17 @@ def _positive(value, what: str, error: type[PreconditionError] = DomainError):
     if not isinstance(value, Real) or isinstance(value, bool) or not 0 < value < math.inf:
         raise error(f"{what} must be positive and finite, got {value}")
     return value
+
+
+def _csv_lines(path, what: str, error: type[PreconditionError]) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of the UTF-8 file
+    ``path``, the ``what``; ``error`` when it cannot be read or is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.split("\n"), start=1))
+    return [(lineno, line) for lineno, line in lines if line]

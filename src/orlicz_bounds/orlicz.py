@@ -101,7 +101,6 @@ from .errors import (
 
 __all__ = [
     "OrliczFunction",
-    "Weights",
     "linear_function",
     "power_function",
     "gaussian_comparison_function",
@@ -246,6 +245,18 @@ def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
     )
 
 
+def _unit_mean_moment_function(model: DistributionModel) -> OrliczFunction:
+    """M(s / E|xi|), the moment function of xi / E|xi|, which has mean 1.
+    At E|xi| = 1 that is M itself (s / 1.0 is s), and a sum skips the
+    division and its temporary array."""
+    mean = model.mean_abs()
+    m = expected_overshoot_function(model)
+    if mean == 1.0:
+        return m
+    return OrliczFunction(label=f"{m.label}(s/{mean:g})",
+                          evaluate=lambda s: m.evaluate(s / mean))
+
+
 def neg_log_survival_function(
     model: DistributionModel, *, require_convex: bool = True
 ) -> OrliczFunction:
@@ -280,82 +291,50 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
     return OrliczFunction(label=f"NF{k}[{model.describe()}]", evaluate=_eval)
 
 
-@dataclass(frozen=True)
-class Weights:
-    """Validated vector of positive weights with a declared sort order."""
-
-    values: np.ndarray
-    order: str  # "ascending" | "descending"
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", arr)
-        if self.order not in ("ascending", "descending"):
-            raise DomainError(f"order must be ascending or descending, got {self.order!r}")
-        _validate_weights(arr)
-        diffs = np.diff(arr)
-        viol = diffs < 0 if self.order == "ascending" else diffs > 0
-        where = np.flatnonzero(viol)
-        if where.size:
-            i = int(where[0])
-            raise DomainError(
-                f"weights not in {self.order} order: entry {i + 2} ({arr[i + 1]}) "
-                f"violates entry {i + 1} ({arr[i]})"
-            )
-
-    @classmethod
-    def ascending(cls, values) -> "Weights":
-        return cls(np.asarray(values, dtype=float), "ascending")
-
-    @classmethod
-    def descending(cls, values) -> "Weights":
-        return cls(np.asarray(values, dtype=float), "descending")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def _validate_weights(arr: np.ndarray) -> None:
-    """DomainError unless ``arr`` is a nonempty 1-d vector of positive finite
-    entries; the message names the first bad entry."""
-    if arr.ndim != 1 or arr.size == 0:
+def _weights_and_reciprocals(x, order: str | None = None, *,
+                             overflow_ok: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(w, 1.0 / w) for the weights x, the one check of a weight vector.
+    DomainError, naming the first bad entry of the first check that fails,
+    unless x is a nonempty 1-d vector of positive finite entries, then in
+    ``order`` ("ascending" or "descending") if one is given, then with no
+    reciprocal overflowing (below about 5.6e-309) unless ``overflow_ok``.
+    A valid vector costs one division and one comparison of neighbours (NaN
+    fails every comparison), the ends standing for every entry; only one
+    that fails is scanned for the entry to name."""
+    w = np.asarray(x, dtype=float)
+    if w.ndim != 1 or w.size == 0:
         raise DomainError("weights must be a nonempty 1-d vector")
-    bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv = 1.0 / w
+    if order is None:
+        ok = w.min() > 0.0 and w.max() < math.inf and (overflow_ok or inv.max() < math.inf)
+    else:
+        low, high = (0, -1) if order == "ascending" else (-1, 0)
+        ok = (w[low] > 0.0 and w[high] < math.inf and (overflow_ok or inv[low] < math.inf)
+              and np.all(w[1:] >= w[:-1] if order == "ascending" else w[1:] <= w[:-1]))
+    if ok:
+        return w, inv
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
     if bad.size:
         i = int(bad[0])
-        raise DomainError(f"weights must be positive and finite: entry {i + 1} is {arr[i]}")
-
-
-def _as_weights(x, order: str | None = None) -> np.ndarray:
-    """The entries of the weights ``x``, validated as ``Weights`` are: a
-    nonempty 1-d vector of positive finite entries, in ``order`` when one
-    is given. A ``Weights`` is validated already; it is only checked to be
-    declared in ``order``."""
-    if isinstance(x, Weights):
-        if order is not None and x.order != order:
-            raise DomainError(f"weights declared {x.order}, operation requires {order}")
-        return x.values
+        raise DomainError(f"weights must be positive and finite: entry {i + 1} is {w[i]}")
     if order is not None:
-        return Weights(np.asarray(x, dtype=float), order).values
-    values = np.asarray(x, dtype=float)
-    _validate_weights(values)
-    return values
+        diffs = np.diff(w)
+        bad = np.flatnonzero(diffs < 0 if order == "ascending" else diffs > 0)
+        if bad.size:
+            i = int(bad[0])
+            raise DomainError(
+                f"weights not in {order} order: entry {i + 2} ({w[i + 1]}) "
+                f"violates entry {i + 1} ({w[i]})"
+            )
+    i = int(np.flatnonzero(np.isinf(inv))[0])
+    raise DomainError(f"weights too small: the reciprocal of entry {i + 1} ({w[i]}) overflows")
 
 
-def _weights_and_reciprocals(x, order: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(w, 1.0 / w) for the weights w of ``_as_weights(x, order)``, refusing
-    weights whose reciprocal overflows (below about 5.6e-309) with a
-    DomainError."""
-    values = _as_weights(x, order)
-    with np.errstate(over="ignore"):
-        inv = 1.0 / values
-    bad = np.flatnonzero(np.isinf(inv))
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(
-            f"weights too small: the reciprocal of entry {i + 1} ({values[i]}) overflows"
-        )
-    return values, inv
+def _as_weights(x) -> np.ndarray:
+    """The weights x, checked as ``_weights_and_reciprocals`` checks them
+    without an order; a reciprocal may overflow, since no caller forms it."""
+    return _weights_and_reciprocals(x, overflow_ok=True)[0]
 
 
 def _probe(fun: OrliczFunction, n: int):
@@ -415,8 +394,6 @@ def orlicz_norm(x, fun: OrliczFunction, *, warm: Optional[_WarmStart] = None) ->
     when even the largest float is infeasible, i.e. the norm exceeds the
     float range.
     """
-    if isinstance(x, Weights):
-        x = x.values
     v = np.abs(np.asarray(x, dtype=float).ravel())
     vmax = float(v.max()) if v.size else math.nan  # NaN if an entry is
     if not (vmax < math.inf and v.min() > 0.0):

@@ -57,7 +57,6 @@ from .errors import DomainError, PartitionError, _integer_in
 from .orlicz import (
     NORM_REL_TOL,
     OrliczFunction,
-    Weights,
     _modular_sum,
     _weights_and_reciprocals,
     orlicz_norm,
@@ -181,9 +180,8 @@ def _greedy_blocks(inv: np.ndarray, start: int, blocks_needed: int, fun: OrliczF
 def build_partition(x, fun: OrliczFunction, k: int) -> PartitionResult:
     """Split {1..n} into k consecutive blocks certifying the suffix-norm
     minimum; see the module docstring for the construction and guards."""
-    w = x if isinstance(x, Weights) else Weights.ascending(x)  # verify_partition reuses it
-    _, inv = _weights_and_reciprocals(w, "ascending")
-    n = len(w)
+    w, inv = _weights_and_reciprocals(x, "ascending")
+    n = w.size
     k = _integer_in(k, "the number of blocks k", 1, n)
     h1 = fun(1.0)
     if not (0 < h1 < math.inf):

@@ -13,7 +13,6 @@ from orlicz_bounds import (
     OrliczFunction,
     PartitionResult,
     SymExponential,
-    Weights,
     check_kmax_split,
     check_subset_product_chain,
     check_tail_integral_bound,
@@ -47,7 +46,8 @@ _INF_AT_ONE = OrliczFunction("inf-from-1", lambda t: np.where(t < 1.0, t, np.inf
         (lambda: young_conjugate(linear_function(), math.nan),
          "conjugate argument must be >= 0"),
         (lambda: orlicz_norm([1.0, math.nan], linear_function()), "must not contain NaN"),
-        (lambda: Weights(np.ones(3), "sideways"), "order must be ascending or descending"),
+        (lambda: kth_min_bounds(np.array([2.0, 1.0, 3.0]), Gaussian(), 1),
+         "weights not in ascending order: entry 2"),
         (lambda: kth_min_bounds(np.ones((2, 3)), Gaussian(), 1), "nonempty 1-d vector"),
         (lambda: Gaussian().quantile(0.0), r"probabilities in \(0, 1\]"),
         (lambda: Gaussian().quantile(1.5), r"probabilities in \(0, 1\]"),

@@ -23,7 +23,6 @@ from orlicz_bounds import (
     PartitionResult,
     RangeError,
     SymExponential,
-    Weights,
     build_partition,
     check_kmax_split,
     check_subset_product_chain,
@@ -136,9 +135,8 @@ class TestKminBounds:
     def test_requires_ascending(self, gaussian):
         with pytest.raises(Exception, match="ascending"):
             kth_min_bounds(np.array([3.0, 1.0, 2.0]), gaussian, 1)
-        w = Weights.descending([3.0, 2.0, 1.0])
-        with pytest.raises(Exception, match="requires ascending"):
-            kth_min_bounds(w, gaussian, 1)
+        with pytest.raises(DomainError, match="not in ascending order: entry 2"):
+            kth_min_bounds(np.array([3.0, 2.0, 1.0]), gaussian, 1)
 
     def test_tabulated_model_matches_analytic(self, gaussian, gaussian_table_model):
         # agreement is limited by the table's knot resolution, not the solver
@@ -444,7 +442,7 @@ _GAUSS = Gaussian()
     [
         lambda: kth_min_bounds(_TINY, _GAUSS, 1),
         lambda: kth_min_bounds_gaussian(_TINY, 1),
-        lambda: kth_max_bounds(Weights.descending(_TINY[::-1]), _GAUSS, 2),
+        lambda: kth_max_bounds(_TINY[::-1], _GAUSS, 2),
         lambda: kth_min_moment_lower(_TINY, _GAUSS, 1, 1.0),
         lambda: min_moment_upper(_TINY, _GAUSS, 1.0),
         lambda: build_partition(_TINY, linear_function(), 2),
@@ -461,6 +459,46 @@ def test_weights_with_overflowing_reciprocal_refused(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="reciprocal of entry 1"):
             call()
+
+
+_UP = np.array([1.0, 3.0, 2.0, 4.0])  # entry 3 breaks ascending order
+_DOWN = _UP[::-1]  # entry 3 breaks descending order
+_UP_ORDER = r"weights not in ascending order: entry 3 \(2\.0\) violates entry 2 \(3\.0\)"
+_DOWN_ORDER = r"weights not in descending order: entry 3 \(3\.0\) violates entry 2 \(2\.0\)"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kth_min_bounds(_UP, _GAUSS, 1), _UP_ORDER),
+        (lambda: kth_min_bounds_gaussian(_UP, 1), _UP_ORDER),
+        (lambda: kth_max_bounds(_DOWN, _GAUSS, 2), _DOWN_ORDER),
+        (lambda: kth_min_moment_lower(_UP, _GAUSS, 1, 1.0), _UP_ORDER),
+        (lambda: min_moment_upper(_UP, _GAUSS, 1.0), _UP_ORDER),
+        (lambda: build_partition(_UP, linear_function(), 2), _UP_ORDER),
+        (lambda: verify_partition(_UP, linear_function(), 2,
+                                  PartitionResult(((1, 1), (2, 4)), "case2")), _UP_ORDER),
+        # Order is checked before the reciprocals.
+        (lambda: kth_min_bounds(np.array([1e-315, 1.0, 0.5]), _GAUSS, 1),
+         r"weights not in ascending order: entry 3 \(0\.5\) violates entry 2 \(1\.0\)"),
+        (lambda: kth_min_bounds(np.array([1.0, math.nan, 2.0]), _GAUSS, 1),
+         "weights must be positive and finite: entry 2 is nan"),
+        (lambda: kth_max_bounds(np.array([2.0, 1.0, -0.0]), _GAUSS, 2),
+         "weights must be positive and finite: entry 3 is -0.0"),
+        # Monte Carlo needs no reciprocal, so one that overflows is no error.
+        (lambda: estimate_order_stats(np.full(4, 1e-310), _GAUSS, [1], replications=100), None),
+    ],
+    ids=["kmin", "kmin-gaussian", "kmax", "kmin-moment", "min-moment", "partition",
+         "verify-partition", "order-before-overflow", "nan", "negative-zero",
+         "montecarlo-tiny"],
+)
+def test_plain_weight_vectors_checked_once(call, message):
+    """Every entry point takes a plain array and checks its order itself."""
+    if message is None:
+        assert 0.0 < call()[0].mean < 1e-309
+        return
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
 
 
 _ONES = np.ones(40)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_bounds
-from orlicz_bounds import PreconditionError
+from orlicz_bounds import PreconditionError, TabulatedSurvival, TabulationError
 from orlicz_bounds.cli import SUITES, build_parser, load_weights, main, run
 
 
@@ -319,6 +319,24 @@ class TestWeightsValidation:
         assert code == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reader, error, what", [
+        (load_weights, PreconditionError, "weights file"),
+        (TabulatedSurvival.from_csv, TabulationError, "table"),
+    ], ids=["weights", "table"])
+    def test_unreadable_file_messages(self, reader, error, what, tmp_path):
+        """Both CSV readers word a missing file and a non-UTF-8 file alike."""
+        missing = tmp_path / "nope.csv"
+        with pytest.raises(error) as err:
+            reader(str(missing))
+        assert str(err.value) == (f"cannot read {what} {missing}: [Errno 2] "
+                                  f"No such file or directory: '{missing}'")
+        garbled = tmp_path / "bad.csv"
+        garbled.write_bytes(b"0,1\n1,0.5\xff\n")
+        with pytest.raises(error) as err:
+            reader(str(garbled))
+        assert str(err.value) == (f"{garbled}: not UTF-8 text: 'utf-8' codec can't decode "
+                                  f"byte 0xff in position 9: invalid start byte")
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.one_of(
         st.binary(max_size=200),
@@ -419,7 +437,10 @@ class TestVerify:
         suites = {line.split(",")[0] for line in lines[1:]}
         assert suites == {"sym-tail", "subset-chain", "tail-bound", "gaussian-equiv", "duality"}
 
-    @pytest.mark.parametrize("dist", ["symexp:1e10", "symexp:1e30", "symexp:1e200"])
+    # Large scales too (small rates): the search runs on the unit-mean moment
+    # function, so t * s and M(t) near 1 / rate do not cancel to their rounding.
+    @pytest.mark.parametrize("dist", ["symexp:1e10", "symexp:1e30", "symexp:1e200",
+                                      "symexp:1e-12", "symexp:1e-20", "symexp:1e-300"])
     def test_duality_at_small_scales(self, dist):
         code, out = run_capture(["verify", "--suite", "duality", "--dist", dist])
         assert code == 0

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicz_bounds import bounds as bounds_module
 from orlicz_bounds import orlicz as orlicz_module
 from orlicz_bounds import (
     DomainError,
@@ -294,7 +293,7 @@ def test_steered_moment_solves_take_at_most_ten_sums(monkeypatch, gaussian_table
         "moment-symexp": SymExponential(rate=1.0),
         "moment-table": gaussian_table_model,
     }[name]
-    fun = bounds_module._unit_mean_moment_function(model)
+    fun = orlicz_module._unit_mean_moment_function(model)
     x = np.random.default_rng(n).uniform(0.5, 5.0, n)
     (bits, calls), (plain_bits, plain_calls) = _steered_and_unsteered(monkeypatch, x, fun)
     assert bits == plain_bits

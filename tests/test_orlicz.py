@@ -19,7 +19,6 @@ from orlicz_bounds import (
     TabulationError,
     UnboundedNormError,
     OrliczFunction,
-    Weights,
     expected_overshoot_function,
     gaussian_comparison_function,
     linear_function,
@@ -29,6 +28,7 @@ from orlicz_bounds import (
     reciprocal_survival_function,
     young_conjugate,
 )
+from orlicz_bounds.orlicz import _as_weights, _weights_and_reciprocals
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -213,8 +213,7 @@ class TestNormSolver:
         assert orlicz_norm([4.0], fun) == pytest.approx(2.0, rel=1e-9)
 
     def test_weights_input(self):
-        w = Weights.ascending([1.0, 2.0, 3.0])
-        assert orlicz_norm(w, linear_function()) == pytest.approx(6.0, rel=1e-10)
+        assert orlicz_norm(np.array([1.0, 2.0, 3.0]), linear_function()) == pytest.approx(6.0, rel=1e-10)
 
     def test_subnormal_norm_terminates(self):
         # Below about 5e-312 the relative bracket width is under the float
@@ -426,19 +425,25 @@ class TestConjugate:
 
 
 class TestWeights:
+    """The one check of a weight vector, on plain arrays."""
+
     def test_order_violation_names_entry(self):
         with pytest.raises(DomainError, match="entry 3"):
-            Weights.ascending([1.0, 2.0, 1.5])
+            _weights_and_reciprocals([1.0, 2.0, 1.5], "ascending")
         with pytest.raises(DomainError, match="entry 2"):
-            Weights.descending([1.0, 2.0])
+            _weights_and_reciprocals([1.0, 2.0], "descending")
 
     def test_positive_validation(self):
         with pytest.raises(DomainError, match="entry 2"):
-            Weights.ascending([1.0, -2.0, 3.0])
+            _weights_and_reciprocals([1.0, -2.0, 3.0], "ascending")
+        with pytest.raises(DomainError, match="entry 3 is inf"):
+            _weights_and_reciprocals([1.0, 2.0, math.inf])
 
     def test_valid(self):
-        w = Weights.descending([3.0, 2.0, 1.0])
-        assert len(w) == 3
+        w, inv = _weights_and_reciprocals([3.0, 2.0, 2.0, 1.0], "descending")
+        assert w.tolist() == [3.0, 2.0, 2.0, 1.0]
+        assert inv.tolist() == [1.0 / 3.0, 0.5, 0.5, 1.0]
+        assert _as_weights([1e-310]).tolist() == [1e-310]
 
 
 @given(

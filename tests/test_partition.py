@@ -25,7 +25,6 @@ from orlicz_bounds import (
     PartitionResult,
     RangeError,
     SymExponential,
-    Weights,
     build_partition,
     expected_overshoot_function,
     gaussian_comparison_function,
@@ -251,7 +250,7 @@ class TestValidation:
     def test_requires_ascending(self):
         with pytest.raises(DomainError):
             build_partition(np.array([3.0, 1.0]), linear_function(), 1)
-        descending = Weights.descending([4.0, 3.0, 2.0, 1.0])
+        descending = np.array([4.0, 3.0, 2.0, 1.0])
         with pytest.raises(DomainError):
             build_partition(descending, linear_function(), 2)
         blocks = PartitionResult(blocks=((1, 2), (3, 4)), case_taken="case1")
