@@ -292,20 +292,23 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
 
 
 def _weights_and_reciprocals(x, order: str | None = None, *,
-                             overflow_ok: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                             overflow_ok: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """(w, 1.0 / w) for the weights x, the one check of a weight vector.
     DomainError, naming the first bad entry of the first check that fails,
     unless x is a nonempty 1-d vector of positive finite entries, then in
     ``order`` ("ascending" or "descending") if one is given, then with no
-    reciprocal overflowing (below about 5.6e-309) unless ``overflow_ok``.
-    A valid vector costs one division and one comparison of neighbours (NaN
-    fails every comparison), the ends standing for every entry; only one
-    that fails is scanned for the entry to name."""
+    reciprocal overflowing (below about 5.6e-309) unless ``overflow_ok``,
+    which forms no reciprocals and returns (w, None).
+    A valid vector costs at most one division and one comparison of
+    neighbours (NaN fails every comparison), the ends standing for every
+    entry; only one that fails is scanned for the entry to name."""
     w = np.asarray(x, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DomainError("weights must be a nonempty 1-d vector")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv = 1.0 / w
+    inv = None
+    if not overflow_ok:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            inv = 1.0 / w
     if order is None:
         ok = w.min() > 0.0 and w.max() < math.inf and (overflow_ok or inv.max() < math.inf)
     else:
@@ -333,7 +336,8 @@ def _weights_and_reciprocals(x, order: str | None = None, *,
 
 def _as_weights(x) -> np.ndarray:
     """The weights x, checked as ``_weights_and_reciprocals`` checks them
-    without an order; a reciprocal may overflow, since no caller forms it."""
+    without an order; a reciprocal may overflow, since no caller forms it,
+    and none is formed here."""
     return _weights_and_reciprocals(x, overflow_ok=True)[0]
 
 

@@ -47,6 +47,7 @@ from orlicz_bounds import (
 )
 from orlicz_bounds import bounds as bounds_module
 from orlicz_bounds import montecarlo as montecarlo_module
+from orlicz_bounds import orlicz as orlicz_module
 from orlicz_bounds.montecarlo import _tail_threshold_function
 
 _FUZZ = 1e-12
@@ -311,8 +312,10 @@ def test_bound_and_threshold_bits_match_the_masked_reference(
     models = _models(gaussian_table_model)
     vectors = _vectors()
     new = {(m, v): _bound_bits(models[m], x, k) for m in models for v, x in vectors.items()}
-    monkeypatch.setattr(bounds_module, "expected_overshoot_function",
-                        functools.partial(ref_moment, scipy_pchip))
+    # max_bounds reads M through orlicz._unit_mean_moment_function
+    for module in (bounds_module, orlicz_module):
+        monkeypatch.setattr(module, "expected_overshoot_function",
+                            functools.partial(ref_moment, scipy_pchip))
     monkeypatch.setattr(bounds_module, "neg_log_survival_function",
                         functools.partial(ref_neg_log_survival, scipy_pchip))
     monkeypatch.setattr(montecarlo_module, "_tail_threshold_function",
