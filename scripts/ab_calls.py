@@ -11,11 +11,12 @@ tree's ``orlicz_bounds`` in this one interpreter. Then it runs a fixed call
 list on both: N, M and survival per family (gaussian, symexp, the 401-knot
 erfc table) at n = 1e2, 1e4 and 1e5; the M norm per family at n = 1e2 and
 1e5; ``kth_min_bounds`` (gaussian k = 7, table k = 20) and
-``kth_max_bounds`` (table and gaussian, k = 5) at n = 100; one
-``max_bounds``, one ``build_partition`` and one solve under
-``reciprocal_survival_function`` at n = 1e4, a bounded functional that
-never reaches 1 on the probe grid, steered like every vector of n >= 4096;
-building the table anew, and 1e5 draws from it.
+``kth_max_bounds`` (table and gaussian, k = 5) at n = 100; one solve
+under ``reciprocal_survival_function`` at n = 1e4, a bounded functional
+that never reaches 1 on the probe grid, steered like every vector of
+n >= 4096; ``max_bounds`` on the table at n = 1e4 and on gaussian and
+symexp at n = 1e5, where a solve's modular sums run in its workspace; one
+``build_partition``; building the table anew, and 1e5 draws from it.
 Each repetition runs every call on both sides, and which side runs first
 alternates from one repetition to the next, so both see the same host
 speed (which can swing by 2x within minutes). Every pair
@@ -70,6 +71,7 @@ def _inputs() -> dict:
     data["x100"] = np.sort(rng.uniform(0.5, 5.0, 100))
     data["x1e4"] = rng.uniform(0.5, 5.0, 10_000)
     data["x60"] = np.sort(rng.uniform(0.5, 5.0, 60))
+    data["x1e5"] = rng.uniform(0.5, 5.0, 100_000)
     return data
 
 
@@ -114,6 +116,8 @@ def call_list(lib, data: dict) -> list[tuple[str, callable]]:
          lambda: lib.orlicz_norm(data["x1e4"],
                                  lib.reciprocal_survival_function(models["gaussian"], 3))),
         ("max_bounds/table/n=1e4", lambda: lib.max_bounds(data["x1e4"], table)),
+        ("max_bounds/gaussian/n=1e5", lambda: lib.max_bounds(data["x1e5"], models["gaussian"])),
+        ("max_bounds/symexp/n=1e5", lambda: lib.max_bounds(data["x1e5"], models["symexp"])),
         ("build_partition/gaussian-N/n=60/k=4",
          lambda: lib.build_partition(data["x60"],
                                      lib.neg_log_survival_function(models["gaussian"]), 4)),

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionModel
-from .errors import DomainError, InfeasibleError, NonConvexError, NumericError, RangeError
+from .errors import DomainError, InfeasibleError, NumericError, RangeError
 from .errors import _integer_in, _positive
 from .orlicz import (
     _WarmStart,
@@ -322,7 +322,7 @@ def max_bounds(
     if v.size == 0 or not np.any(v != 0):
         raise DomainError("max bounds require a nonzero vector")
     mean = model.mean_abs()
-    nm = orlicz_norm(np.abs(v), _unit_mean_moment_function(model))
+    nm = orlicz_norm(v, _unit_mean_moment_function(model))
     lower = cons.max1_c_low * mean * nm
     if not (lower < math.inf):
         raise NumericError(

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,14 +89,116 @@ def _special():
     return special
 
 
-def _within(u: np.ndarray, t_max: float) -> np.ndarray:
+def _within(u: np.ndarray, t_max: float, out=None) -> np.ndarray:
     """Where u is resolved by a table whose last knot is t_max (relative fuzz
     1e-12); u up to that is read at min(u, t_max)."""
-    return u <= t_max * (1 + 1e-12)
+    return np.less_equal(u, t_max * (1 + 1e-12), out=out)
 
 
 def _ret(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
+
+
+class _Current(threading.local):
+    """The workspace of the solve running on this thread, if any."""
+
+    workspace = None
+
+
+_CURRENT = _Current()
+# Workspaces open on any thread, counted under _OPEN_LOCK: while there is
+# none, no array is workspace memory, and a kernel learns so from this
+# count alone.
+_OPEN = 0
+_OPEN_LOCK = threading.Lock()
+
+
+class _Workspace:
+    """The scratch memory of one norm solve on one thread.
+
+    Entered (``with _Workspace(n)``) around a solve on n entries, it is the
+    thread's current workspace until the solve returns or raises; the
+    workspace it replaced, a nested solve's caller's, comes back then
+    (``_Workspace(0)`` is none: a short solve's). Each modular sum restarts
+    it (``start``) and writes v / rho into its first buffer. A kernel handed
+    workspace memory may overwrite it, and takes its temporaries here
+    (``_mine``, ``_scratch``), so they are workspace memory too. A buffer
+    holds n entries times the rows a kernel asks for; the first sum that
+    asks for one of a kind (its rows and dtype) allocates it, and every
+    later sum finds it free again and reuses it (a shorter request gets its
+    first entries). Leaving the solve drops every buffer: nothing outlives
+    it."""
+
+    __slots__ = ("n", "_buffers", "_free", "_outer")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._buffers = []
+        self._free = []
+
+    def __enter__(self):
+        global _OPEN
+        self._outer = _CURRENT.workspace
+        _CURRENT.workspace = self if self.n else None
+        if self.n:
+            with _OPEN_LOCK:
+                _OPEN += 1
+        return self
+
+    def __exit__(self, *exc):
+        global _OPEN
+        _CURRENT.workspace = self._outer
+        self._buffers.clear()
+        if self.n:
+            with _OPEN_LOCK:
+                _OPEN -= 1
+
+    def start(self) -> np.ndarray:
+        """A new sum's first buffer, of n entries; every buffer is free."""
+        self._free = self._buffers.copy()
+        return self.take((self.n,))
+
+    def take(self, shape: tuple, dtype=float) -> np.ndarray:
+        """A contiguous array of ``shape`` (last axis at most n) in a buffer
+        no earlier ``take`` of this sum used: a free one of its kind (its
+        dtype and its size, n times the rows of ``shape``), or a new one."""
+        rows = math.prod(shape[:-1])
+        for i, buf in enumerate(self._free):
+            if buf.size == rows * self.n and buf.dtype == dtype:
+                del self._free[i]
+                break
+        else:
+            buf = np.empty(rows * self.n, dtype)
+            self._buffers.append(buf)
+        return buf[: rows * shape[-1]].reshape(shape)
+
+
+def _owner(a):
+    """The current workspace when a is a 1-d view of one of its buffers,
+    else None. An array that owns its memory, as every fresh one does, is
+    told apart by its ``base`` alone, with no lookup of the workspace."""
+    try:
+        base = a.base
+    except AttributeError:  # not an array
+        return None
+    if base is not None and (ws := _CURRENT.workspace) is not None and a.ndim == 1:
+        for buf in ws._buffers:
+            if buf is base:
+                return ws
+    return None
+
+
+def _mine(a):
+    """a itself when it is workspace memory, which a kernel may overwrite;
+    None otherwise, so that ``out=_mine(a)`` makes numpy allocate."""
+    return a if _OPEN and _owner(a) is not None else None
+
+
+def _scratch(like, shape=None, dtype=float):
+    """A new workspace buffer of ``shape`` (by default like's) when ``like``
+    is workspace memory, None otherwise (numpy allocates)."""
+    ws = _owner(like) if _OPEN else None
+    return None if ws is None else ws.take(like.shape if shape is None else shape, dtype)
 
 
 class DistributionModel:
@@ -104,7 +207,10 @@ class DistributionModel:
     ``_tail_integral_and_survival`` (the pair of the tail integral and F,
     which the moment function M combines), on an already validated float
     array: no NaN, nothing negative, nothing past a table, though +inf may
-    occur, where both read 0. It also implements ``_quantile``,
+    occur, where both read 0. Handed a solve's workspace memory (see
+    ``_Workspace``), a raw kernel may overwrite it and takes its
+    temporaries from the workspace; any other argument it leaves as it is,
+    and it returns new arrays. It also implements ``_quantile``,
     ``_sample``, ``mean_abs`` and, for a table, ``upper_limit``. The public
     methods validate, then call the kernel, so a solve validates once, at
     its entry."""
@@ -115,6 +221,8 @@ class DistributionModel:
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
+        if _mine(arr) is not None:  # a handle's argument in a solve: the kernel may write it
+            arr = arr.copy()
         if np.any(np.isnan(arr)):
             raise DomainError("t must not be NaN")
         if np.any(arr < 0):
@@ -186,17 +294,22 @@ class Gaussian(DistributionModel):
     """
 
     def _survival(self, t):
-        return _special().erfc(t / _SQRT2)
+        mine = _mine(t)
+        return _special().erfc(np.divide(t, _SQRT2, out=mine), out=mine)
 
     def _neg_log_survival(self, t):
         # F = 2*Phi(-t)  =>  ln F = ln 2 + log_ndtr(-t); precise for large t.
-        return -(_LN2 + _special().log_ndtr(-t))
+        mine = _mine(t)
+        n = _special().log_ndtr(np.negative(t, out=mine), out=mine)
+        return np.negative(np.add(_LN2, n, out=mine), out=mine)
 
     def _quantile(self, p):
         return _SQRT2 * _special().erfcinv(p)
 
     def _tail_integral_and_survival(self, t):
-        return _SQRT_2_OVER_PI * np.exp(-0.5 * t * t), self._survival(t)
+        buf = _scratch(t)
+        tail = np.exp(np.multiply(np.multiply(-0.5, t, out=buf), t, out=buf), out=buf)
+        return np.multiply(_SQRT_2_OVER_PI, tail, out=buf), self._survival(t)
 
     def mean_abs(self) -> float:
         return _SQRT_2_OVER_PI
@@ -226,10 +339,11 @@ class SymExponential(DistributionModel):
             )
 
     def _survival(self, t):
-        return np.exp(-self.rate * t)
+        mine = _mine(t)
+        return np.exp(np.multiply(-self.rate, t, out=mine), out=mine)
 
     def _neg_log_survival(self, t):
-        return self.rate * t
+        return np.multiply(self.rate, t, out=_mine(t))
 
     def _quantile(self, p):
         return -np.log(p) / self.rate
@@ -240,12 +354,16 @@ class SymExponential(DistributionModel):
         # every other value, all >= 0, as it is. Below a rate of about
         # 1e-292, t + 1/rate can overflow for a finite t although the product
         # is about 0.5: there it is formed as t F + F / rate.
-        f = np.exp(-self.rate * t)
-        out = (t + 1.0 / self.rate) * f
+        buf, mine = _scratch(t), _mine(t)
+        f = np.exp(np.multiply(-self.rate, t, out=buf), out=buf)
+        band = None
         if math.isinf(sys.float_info.max + 1.0 / self.rate):
             band = np.isinf(t + 1.0 / self.rate) & np.isfinite(t)
-            out[band] = t[band] * f[band] + f[band] / self.rate
-        return np.fmax(out, 0.0), f
+            t_band = t[band]
+        out = np.multiply(np.add(t, 1.0 / self.rate, out=mine), f, out=mine)
+        if band is not None:
+            out[band] = t_band * f[band] + f[band] / self.rate
+        return np.fmax(out, 0.0, out=mine), f
 
     def mean_abs(self) -> float:
         return 1.0 / self.rate
@@ -545,7 +663,7 @@ class TabulatedSurvival(DistributionModel):
         (unless the caller found the j already), and one ``take``."""
         if j is None:
             j = np.searchsorted(self._inner, u, side="right")
-        return self._cubic.take(j, axis=1)
+        return self._cubic.take(j, axis=1, out=_scratch(u, (5,) + u.shape), mode="clip")
 
     def _log_f(self, u: np.ndarray, j=None) -> np.ndarray:
         """ln F(u) for u in [0, t_max] of one or more dimensions; ``j``, if
@@ -586,20 +704,23 @@ class TabulatedSurvival(DistributionModel):
         term keeps its digits on a table whose knots lie ulps apart.
         """
         x, c3, c2, c1, c0, b, r, const, *g = self._pieces.take(
-            np.searchsorted(self._cuts, u, side="right"), axis=1)
+            np.searchsorted(self._cuts, u, side="right"), axis=1,
+            out=_scratch(u, self._pieces.shape[:1] + u.shape), mode="clip")
         f = _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
         np.exp(f, out=f)
-        v = b - u
-        y = v * r
+        v = np.subtract(b, u, out=b)
+        y = np.multiply(v, r, out=r)
         y -= 1.0
-        mean = g[0] * y
+        mean = np.multiply(g[0], y, out=g[0])
         for coef in g[1:-1]:
             mean += coef
             mean *= y
         mean += g[-1]
         mean *= v
         mean += const
-        return np.stack((u * f + mean, f))
+        tail = np.multiply(u, f, out=x)
+        tail += mean
+        return np.stack((tail, f), out=_scratch(u, (2,) + u.shape))
 
     def _on_table(self, u: np.ndarray, kernel, past: float) -> np.ndarray:
         """``kernel(min(u, t_max))`` where the table resolves u, ``past``
@@ -614,9 +735,14 @@ class TabulatedSurvival(DistributionModel):
         lim = self.ts[-1]
         if u.max(initial=0.0) <= lim:
             return kernel(u)
-        inside = _within(u, lim)
-        vals = kernel(np.minimum(u[inside], lim))
-        out = np.full(vals.shape[:-1] + u.shape, past)
+        inside = _within(u, lim, out=_scratch(u, dtype=bool))
+        resolved = u[inside]
+        vals = kernel(np.minimum(resolved, lim, out=_scratch(u, resolved.shape)))
+        shape = vals.shape[:-1] + u.shape
+        out = _scratch(u, shape)
+        if out is None:
+            out = np.empty(shape)
+        out.fill(past)
         out[..., inside] = vals
         return out
 

@@ -183,9 +183,9 @@ def test_ab_calls_on_the_working_tree_against_itself(monkeypatch, tmp_path, caps
     assert ab_calls.main(["--base", "HEAD", "--reps", "2", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     rows = record["rows"]
-    # N, M, survival x 3 sizes; 2 norms; 6 reports and partitions; 1 norm;
+    # N, M, survival x 3 sizes; 2 norms; 8 reports and partitions; 1 norm;
     # the table's load and sample
-    assert len(rows) == 3 * 3 * 3 + 3 * 2 + 6 + 1 + 2
+    assert len(rows) == 3 * 3 * 3 + 3 * 2 + 8 + 1 + 2
     assert all(row["reps"] == 2 and 0 <= row["wins"] <= 2 and row["base_ms"] > 0 for row in rows)
     printed = capsys.readouterr().out
     assert all(row["call"] in printed for row in rows)

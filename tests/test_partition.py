@@ -32,7 +32,6 @@ from orlicz_bounds import (
     neg_log_survival_function,
     orlicz_norm,
     power_function,
-    build_partition as _bp,
     verify_partition,
 )
 
