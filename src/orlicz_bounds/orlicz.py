@@ -26,16 +26,16 @@ the cancellation in s E[|xi|; |xi| > 1/s] - F(1/s) (about 1e-10), and there
 the result can differ from a plain bisection's by about 1e-12 relative.
 Every evaluation is one modular sum, ``_modular_sum``: one call of
 ``fun.evaluate`` on v / rho, then the pairwise ``np.add.reduce`` that
-``np.sum`` runs, without its Python wrapper. A solve on n >= ``_STEER_MIN_N``
-entries runs its sums in a workspace (``_scope``), the scratch memory of
-that one solve on the calling thread: another thread never sees it, and a
-nested solve (the steering surrogate's, or one a handle runs) puts its own
-in place until it returns. The solve's first sum allocates the buffers;
-every later sum writes v / rho into the first and reuses the rest, so it
-allocates no array of n entries, but for a table's interval lookup and,
-past its last knot, its pick of the entries on it, which numpy cannot write
-into a given array. A handle or kernel writes into its
-argument only when that is workspace memory, which its caller gives up,
+``np.sum`` runs, without its Python wrapper. A solve on n >=
+``_STEER_MIN_N`` entries runs its sums in a workspace (``_scope``), the
+scratch memory of that one solve on the calling thread: another thread
+never sees it, and a nested solve (the steering surrogate's, or one a
+handle runs) puts its own in place until it returns. The solve's first sum
+allocates the buffers; every later sum writes v / rho into the first and
+reuses the rest, so it allocates no array of n entries, but for a table's
+interval lookup and, past its last knot, its pick of the entries on it,
+which numpy cannot write into a given array. A handle or kernel writes into
+its argument only when that is workspace memory, which its caller gives up,
 and takes its temporaries from the workspace then; an array that is not
 workspace memory is never written. So ``values``, ``__call__``, the probe,
 the conjugate search and the solves of shorter vectors run the same code on

@@ -350,7 +350,7 @@ def test_two_threads_keep_the_bits_of_one_after_another():
     start = threading.Barrier(2)
 
     def run(i):
-        start.wait()
+        start.wait(timeout=60)
         got[i] = [calls(xs[i]) for _ in range(3)]
         left[i] = _CURRENT.workspace
 
@@ -361,9 +361,10 @@ def test_two_threads_keep_the_bits_of_one_after_another():
         for th in threads:
             th.start()
         for th in threads:
-            th.join()
+            th.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
     assert got == [[w] * 3 for w in want]
     assert left == [None, None]
     owners = {}
