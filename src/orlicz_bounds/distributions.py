@@ -147,8 +147,9 @@ class _Workspace:
 
     def __exit__(self, *exc):
         global _OPEN
-        _CURRENT.workspace = self._outer
+        _CURRENT.workspace, self._outer = self._outer, None
         self._buffers.clear()
+        self._free.clear()
         if self.n:
             with _OPEN_LOCK:
                 _OPEN -= 1

@@ -300,7 +300,8 @@ def test_a_nested_solve_gets_its_own_scope():
 
 def test_no_scope_outlives_a_solve():
     """After orlicz_norm returns or raises, long vector or short, the thread
-    has no workspace; inside a solve of n >= _STEER_MIN_N it has one."""
+    has no workspace and the solve's workspace holds no buffer; inside a
+    solve of n >= _STEER_MIN_N it has one."""
     model = MODELS["gaussian"]
     seen = []
 
@@ -322,6 +323,8 @@ def test_no_scope_outlives_a_solve():
         assert _CURRENT.workspace is None
     assert any(ws is not None and ws.n == 20_000 for ws in seen)
     assert any(ws is None for ws in seen)  # the short solve's, and the surrogate's
+    # Nothing is retained: a workspace still referenced holds no buffer.
+    assert all(not ws._buffers and not ws._free for ws in seen if ws is not None)
 
 
 def test_two_threads_keep_the_bits_of_one_after_another():
