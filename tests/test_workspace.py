@@ -4,7 +4,7 @@ A norm solve on n >= ``_STEER_MIN_N`` entries runs its modular sums in a
 per-solve, per-thread workspace: v / rho and every temporary of the handle
 and the model's kernels are written into buffers the solve's first sum
 allocates. The references below are the handles and kernels as they were
-before the workspace, on fresh arrays (``_REF_*``, ``_ref_handles``); every
+before the workspace, on fresh arrays (``_ref_*``, ``_ref_handles``); every
 sum inside a solve must have the ``float.hex`` of ``np.add.reduce`` over
 them, a caller's arrays must come back untouched, and no workspace may
 outlive its solve or be seen by another thread.
@@ -152,7 +152,7 @@ HANDLES = tuple(_ref_handles(MODELS["gaussian"]))
 
 
 def _vector(n, seed=5):
-    """n weights over eight decades, so that v / rho falls past a table's
+    """n weights over about eight decades, so that v / rho falls past a table's
     last knot for some rho; n = 1 is one weight near 1."""
     if n == 1:
         return np.array([1.7])
