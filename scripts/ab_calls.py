@@ -15,7 +15,7 @@ erfc table) at n = 1e2, 1e4 and 1e5; the M norm per family at n = 1e2 and
 under ``reciprocal_survival_function`` at n = 1e4, a bounded functional
 that never reaches 1 on the probe grid, steered like every vector of
 n >= 4096; ``max_bounds`` on the table at n = 1e4 and on gaussian and
-symexp at n = 1e5, where a solve's modular sums run in its workspace; one
+symexp at n = 1e5, where a solve's modular sums run in blocks; one
 ``build_partition``; building the table anew, and 1e5 draws from it.
 Each repetition runs every call on both sides, and which side runs first
 alternates from one repetition to the next, so both see the same host

@@ -165,6 +165,8 @@ def _norm_to_invert(x: np.ndarray, fun, warm=None) -> float:
 
 _RESCALED_NOTE = ("a norm exceeds the float range: its term is solved on the vector "
                   "divided by its largest entry, with reduced precision when subnormal")
+_RESCALED_SUM_NOTE = ("a suffix sum exceeds the float range: its term is formed from the "
+                      "reciprocals divided by the largest, with reduced precision when subnormal")
 
 
 def _family_terms(members) -> tuple[list[float], tuple]:
@@ -231,21 +233,32 @@ def kth_min_bounds(x, model: DistributionModel, k: int) -> BoundReport:
 
 
 def kth_min_bounds_gaussian(x, k: int) -> BoundReport:
-    """Closed-form Gaussian k-min sandwich via harmonic suffix sums."""
+    """Closed-form Gaussian k-min sandwich via harmonic suffix sums. A sum
+    past the float range is taken of 1/x_i divided by the largest, and its
+    term divided by that again, as ``_family_terms`` does with a norm."""
     w, inv = _weights_and_reciprocals(x, "ascending")
     k = _integer_in(k, "k of the k-min bounds (at most n/2)", 1, w.size // 2)
-    suffix = np.cumsum(inv[::-1])[::-1]  # suffix[j-1] = sum_{i=j..n} 1/x_i
-    terms = [(k + 1 - j) / suffix[j - 1] for j in range(1, k + 1)]
+    with np.errstate(over="ignore"):
+        suffix = np.cumsum(inv[::-1])[::-1]  # suffix[j-1] = sum_{i=j..n} 1/x_i
+    terms, notes = [float((k + 1 - j) / suffix[j - 1]) for j in range(1, k + 1)], ()
+    if suffix[0] == math.inf:
+        top = float(inv[0])
+        scaled = np.cumsum((inv / top)[::-1])[::-1]
+        terms = [t if suffix[j] < math.inf else float((k - j) / scaled[j]) / top
+                 for j, t in enumerate(terms)]
+        notes = (_RESCALED_SUM_NOTE,)
     arg = int(np.argmax(terms))
     m = terms[arg]
+    upper, notes = _finite_upper(GAUSSIAN_UPPER_FACTOR * math.log(k + 1) * m, notes)
     return BoundReport(
         kind="kmin_gaussian",
         k=k,
         lower=C0_GAUSSIAN * m,
-        upper=GAUSSIAN_UPPER_FACTOR * math.log(k + 1) * m,
+        upper=upper,
         constants={"c0": C0_GAUSSIAN, "upper_factor": GAUSSIAN_UPPER_FACTOR},
-        terms=tuple(float(t) for t in terms),
+        terms=tuple(terms),
         argmax_j=arg + 1,
+        notes=notes,
     )
 
 
@@ -357,7 +370,13 @@ def kth_min_moment_lower(x, model: DistributionModel, k: int, p: float) -> float
     k = _integer_in(k, "k of the k-min moment bound", 1, w.size)
     nfun = neg_log_survival_function(model, require_convex=False)
     terms, _ = _suffix_norm_terms(inv, nfun, k)
-    return C1_LOWER * max(terms) ** p
+    try:
+        return C1_LOWER * max(terms) ** p
+    except OverflowError:
+        raise NumericError(
+            f"k-min moment lower bound: the largest term to the power p={p:g} "
+            "exceeds the float range"
+        ) from None
 
 
 def min_moment_upper(x, model: DistributionModel, p: float) -> float:
@@ -369,4 +388,10 @@ def min_moment_upper(x, model: DistributionModel, p: float) -> float:
     _, inv = _weights_and_reciprocals(x, "ascending")
     nfun = neg_log_survival_function(model)  # NonConvexError if not convex
     nm = _norm_to_invert(inv, nfun)
-    return (1.0 + math.gamma(1.0 + p)) * nm ** (-p)
+    try:
+        upper = (1.0 + math.gamma(1.0 + p)) * nm ** (-p)
+    except OverflowError:
+        upper = math.inf
+    if upper == math.inf:
+        raise NumericError(f"min moment upper bound at p={p:g} exceeds the float range")
+    return upper

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import DistributionModel, _mine
+from .distributions import DistributionModel
 from .errors import DomainError, NumericError, RangeError, _integer_in, _positive
 from .orlicz import OrliczFunction, _as_weights, _weights_and_reciprocals, orlicz_norm
 from .reporting import CheckResult
@@ -285,9 +285,7 @@ def _tail_threshold_function(model: DistributionModel, k: int):
     model's range F reads 0, so G is its trivial upper bound 1 there."""
 
     def _g(u):
-        f = model._survival(u)
-        mine = _mine(f)
-        return np.multiply(math.e / k, np.subtract(1.0, f, out=mine), out=mine)
+        return (math.e / k) * (1.0 - model._survival(u))
 
     return OrliczFunction(label=f"(e/{k})G", evaluate=_g)
 

@@ -24,26 +24,13 @@ bisection returns, bit for bit, wherever the computed modular sum does not
 increase with rho. The moment function's sums carry rounding noise from
 the cancellation in s E[|xi|; |xi| > 1/s] - F(1/s) (about 1e-10), and there
 the result can differ from a plain bisection's by about 1e-12 relative.
-Every evaluation is one modular sum, ``_modular_sum``: one call of
-``fun.evaluate`` on v / rho, then the pairwise ``np.add.reduce`` that
-``np.sum`` runs, without its Python wrapper. A solve on n >=
-``_STEER_MIN_N`` entries runs its sums in a workspace (``_scope``), the
-scratch memory of that one solve on the calling thread: another thread
-never sees it, and a nested solve (the steering surrogate's, or one a
-handle runs) puts its own in place until it returns. The solve's first sum
-allocates the buffers; every later sum writes v / rho into the first and
-reuses the rest, so it allocates no array of n entries, but for a table's
-interval lookup and, past its last knot, its pick of the entries on it,
-which numpy cannot write into a given array. A handle or kernel writes into
-its argument only when that is workspace memory, which its caller gives up,
-and takes its temporaries from the workspace then; an array that is not
-workspace memory is never written. So ``values``, ``__call__``, the probe,
-the conjugate search and the solves of shorter vectors run the same code on
-fresh arrays, where the workspace's bookkeeping would cost more than the
-allocations it saves. The workspace is dropped when its solve returns or
-raises: nothing is retained. +inf is an explicit value, returned by the
-function itself past its domain: a single infinite term makes the modular
-sum infinite, which keeps brackets well-defined there.
+Every evaluation is one modular sum, ``_modular_sum``: the pairwise
+``np.add.reduce`` that ``np.sum`` runs, without its Python wrapper, taken on
+a long vector in blocks of at most ``_BLOCK`` entries along numpy's own
+pairwise split, so its temporaries stay small and its float is unchanged.
++inf is an explicit value, returned by the function itself past its domain:
+a single infinite term makes the modular sum infinite, which keeps brackets
+well-defined there.
 
 One seed rule puts the first full sums next to rho*, so the bracket is
 narrow before the loops start. A seed (``_WarmStart``) is the root of an
@@ -96,7 +83,6 @@ needed per call beyond what the model itself does.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -104,7 +90,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import _CURRENT, DistributionModel, _mine, _scratch, _Workspace
+from .distributions import DistributionModel
 from .errors import (
     DomainError,
     NonConvexError,
@@ -150,8 +136,11 @@ _STEER_OVERSHOOT = 0.1
 _WARM_OVERSHOOT = 0.01
 # A seed's slope is taken across at least this much log rho.
 _SLOPE_SPAN = 1e-9
+# A modular sum evaluates at most this many entries at a time, so that its
+# temporaries stay in cache; the steering surrogate's positional ``counts``
+# need its _STEER_M entries in one block, so _BLOCK >= _STEER_M.
+_BLOCK = 16384
 _LOG_HUGE = math.log(_HUGE)
-_NO_SCOPE = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -162,11 +151,8 @@ class OrliczFunction:
     ``model`` is set only for distribution-derived moment functions and
     enables the analytic conjugate shortcut.
 
-    Inside a solve of n >= ``_STEER_MIN_N`` entries ``evaluate`` is handed
-    workspace memory (see the module docstring): it may overwrite it, and a
-    handle that passes its argument on to another handle's ``evaluate`` or
-    to a model's raw kernel gives it up. ``values``, ``__call__`` and the
-    models' public methods never write into their argument.
+    ``evaluate`` is elementwise: a solve may call it on any contiguous run
+    of the entries (a block of a long modular sum).
     """
 
     label: str
@@ -199,8 +185,6 @@ class OrliczFunction:
         runs under the norm solver's errstate, so an overflow inside a
         handle (1/t for a subnormal t) reads as its limit, without a warning."""
         arr = np.asarray(t, dtype=float)
-        if _mine(arr) is not None:  # a handle's argument in a solve: evaluate may write it
-            arr = arr.copy()
         if np.any(np.isnan(arr)):
             raise DomainError(f"{self.label} is defined on [0, inf); got nan")
         if arr.size and float(np.min(arr)) < 0:
@@ -219,8 +203,7 @@ class OrliczFunction:
         base = self
 
         def _eval(t, _b=base, _f=factor):
-            r = _b.evaluate(t)
-            return np.multiply(_f, r, out=_mine(r))
+            return _f * _b.evaluate(t)
 
         return OrliczFunction(
             label=f"{factor:g}*{base.label}",
@@ -259,9 +242,8 @@ def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
 
     def _eval(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        u = np.divide(1.0, t, out=_scratch(t))
-        tail, surv = model._tail_integral_and_survival(u)  # 0, 0 at 1/0 = inf
-        out = np.multiply(t, tail, out=_mine(t))
+        tail, surv = model._tail_integral_and_survival(1.0 / t)  # 0, 0 at 1/0 = inf
+        out = t * tail
         out -= surv
         return np.maximum(out, 0.0, out=out)
 
@@ -281,7 +263,7 @@ def _unit_mean_moment_function(model: DistributionModel) -> OrliczFunction:
     if mean == 1.0:
         return m
     return OrliczFunction(label=f"{m.label}(s/{mean:g})",
-                          evaluate=lambda s: m.evaluate(np.divide(s, mean, out=_mine(s))))
+                          evaluate=lambda s: m.evaluate(s / mean))
 
 
 def neg_log_survival_function(
@@ -313,8 +295,7 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
 
     def _eval(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        f = model._survival(np.divide(1.0, t, out=_mine(t)))  # F(1/0) = F(inf) = 0
-        return np.divide(f, 4.0 * (k - 1), out=_mine(f))
+        return model._survival(1.0 / t) / (4.0 * (k - 1))  # F(1/0) = F(inf) = 0
 
     return OrliczFunction(label=f"NF{k}[{model.describe()}]", evaluate=_eval)
 
@@ -439,8 +420,7 @@ def orlicz_norm(x, fun: OrliczFunction, *, warm: Optional[_WarmStart] = None) ->
         t_hi, t_lo, top = _probe(fun, n)
         if n * top <= 1.0:  # the sum is <= n sup fun <= 1 for every rho
             return 0.0
-        with _scope(n):
-            rho = _solve(v, vmax, fun, t_hi, t_lo, warm)
+        rho = _solve(v, vmax, fun, t_hi, t_lo, warm)
     if rho == math.inf:
         raise NumericError(f"norm overflows: it exceeds the float range ({fun.label})")
     return rho
@@ -477,20 +457,19 @@ def _modular_sum(v: np.ndarray, fun: OrliczFunction, rho: float) -> float:
     """The modular sum of fun at v / rho: every feasibility test of the norm
     solver is this float compared with 1, and it does not increase with rho.
     v holds the positive entries; nothing is checked."""
-    ws = _CURRENT.workspace
-    t = v / rho if ws is None else np.divide(v, rho, out=ws.start())
-    return float(np.add.reduce(fun.evaluate(t), axis=None))  # np.sum, unwrapped
+    return _block_sum(v, fun, rho)
 
 
-def _scope(n: int):
-    """The scratch scope of a solve on n entries: a workspace from
-    ``_STEER_MIN_N`` entries on; below, none, and numpy allocates, which
-    costs less than the workspace's bookkeeping on a short vector. A short
-    solve inside a long one's sum leaves the long one's workspace for the
-    time it runs (``_Workspace(0)``); outside any, it needs no scope."""
-    if n >= _STEER_MIN_N:
-        return _Workspace(n)
-    return _NO_SCOPE if _CURRENT.workspace is None else _Workspace(0)
+def _block_sum(v, fun, rho) -> float:
+    """``np.add.reduce(fun.evaluate(v / rho))`` (np.sum, unwrapped), with one
+    ``evaluate`` per block of at most ``_BLOCK`` entries: numpy's pairwise
+    sum halves a long run at n // 2 rounded down to a multiple of 8, so
+    summing the halves apart and adding the two floats is its float."""
+    n = v.size
+    if n <= _BLOCK:
+        return float(np.add.reduce(fun.evaluate(v / rho), axis=None))
+    half = n // 2 - n // 2 % 8
+    return _block_sum(v[:half], fun, rho) + _block_sum(v[half:], fun, rho)
 
 
 def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
@@ -655,8 +634,7 @@ def _steer(v, fun, t_hi, t_lo) -> _WarmStart:
     counts[:strata] = rest.size / strata
     surrogate = OrliczFunction(label=fun.label, evaluate=lambda t: counts * fun.evaluate(t))
     seed = _WarmStart()
-    with _scope(_STEER_M):
-        _solve(sub, float(ordered[-1]), surrogate, t_hi, t_lo, seed)
+    _solve(sub, float(ordered[-1]), surrogate, t_hi, t_lo, seed)
     return seed
 
 

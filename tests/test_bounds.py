@@ -179,6 +179,23 @@ class TestKminGaussianClosedForm:
         assert rep10.lower == pytest.approx(10 * rep1.lower, rel=1e-12)
         assert rep10.upper == pytest.approx(10 * rep1.upper, rel=1e-12)
 
+    def test_tiny_weights_keep_the_sandwich(self, gaussian):
+        """Suffix sums of 1/x past the float range: the terms are formed from
+        the rescaled reciprocals, with no overflow warning, and the bounds
+        are plain floats that scale with the weights and hold E min."""
+        x = np.array([1e-308, 1e-308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = kth_min_bounds_gaussian(x, 1)
+        assert type(rep.lower) is float and type(rep.upper) is float
+        unit = kth_min_bounds_gaussian(np.ones(2), 1)
+        assert rep.lower == pytest.approx(1e-308 * unit.lower, rel=1e-12)
+        assert rep.upper == pytest.approx(1e-308 * unit.upper, rel=1e-12)
+        assert rep.notes
+        est = estimate_order_stats(x, gaussian, [1], replications=10**4, seed=12)[0]
+        assert sandwiched(rep, est)
+        assert rep.lower < 4.6e-309 < 4.7e-309 < rep.upper  # E min = 1e-308 * 0.4671
+
     def test_ratio_identity(self):
         x = np.sort(np.random.default_rng(8).uniform(0.5, 5.0, 50))
         for k in (1, 3, 9, 25):
@@ -410,6 +427,16 @@ class TestMomentBounds:
     def test_nonconvex_rejected(self, nonconvex_table_model):
         with pytest.raises(NonConvexError):
             min_moment_upper(np.ones(5), nonconvex_table_model, 1.0)
+
+    def test_lower_past_the_float_range_is_a_numeric_error(self, gaussian):
+        # terms of about 1e10 to the 40th power
+        with pytest.raises(NumericError, match="exceeds the float range"):
+            kth_min_moment_lower([1e10, 1e11], gaussian, 1, 40.0)
+
+    def test_upper_past_the_float_range_is_a_numeric_error(self, gaussian):
+        # Gamma(201) alone is past the largest float
+        with pytest.raises(NumericError, match="exceeds the float range"):
+            min_moment_upper([1.0, 2.0], gaussian, 200.0)
 
     def test_p_validation(self, gaussian):
         with pytest.raises(RangeError):

@@ -186,16 +186,29 @@ def test_infinite_entries_unbounded_in_both(gaussian_table_model, nonconvex_tabl
     assert _outcome(orlicz_norm, x, fun) == "UnboundedNormError"
 
 
-def _counting(fun, n):
-    """fun as a new handle (its own probe) plus counters: calls[0] of full-vector
-    calls, calls[1] of the first other call (the probe), calls[2] of the
-    later ones (the steer's surrogate) and calls[3] the most entries one of
-    those touched."""
+def _counting(monkeypatch, fun, n):
+    """fun as a new handle (its own probe) plus counters, with a spy on
+    ``_modular_sum`` patched in: calls[0] of modular sums over all n entries
+    (a long one calls ``evaluate`` once per block), calls[1] of the first
+    call of ``evaluate`` outside them (the probe), calls[2] of the later
+    ones (the steer's surrogate) and calls[3] the most entries one of those
+    touched."""
     calls = [0, 0, 0, 0]
+    summing = [0]  # full sums running
+    real = orlicz_module._modular_sum
+
+    def modular_sum(v, f, rho):
+        full = v.size == n
+        calls[0] += full
+        summing[0] += full
+        try:
+            return real(v, f, rho)
+        finally:
+            summing[0] -= full
 
     def evaluate(t):
-        if np.size(t) == n:
-            calls[0] += 1
+        if summing[0]:  # a block of a full sum, counted above
+            pass
         elif calls[1] == 0:
             calls[1] += 1
         else:
@@ -203,6 +216,7 @@ def _counting(fun, n):
             calls[3] = max(calls[3], np.size(t))
         return fun.evaluate(t)
 
+    monkeypatch.setattr(orlicz_module, "_modular_sum", modular_sum)
     return OrliczFunction(fun.label, evaluate), calls
 
 
@@ -214,7 +228,7 @@ def _counting(fun, n):
     # Scalar probes made 5-20 calls here, and 200 for (e/k)G, which never reaches 1.
     + [("N-gaussian-scaled-twice", 30), ("tail-threshold-G-10", 20)],
 )
-def test_modular_sums_per_solve(name, n):
+def test_modular_sums_per_solve(monkeypatch, name, n):
     """At most 24 full-vector calls and one probe call per solve."""
     fun = {
         "N-gaussian": neg_log_survival_function(Gaussian()),
@@ -227,8 +241,8 @@ def test_modular_sums_per_solve(name, n):
     rng = np.random.default_rng(n)
     for _ in range(10):
         x = rng.uniform(0.5, 5.0, n)
-        counted, calls = _counting(fun, n)
-        assert orlicz_norm(x, counted).hex() == bisection_norm(x, fun).hex()
+        bits, calls = _counted_solve(monkeypatch, x, fun)
+        assert bits == bisection_norm(x, fun).hex()
         assert calls[0] <= 24, f"{calls[0]} modular sums for {name} at n={n}"
         assert calls[1] <= 1 and calls[2] == 0, f"{calls[1:3]} other calls for {name} at n={n}"
 
@@ -269,17 +283,18 @@ def test_modular_sum_is_np_sum(gaussian_table_model, nonconvex_table_model, kind
             assert got == want or (math.isnan(got) and math.isnan(want)), (rho, got, want)
 
 
-def _counted_solve(x, fun):
-    counted, calls = _counting(fun, len(x))
-    return orlicz_norm(x, counted).hex(), calls
+def _counted_solve(monkeypatch, x, fun):
+    with monkeypatch.context() as patch:
+        counted, calls = _counting(patch, fun, len(x))
+        return orlicz_norm(x, counted).hex(), calls
 
 
 def _steered_and_unsteered(monkeypatch, x, fun):
     """(hex, calls) of the solve as it runs and with steering switched off."""
-    steered = _counted_solve(x, fun)
+    steered = _counted_solve(monkeypatch, x, fun)
     with monkeypatch.context() as patch:
         patch.setattr(orlicz_module, "_STEER_MIN_N", math.inf)
-        unsteered = _counted_solve(x, fun)
+        unsteered = _counted_solve(patch, x, fun)
     return steered, unsteered
 
 
@@ -321,14 +336,14 @@ def test_steer_costs_at_most_one_more_full_sum(
 @pytest.mark.parametrize("n", [10_000, 30_000])
 @pytest.mark.parametrize("kind", ["reciprocal-survival", "reciprocal-survival-table",
                                   "tail-threshold-G", "tail-threshold-G-table"])
-def test_bounded_functionals_are_steered(gaussian_table_model, kind, n):
+def test_bounded_functionals_are_steered(monkeypatch, gaussian_table_model, kind, n):
     """F(1/t)/8 and (e/3)G never reach 1 on the probe grid, and long
     vectors are steered under them too: at most 8 full sums (7-19
     unsteered), with plain bisection's bits."""
     fun = _function_kinds(gaussian_table_model, None)[kind](3)
     rng = np.random.default_rng(n)
     for x in (1.0 / rng.uniform(0.5, 5.0, n), _weights(rng, n, True)):
-        bits, calls = _counted_solve(x, fun)
+        bits, calls = _counted_solve(monkeypatch, x, fun)
         assert bits == bisection_norm(x, fun).hex()
         assert calls[0] <= 8, f"{calls[0]} full sums"
         assert calls[2] > 0 and calls[3] <= _STEER_M

@@ -1,13 +1,12 @@
-"""The solver's workspace against the arithmetic it replaced, bit for bit.
+"""The solver's block sums against one sum over the whole vector, bit for bit.
 
-A norm solve on n >= ``_STEER_MIN_N`` entries runs its modular sums in a
-per-solve, per-thread workspace: v / rho and every temporary of the handle
-and the model's kernels are written into buffers the solve's first sum
-allocates. The references below are the handles and kernels as they were
-before the workspace, on fresh arrays (``_ref_*``, ``_ref_handles``); every
-sum inside a solve must have the ``float.hex`` of ``np.add.reduce`` over
-them, a caller's arrays must come back untouched, and no workspace may
-outlive its solve or be seen by another thread.
+A modular sum on more than ``_BLOCK`` entries calls ``evaluate`` once per
+block of at most ``_BLOCK`` entries, the leaves of numpy's pairwise
+summation tree, and adds the blocks' sums in the tree's order. The
+references below are the handles and kernels as plain numpy expressions on
+the whole vector (``_ref_*``, ``_ref_handles``); every sum inside a solve
+must have the ``float.hex`` of ``np.add.reduce`` over them, and a caller's
+arrays must come back untouched.
 """
 
 import math
@@ -30,15 +29,14 @@ from orlicz_bounds import (
     reciprocal_survival_function,
 )
 from orlicz_bounds import orlicz as orlicz_module
-from orlicz_bounds.distributions import _CURRENT
 from orlicz_bounds.montecarlo import _tail_threshold_function
-from orlicz_bounds.orlicz import _STEER_MIN_N, _unit_mean_moment_function
+from orlicz_bounds.orlicz import _BLOCK, _STEER_MIN_N, _unit_mean_moment_function
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LN2 = math.log(2.0)
 
-SIZES = (1, 100, 20_000)
+SIZES = (1, 100, _BLOCK, _BLOCK + 1, 20_000, 100_000)
 FAMILIES = ("gaussian", "symexp:1", "symexp:1e-300", "table")
 
 
@@ -55,7 +53,7 @@ def _models():
 MODELS = _models()
 
 
-# -- the kernels before the workspace, on fresh arrays ----------------------
+# -- the kernels as plain numpy on the whole vector --------------------------
 
 
 def _ref_cubic(s, c3, c2, c1, c0):
@@ -132,7 +130,7 @@ def _ref_moment(model):
 
 
 def _ref_handles(model):
-    """name -> (the handle the library builds, its evaluate before the workspace)."""
+    """name -> (the handle the library builds, its evaluate on the whole vector)."""
     m, mean = _ref_moment(model), model.mean_abs()
     return {
         "N": (neg_log_survival_function(model), lambda t: _ref_neg_log_survival(model, t)),
@@ -171,6 +169,25 @@ def _same(a: float, b: float) -> bool:
 # -- the differential tests -------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 9, 300_000])
+def test_block_walk_is_numpys_pairwise_sum(n):
+    """The block walk gives ``np.add.reduce``'s float over the whole vector
+    on signed entries over sixteen decades, evaluating no block longer than
+    ``_BLOCK``: this fails if numpy changes where its pairwise sum splits."""
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    blocks = []
+
+    def identity(t):
+        blocks.append(t.size)
+        return t
+
+    got = orlicz_module._modular_sum(v, OrliczFunction("t", identity), 1.0)
+    assert _same(got, float(np.add.reduce(v)))
+    assert sum(blocks) == n and max(blocks) <= _BLOCK
+    assert len(blocks) == 1 or n > _BLOCK
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("name", HANDLES)
 @pytest.mark.parametrize("n", SIZES)
@@ -197,37 +214,32 @@ def test_sums_inside_a_solve_keep_their_bits(monkeypatch, family, name, n):
 @pytest.mark.parametrize("name", HANDLES)
 @pytest.mark.parametrize("n", SIZES)
 def test_sums_at_the_ends_of_the_domain_keep_their_bits(family, name, n):
-    """Sums in an open scope whose arguments reach 0, +inf and past a table's
-    last knot (t_max = 10), on both sides of it: the reference's bits."""
+    """Sums whose arguments reach 0, +inf and past a table's last knot
+    (t_max = 10), on both sides of it: the reference's bits."""
     fun, ref = _ref_handles(MODELS[family])[name]
     v = _vector(n)
     if n > 1:
         v[:4] = (5e-324, 1e-300, 1e300, 1.7976931348623157e308)
     for rho in (1e-300, 1e-12, 0.05, 1.0, 9.9, 10.5, 1e3, 1e12, 1e300):
-        with orlicz_module._scope(n), np.errstate(over="ignore", invalid="ignore",
-                                                  divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             got = orlicz_module._modular_sum(v, fun, rho)
-            again = orlicz_module._modular_sum(v, fun, rho)  # the reused buffers
         want = _ref_sum(ref, v, rho)
-        assert _same(got, want) and _same(again, want), (rho, got, again, want)
+        assert _same(got, want), (rho, got, want)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("name", HANDLES)
 def test_values_and_results_are_the_callers(family, name):
-    """``values(arr)`` leaves arr as it was, inside an open scope too, and
-    an array it returned is not overwritten by a later solve."""
+    """``values(arr)`` leaves arr as it was, and an array it returned is
+    not overwritten by a later solve, nor is the solve's vector."""
     fun, ref = _ref_handles(MODELS[family])[name]
     arr = np.concatenate(([0.0, 0.05, 9.9, 10.5, math.inf], _vector(2000)))
     kept = arr.copy()
     out = fun.values(arr)
-    with orlicz_module._scope(arr.size * 4):
-        inside = fun.values(arr)
     assert np.array_equal(arr, kept)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         want = ref(kept)
     assert np.array_equal(out, want, equal_nan=True)
-    assert np.array_equal(inside, want, equal_nan=True)
     x = _vector(20_000, seed=9)
     x_kept = x.copy()
     orlicz_norm(x, fun)
@@ -255,8 +267,8 @@ def test_user_handles_and_kernels_returning_fresh_or_aliased_arrays(n):
     """A handle that returns its argument (``linear_function``), subclass
     kernels that return a new array or their argument, and handles that
     read their argument after a public method (a model's ``survival``, a
-    handle's ``values``) was called on it give the sums they give outside
-    any workspace, scaled or not."""
+    handle's ``values``) was called on it give the sum of their values on
+    the whole vector, scaled or not."""
     funs = [OrliczFunction("t", lambda t: t), OrliczFunction("t", lambda t: t).scaled(3.0)]
     for model in (_FreshKernel(rate=1.0), _AliasedKernels(rate=1.0)):
         funs += [neg_log_survival_function(model).scaled(2.0), expected_overshoot_function(model)]
@@ -269,14 +281,13 @@ def test_user_handles_and_kernels_returning_fresh_or_aliased_arrays(n):
         for rho in (0.5, 3.0, 1e4):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 want = float(np.add.reduce(fun.values(v / rho), axis=None))
-                with orlicz_module._scope(n):
-                    got = orlicz_module._modular_sum(v, fun, rho)
+                got = orlicz_module._modular_sum(v, fun, rho)
             assert _same(got, want), (fun.label, rho, got, want)
 
 
 def test_a_nested_solve_gets_its_own_scope():
-    """A handle that solves a norm inside its own evaluation: the nested
-    solve has its own workspace, and the outer sum keeps its bits."""
+    """A handle that solves a norm inside its own evaluation, once per
+    block: the outer sum keeps its bits."""
     model = MODELS["gaussian"]
     m, ref = _ref_handles(model)["M"]
     inner = neg_log_survival_function(model)
@@ -287,60 +298,19 @@ def test_a_nested_solve_gets_its_own_scope():
         return m.evaluate(t)
 
     v = _vector(20_000)
-    fun = OrliczFunction("nested", nested)
-    with orlicz_module._scope(v.size):
-        outer = _CURRENT.workspace
-        got = orlicz_module._modular_sum(v, fun, 2.0)
-        assert _CURRENT.workspace is outer
+    got = orlicz_module._modular_sum(v, OrliczFunction("nested", nested), 2.0)
     assert _same(got, _ref_sum(ref, v, 2.0))
 
 
-# -- scopes and threads ------------------------------------------------------
-
-
-def test_no_scope_outlives_a_solve():
-    """After orlicz_norm returns or raises, long vector or short, the thread
-    has no workspace and the solve's workspace holds no buffer; inside a
-    solve of n >= _STEER_MIN_N it has one."""
-    model = MODELS["gaussian"]
-    seen = []
-
-    def watching(t):
-        seen.append(_CURRENT.workspace)
-        return expected_overshoot_function(model).evaluate(t)
-
-    for n in (10, 20_000):
-
-        def failing(t, n=n):
-            if np.size(t) == n:
-                raise RuntimeError("handle failed")
-            return expected_overshoot_function(model).evaluate(t)
-
-        assert orlicz_norm(_vector(n), OrliczFunction("watching", watching)) > 0.0
-        assert _CURRENT.workspace is None
-        with pytest.raises(RuntimeError, match="handle failed"):
-            orlicz_norm(_vector(n), OrliczFunction("failing", failing))
-        assert _CURRENT.workspace is None
-    assert any(ws is not None and ws.n == 20_000 for ws in seen)
-    assert any(ws is None for ws in seen)  # the short solve's, and the surrogate's
-    # Nothing is retained: a workspace still referenced holds no buffer.
-    assert all(not ws._buffers and not ws._free for ws in seen if ws is not None)
+# -- threads -----------------------------------------------------------------
 
 
 def test_two_threads_keep_the_bits_of_one_after_another():
     """Two threads run max_bounds and solves under one shared handle at
     n = 2e4 on different vectors at once: each gets the results of the same
-    calls run one after another, sees only its own workspaces and leaves
-    none behind."""
+    calls run one after another."""
     model = MODELS["gaussian"]
-    moment = expected_overshoot_function(model)
-    seen = []  # (thread, workspace) at every evaluation of the shared handle
-
-    def watched(t):
-        seen.append((threading.get_ident(), _CURRENT.workspace))
-        return moment.evaluate(t)
-
-    shared = OrliczFunction(moment.label, watched)
+    shared = expected_overshoot_function(model)
     xs = [np.random.default_rng(seed).uniform(0.5, 5.0, 20_000) for seed in (1, 2)]
 
     def calls(x):
@@ -348,14 +318,12 @@ def test_two_threads_keep_the_bits_of_one_after_another():
                 repr(max_bounds(x[::-1], model))]
 
     want = [calls(x) for x in xs]
-    seen.clear()
-    got, left = [None, None], [None, None]
+    got = [None, None]
     start = threading.Barrier(2)
 
     def run(i):
         start.wait(timeout=60)
         got[i] = [calls(xs[i]) for _ in range(3)]
-        left[i] = _CURRENT.workspace
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     interval = sys.getswitchinterval()
@@ -369,9 +337,3 @@ def test_two_threads_keep_the_bits_of_one_after_another():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got == [[w] * 3 for w in want]
-    assert left == [None, None]
-    owners = {}
-    for thread, ws in seen:
-        if ws is not None:
-            assert owners.setdefault(id(ws), thread) == thread
-    assert len(owners) == 6  # three solves per thread, each its own workspace
