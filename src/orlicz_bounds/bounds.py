@@ -240,13 +240,11 @@ def kth_min_bounds_gaussian(x, k: int) -> BoundReport:
     k = _integer_in(k, "k of the k-min bounds (at most n/2)", 1, w.size // 2)
     with np.errstate(over="ignore"):
         suffix = np.cumsum(inv[::-1])[::-1]  # suffix[j-1] = sum_{i=j..n} 1/x_i
-    terms, notes = [float((k + 1 - j) / suffix[j - 1]) for j in range(1, k + 1)], ()
+    top, notes = float(inv[0]), ()
     if suffix[0] == math.inf:
-        top = float(inv[0])
-        scaled = np.cumsum((inv / top)[::-1])[::-1]
-        terms = [t if suffix[j] < math.inf else float((k - j) / scaled[j]) / top
-                 for j, t in enumerate(terms)]
-        notes = (_RESCALED_SUM_NOTE,)
+        scaled, notes = np.cumsum((inv / top)[::-1])[::-1], (_RESCALED_SUM_NOTE,)
+    terms = [float((k + 1 - j) / suffix[j - 1]) if suffix[j - 1] < math.inf
+             else float((k + 1 - j) / scaled[j - 1]) / top for j in range(1, k + 1)]
     arg = int(np.argmax(terms))
     m = terms[arg]
     upper, notes = _finite_upper(GAUSSIAN_UPPER_FACTOR * math.log(k + 1) * m, notes)
