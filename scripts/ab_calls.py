@@ -4,19 +4,20 @@
     python3 scripts/ab_calls.py --base HEAD --reps 15
     python3 scripts/ab_calls.py --base HEAD~1 --out BENCH_calls.json
 
-Extracts ``src/orlicz_bounds`` of the base revision with ``git archive``
-into a temporary directory, under the package name ``orlicz_bounds_base``
-(``src/`` uses only relative imports), and imports it next to the working
-tree's ``orlicz_bounds`` in this one interpreter. Then it runs a fixed call
-list on both: N, M and survival per family (gaussian, symexp, the 401-knot
-erfc table) at n = 1e2, 1e4 and 1e5; the M norm per family at n = 1e2 and
-1e5; ``kth_min_bounds`` (gaussian k = 7, table k = 20) and
-``kth_max_bounds`` (table and gaussian, k = 5) at n = 100; one solve
-under ``reciprocal_survival_function`` at n = 1e4, a bounded functional
+Extracts the base revision with ``bench_pairs.extract`` (``git archive``)
+into a temporary directory and imports its ``src/orlicz_bounds`` under the
+package name ``orlicz_bounds_base`` (``src/`` uses only relative imports),
+next to the working tree's ``orlicz_bounds`` in this one interpreter. Then
+it runs a fixed call list on both: N, M and survival per family (gaussian,
+symexp, the 401-knot erfc table) at n = 1e2, 1e4 and 1e5; the M norm per
+family at n = 1e2 and 1e5; ``kth_min_bounds`` (gaussian k = 7, table
+k = 20) and ``kth_max_bounds`` (table and gaussian, k = 5) at n = 100; one
+solve under ``reciprocal_survival_function`` at n = 1e4, a bounded functional
 that never reaches 1 on the probe grid, steered like every vector of
 n >= 4096; ``max_bounds`` on the table at n = 1e4 and on gaussian and
 symexp at n = 1e5, where a solve's modular sums run in blocks; one
-``build_partition``; building the table anew, and 1e5 draws from it.
+``build_partition``; building the table anew (its E|xi|, convexity flag,
+description and the fit's cuts and pieces), and 1e5 draws from it.
 Each repetition runs every call on both sides, and which side runs first
 alternates from one repetition to the next, so both see the same host
 speed (which can swing by 2x within minutes). Every pair
@@ -37,12 +38,9 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import io
 import json
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -76,9 +74,11 @@ def _inputs() -> dict:
 
 
 def _loaded(lib, data: dict):
-    """The 401-knot table, built anew, as the values its load computes."""
+    """The 401-knot table, built anew, as the values its load computes,
+    the fit's cuts and pieces among them."""
     model = lib.TabulatedSurvival(data["knots"], data["survival"])
-    return [model.mean_abs(), model.n_is_convex(), model.describe()]
+    return [model.mean_abs(), model.n_is_convex(), model.describe(), model._cuts,
+            model._pieces]
 
 
 def call_list(lib, data: dict) -> list[tuple[str, callable]]:
@@ -218,25 +218,16 @@ def load_package(source: Path, name: str):
     return module
 
 
-def extract_package(revision: str, tree: Path) -> Path:
-    """``revision``'s ``src/orlicz_bounds`` in ``tree / orlicz_bounds_base``."""
-    prefix = f"src/{PACKAGE}/"
-    archive = subprocess.run(["git", "archive", "--format=tar", revision, prefix],
-                             cwd=ROOT, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        members = [m for m in tar.getmembers() if m.name.startswith(prefix)]
-        for member in members:
-            member.name = BASE_PACKAGE + "/" + member.name[len(prefix):]
-        tar.extractall(tree, members=members, filter="data")
-    return tree / BASE_PACKAGE
+def _load_bench_pairs():
+    """``scripts/bench_pairs.py``, for its ``extract`` and ``provenance``."""
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def provenance(base: str) -> dict:
-    """The revisions compared and the machine, as ``bench_pairs.py`` records them."""
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
-    return bench_pairs.provenance(base)
+bench_pairs = _load_bench_pairs()
 
 
 def main(argv=None) -> int:
@@ -249,7 +240,8 @@ def main(argv=None) -> int:
     if args.reps < 1:
         parser.error("--reps must be >= 1")
     with tempfile.TemporaryDirectory(prefix="ab-calls-") as tmp:
-        base_lib = load_package(extract_package(args.base, Path(tmp)), BASE_PACKAGE)
+        tree = bench_pairs.extract(args.base, Path(tmp))
+        base_lib = load_package(tree / "src" / PACKAGE, BASE_PACKAGE)
         change_lib = load_package(ROOT / "src" / PACKAGE, PACKAGE)
         try:
             rows = compare(base_lib, change_lib, args.reps)
@@ -257,7 +249,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.out is not None:
-        record = {**provenance(args.base), "reps": args.reps, "rows": rows}
+        record = {**bench_pairs.provenance(args.base), "reps": args.reps, "rows": rows}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

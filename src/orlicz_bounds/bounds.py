@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,16 +381,25 @@ def kth_min_moment_lower(x, model: DistributionModel, k: int, p: float) -> float
 def min_moment_upper(x, model: DistributionModel, p: float) -> float:
     """Upper bound for E (min)^p: (1 + Gamma(1+p)) * ||(1/x_i)||_N^{-p}.
 
-    Requires N = -ln F convex (rejected otherwise).
+    Requires N = -ln F convex (rejected otherwise). A factor outside the
+    normal floats is taken in logs; NumericError where the bound is.
     """
     _positive(p, "moment order p", RangeError)
     _, inv = _weights_and_reciprocals(x, "ascending")
     nfun = neg_log_survival_function(model)  # NonConvexError if not convex
     nm = _norm_to_invert(inv, nfun)
     try:
-        upper = (1.0 + math.gamma(1.0 + p)) * nm ** (-p)
+        power = nm ** (-p)
+        upper = (1.0 + math.gamma(1.0 + p)) * power
     except OverflowError:
-        upper = math.inf
-    if upper == math.inf:
-        raise NumericError(f"min moment upper bound at p={p:g} exceeds the float range")
+        power = upper = math.inf
+    if upper == math.inf or power < sys.float_info.min:
+        try:
+            log_gamma = math.lgamma(1.0 + p)
+            upper = math.exp(log_gamma + math.log1p(math.exp(-log_gamma)) - p * math.log(nm))
+        except OverflowError:
+            upper = math.inf
+    if not sys.float_info.min <= upper < math.inf:
+        where = "exceeds the float range" if upper == math.inf else "is below the float range"
+        raise NumericError(f"min moment upper bound at p={p:g} {where}")
     return upper

@@ -25,8 +25,9 @@ partial integrals, made when the table loads. That fit is the only
 integral of F a table takes; E|xi| is its tail integral at 0. ln F is the
 table's own PCHIP, built and read with the arithmetic of scipy's
 ``PchipInterpolator``, so F keeps scipy's bits without importing
-scipy.interpolate. The one part of scipy the package uses is
-scipy.special, for the Gaussian.
+scipy.interpolate. Every table kernel, and the fit, finds a point's row by
+one lookup on the fit's cuts, the knots among them. The one part of scipy
+the package uses is scipy.special, for the Gaussian.
 
 Built-in families: standard Gaussian, symmetric exponential (Laplace), and
 a tabulated survival function loaded from a two-column ``t,F`` CSV. Models
@@ -318,7 +319,14 @@ def _cubic(s, c3, c2, c1, c0):
     return f
 
 
-def _partial_integral_fit(x, cubic, log_f):
+def _row_of(rows: np.ndarray, cuts: np.ndarray, u) -> np.ndarray:
+    """For each u, the column i of ``rows`` with cuts[i - 1] <= u < cuts[i]
+    (the first open below, the last above), in a new array of shape
+    rows.shape[:1] + u.shape. Every lookup of a table goes through here."""
+    return rows.take(np.searchsorted(cuts, u, side="right"), axis=1)
+
+
+def _partial_integral_fit(x, cubic):
     """(cuts, pieces, cum_tail): the fit from which
     ``TabulatedSurvival._fit_tail_and_survival`` reads integral_u^{tmax} F, made
     once when a table loads. It is the one place a table's F is integrated.
@@ -335,14 +343,15 @@ def _partial_integral_fit(x, cubic, log_f):
     is stored in powers of y. The fit takes no BLAS call, so its bits do not
     depend on the BLAS kernel or its threads.
 
-    ``x`` are the knots, ``cubic`` the table's PCHIP rows (see ``_pchip``)
-    and ``log_f`` its ln F kernel, ``TabulatedSurvival._log_f``. ``cuts`` holds
-    the pieces' left ends but the first. ``pieces`` holds one column per
-    piece: the PCHIP row of its knot interval (F's bits come from that
-    cubic, not from the fit), b, 2 / (b - a), the integral C of F from b to
-    t_max, and g's coefficients, the highest power first. The piece count
-    is the knot count plus about the total spread over ``_PIECE_SPREAD``;
-    F > 0 holds ln F's fall below 745.
+    ``x`` are the knots and ``cubic`` the table's PCHIP rows (see
+    ``_pchip``). ``cuts`` holds the pieces' left ends but the first, every
+    interior knot among them. ``pieces`` holds one column per piece: the
+    PCHIP row of its knot interval (F's bits come from that cubic, not from
+    the fit), b, 2 / (b - a), the integral C of F from b to t_max, and g's
+    coefficients, the highest power first. The piece count is the knot
+    count plus about the total spread over ``_PIECE_SPREAD``; F > 0 holds
+    ln F's fall below 745. The Gauss points look up their rows on the cuts,
+    one lookup per point, as the table's kernels do.
 
     Each piece's integral, (b - a) times its Gauss-Legendre mean, is summed
     once from the right. That one running sum gives every C and
@@ -367,7 +376,8 @@ def _partial_integral_fit(x, cubic, log_f):
     left = x[knot] + h[knot] * (k / count[knot])
     keep = (k == 0) | ((left > np.append(-math.inf, left[:-1])) & (left < x[knot + 1]))
     knot, left, first = knot[keep], left[keep], np.flatnonzero(k[keep] == 0)
-    right = np.append(left[1:], x[-1])
+    cuts, rows = left[1:].copy(), cubic[:, knot]
+    right = np.append(cuts, x[-1])
     width = right - left
 
     nodes, weights = np.polynomial.legendre.leggauss(_FIT_GL)
@@ -376,14 +386,8 @@ def _partial_integral_fit(x, cubic, log_f):
     def mean_back(span):
         """The mean of F over [right - span, right], per piece."""
         pts = right[:, None] - span[:, None] * at
-        # Each row descends, so a row whose first and last points share a
-        # knot interval lies in it whole: one lookup per row, and one per
-        # point only in a row across a knot.
-        j = np.searchsorted(x[1:-1], pts[:, [0, -1]], side="right")
-        across = j[:, 0] != j[:, 1]
-        j = np.repeat(j[:, :1], at.size, axis=1)
-        j[across] = np.searchsorted(x[1:-1], pts[across], side="right")
-        vals = np.exp(log_f(pts, j))
+        start, *coefs = _row_of(rows, cuts, pts)
+        vals = np.exp(_cubic(np.subtract(pts, start, out=start), *coefs))
         return 0.5 * (vals * weights).sum(axis=1)
 
     # The pieces' integrals summed once, from the right: C of a piece is the
@@ -413,8 +417,8 @@ def _partial_integral_fit(x, cubic, log_f):
         coef += to_powers[:, i, None] * means[i]
     coef[0] += centre
 
-    pieces = np.vstack((cubic[:, knot], right, 2.0 / width, const, coef[::-1]))
-    return left[1:].copy(), pieces, cum_tail
+    pieces = np.vstack((rows, right, 2.0 / width, const, coef[::-1]))
+    return cuts, pieces, cum_tail
 
 
 class TabulatedSurvival(DistributionModel):
@@ -434,12 +438,15 @@ class TabulatedSurvival(DistributionModel):
     one load-time computation, the fit of the partial integrals
     (``_partial_integral_fit``): it also gives the integral from each knot
     to t_max (``_cum_tail``), and E|xi| is the fitted kernel's own tail
-    integral at 0. A moment-kernel call does no quadrature.
+    integral at 0. A moment-kernel call does no quadrature. Every kernel
+    looks up a column of ``_pieces`` on the fit's cuts: F, N and the slope
+    read only its first five rows, the PCHIP row. ts and fs are read-only
+    copies.
     """
 
     def __init__(self, ts, fs, rows=None):
-        ts = np.asarray(ts, dtype=float)
-        fs = np.asarray(fs, dtype=float)
+        ts = np.array(ts, dtype=float)  # copies, made read-only below
+        fs = np.array(fs, dtype=float)
         if rows is None:
             rows = list(range(1, len(ts) + 1))
         if ts.ndim != 1 or ts.shape != fs.shape:
@@ -468,10 +475,9 @@ class TabulatedSurvival(DistributionModel):
                 f"({fs[bad]} then {fs[bad + 1]})"
             )
 
-        self.ts = ts
-        self.fs = fs
-        self.log_fs = np.log(fs)
-        self._inner = ts[1:-1]
+        self.ts, self.fs, self.log_fs = ts, fs, np.log(fs)
+        for arr in (ts, fs, self.log_fs):
+            arr.flags.writeable = False
         self._cubic = _pchip(ts, self.log_fs)
         # The cubic's s^3, s = t - x_j, must not overflow on any knot interval
         # (the knots are finite here: ``_pchip`` checked them).
@@ -495,6 +501,9 @@ class TabulatedSurvival(DistributionModel):
                 f"{_MAX_TRUNCATION:g}; extend the table to larger t"
             )
 
+        self._cuts, self._pieces, self._cum_tail = _partial_integral_fit(ts, self._cubic)
+        self._f_rows = self._pieces[:5]  # the PCHIP rows, sliced once
+
         # Dense grid for fast (vectorized) quantile inversion.
         self._dense_t = np.linspace(ts[0], ts[-1], 4097)
         self._dense_l = self._log_f(self._dense_t)
@@ -508,8 +517,6 @@ class TabulatedSurvival(DistributionModel):
         d2k = (nk[2:] - nk[1:-1]) / dts[1:] - (nk[1:-1] - nk[:-2]) / dts[:-1]
         self._n_convex = bool(np.all(d2 >= _CONVEXITY_SLACK) and np.all(d2k >= _CONVEXITY_SLACK))
 
-        self._cuts, self._pieces, self._cum_tail = _partial_integral_fit(ts, self._cubic,
-                                                                         self._log_f)
         # E|xi| up to the truncation bound, read off the kernel itself, so
         # that it equals tail_integral(0) to the bit.
         self._mean_abs = float(self._fit_tail_and_survival(np.zeros(1))[0, 0])
@@ -535,23 +542,15 @@ class TabulatedSurvival(DistributionModel):
             rows.append(lineno)
         if not ts:
             raise TabulationError(f"{path}: empty table")
-        return cls(np.array(ts), np.array(fs), rows=rows)
+        return cls(ts, fs, rows=rows)
 
     # -- the table's interpolant and fit, on u in [0, t_max] ----------------
 
-    def _rows(self, u: np.ndarray, j=None):
-        """The PCHIP rows (x_j, c3, c2, c1, c0) of the knot interval of each
-        u, in a new array of shape (5,) + u.shape: one lookup by scipy's
-        half-open rule, x_j <= u < x_{j+1}, with t_max in the last interval
-        (unless the caller found the j already), and one ``take``."""
-        if j is None:
-            j = np.searchsorted(self._inner, u, side="right")
-        return self._cubic.take(j, axis=1)
-
-    def _log_f(self, u: np.ndarray, j=None) -> np.ndarray:
-        """ln F(u) for u in [0, t_max] of one or more dimensions; ``j``, if
-        given, holds each u's knot interval."""
-        x, c3, c2, c1, c0 = self._rows(u, j)
+    def _log_f(self, u: np.ndarray) -> np.ndarray:
+        """ln F(u) for u in [0, t_max] of one or more dimensions. The knots are
+        cuts, so u's piece lies in the knot interval x_j <= u < x_{j+1} that
+        scipy's half-open rule picks (t_max in the last)."""
+        x, c3, c2, c1, c0 = _row_of(self._f_rows, self._cuts, u)
         return _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
 
     def _log_f_and_slope(self, u: np.ndarray):
@@ -559,7 +558,7 @@ class TabulatedSurvival(DistributionModel):
         derivative polynomial, coefficients (c2, 2 c1, 3 c0), summed in its
         order: (0.0 + c2) + (2 c1) s, + (3 c0) (s s). Starting from 0.0
         reads a slope of -0.0 as +0.0."""
-        x, c3, c2, c1, c0 = self._rows(u)
+        x, c3, c2, c1, c0 = _row_of(self._f_rows, self._cuts, u)
         s = np.subtract(u, x, out=x)
         slope = c2 + 0.0
         term = np.multiply(c1, 2.0)
@@ -574,20 +573,14 @@ class TabulatedSurvival(DistributionModel):
         """np.stack((u F(u) + integral_u^{tmax} F(s) ds, F(u))) for u in
         [0, tmax], the two kernels the moment function needs.
 
-        One lookup finds u's piece [a, b) of the load-time fit (the last one
-        closed) and one ``take`` gathers that piece's row of
-        ``_pieces``. F(u) is the cubic of the knot interval [x_j, x_{j+1})
-        holding the piece, evaluated in scipy's own order, s = u - x_j, then
-        c3 + c2 s, + c1 (s s), + c0 ((s s) s), and exponentiated, so it
-        keeps scipy's bits (the pieces' ends include every knot, so the
-        lookup keeps scipy's half-open interval rule). The integral is
-        (b - u) g(y) + C: the mean g of F over [u, b] is a Horner loop in
+        One lookup gathers the column of u's piece [a, b) of the load-time
+        fit. F(u) is exp of its PCHIP row, read as ``_log_f`` reads it, so
+        it keeps scipy's bits. The integral is (b - u) g(y) + C: the mean g of F over [u, b] is a Horner loop in
         y = 2 (b - u) / (b - a) - 1, and C, the integral from b to t_max, is
         a constant of the piece. b - u is exact where u is near b, so the
         term keeps its digits on a table whose knots lie ulps apart.
         """
-        x, c3, c2, c1, c0, b, r, const, *g = self._pieces.take(
-            np.searchsorted(self._cuts, u, side="right"), axis=1)
+        x, c3, c2, c1, c0, b, r, const, *g = _row_of(self._pieces, self._cuts, u)
         f = _cubic(np.subtract(u, x, out=x), c3, c2, c1, c0)
         np.exp(f, out=f)
         v = b - u

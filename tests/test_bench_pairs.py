@@ -178,7 +178,7 @@ def _working_tree_package(revision, tree):
 def test_ab_calls_on_the_working_tree_against_itself(monkeypatch, tmp_path, capsys):
     """Both sides are the working tree: every call runs, every pair of
     results agrees, and the rows reach the --out file."""
-    monkeypatch.setattr(ab_calls, "extract_package", _working_tree_package)
+    monkeypatch.setattr(ab_calls.bench_pairs, "extract", lambda revision, tree: ab_calls.ROOT)
     out = tmp_path / "calls.json"
     assert ab_calls.main(["--base", "HEAD", "--reps", "2", "--out", str(out)]) == 0
     record = json.loads(out.read_text())

@@ -434,9 +434,31 @@ class TestMomentBounds:
             kth_min_moment_lower([1e10, 1e11], gaussian, 1, 40.0)
 
     def test_upper_past_the_float_range_is_a_numeric_error(self, gaussian):
-        # Gamma(201) alone is past the largest float
+        # Gamma(201) is past the largest float, and so is its product with
+        # the norm to the power -200
         with pytest.raises(NumericError, match="exceeds the float range"):
             min_moment_upper([1.0, 2.0], gaussian, 200.0)
+
+    def test_upper_with_a_factor_outside_the_normal_floats(self, gaussian):
+        """||(100, 100)||_N^-170 underflows and Gamma(201) overflows, yet
+        both bounds are about 1e-83: they are formed in logs. Where the
+        power is normal, the bound is the direct product, as before; where
+        the bound itself underflows, NumericError."""
+        from orlicz_bounds import neg_log_survival_function
+
+        nfun = neg_log_survival_function(gaussian)
+        nm = orlicz_norm(1.0 / np.array([0.01, 0.01]), nfun)
+        assert nm ** -170.0 == 0.0
+        for p in (170.0, 200.0):
+            want = math.exp(math.lgamma(1.0 + p) - p * math.log(nm))
+            got = min_moment_upper([0.01, 0.01], gaussian, p)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert 7e-83 < min_moment_upper([0.01, 0.01], gaussian, 170.0) < 8e-83
+        nm = orlicz_norm(1.0 / np.array([0.05, 0.05]), nfun)
+        upper = min_moment_upper([0.05, 0.05], gaussian, 170.0)
+        assert upper == (1.0 + math.gamma(171.0)) * nm ** -170.0 and f"{upper:.4g}" == "4.983e+36"
+        with pytest.raises(NumericError, match="below the float range"):
+            min_moment_upper([1e-5, 1e-5], gaussian, 170.0)
 
     def test_p_validation(self, gaussian):
         with pytest.raises(RangeError):

@@ -240,6 +240,23 @@ class TestTabulated:
         # symmetric signs
         assert abs(np.mean(draws > 0) - 0.5) < 0.02
 
+    def test_writes_into_the_inputs_after_load_move_nothing(self, gaussian):
+        """The model keeps copies of ts and fs, and its arrays are read-only:
+        the range, the description and every value stay as loaded."""
+        ts = np.linspace(0.0, 10.0, 401)
+        fs = gaussian.survival(ts)
+        model = TabulatedSurvival(ts, fs)
+        u = np.linspace(0.0, 10.0, 97)
+        before = [model.survival(u), model.neg_log_survival(u), model.tail_integral(u)]
+        ts[-1], fs[5] = 5.0, 0.5
+        assert model.upper_limit() == 10.0 and model.describe() == "table(n=401, tmax=10)"
+        assert model.survival(9.0) == pytest.approx(gaussian.survival(9.0), rel=1e-9)
+        after = [model.survival(u), model.neg_log_survival(u), model.tail_integral(u)]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        for arr in (model.ts, model.fs, model.log_fs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[-1] = 5.0
+
     def test_rejects_nondecreasing_f(self):
         ts = np.array([0.0, 1.0, 2.0, 3.0])
         fs = np.array([1.0, 0.5, 0.5, 1e-12])

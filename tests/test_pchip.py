@@ -4,11 +4,11 @@ A table interpolates ln F by the monotone piecewise cubic scipy's
 ``PchipInterpolator`` builds, computed in the package with scipy's
 arithmetic, so that loading a table does not import scipy.interpolate.
 Coefficients, values (any input shape) and the derivative must keep
-scipy's bits on every table the loader accepts, and so must the load-time
-fit, which looks up a knot interval per row of its points: Hypothesis draws tables of
-3 to 600 knots with even, uneven and clustered spacing and ln F falling to
-as low as about -700, and each is read at random points, at every knot, 1
-ulp either side of each knot, and at t_max.
+scipy's bits on every table the loader accepts, although they look up
+their rows on the load-time fit's cuts, not on the knots: Hypothesis draws
+tables of 3 to 600 knots with even, uneven and clustered spacing and ln F
+falling to as low as about -700, and each is read at random points, at
+every knot, 1 ulp either side of each knot, and at t_max.
 """
 
 import numpy as np
@@ -75,10 +75,8 @@ def test_pchip_matches_scipy_bit_for_bit(table, seed):
     assert _same_bits(value, want(grid))
     assert _same_bits(slope, want.derivative()(grid))
 
-    # The load-time fit looks up one knot interval per row of its points
-    # where it can; every point looked up alone gives the same bits.
-    cuts, pieces, cum_tail = distributions._partial_integral_fit(
-        ts, model._cubic, lambda pts, j: model._log_f(pts))
+    # The fit the model stored is the one its knots and cubic give.
+    cuts, pieces, cum_tail = distributions._partial_integral_fit(ts, model._cubic)
     assert _same_bits(cuts, model._cuts)
     assert _same_bits(pieces, model._pieces)
     assert _same_bits(cum_tail, model._cum_tail)
@@ -107,20 +105,18 @@ def test_pchip_keeps_its_zero_slopes():
         assert _same_bits(slope, want.derivative()(u))
 
 
-def test_fit_rows_across_a_knot_keep_their_bits():
-    """Knots 60-3000 ulps apart: there some rows of the load-time fit's
-    points cross a knot and are looked up point by point, and the fit keeps
-    the bits of looking up every point alone."""
+def test_lookups_next_to_ulp_close_knots_keep_scipys_bits():
+    """Knots 60-3000 ulps apart, each a cut of the load-time fit with pieces
+    between them: ln F, its slope and the F the moment kernel reads keep
+    scipy's PCHIP bits at every knot and 1 ulp either side, whichever piece
+    a point falls in."""
     ulps = np.spacing(10.0) * np.array([3000.0, 400.0, 120.0, 60.0, 0.0])
     ts = np.concatenate((np.linspace(0.0, 9.75, 40), 10.0 - ulps))
     model = TabulatedSurvival(ts, np.exp(-0.5 * ts * ts))
-    looked_up, crossed = [], []
-
-    def log_f(pts, j):
-        looked_up.append(np.array_equal(j, np.searchsorted(ts[1:-1], pts, side="right")))
-        crossed.append(np.any(j[:, 0] != j[:, -1]))
-        return model._log_f(pts)
-
-    cuts, pieces, cum_tail = distributions._partial_integral_fit(ts, model._cubic, log_f)
-    assert looked_up and all(looked_up) and any(crossed)
-    assert _same_bits(pieces, model._pieces) and _same_bits(cum_tail, model._cum_tail)
+    want = interpolate.PchipInterpolator(ts, model.log_fs, extrapolate=False)
+    assert model._cuts.size > ts.size and np.all(np.isin(ts[1:-1], model._cuts))
+    u = _points(ts, np.random.default_rng(2))
+    assert _same_bits(model._log_f(u), want(u))
+    value, slope = model._log_f_and_slope(u)
+    assert _same_bits(value, want(u)) and _same_bits(slope, want.derivative()(u))
+    assert _same_bits(model._fit_tail_and_survival(u)[1], np.exp(want(u)))

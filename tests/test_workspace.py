@@ -73,7 +73,7 @@ def _ref_on_table(model, u, kernel, past):
 
 
 def _ref_log_f(model, u):
-    x, c3, c2, c1, c0 = model._cubic.take(np.searchsorted(model._inner, u, side="right"), axis=1)
+    x, c3, c2, c1, c0 = model._cubic.take(np.searchsorted(model.ts[1:-1], u, side="right"), axis=1)
     return _ref_cubic(u - x, c3, c2, c1, c0)
 
 
@@ -285,7 +285,7 @@ def test_user_handles_and_kernels_returning_fresh_or_aliased_arrays(n):
             assert _same(got, want), (fun.label, rho, got, want)
 
 
-def test_a_nested_solve_gets_its_own_scope():
+def test_a_nested_solve_keeps_the_outer_sum_bits():
     """A handle that solves a norm inside its own evaluation, once per
     block: the outer sum keeps its bits."""
     model = MODELS["gaussian"]
