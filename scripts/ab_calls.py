@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved call timings: a base revision's library against the working tree's.
 
-    python3 scripts/ab_calls.py --base HEAD --reps 15
+    python3 scripts/ab_calls.py --base HEAD --reps 16
     python3 scripts/ab_calls.py --base HEAD~1 --out BENCH_calls.json
 
 Extracts the base revision with ``bench_pairs.extract`` (``git archive``)
@@ -25,7 +25,12 @@ of results must have the same ``repr`` (arrays and reports compared as
 plain lists and dicts of floats), kernel rows, norms and bounds alike.
 
 It prints each call's median milliseconds per side, the ratio change /
-base and the repetitions in which the change was faster. Every row is
+base and the repetitions in which the change was faster. The side that runs
+second in a repetition tends to read faster, so the ratio is paired by
+order: the geometric mean of two medians of the per-repetition ratio
+change / base, one over the repetitions in which the base ran first and one
+over those in which the change did. ``--reps`` must be even, so that each
+order runs equally often. Every row is
 timed and compared, whether or not an earlier one differed. Then, if any
 pair of results differed, it lists every differing row, each with the
 first repetition it differed in and the first differing leaf (say
@@ -165,9 +170,10 @@ def first_difference(base, change, where: str = "result"):
 def compare(base_lib, change_lib, reps: int) -> list[dict]:
     """Run the call list ``reps`` times on both packages, alternating which
     goes first; one row per call: each side's median ms, the ratio change /
-    base and the change's wins. Prints the rows, then raises AssertionError
-    if any pair of results differed, with one line per differing row that
-    names the first differing leaf and both its reprs."""
+    base paired by order (``paired_ratio``) and the change's wins. Prints
+    the rows, then raises AssertionError if any pair of results differed,
+    with one line per differing row that names the first differing leaf and
+    both its reprs."""
     data = _inputs()
     sides = {"base": call_list(base_lib, data), "change": call_list(change_lib, data)}
     names = [name for name, _ in sides["base"]]
@@ -191,9 +197,10 @@ def compare(base_lib, change_lib, reps: int) -> list[dict]:
         base_t, change_t = times["base"][i], times["change"][i]
         base_ms, change_ms = (1e3 * statistics.median(t) for t in (base_t, change_t))
         wins = sum(c < b for b, c in zip(base_t, change_t))
+        ratio = paired_ratio(base_t, change_t)
         rows.append({"call": name, "base_ms": base_ms, "change_ms": change_ms,
-                     "ratio": change_ms / base_ms, "wins": wins, "reps": reps})
-        print(f"{name:40s} {base_ms:10.3f} {change_ms:10.3f} {change_ms / base_ms:7.3f} "
+                     "ratio": ratio, "wins": wins, "reps": reps})
+        print(f"{name:40s} {base_ms:10.3f} {change_ms:10.3f} {ratio:7.3f} "
               f"{f'{wins}/{reps}':>7s}")
     lines = []
     for name in names:
@@ -204,6 +211,15 @@ def compare(base_lib, change_lib, reps: int) -> list[dict]:
     if lines:  # raised, not asserted, so that -O keeps it
         raise AssertionError("\n".join(lines))
     return rows
+
+
+def paired_ratio(base_t, change_t) -> float:
+    """The geometric mean of the medians of change / base over the even
+    repetitions (base first) and over the odd ones (change first); the one
+    median there is when only one repetition ran."""
+    ratios = [c / b for b, c in zip(base_t, change_t)]
+    medians = [statistics.median(ratios[first::2]) for first in (0, 1) if ratios[first::2]]
+    return statistics.geometric_mean(medians)
 
 
 def load_package(source: Path, name: str):
@@ -233,12 +249,13 @@ bench_pairs = _load_bench_pairs()
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--reps", type=int, default=15, help="repetitions of the call list")
+    parser.add_argument("--reps", type=int, default=16,
+                        help="repetitions of the call list, an even number")
     parser.add_argument("--out", type=Path, default=None,
                         help="also write the rows and their provenance to this JSON file")
     args = parser.parse_args(argv)
-    if args.reps < 1:
-        parser.error("--reps must be >= 1")
+    if args.reps < 2 or args.reps % 2:
+        parser.error("--reps must be an even number >= 2")
     with tempfile.TemporaryDirectory(prefix="ab-calls-") as tmp:
         tree = bench_pairs.extract(args.base, Path(tmp))
         base_lib = load_package(tree / "src" / PACKAGE, BASE_PACKAGE)

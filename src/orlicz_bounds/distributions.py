@@ -103,10 +103,11 @@ class DistributionModel:
     """Common interface. A family implements the raw kernels the Orlicz
     handles call, ``_survival``, ``_neg_log_survival`` and
     ``_tail_integral_and_survival`` (the pair of the tail integral and F,
-    which the moment function M combines), on an already validated float
-    array: no NaN, nothing negative, nothing past a table, though +inf may
-    occur, where both read 0. The raw kernels are elementwise: a long
-    modular sum calls them on blocks of at most ``orlicz._BLOCK`` entries.
+    which the moment function M combines), on a 1-d float array with no NaN
+    and nothing negative: +inf and anything past a table's last knot read
+    F = 0, N = +inf and a tail integral of 0. The raw kernels check nothing
+    and are elementwise: a long modular sum calls them on blocks of at most
+    ``orlicz._BLOCK`` entries.
     It also implements ``_quantile``, ``_sample``, ``mean_abs`` and, for a
     table, ``upper_limit``. The public methods validate, then call the
     kernel, so a solve validates once, at its entry."""
@@ -601,10 +602,7 @@ class TabulatedSurvival(DistributionModel):
         return several values per entry, stacked along a leading axis. In
         the common case one maximum shows that every entry is on the table,
         where there is nothing to clip (NaN fails the test and takes the
-        masked path). The kernels need at least one dimension: a 0-d u is
-        read as one entry."""
-        if u.ndim == 0:
-            return self._on_table(u.reshape(1), kernel, past)[..., 0]
+        masked path). u is 1-d, as every kernel gets it."""
         lim = self.ts[-1]
         if u.max(initial=0.0) <= lim:
             return kernel(u)

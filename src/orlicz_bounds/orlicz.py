@@ -15,15 +15,16 @@ one probe. The modular sum is nonincreasing in rho, so each "is rho
 feasible?" is answered from a known bracket a < rho* <= b where it can be,
 and a secant endgame on (log rho, log S) first narrows that bracket to the
 bisection's tolerance: each new point is the secant through the two most
-recently summed points, clamped inside (a, b), with regula falsi or a mean
-of a and b when the secant leaves the bracket. The bisection then evaluates
-only the one or two midpoints that fall inside it (each midpoint is
-compared with (a, b) inline, so one the bracket answers costs no call) and
-returns the feasible end of its last bracket. That is the float a plain
-bisection returns, bit for bit, wherever the computed modular sum does not
-increase with rho. The moment function's sums carry rounding noise from
-the cancellation in s E[|xi|; |xi| > 1/s] - F(1/s) (about 1e-10), and there
-the result can differ from a plain bisection's by about 1e-12 relative.
+recently summed points, clamped inside (a, b), with one fallback, the
+geometric mean of a and b (the arithmetic one when a = 0), when the secant
+leaves the bracket. The bisection then evaluates only the one or two
+midpoints that fall inside it (each midpoint is compared with (a, b)
+inline, so one the bracket answers costs no call) and returns the feasible
+end of its last bracket. That is the float a plain bisection returns, bit
+for bit, wherever the computed modular sum does not increase with rho. The
+moment function's sums carry rounding noise from the cancellation in
+s E[|xi|; |xi| > 1/s] - F(1/s) (about 1e-10), and there the result can
+differ from a plain bisection's by about 1e-12 relative.
 Every evaluation is one modular sum, ``_modular_sum``: the pairwise
 ``np.add.reduce`` that ``np.sum`` runs, without its Python wrapper, taken on
 a long vector in blocks of at most ``_BLOCK`` entries along numpy's own
@@ -151,8 +152,10 @@ class OrliczFunction:
     ``model`` is set only for distribution-derived moment functions and
     enables the analytic conjugate shortcut.
 
-    ``evaluate`` is elementwise: a solve may call it on any contiguous run
-    of the entries (a block of a long modular sum).
+    ``evaluate`` takes a 1-d float array, with no NaN and nothing negative
+    (+inf may occur), and checks nothing. It is elementwise: a solve may
+    call it on any contiguous run of the entries (a block of a long
+    modular sum).
     """
 
     label: str
@@ -181,16 +184,16 @@ class OrliczFunction:
     def values(self, t) -> np.ndarray:
         """The function at each entry of t, in the shape of t, validated
         here: NaN or a negative entry raises DomainError. ``evaluate`` itself
-        does no checking, and may return a scalar's value as shape (1,). It
-        runs under the norm solver's errstate, so an overflow inside a
-        handle (1/t for a subnormal t) reads as its limit, without a warning."""
+        does no checking, and gets the entries flattened to 1-d. It runs
+        under the norm solver's errstate, so an overflow inside a handle
+        (1/t for a subnormal t) reads as its limit, without a warning."""
         arr = np.asarray(t, dtype=float)
         if np.any(np.isnan(arr)):
             raise DomainError(f"{self.label} is defined on [0, inf); got nan")
         if arr.size and float(np.min(arr)) < 0:
             raise DomainError(f"{self.label} is defined on [0, inf); got {np.min(arr)}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.asarray(self.evaluate(arr), dtype=float).reshape(arr.shape)
+            return np.asarray(self.evaluate(arr.reshape(-1)), dtype=float).reshape(arr.shape)
 
     def __call__(self, t: float) -> float:
         return float(self.values(np.atleast_1d(np.asarray(t, dtype=float)))[0])
@@ -241,7 +244,6 @@ def expected_overshoot_function(model: DistributionModel) -> OrliczFunction:
     """
 
     def _eval(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         tail, surv = model._tail_integral_and_survival(1.0 / t)  # 0, 0 at 1/0 = inf
         out = t * tail
         out -= surv
@@ -294,7 +296,6 @@ def reciprocal_survival_function(model: DistributionModel, k: int) -> OrliczFunc
     k = _integer_in(k, "k of the reciprocal survival function", 2)
 
     def _eval(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         return model._survival(1.0 / t) / (4.0 * (k - 1))  # F(1/0) = F(inf) = 0
 
     return OrliczFunction(label=f"NF{k}[{model.describe()}]", evaluate=_eval)
@@ -456,20 +457,17 @@ class _WarmStart:
 def _modular_sum(v: np.ndarray, fun: OrliczFunction, rho: float) -> float:
     """The modular sum of fun at v / rho: every feasibility test of the norm
     solver is this float compared with 1, and it does not increase with rho.
-    v holds the positive entries; nothing is checked."""
-    return _block_sum(v, fun, rho)
+    v holds the positive entries; nothing is checked.
 
-
-def _block_sum(v, fun, rho) -> float:
-    """``np.add.reduce(fun.evaluate(v / rho))`` (np.sum, unwrapped), with one
-    ``evaluate`` per block of at most ``_BLOCK`` entries: numpy's pairwise
-    sum halves a long run at n // 2 rounded down to a multiple of 8, so
-    summing the halves apart and adding the two floats is its float."""
+    It is ``np.add.reduce(fun.evaluate(v / rho))`` (np.sum, unwrapped), with
+    one ``evaluate`` per block of at most ``_BLOCK`` entries: numpy's
+    pairwise sum halves a long run at n // 2 rounded down to a multiple of
+    8, so summing the halves apart and adding the two floats is its float."""
     n = v.size
     if n <= _BLOCK:
         return float(np.add.reduce(fun.evaluate(v / rho), axis=None))
     half = n // 2 - n // 2 % 8
-    return _block_sum(v[:half], fun, rho) + _block_sum(v[half:], fun, rho)
+    return _modular_sum(v[:half], fun, rho) + _modular_sum(v[half:], fun, rho)
 
 
 def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
@@ -537,7 +535,7 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
         # loop below would reach: the sum does not increase with rho, so if
         # that one is feasible, all of them are.
         bottom = lo
-        for _ in range(_MAX_DOUBLINGS - 1):
+        for _ in range(_MAX_DOUBLINGS):
             bottom *= 0.5
         if feasible(bottom):
             lo, steps = bottom, _MAX_DOUBLINGS
@@ -550,16 +548,12 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
 
     # Secant on g(u) = log S(e^u) through the two most recently summed
     # points, each new point clamped delta inside (a, b) so that both ends
-    # close in. When the secant leaves (a, b) or a sum is 0 or inf: regula
-    # falsi on (a, b), unless the last two steps have not halved log(b / a)
-    # (regula falsi creeps when one end's sum is far from 1) or a sum at a or
-    # b is 0 or inf; then the geometric (arithmetic, when a = 0) mean.
-    ratios = (math.inf, math.inf)  # b / a before the last two steps
+    # close in. When the secant leaves (a, b) or a sum is 0 or inf, the one
+    # fallback: the geometric mean of a and b (the arithmetic one when a = 0).
     for _ in range(_MAX_DOUBLINGS):
         if b - a <= NORM_REL_TOL * b:
             break
         delta = 0.25 * NORM_REL_TOL * b
-        ratio = b / a if a > 0.0 else math.inf
         rho = math.nan
         (u0, g0), (u1, g1) = summed[-2:]
         if g1 != g0:  # False when either is NaN
@@ -568,14 +562,7 @@ def _solve(v, vmax, fun, t_hi, t_lo, warm=None) -> float:
                 rho = math.exp(u)
         # A secant that converged onto an end may round just past it.
         if not a - delta < rho < b + delta:
-            ga, gb = _log_or_nan(sa), _log_or_nan(sb)
-            if math.isfinite(ga) and math.isfinite(gb) and ratio <= math.sqrt(ratios[0]):
-                rho = b * math.exp(gb * math.log(ratio) / (ga - gb))
-            elif a > 0.0:
-                rho = math.sqrt(a) * math.sqrt(b)
-            else:
-                rho = 0.5 * (a + b)
-        ratios = (ratios[1], ratio)
+            rho = math.sqrt(a) * math.sqrt(b) if a > 0.0 else 0.5 * (a + b)
         rho = min(max(rho, a + delta), b - delta)
         if not a < rho < b:
             break

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import statistics
 import types
 from pathlib import Path
 
@@ -239,3 +240,23 @@ def test_ab_calls_names_the_first_differing_leaf_of_a_report():
         repr(math.nextafter(mean, 0.0)))
     assert ab_calls.first_difference([1.0, [2.0, 3.0]], [1.0, [2.0]]) == (
         "result[1]", "[2.0, 3.0]", "[2.0]")
+
+
+def test_ab_calls_ratio_does_not_favour_the_side_that_runs_second():
+    """Equal code, where the side that runs second reads half the first and
+    the host runs 3x slower in the repetitions where the change runs first:
+    the per-side medians read 1.75 / 1.25, the ratio paired by order 1."""
+    speed = [1.0, 3.0] * 8  # the base runs first in the even repetitions
+    base_t = [s if rep % 2 == 0 else 0.5 * s for rep, s in enumerate(speed)]
+    change_t = [0.5 * s if rep % 2 == 0 else s for rep, s in enumerate(speed)]
+    assert statistics.median(change_t) / statistics.median(base_t) == 1.4
+    assert ab_calls.paired_ratio(base_t, change_t) == pytest.approx(1.0, rel=1e-15)
+    assert ab_calls.paired_ratio([1.0, 2.0], [2.0, 4.0]) == 2.0
+    assert ab_calls.paired_ratio([1.0], [0.5]) == 0.5
+
+
+@pytest.mark.parametrize("reps", ["15", "1", "0"])
+def test_ab_calls_refuses_odd_reps(reps):
+    with pytest.raises(SystemExit) as err:
+        ab_calls.main(["--reps", reps])
+    assert err.value.code == 2

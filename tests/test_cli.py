@@ -464,6 +464,13 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_min_product_at_few_reps(self):
+        # at n=11, t=0.752 no row of 100 has its minimum above t, where the
+        # product is 0.016; a standard error read off that frequency is 0
+        code, _ = run_capture(["verify", "--suite", "min-product", "--dist", "symexp:1",
+                               "--reps", "100", "--seed", "0"])
+        assert code == 0
+
     @pytest.mark.parametrize("dist", ["gaussian", "symexp:1"])
     def test_kmin_tail_rows_are_positive(self, dist):
         # the kmin-tail rows of the default verify --suite all; a sampled

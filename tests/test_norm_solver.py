@@ -1,11 +1,12 @@
 """The norm solver against plain bisection, bit for bit, and its evaluation budget.
 
 ``bisection_norm`` is the solver as it stood before the bracket narrowing:
-probes, doubling/halving bracket loops and a bisection that evaluates every
-midpoint. ``orlicz_norm`` must return the same float (``float.hex``) or raise
-the same exception type on every input whose bracket loops end within their
-200 steps, steered (n >= 4096) or not. Past those 200 steps the oracle is
-the closed form of the linear and power functions.
+the limit test, probes, doubling/halving bracket loops on the documented
+schedule (200 steps by 2, then steps by 2^64 to the ends of the float range)
+and a bisection that evaluates every midpoint. ``orlicz_norm`` must return
+the same float (``float.hex``) or raise the same exception type, steered
+(n >= 4096) or not. For the linear and power functions at extreme scales
+the oracle is also their closed form.
 """
 
 import dataclasses
@@ -39,6 +40,7 @@ from orlicz_bounds.montecarlo import _tail_threshold_function
 from orlicz_bounds.orlicz import _STEER_M, _STEER_MIN_N
 
 _MAX_DOUBLINGS = 200
+_HUGE = sys.float_info.max
 
 
 def _double_until(pred, start, factor, limit=_MAX_DOUBLINGS):
@@ -51,7 +53,11 @@ def _double_until(pred, start, factor, limit=_MAX_DOUBLINGS):
 
 
 def bisection_norm(x, fun, *, rel_tol=1e-12):
-    """Oracle: the norm by plain bisection on rho, every midpoint evaluated."""
+    """Oracle: the norm by plain bisection on rho, every midpoint evaluated.
+    0.0 when the limit test n * fun(inf) <= 1 holds; otherwise each bracket
+    loop moves rho by 2 for 200 steps, then by 2^64, up to the largest float
+    (NumericError if that is infeasible) or down to 0 (infeasible by the
+    limit test)."""
     v = np.abs(np.asarray(x, dtype=float).ravel())
     if v.size == 0 or not np.any(v > 0):
         raise DomainError("norm of the zero vector is undefined")
@@ -66,28 +72,33 @@ def bisection_norm(x, fun, *, rel_tol=1e-12):
     def modular(rho):
         return float(np.sum(fun.evaluate(v / rho)))
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    def step(steps):
+        return 2.0 if steps < _MAX_DOUBLINGS else 2.0**64
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the solver's
+        if n * fun(math.inf) <= 1.0:
+            return 0.0
         t_hi = _double_until(lambda t: fun(t) >= 1.0, 1.0, 2.0)
         t_lo = _double_until(lambda t: fun(t) <= 1.0 / n, 1.0, 0.5)
-        hi = n * vmax / t_lo if t_lo else vmax
+        hi = min(n * vmax / t_lo, _HUGE) if t_lo else vmax
         lo = vmax / t_hi if t_hi else vmax
-        for _ in range(_MAX_DOUBLINGS):
-            if modular(hi) <= 1.0:
-                break
-            hi *= 2.0
-        else:
-            raise UnboundedNormError("no scaling with modular sum <= 1")
+        steps = 0
+        while modular(hi) > 1.0:
+            if hi == _HUGE:
+                raise NumericError("norm overflows")
+            hi = min(hi * step(steps), _HUGE)
+            steps += 1
         lo = min(lo, hi)
-        for _ in range(_MAX_DOUBLINGS):
-            if modular(lo) > 1.0:
-                break
-            lo *= 0.5
-        else:
-            return 0.0
+        steps = 0
+        while lo > 0.0 and modular(lo) <= 1.0:
+            lo /= step(steps)
+            steps += 1
         while hi - lo > rel_tol * hi:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
-                break
+                if mid < math.inf:
+                    break
+                mid = 0.5 * lo + 0.5 * hi  # lo + hi overflowed
             if modular(mid) <= 1.0:
                 hi = mid
             else:
@@ -261,10 +272,16 @@ def test_public_entry_rejects_nan_and_negative(
 
 @pytest.mark.parametrize("kind", _KIND_NAMES)
 def test_values_keep_the_argument_shape(gaussian_table_model, nonconvex_table_model, kind):
+    """``values`` hands ``evaluate`` the entries flattened to 1-d and gives
+    them back in the argument's shape."""
     fun = _function_kinds(gaussian_table_model, nonconvex_table_model)[kind](3)
     assert fun.values(0.5).shape == ()
     assert fun.values([0.5]).shape == (1,)
     assert fun.values(0.5) == fun.values([0.5])[0] == fun(0.5)
+    square = [[0.5, 1.5], [2.5, 0.1]]
+    got = fun.values(square)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got, fun.values([0.5, 1.5, 2.5, 0.1]).reshape(2, 2))
 
 
 @pytest.mark.parametrize("kind", _KIND_NAMES)
@@ -437,6 +454,32 @@ def test_bounded_functional_is_zero_only_by_the_limit_test():
     fun = OrliczFunction("min(1e-70 t, 1/2)", lambda t: np.minimum(1e-70 * t, 0.5))
     rho = orlicz_norm([1.0, 2.0, 4.0], fun)
     assert rho == pytest.approx(7e-70, rel=1e-10)
+
+
+def _wide_spread_vectors(n):
+    """name -> n entries spread over hundreds of decades."""
+    return {
+        "geometric": np.geomspace(1e-250, 1e250, n),
+        "one-huge": np.array([1e300] + [1.0] * (n - 1)),
+        "log-uniform": np.exp(np.random.default_rng(n).uniform(-600.0, 600.0, n)),
+    }
+
+
+@pytest.mark.parametrize("vector", ["geometric", "one-huge", "log-uniform"])
+@pytest.mark.parametrize("n", [2, 5, 13])
+@pytest.mark.parametrize("k", [2, 7])
+@pytest.mark.parametrize("kind", ["reciprocal-survival", "reciprocal-survival-table",
+                                  "tail-threshold-G", "tail-threshold-G-table",
+                                  "bounded-below-one"])
+def test_bounded_functionals_on_wide_spread_vectors_match_bisection(
+    gaussian_table_model, kind, k, n, vector
+):
+    """A handle that stays below 1 on the probe grid first gets a sum at the
+    halving loop's 200th point; where that is feasible the solve goes on by
+    2^64 from there, as plain bisection on the documented schedule does."""
+    fun = _function_kinds(gaussian_table_model, None)[kind](k)
+    x = _wide_spread_vectors(n)[vector]
+    assert _outcome(orlicz_norm, x, fun) == _outcome(bisection_norm, x, fun)
 
 
 @pytest.mark.parametrize("rate", [1e-300, 1e-70, 1e70, 1e300])
