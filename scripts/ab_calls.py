@@ -30,7 +30,8 @@ second in a repetition tends to read faster, so the ratio is paired by
 order: the geometric mean of two medians of the per-repetition ratio
 change / base, one over the repetitions in which the base ran first and one
 over those in which the change did. ``--reps`` must be even, so that each
-order runs equally often. Every row is
+order runs equally often. Each timed call follows one untimed call of the
+same side. Every row is
 timed and compared, whether or not an earlier one differed. Then, if any
 pair of results differed, it lists every differing row, each with the
 first repetition it differed in and the first differing leaf (say
@@ -185,6 +186,7 @@ def compare(base_lib, change_lib, reps: int) -> list[dict]:
             results = {}
             for side in order:
                 thunk = sides[side][i][1]
+                thunk()  # untimed: the timed call finds its own side's code and data warm
                 start = time.perf_counter()
                 results[side] = thunk()
                 times[side][i].append(time.perf_counter() - start)
