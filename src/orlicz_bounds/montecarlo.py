@@ -385,10 +385,10 @@ def elementary_symmetric(values) -> list[Fraction]:
     vals = np.asarray(values, dtype=float).ravel()
     if np.any(vals < 0) or np.any(~np.isfinite(vals)):
         raise DomainError("elementary symmetric polynomials need finite nonnegative values")
-    ratios = [float(v).as_integer_ratio() for v in vals]
-    shifts = [den.bit_length() - 1 for _, den in ratios]  # den = 2^q
+    pairs = [float(v).as_integer_ratio() for v in vals]
+    shifts = [den.bit_length() - 1 for _, den in pairs]  # den = 2^q
     p = max(shifts, default=0)
-    ints = [num << (p - q) for (num, _), q in zip(ratios, shifts)]
+    ints = [num << (p - q) for (num, _), q in zip(pairs, shifts)]
     e = [1] + [0] * len(ints)
     for i, a in enumerate(ints, start=1):
         for level in range(i, 0, -1):
